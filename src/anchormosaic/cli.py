@@ -27,7 +27,6 @@ EXIT_NUMERICAL = 2
 EXIT_STATISTICAL = 3
 
 _SCHEMA_VERSION = 1
-_CSV_HEADER = "type,ell,m,count,rate,se,predicted,z"
 
 
 class _UsageError(Exception):
@@ -94,7 +93,7 @@ def _emit(payload: dict, rows: list[dict], out: str | None, fmt: str) -> None:
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        lines = [_CSV_HEADER]
+        lines = [experiments.CSV_HEADER]
         for row in rows:
             cells = [
                 row[key] for key in ("type", "ell", "m", "count", "rate", "se", "predicted", "z")
@@ -209,12 +208,7 @@ def _cmd_verify(args: argparse.Namespace, seed: int) -> int:
             "pass": ok,
         }
     payload["schema_version"] = _SCHEMA_VERSION
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK if ok else EXIT_STATISTICAL
 
 

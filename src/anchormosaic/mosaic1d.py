@@ -5,7 +5,9 @@ upper half-plane, which preserves every distance to the axis and therefore
 the induced weighted tessellation on the line. The tessellation itself is
 the lower envelope of the power parabolas; since they share the leading
 coefficient it reduces to a lower convex hull of lifted points, computed by a
-monotone-chain sweep in O(N log N).
+monotone-chain sweep in O(N log N). The interval decomposition follows from
+the same cells: a vertex whose projection lies outside its cell is clamped to
+a cell boundary and paired with the edge dual to that boundary.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geomcore
 from .constants import IntervalType
 from .errors import DegeneracyError, MosaicError
-from .geomcore import AnchoredSphere, Interval, WeightedPoint
+from .geomcore import AnchoredSphere, Interval
 
 __all__ = ["Mosaic1D", "rotate_to_halfplane", "build_1d", "radius_and_intervals_1d"]
 
@@ -176,16 +177,19 @@ def build_1d(points: np.ndarray, window: tuple[float, float]) -> Mosaic1D:
     return Mosaic1D(points=pts, window=(lo, hi), vertices=vertices, cell_bounds=bounds)
 
 
-def radius_and_intervals_1d(mosaic: Mosaic1D, cloud: np.ndarray | None = None) -> Mosaic1D:
+def radius_and_intervals_1d(mosaic: Mosaic1D) -> Mosaic1D:
     """Attach the anchored radius function and the interval decomposition.
 
     A vertex's radius is the minimum of its power function over its cell
     (the clamped quadratic minimum); an edge's radius is the power at the
-    shared cell boundary. Simplices with coinciding anchor and radius form one
-    interval; each interval's combinatorial type is cross-checked against the
-    facet-visibility classification and a mismatch raises MosaicError.
+    shared cell boundary. The signs of the edge anchor's barycentric
+    coordinates on the edge give its interval: strictly between its two
+    generators it is a critical (1, 1) edge, otherwise it pairs the edge with
+    the vertex whose cell is clamped there, a (0, 1) interval. Every other
+    vertex is a critical (0, 0) interval; a vertex whose criticality (its
+    projection strictly inside its cell) disagrees with this pairing raises
+    MosaicError.
     """
-    del cloud  # the mosaic already holds its generating cloud
     pts = mosaic.points
     v = mosaic.vertices
     xs = pts[v, 0]
@@ -207,13 +211,6 @@ def radius_and_intervals_1d(mosaic: Mosaic1D, cloud: np.ndarray | None = None) -
 
     intervals: list[Interval] = []
     paired = np.zeros(len(v), dtype=bool)
-
-    def weighted(local: int) -> WeightedPoint:
-        return WeightedPoint(
-            y=pts[v[local], :1].copy(),
-            w=-float(pts[v[local], 1]) ** 2,
-            preimage=pts[v[local]].copy(),
-        )
 
     for e in range(len(v) - 1):
         a = float(edge_anchor[e])
@@ -245,11 +242,6 @@ def radius_and_intervals_1d(mosaic: Mosaic1D, cloud: np.ndarray | None = None) -
                     members=(vertex_key, edge_key),
                 )
             )
-        got = geomcore.visibility_type(sphere, [weighted(e), weighted(e + 1)])
-        if got != intervals[-1].type:
-            raise MosaicError(
-                f"visibility type {got} disagrees with pairing {intervals[-1].type}"
-            )
 
     for local in range(len(v)):
         critical = left[local] < xs[local] < right[local]
@@ -262,11 +254,10 @@ def radius_and_intervals_1d(mosaic: Mosaic1D, cloud: np.ndarray | None = None) -
             anchor=np.array([float(vertex_anchor[local])]),
             radius=float(vertex_radius[local]),
         )
-        got = geomcore.visibility_type(sphere, [weighted(local)])
-        if got != IntervalType(0, 0):
-            raise MosaicError(f"critical vertex typed as {got}")
         intervals.append(
-            Interval(lower=key, upper=key, type=got, sphere=sphere, members=(key,))
+            Interval(
+                lower=key, upper=key, type=IntervalType(0, 0), sphere=sphere, members=(key,)
+            )
         )
 
     mosaic.vertex_anchor = vertex_anchor

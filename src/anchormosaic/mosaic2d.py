@@ -3,12 +3,14 @@ diagrams, the anchored radius function, and the interval decomposition.
 
 The triangulation is the lower convex hull of the lift
 (y1, y2) -> (y1, y2, |y|^2 - w); generators strictly above the lower hull
-have empty power cells and are submerged. Dual power-diagram features carry
-the radius function: the radius of a simplex is the minimum of its
-generators' power over the dual face, minimized in closed form (a point for
-triangles, a clamped quadratic on a segment or ray for edges, a projection
-onto the convex cell for vertices). No bounding-box clipping is needed for
-the minimization: rays and unbounded cells are handled exactly.
+have empty power cells and are submerged. The interval decomposition is
+combinatorial: a simplex's smallest anchored sphere is anchored in the
+relative interior of exactly one face of the power diagram, the simplex dual
+to that face is the interval's upper bound, and the signs of the anchor's
+barycentric coordinates on the upper bound give the lower bound and the type
+(Bauer & Edelsbrunner, "The Morse theory of Cech and Delaunay complexes",
+Trans. AMS 2017). Anchors are dual vertices for triangles and radical-line
+crossings for edges, all in closed form.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import ConvexHull, QhullError
 
-from . import geomcore
 from .constants import IntervalType
 from .errors import DegeneracyError, MosaicError
-from .geomcore import AnchoredSphere, Interval, WeightedPoint
+from .geomcore import AnchoredSphere, Interval
 
 __all__ = [
     "RegularTriangulation",
@@ -127,18 +128,14 @@ class PowerDiagram:
     """Dual of a regular triangulation.
 
     A diagram vertex per triangle (the equal-power point of its three
-    generators), a segment or outward ray per triangulation edge, and one
-    convex (possibly unbounded) cell per surviving generator, represented by
-    its neighbor half-planes.
+    generators), the triangulation edges, and one convex (possibly unbounded)
+    cell per surviving generator, represented by its neighbor half-planes.
     """
 
     tri: RegularTriangulation
     dual_vertices: np.ndarray          # (T, 2) equal-power points
     edges: np.ndarray                  # (E, 2) sorted generator pairs
-    edge_tris: np.ndarray              # (E, 2) adjacent triangles, -1 = unbounded side
-    ray_dirs: np.ndarray               # (E, 2) unit outward direction for boundary edges
     neighbors: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
-    incident_triangles: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
 
     def cell_halfplanes(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Cell of generator i as {z : U z <= c} with unit rows U."""
@@ -193,9 +190,7 @@ def _clip_halfplane(poly: list[np.ndarray], normal: np.ndarray, offset: float) -
 def power_dual(tri: RegularTriangulation) -> PowerDiagram:
     """Power diagram dual to a regular triangulation.
 
-    Diagram vertices solve the two linear equal-power equations per triangle;
-    boundary edges carry outward rays along the radical line of their
-    generator pair.
+    Diagram vertices solve the two linear equal-power equations per triangle.
     """
     y = tri.y
     lifted = tri.lifted
@@ -208,42 +203,16 @@ def power_dual(tri: RegularTriangulation) -> PowerDiagram:
         raise DegeneracyError("a triangle has collinear generators") from exc
 
     edges = tri.edges
-    edge_tris = np.full((len(edges), 2), -1, dtype=int)
-    for row, (i, j) in enumerate(map(tuple, edges)):
-        tris = tri.edge_triangles[(int(i), int(j))]
-        edge_tris[row, : len(tris)] = tris
-
-    ray_dirs = np.full((len(edges), 2), np.nan)
-    boundary = edge_tris[:, 1] < 0
-    for row in np.flatnonzero(boundary):
-        i, j = edges[row]
-        t0 = edge_tris[row, 0]
-        third = next(int(v) for v in tri.triangles[t0] if v not in (i, j))
-        tangent = y[j] - y[i]
-        direction = np.array([-tangent[1], tangent[0]])
-        direction /= np.linalg.norm(direction)
-        # the dual ray leaves the triangle where the third generator's power deficit grows
-        if -2.0 * (y[third] - y[i]) @ direction < 0.0:
-            direction = -direction
-        ray_dirs[row] = direction
-
     neighbors: dict[int, list[int]] = {int(v): [] for v in tri.vertices}
     for i, j in edges:
         neighbors[int(i)].append(int(j))
         neighbors[int(j)].append(int(i))
-    incident: dict[int, list[int]] = {int(v): [] for v in tri.vertices}
-    for t, tri_row in enumerate(tri.triangles):
-        for v in tri_row:
-            incident[int(v)].append(t)
 
     return PowerDiagram(
         tri=tri,
         dual_vertices=duals,
         edges=edges,
-        edge_tris=edge_tris,
-        ray_dirs=ray_dirs,
         neighbors={k: np.asarray(v, dtype=int) for k, v in neighbors.items()},
-        incident_triangles={k: np.asarray(v, dtype=int) for k, v in incident.items()},
     )
 
 
@@ -309,89 +278,46 @@ class Mosaic2D:
         }
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
-def _edge_minimizers(tri: RegularTriangulation, dia: PowerDiagram) -> tuple[np.ndarray, np.ndarray]:
-    y = tri.y
-    gen = dia.edges[:, 0]
-    start = dia.dual_vertices[dia.edge_tris[:, 0]]
-    anchors = np.empty_like(start)
-    interior = dia.edge_tris[:, 1] >= 0
-
-    seg = dia.dual_vertices[dia.edge_tris[interior, 1]] - start[interior]
-    seg_len2 = np.einsum("ij,ij->i", seg, seg)
-    safe = np.maximum(seg_len2, 1e-300)
-    t = np.einsum("ij,ij->i", y[gen[interior]] - start[interior], seg) / safe
-    anchors[interior] = start[interior] + np.clip(t, 0.0, 1.0)[:, None] * seg
-
-    rays = ~interior
-    d = dia.ray_dirs[rays]
-    t = np.einsum("ij,ij->i", y[gen[rays]] - start[rays], d)
-    anchors[rays] = start[rays] + np.maximum(t, 0.0)[:, None] * d
-
-    diff = anchors - y[gen]
-    power = np.einsum("ij,ij->i", diff, diff) - tri.w[gen]
-    return anchors, power
-
-
-def _vertex_minimizer(
-    dia: PowerDiagram, i: int, feas_tol: float
-) -> tuple[np.ndarray, float]:
-    yi = dia.tri.y[i]
-    u, c = dia.cell_halfplanes(i)
-    slack = u @ yi - c
-    if np.all(slack <= feas_tol):
-        return yi.copy(), -float(dia.tri.w[i])
-    candidates = [yi - s * normal for s, normal in zip(slack, u) if s > 0.0]
-    feasible = [
-        z for z in candidates if np.all(u @ z - c <= feas_tol)
-    ]
-    corners = dia.dual_vertices[dia.incident_triangles[i]]
-    zs = np.vstack([np.asarray(feasible).reshape(-1, 2), corners])
-    d2 = np.einsum("ij,ij->i", zs - yi, zs - yi)
-    best = int(np.argmin(d2))
-    return zs[best], float(d2[best]) - float(dia.tri.w[i])
-
-
 def radius_and_intervals_2d(
     tri: RegularTriangulation,
     dia: PowerDiagram,
-    cloud: np.ndarray | None = None,
     window: tuple[tuple[float, float], tuple[float, float]] | None = None,
 ) -> Mosaic2D:
     """Anchored radius function and interval decomposition of a planar mosaic.
 
-    Groups simplices that share an anchored sphere (anchors within
-    1e-7 * diameter, radii within 1e-7 relative), validates that every group
-    is a combinatorial interval [L, U] with 2^(m-ell) members, and
-    cross-checks the (ell, m) type against the facet-visibility
-    classification; any disagreement raises MosaicError.
+    Every interval is read off the signs of the barycentric coordinates of
+    its upper bound's anchor, with no tolerance:
+
+    - A triangle's anchor is its dual vertex. The edges opposite its negative
+      corners join its interval, and with two negative corners so does the
+      remaining vertex (a (0, 2) interval). An edge claimed by both of its
+      triangles raises MosaicError.
+    - An unclaimed edge (i, j) is anchored where its radical line crosses it,
+      at ``y_i + s (y_j - y_i)`` with ``s = 1/2 + (w_i - w_j) / (2 |y_j - y_i|^2)``.
+      It is a critical (1, 1) interval if ``0 < s < 1`` and otherwise a (0, 1)
+      interval whose lower bound is the vertex with the positive coordinate.
+    - A vertex no upper bound claims is a critical (0, 0) interval anchored at
+      its own projection.
+
+    Certificate: a vertex is claimed exactly once if an incident edge puts its
+    projection outside its power cell (``s <= 0`` seen from the vertex), and
+    never otherwise; any other outcome raises MosaicError. Each simplex
+    carries the sphere of its interval's upper bound. Intervals are listed by
+    decreasing row of their lower bound in ``simplices``.
     """
-    del cloud  # emptiness against the originating cloud is audited externally
-    y = tri.y
-    scale = max(1.0, float(np.max(np.ptp(y[tri.vertices], axis=0))))
-    feas_tol = 1e-9 * scale
+    y, w = tri.y, tri.w
+    verts, edges, triangles = tri.vertices, dia.edges, tri.triangles
+    n_v, n_e = len(verts), len(edges)
+    scale = max(1.0, float(np.max(np.ptp(y[verts], axis=0))))
+    vert_row = np.full(len(y), -1, dtype=int)
+    vert_row[verts] = np.arange(n_v)
 
     # triangles: the dual vertex is the anchor
-    a, b, c = tri.triangles[:, 0], tri.triangles[:, 1], tri.triangles[:, 2]
+    a, b, c = triangles[:, 0], triangles[:, 1], triangles[:, 2]
     za = dia.dual_vertices
-    pow_a = np.einsum("ij,ij->i", za - y[a], za - y[a]) - tri.w[a]
-    pow_b = np.einsum("ij,ij->i", za - y[b], za - y[b]) - tri.w[b]
-    pow_c = np.einsum("ij,ij->i", za - y[c], za - y[c]) - tri.w[c]
+    pow_a = np.einsum("ij,ij->i", za - y[a], za - y[a]) - w[a]
+    pow_b = np.einsum("ij,ij->i", za - y[b], za - y[b]) - w[b]
+    pow_c = np.einsum("ij,ij->i", za - y[c], za - y[c]) - w[c]
     power_scale = np.maximum(np.abs(pow_a), 1e-12 * scale * scale)
     if np.max(np.abs(pow_b - pow_a) / power_scale) > 1e-6 or np.max(
         np.abs(pow_c - pow_a) / power_scale
@@ -399,124 +325,100 @@ def radius_and_intervals_2d(
         raise MosaicError("a dual vertex fails the equal-power certificate")
     tri_power = (pow_a + pow_b + pow_c) / 3.0
 
-    edge_anchor, edge_power = _edge_minimizers(tri, dia)
-    vert_anchor = np.empty((len(tri.vertices), 2))
-    vert_power = np.empty(len(tri.vertices))
-    for row, v in enumerate(tri.vertices):
-        vert_anchor[row], vert_power[row] = _vertex_minimizer(dia, int(v), feas_tol)
+    # Corner i of the counter-clockwise triangle (i, j, k), with p = y_k - y_j
+    # and q = y_i - y_j, has the dual vertex's barycentric coordinate
+    #   ((|q|^2 - w_i + w_j) |p|^2 - (|p|^2 - w_k + w_j) p.q) / (2 cross(p, q)^2),
+    # from the generators alone; only the numerator's sign is needed.
+    yt, wt = y[triangles], w[triangles]
+    yj, wj = np.roll(yt, -1, axis=1), np.roll(wt, -1, axis=1)
+    p = np.roll(yt, -2, axis=1) - yj
+    q = yt - yj
+    pp = np.einsum("tkx,tkx->tk", p, p)
+    pq = np.einsum("tkx,tkx->tk", p, q)
+    alpha_p = pp - (np.roll(wt, -2, axis=1) - wj)
+    alpha_q = np.einsum("tkx,tkx->tk", q, q) - (wt - wj)
+    bary_numerator = alpha_q * pp - alpha_p * pq
+    if np.any(bary_numerator == 0.0):
+        raise DegeneracyError("a dual vertex lies on the line of a triangle edge")
+    negative = bary_numerator < 0.0
 
-    simplices: list[tuple[int, ...]] = [(int(v),) for v in tri.vertices]
-    simplices += [tuple(int(x) for x in e) for e in dia.edges]
-    simplices += [tuple(sorted(int(x) for x in trow)) for trow in tri.triangles]
-    dims = np.concatenate(
-        [
-            np.zeros(len(tri.vertices), dtype=int),
-            np.ones(len(dia.edges), dtype=int),
-            np.full(len(tri.triangles), 2, dtype=int),
-        ]
+    # unclaimed edges: the anchor is the radical line's crossing of the edge
+    i, j = edges[:, 0], edges[:, 1]
+    d = y[j] - y[i]
+    d2 = np.einsum("ij,ij->i", d, d)
+    dw = w[i] - w[j]
+    s = 0.5 + dw / (2.0 * d2)
+    edge_anchor = y[i] + s[:, None] * d
+    edge_power = s * s * d2 - w[i]
+    i_outside = dw <= -d2  # s <= 0: y_i lies outside its own cell
+    j_outside = dw >= d2  # s >= 1: likewise for y_j
+
+    simplices: list[tuple[int, ...]] = [(v,) for v in verts.tolist()]
+    simplices += [tuple(e) for e in edges.tolist()]
+    simplices += [tuple(sorted(t)) for t in triangles.tolist()]
+    count = len(simplices)
+    dims = np.repeat([0, 1, 2], [n_v, n_e, len(triangles)])
+    upper = np.arange(count)
+
+    # triangle claims: the edge opposite corner i is (j, k)
+    ends = np.sort(
+        np.stack([np.roll(triangles, -1, axis=1), np.roll(triangles, -2, axis=1)], axis=2), axis=2
     )
-    anchors = np.vstack([vert_anchor, edge_anchor, za])
-    powers = np.concatenate([vert_power, edge_power, tri_power])
+    edge_keys = edges[:, 0] * len(y) + edges[:, 1]
+    opposite = np.searchsorted(edge_keys, ends[..., 0] * len(y) + ends[..., 1])
+    claimer, corner = np.nonzero(negative)
+    claimed_edges = opposite[claimer, corner]
+    edge_claims = np.bincount(claimed_edges, minlength=n_e)
+    if np.any(edge_claims > 1):
+        raise MosaicError("an edge is claimed by both of its triangles")
+    tri_row = n_v + n_e + np.arange(len(triangles))
+    upper[n_v + claimed_edges] = tri_row[claimer]
+    pairs02 = np.flatnonzero(np.count_nonzero(negative, axis=1) == 2)
+    apex = triangles[pairs02][~negative[pairs02]]
+
+    # edge claims: an unclaimed edge with 0 < s < 1 is critical
+    free = edge_claims == 0
+    low_i = np.flatnonzero(free & i_outside)
+    low_j = np.flatnonzero(free & j_outside)
+    claimed_vertices = vert_row[np.concatenate([apex, i[low_i], j[low_j]])]
+    upper[claimed_vertices] = np.concatenate([tri_row[pairs02], n_v + low_i, n_v + low_j])
+
+    outside = np.zeros(n_v, dtype=int)
+    outside[vert_row[i[i_outside]]] = 1
+    outside[vert_row[j[j_outside]]] = 1
+    if np.any(np.bincount(claimed_vertices, minlength=n_v) != outside):
+        raise MosaicError("vertex claims disagree with the vertices outside their cells")
+
+    anchors = np.vstack([y[verts], edge_anchor, za])[upper]
+    powers = np.concatenate([-w[verts], edge_power, tri_power])[upper]
     if np.min(powers) < -1e-9 * scale * scale:
         raise MosaicError("negative squared radius; weights are not slice-induced")
     radii = np.sqrt(np.maximum(powers, 0.0))
 
-    index_of = {s: i for i, s in enumerate(simplices)}
-    count = len(simplices)
-
-    # group simplices sharing a sphere
-    eps = 1e-7 * scale
-    features = np.column_stack([anchors, radii])
-    pairs = cKDTree(features).query_pairs(r=2.0 * eps, p=np.inf, output_type="ndarray")
-    uf = _UnionFind(count)
-    for i, j in pairs:
-        if (
-            np.max(np.abs(anchors[i] - anchors[j])) <= eps
-            and abs(radii[i] - radii[j]) <= 1e-7 * max(radii[i], radii[j], 1e-9)
-        ):
-            uf.union(int(i), int(j))
-    groups: dict[int, list[int]] = {}
-    for i in range(count):
-        groups.setdefault(uf.find(i), []).append(i)
-
-    def assemble(rows: list[int]) -> Interval:
-        members = [simplices[r] for r in rows]
-        vertex_sets = [set(mm) for mm in members]
-        lower = tuple(sorted(set.intersection(*vertex_sets)))
-        upper = tuple(sorted(set.union(*vertex_sets)))
-        ell, m = len(lower) - 1, len(upper) - 1
-        if ell < 0 or upper not in index_of:
-            raise MosaicError(f"sphere-sharing group {members} is not an interval")
-        expected = {
-            tuple(sorted(set(lower) | set(extra)))
-            for extra in _subsets(tuple(set(upper) - set(lower)))
-        }
-        if set(members) != expected or len(members) != 2 ** (m - ell):
-            raise MosaicError(f"group {members} is not the interval [{lower}, {upper}]")
-        upper_row = index_of[upper]
-        sphere = AnchoredSphere(
-            anchor=anchors[upper_row].copy(), radius=float(radii[upper_row])
-        )
-        witness = [
-            WeightedPoint(
-                y=y[v].copy(),
-                w=float(tri.w[v]),
-                preimage=None if tri.preimages is None else tri.preimages[v].copy(),
-            )
-            for v in upper
-        ]
-        got = geomcore.visibility_type(sphere, witness)
-        if got != IntervalType(ell, m):
-            raise MosaicError(
-                f"visibility type {got} disagrees with sphere grouping ({ell}, {m})"
-            )
-        return Interval(
-            lower=lower,
-            upper=upper,
-            type=got,
-            sphere=sphere,
-            members=tuple(sorted(members, key=lambda s: (len(s), s))),
-        )
-
-    def refine(rows: list[int]) -> list[list[int]]:
-        # two distinct spheres merged at the coarse tolerance (an interval-type
-        # transition passes through coinciding spheres); re-cluster at a
-        # tolerance that only keeps genuinely identical spheres together
-        fine = 1e-10 * scale
-        sub = _UnionFind(len(rows))
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                ri, rj = rows[i], rows[j]
-                if (
-                    np.max(np.abs(anchors[ri] - anchors[rj])) <= fine
-                    and abs(radii[ri] - radii[rj]) <= 1e-10 * max(radii[ri], radii[rj])
-                ):
-                    sub.union(i, j)
-        clusters: dict[int, list[int]] = {}
-        for i, r in enumerate(rows):
-            clusters.setdefault(sub.find(i), []).append(r)
-        if len(clusters) < 2:
-            raise MosaicError(
-                f"grouping conflict not resolved by refinement for {[simplices[r] for r in rows]}"
-            )
-        return list(clusters.values())
+    # group members by upper bound; within a group, rows ascend from the lower bound
+    order = np.argsort(upper, kind="stable")
+    starts = np.flatnonzero(np.diff(upper[order], prepend=-1))
+    stops = np.append(starts[1:], count)
+    listing = np.argsort(-order[starts], kind="stable")
+    rank = np.empty(len(starts), dtype=int)
+    rank[listing] = np.arange(len(starts))
+    interval_id = np.empty(count, dtype=int)
+    interval_id[order] = np.repeat(rank, stops - starts)
 
     intervals: list[Interval] = []
-    interval_id = np.full(count, -1, dtype=int)
-    pending = list(groups.values())
-    while pending:
-        rows = pending.pop()
-        try:
-            interval = assemble(rows)
-        except (MosaicError, DegeneracyError):
-            pending.extend(refine(rows))
-            continue
-        iid = len(intervals)
-        intervals.append(interval)
-        for r in rows:
-            interval_id[r] = iid
-            anchors[r] = interval.sphere.anchor
-            radii[r] = interval.sphere.radius
+    for g in listing:
+        rows = order[starts[g] : stops[g]]
+        members = tuple(simplices[r] for r in rows)
+        top = rows[-1]
+        intervals.append(
+            Interval(
+                lower=members[0],
+                upper=members[-1],
+                type=IntervalType(int(dims[rows[0]]), int(dims[top])),
+                sphere=AnchoredSphere(anchor=anchors[top].copy(), radius=float(radii[top])),
+                members=members,
+            )
+        )
 
     return Mosaic2D(
         tri=tri,
@@ -529,10 +431,3 @@ def radius_and_intervals_2d(
         intervals=intervals,
         window=window,
     )
-
-
-def _subsets(items: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for item in items:
-        out += [prev + (item,) for prev in out]
-    return out

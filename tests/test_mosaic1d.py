@@ -1,13 +1,15 @@
 """Tests for the one-dimensional mosaic construction and radius function."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from anchormosaic import geomcore, mosaic1d
+from anchormosaic import experiments, geomcore, mosaic1d, sampler
 from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError
+from anchormosaic.sampler import SamplingConfig
 
 
 def brute_force_survivors(points: np.ndarray, samples: int = 400_001) -> set[int]:
@@ -181,6 +183,36 @@ class TestRadiusAndIntervals:
             if not 3 <= iv.sphere.anchor[0] < 12:
                 continue
             assert geomcore.sphere_is_empty(iv.sphere, pts, exclude=iv.upper)
+
+    def test_types_match_visibility_oracle(self):
+        # the facet-visibility classification, which types a simplex from a
+        # least-squares solve for the anchor's barycentric coordinates, agrees
+        # with the clamp pairing on every interval
+        rng = np.random.default_rng(47)
+        pts = np.column_stack([rng.uniform(0, 30, 120), rng.uniform(0, 2, 120)])
+        mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (0, 30)))
+        for iv in mosaic.intervals:
+            upper = [
+                geomcore.WeightedPoint(y=pts[v, :1], w=-float(pts[v, 1]) ** 2) for v in iv.upper
+            ]
+            assert geomcore.visibility_type(iv.sphere, upper) == iv.type
+
+    def test_close_pair_with_far_anchor(self):
+        # criterion-6 configuration; replicate 3 holds generators 374 and 3668,
+        # 9.6e-5 apart near x = 1001, whose edge is anchored at x = 6212.7 with
+        # a barycentric coordinate of about -5.4e7: a (0, 1) pair
+        cfg = SamplingConfig(
+            n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=6896151219952633663
+        )
+        cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+        experiments.run_replicate(cfg, 3)
+        points = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=3))
+        halfplane = mosaic1d.rotate_to_halfplane(points)
+        mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(halfplane, cfg.window[0]))
+        (iv,) = [iv for iv in mosaic.intervals if iv.upper == (374, 3668)]
+        assert iv.type == IntervalType(0, 1)
+        assert iv.lower == (374,)
+        assert iv.sphere.anchor[0] == pytest.approx(6212.7, abs=0.1)
 
     def test_dump_schema(self):
         rng = np.random.default_rng(43)

@@ -1,14 +1,16 @@
 """Tests for the planar regular triangulation, power diagram, and intervals."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
-from anchormosaic import geomcore, mosaic2d
+from anchormosaic import experiments, geomcore, mosaic2d, sampler
 from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError
+from anchormosaic.sampler import SamplingConfig
 
 
 def build(cloud: np.ndarray):
@@ -222,12 +224,16 @@ class TestRadiusAndIntervals:
             assert iv.sphere.anchor == pytest.approx(direct.anchor, abs=1e-7)
             assert iv.sphere.radius == pytest.approx(direct.radius, rel=1e-7)
 
-    @pytest.mark.parametrize("delta", [1e-2, -1e-2, 1e-7, -1e-7, 1e-8, -1e-8])
+    @pytest.mark.parametrize(
+        "delta", [1e-2, -1e-2, 1e-7, -1e-7, 1e-8, -1e-8, 1e-10, -1e-10, 1e-12, -1e-12]
+    )
     def test_interval_type_transition(self, delta):
         # a critical-edge/critical-triangle pair collides with a (1, 2)
         # interval as the third generator's height crosses the symmetric
-        # configuration; near the transition the two spheres nearly coincide
-        # and the grouping must fall back to the fine tolerance
+        # configuration, where the dual vertex lies on the edge; the sign of
+        # the third corner's barycentric coordinate (of order delta, far above
+        # round-off even at 1e-12) decides the type, however close the two
+        # spheres are
         y = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         heights = np.sqrt(2.0 - np.einsum("ij,ij->i", y, y))
         cloud = np.column_stack([y, heights])
@@ -241,6 +247,36 @@ class TestRadiusAndIntervals:
             assert census.count((1, 1)) == 5 and census.count((2, 2)) == 2
         else:
             assert census.count((1, 2)) == 1 and census.count((2, 2)) == 1
+
+    def test_types_match_visibility_oracle(self):
+        # the facet-visibility classification, which types a simplex from a
+        # least-squares solve for the anchor's barycentric coordinates, agrees
+        # with the sign rule on every interval
+        rng = np.random.default_rng(17)
+        cloud = random_cloud(rng, 150, 10.0, 1.3)
+        tri, _, mosaic = build(cloud)
+        for iv in mosaic.intervals:
+            upper = [geomcore.WeightedPoint(y=tri.y[v], w=float(tri.w[v])) for v in iv.upper]
+            assert geomcore.visibility_type(iv.sphere, upper) == iv.type
+
+    def test_sliver_triangle_claims_its_long_edge(self):
+        # criterion-7 configuration; replicate 0 holds a sliver triangle of
+        # three nearly collinear generators at the edge of the sampled box,
+        # whose dual vertex has exact barycentric coordinates of about
+        # (6.5e10, 1.7e10, -8.2e10): the edge opposite the negative corner
+        # pairs with the triangle
+        cfg = SamplingConfig(
+            n=3, rho=1.0, window=((0.0, 20.0), (0.0, 20.0)), buffer=1.0,
+            seed=6462167774629543367,
+        )
+        cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+        experiments.run_replicate(cfg, 0)
+        cloud = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=0))
+        _, _, mosaic = build(cloud)
+        iv = mosaic.intervals[mosaic.interval_id[mosaic.simplices.index((848, 867))]]
+        assert iv.type == IntervalType(1, 2)
+        assert iv.lower == (848, 867)
+        assert iv.upper == (848, 867, 1084)
 
     def test_dump_schema(self):
         rng = np.random.default_rng(16)
