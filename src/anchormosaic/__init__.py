@@ -22,16 +22,17 @@ from .constants import (
 from .geomcore import (
     AnchoredSphere,
     Interval,
+    Mosaic,
     WeightedPoint,
     bp_jacobian,
     project_to_slice,
+    radius_and_intervals,
     smallest_anchored_circumsphere,
     sphere_is_empty,
     visibility_type,
 )
 from .mosaic1d import Mosaic1D, build_1d, radius_and_intervals_1d, rotate_to_halfplane
 from .mosaic2d import (
-    Mosaic2D,
     PowerDiagram,
     RegularTriangulation,
     power_dual,
@@ -48,8 +49,8 @@ __all__ = [
     "AnchoredSphere",
     "Interval",
     "WeightedPoint",
+    "Mosaic",
     "Mosaic1D",
-    "Mosaic2D",
     "PowerDiagram",
     "RegularTriangulation",
     "SamplingConfig",
@@ -62,6 +63,7 @@ __all__ = [
     "interval_constant",
     "power_dual",
     "project_to_slice",
+    "radius_and_intervals",
     "radius_and_intervals_1d",
     "radius_and_intervals_2d",
     "regular_triangulation",

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import constants, experiments, sampler
-from .constants import DimensionConfig
+from .constants import SCHEMA_VERSION, DimensionConfig
 from .errors import ConvergenceError, DegeneracyError, IterationLimitError, MosaicError
 
 __all__ = ["main"]
@@ -25,8 +25,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_STATISTICAL = 3
-
-_SCHEMA_VERSION = 1
 
 
 class _UsageError(Exception):
@@ -135,7 +133,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
                 }
             )
     payload = {
-        "schema_version": _SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "kind": "constants",
         "k": args.k,
         "rho": args.rho,
@@ -207,7 +205,7 @@ def _cmd_verify(args: argparse.Namespace, seed: int) -> int:
             "p_half_dims": check.p_half_dims, "p_fraction_dims": check.p_fraction_dims,
             "pass": ok,
         }
-    payload["schema_version"] = _SCHEMA_VERSION
+    payload["schema_version"] = SCHEMA_VERSION
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK if ok else EXIT_STATISTICAL
 

@@ -27,6 +27,7 @@ from . import specfun
 from .errors import ConvergenceError  # noqa: F401  (re-exported for callers)
 
 __all__ = [
+    "SCHEMA_VERSION",
     "DimensionConfig",
     "IntervalType",
     "sphere_surface",
@@ -46,6 +47,9 @@ __all__ = [
     "asymptotic_limits_1d",
     "AsymptoticLimits1D",
 ]
+
+# version of every JSON document the package writes: reports, tables, dumps
+SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from . import constants, mosaic1d, mosaic2d, sampler, specfun
-from .constants import DimensionConfig
+from .constants import SCHEMA_VERSION, DimensionConfig
 from .errors import InsufficientSampleError
 from .geomcore import slice_cloud
 
@@ -123,43 +123,28 @@ def run_replicate(cfg: sampler.SamplingConfig, replicate: int) -> ReplicateRecor
     """Sample, slice, build the mosaic, and record every interval and simplex."""
     points = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=replicate))
     if cfg.k == 1:
-        halfplane = mosaic1d.rotate_to_halfplane(points) if len(points) else np.empty((0, 2))
-        if len(halfplane) == 0:
+        if len(points) == 0:
             return _empty_record(replicate, 0)
-        mosaic = mosaic1d.build_1d(halfplane, window=cfg.window[0])
-        mosaic = mosaic1d.radius_and_intervals_1d(mosaic)
-        iv_types = np.array([[iv.type.ell, iv.type.m] for iv in mosaic.intervals], dtype=int)
-        iv_radii = np.array([iv.sphere.radius for iv in mosaic.intervals])
-        iv_anchor = np.array([[iv.sphere.anchor[0]] for iv in mosaic.intervals])
-        sx_dims = np.concatenate(
-            [np.zeros(mosaic.num_vertices, dtype=int), np.ones(mosaic.num_edges, dtype=int)]
-        )
-        sx_radii = np.concatenate([mosaic.vertex_radius, mosaic.edge_radius])
-        sx_anchor = np.concatenate([mosaic.vertex_anchor, mosaic.edge_anchor])[:, None]
+        hull = mosaic1d.build_1d(mosaic1d.rotate_to_halfplane(points), window=cfg.window[0])
+        mosaic = mosaic1d.radius_and_intervals_1d(hull)
     elif cfg.k == 2:
         if len(points) < 3:
             return _empty_record(replicate, len(points))
         y, w = slice_cloud(points, 2)
         tri = mosaic2d.regular_triangulation(y, w, preimages=points)
-        dia = mosaic2d.power_dual(tri)
-        mosaic = mosaic2d.radius_and_intervals_2d(tri, dia, window=cfg.window)
-        iv_types = np.array([[iv.type.ell, iv.type.m] for iv in mosaic.intervals], dtype=int)
-        iv_radii = np.array([iv.sphere.radius for iv in mosaic.intervals])
-        iv_anchor = np.array([iv.sphere.anchor for iv in mosaic.intervals])
-        sx_dims = mosaic.dims
-        sx_radii = mosaic.radii
-        sx_anchor = mosaic.anchors
+        mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri), window=cfg.window)
     else:
         raise ValueError(f"mosaic construction supports k in {{1, 2}}, got k={cfg.k}")
+    simplex_in_window = _window_mask(mosaic.anchors, cfg.window)
     return ReplicateRecord(
         replicate=replicate,
         num_points=len(points),
-        interval_types=iv_types,
-        interval_radii=iv_radii,
-        interval_in_window=_window_mask(iv_anchor, cfg.window),
-        simplex_dims=sx_dims,
-        simplex_radii=sx_radii,
-        simplex_in_window=_window_mask(sx_anchor, cfg.window),
+        interval_types=np.column_stack([mosaic.dims[mosaic.lower], mosaic.dims[mosaic.upper]]),
+        interval_radii=mosaic.radii[mosaic.upper],
+        interval_in_window=simplex_in_window[mosaic.upper],
+        simplex_dims=mosaic.dims,
+        simplex_radii=mosaic.radii,
+        simplex_in_window=simplex_in_window,
     )
 
 
@@ -253,7 +238,6 @@ def estimate_interval_rates(
     )
 
 
-REPORT_SCHEMA_VERSION = 1
 CSV_HEADER = "type,ell,m,count,rate,se,predicted,z"
 
 
@@ -273,7 +257,7 @@ def report_to_json(report: ExperimentReport) -> str:
         }
 
     payload = {
-        "schema_version": REPORT_SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "kind": "simulate",
         "config": {
             "n": report.n,

@@ -3,29 +3,42 @@
 The slice plane is always the span of the first k coordinate axes; general
 positions are handled by rotating inputs before they get here. Provides
 projections with slice weights, smallest anchored circumspheres, emptiness
-tests, facet-visibility interval typing, and the Jacobian of the
+tests, the interval decomposition of a weighted Delaunay mosaic into one
+columnar ``Mosaic`` (shared by k = 1 and k = 2), facet-visibility interval
+typing (kept as an independent oracle), and the Jacobian of the
 sphere-parametrization change of variables.
+
+The decomposition is combinatorial: a simplex's smallest anchored sphere is
+anchored in the relative interior of exactly one face of the power diagram,
+the simplex dual to that face is the interval's upper bound, and the signs
+of the anchor's barycentric coordinates on the upper bound give the lower
+bound and the type (Bauer & Edelsbrunner, "The Morse theory of Cech and
+Delaunay complexes", Trans. AMS 2017). Anchors are dual vertices for
+triangles and radical-hyperplane crossings for edges, all in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .constants import IntervalType
-from .errors import DegeneracyError
+from .constants import SCHEMA_VERSION, IntervalType
+from .errors import DegeneracyError, MosaicError
 
 __all__ = [
     "WeightedPoint",
     "AnchoredSphere",
     "Interval",
+    "Mosaic",
     "project_to_slice",
     "slice_cloud",
     "smallest_anchored_circumsphere",
     "sphere_is_empty",
+    "radius_and_intervals",
     "visibility_type",
     "bp_jacobian",
 ]
@@ -68,6 +81,102 @@ class Interval:
     type: IntervalType
     sphere: AnchoredSphere
     members: tuple[tuple[int, ...], ...]
+
+
+@dataclass
+class Mosaic:
+    """Weighted Delaunay mosaic of a k-plane slice with its anchored radius
+    function and interval decomposition, held column by column.
+
+    ``y`` (N, k) and ``w`` (N,) are the projections and weights of all
+    generators; ``vertices`` lists the surviving ones. Simplices are sorted
+    tuples of generator indices: the vertices in the order of ``vertices``,
+    then the edges, then the triangles. Row r of ``dims``, ``anchors``,
+    ``radii`` and ``interval_id`` describes ``simplices[r]``; every simplex
+    carries the sphere of its interval's upper bound. Interval i runs from
+    row ``lower[i]`` to row ``upper[i]``.
+    """
+
+    y: np.ndarray
+    w: np.ndarray
+    vertices: np.ndarray
+    simplices: list[tuple[int, ...]]
+    dims: np.ndarray
+    anchors: np.ndarray
+    radii: np.ndarray
+    interval_id: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    window: tuple[tuple[float, float], ...] | None = None
+
+    @property
+    def vertex_radius(self) -> np.ndarray:
+        """Radii of the vertices, in the order of ``vertices``."""
+        return self.radii[: len(self.vertices)]
+
+    @property
+    def edge_radius(self) -> np.ndarray:
+        """Radii of the edges, in row order."""
+        return self.radii[self.dims == 1]
+
+    @cached_property
+    def intervals(self) -> list[Interval]:
+        """One ``Interval`` per id, members in row order, built on first use."""
+        order = np.argsort(self.interval_id, kind="stable").tolist()
+        stops = np.cumsum(np.bincount(self.interval_id, minlength=len(self.lower))).tolist()
+        out: list[Interval] = []
+        start = 0
+        for lo, up, stop in zip(self.lower.tolist(), self.upper.tolist(), stops):
+            out.append(
+                Interval(
+                    lower=self.simplices[lo],
+                    upper=self.simplices[up],
+                    type=IntervalType(int(self.dims[lo]), int(self.dims[up])),
+                    sphere=AnchoredSphere(
+                        anchor=self.anchors[up].copy(), radius=float(self.radii[up])
+                    ),
+                    members=tuple(self.simplices[r] for r in order[start:stop]),
+                )
+            )
+            start = stop
+        return out
+
+    def to_dict(self) -> dict:
+        """JSON-ready dump: vertices, simplices with radii/anchors, interval ids."""
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "k": int(self.y.shape[1]),
+            "window": None
+            if self.window is None
+            else [[float(b) for b in side] for side in self.window],
+            "vertices": [
+                {"id": int(v), "y": [float(c) for c in self.y[v]], "w": float(self.w[v])}
+                for v in self.vertices
+            ],
+            "simplices": [
+                {
+                    "vertices": list(s),
+                    "dim": int(self.dims[idx]),
+                    "radius": float(self.radii[idx]),
+                    "anchor": [float(c) for c in self.anchors[idx]],
+                    "interval": int(self.interval_id[idx]),
+                }
+                for idx, s in enumerate(self.simplices)
+            ],
+            "intervals": [
+                {
+                    "id": iid,
+                    "ell": iv.type.ell,
+                    "m": iv.type.m,
+                    "radius": float(iv.sphere.radius),
+                    "anchor": [float(c) for c in iv.sphere.anchor],
+                    "lower": list(iv.lower),
+                    "upper": list(iv.upper),
+                    "members": [list(mm) for mm in iv.members],
+                }
+                for iid, iv in enumerate(self.intervals)
+            ],
+        }
 
 
 def project_to_slice(x: Sequence[float] | np.ndarray, k: int) -> WeightedPoint:
@@ -147,6 +256,161 @@ def sphere_is_empty(
         keep[np.asarray(list(exclude), dtype=int)] = False
     threshold = (sphere.radius * (1.0 - rel_tol)) ** 2
     return bool(np.all(d2[keep] >= threshold))
+
+
+def radius_and_intervals(
+    y: np.ndarray,
+    w: np.ndarray,
+    vertices: np.ndarray,
+    edges: np.ndarray,
+    triangles: np.ndarray | None = None,
+    duals: np.ndarray | None = None,
+    window: tuple[tuple[float, float], ...] | None = None,
+) -> Mosaic:
+    """Anchored radius function and interval decomposition of a weighted
+    Delaunay mosaic in R^k.
+
+    ``y`` (N, k) and ``w`` (N,) are all generators, ``vertices`` the
+    surviving ones, ``edges`` (E, 2) the mosaic edges and, when there are
+    any, ``triangles`` (T, 3) the triangles with their dual vertices
+    ``duals`` (T, k); the triangle stage needs ``edges`` as sorted rows in
+    lexicographic order. Every interval is read off the signs of the
+    barycentric coordinates of its upper bound's anchor, with no tolerance:
+
+    - A triangle's anchor is its dual vertex. The edges opposite its negative
+      corners join its interval, and with two negative corners so does the
+      remaining vertex (a (0, 2) interval). An edge claimed by both of its
+      triangles raises MosaicError.
+    - An unclaimed edge (i, j) is anchored where its radical hyperplane
+      crosses it, at ``y_i + s (y_j - y_i)`` with
+      ``s = 1/2 + (w_i - w_j) / (2 |y_j - y_i|^2)``. It is a critical (1, 1)
+      interval if ``0 < s < 1`` and otherwise a (0, 1) interval whose lower
+      bound is the vertex with the positive coordinate.
+    - A vertex no upper bound claims is a critical (0, 0) interval anchored
+      at its own projection.
+
+    Certificate: a vertex is claimed exactly once if an incident edge puts its
+    projection outside its power cell (``s <= 0`` seen from the vertex), and
+    never otherwise; any other outcome raises MosaicError. Intervals are
+    listed by decreasing row of their lower bound.
+    """
+    n_v, n_e = len(vertices), len(edges)
+    n_t = 0 if triangles is None else len(triangles)
+    count = n_v + n_e + n_t
+    scale = max(1.0, float(np.max(np.ptp(y[vertices], axis=0))))
+    vert_row = np.full(len(y), -1, dtype=int)
+    vert_row[vertices] = np.arange(n_v)
+    dims = np.repeat([0, 1, 2], [n_v, n_e, n_t])
+    upper = np.arange(count)
+
+    # edges: the anchor is the radical hyperplane's crossing of the edge
+    i, j = edges[:, 0], edges[:, 1]
+    d = y[j] - y[i]
+    d2 = np.einsum("ij,ij->i", d, d)
+    dw = w[i] - w[j]
+    s = 0.5 + dw / (2.0 * d2)
+    edge_anchor = y[i] + s[:, None] * d
+    edge_power = s * s * d2 - w[i]
+    i_outside = dw <= -d2  # s <= 0: y_i lies outside its own cell
+    j_outside = dw >= d2  # s >= 1: likewise for y_j
+
+    free = np.ones(n_e, dtype=bool)
+    tri_anchor, tri_power = np.empty((0, y.shape[1])), np.empty(0)
+    apex, apex_upper = np.empty(0, dtype=int), np.empty(0, dtype=int)
+    if n_t:
+        tri_anchor = duals
+        a, b, c = triangles[:, 0], triangles[:, 1], triangles[:, 2]
+        pow_a = np.einsum("ij,ij->i", duals - y[a], duals - y[a]) - w[a]
+        pow_b = np.einsum("ij,ij->i", duals - y[b], duals - y[b]) - w[b]
+        pow_c = np.einsum("ij,ij->i", duals - y[c], duals - y[c]) - w[c]
+        power_scale = np.maximum(np.abs(pow_a), 1e-12 * scale * scale)
+        if np.max(np.abs(pow_b - pow_a) / power_scale) > 1e-6 or np.max(
+            np.abs(pow_c - pow_a) / power_scale
+        ) > 1e-6:
+            raise MosaicError("a dual vertex fails the equal-power certificate")
+        tri_power = (pow_a + pow_b + pow_c) / 3.0
+
+        # Corner i of the triangle (i, j, k), with p = y_k - y_j and
+        # q = y_i - y_j, has the dual vertex's barycentric coordinate
+        #   ((|q|^2 - w_i + w_j) |p|^2 - (|p|^2 - w_k + w_j) p.q) / (2 |p x q|^2),
+        # from the generators alone; only the numerator's sign is needed.
+        yt, wt = y[triangles], w[triangles]
+        yj, wj = np.roll(yt, -1, axis=1), np.roll(wt, -1, axis=1)
+        p = np.roll(yt, -2, axis=1) - yj
+        q = yt - yj
+        pp = np.einsum("tkx,tkx->tk", p, p)
+        pq = np.einsum("tkx,tkx->tk", p, q)
+        alpha_p = pp - (np.roll(wt, -2, axis=1) - wj)
+        alpha_q = np.einsum("tkx,tkx->tk", q, q) - (wt - wj)
+        bary_numerator = alpha_q * pp - alpha_p * pq
+        if np.any(bary_numerator == 0.0):
+            raise DegeneracyError("a dual vertex lies on the line of a triangle edge")
+        negative = bary_numerator < 0.0
+
+        # triangle claims: the edge opposite corner i is (j, k)
+        ends = np.sort(
+            np.stack([np.roll(triangles, -1, axis=1), np.roll(triangles, -2, axis=1)], axis=2),
+            axis=2,
+        )
+        edge_keys = i * len(y) + j
+        opposite = np.searchsorted(edge_keys, ends[..., 0] * len(y) + ends[..., 1])
+        claimer, corner = np.nonzero(negative)
+        claimed_edges = opposite[claimer, corner]
+        edge_claims = np.bincount(claimed_edges, minlength=n_e)
+        if np.any(edge_claims > 1):
+            raise MosaicError("an edge is claimed by both of its triangles")
+        tri_row = n_v + n_e + np.arange(n_t)
+        upper[n_v + claimed_edges] = tri_row[claimer]
+        free = edge_claims == 0
+        pairs02 = np.flatnonzero(np.count_nonzero(negative, axis=1) == 2)
+        apex = triangles[pairs02][~negative[pairs02]]
+        apex_upper = tri_row[pairs02]
+
+    # edge claims: an unclaimed edge with 0 < s < 1 is critical
+    low_i = np.flatnonzero(free & i_outside)
+    low_j = np.flatnonzero(free & j_outside)
+    claimed_vertices = vert_row[np.concatenate([apex, i[low_i], j[low_j]])]
+    upper[claimed_vertices] = np.concatenate([apex_upper, n_v + low_i, n_v + low_j])
+
+    outside = np.zeros(n_v, dtype=int)
+    outside[vert_row[i[i_outside]]] = 1
+    outside[vert_row[j[j_outside]]] = 1
+    if np.any(np.bincount(claimed_vertices, minlength=n_v) != outside):
+        raise MosaicError("vertex claims disagree with the vertices outside their cells")
+
+    anchors = np.vstack([y[vertices], edge_anchor, tri_anchor])[upper]
+    powers = np.concatenate([-w[vertices], edge_power, tri_power])[upper]
+    if np.min(powers) < -1e-9 * scale * scale:
+        raise MosaicError("negative squared radius; weights are not slice-induced")
+    radii = np.sqrt(np.maximum(powers, 0.0))
+
+    # group rows by upper bound; list the groups by decreasing lower-bound row
+    order = np.argsort(upper, kind="stable")
+    starts = np.flatnonzero(np.diff(upper[order], prepend=-1))
+    listing = np.argsort(-order[starts], kind="stable")
+    rank = np.empty(len(starts), dtype=int)
+    rank[listing] = np.arange(len(starts))
+    interval_id = np.empty(count, dtype=int)
+    interval_id[order] = np.repeat(rank, np.diff(starts, append=count))
+    lower = order[starts[listing]]
+
+    simplices: list[tuple[int, ...]] = [(v,) for v in vertices.tolist()]
+    simplices += [tuple(e) for e in np.sort(edges, axis=1).tolist()]
+    if n_t:
+        simplices += [tuple(t) for t in np.sort(triangles, axis=1).tolist()]
+    return Mosaic(
+        y=y,
+        w=w,
+        vertices=vertices,
+        simplices=simplices,
+        dims=dims,
+        anchors=anchors,
+        radii=radii,
+        interval_id=interval_id,
+        lower=lower,
+        upper=upper[lower],
+        window=window,
+    )
 
 
 def visibility_type(

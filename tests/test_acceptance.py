@@ -230,12 +230,12 @@ def _audit_1d(rng) -> list[str]:
     failures = []
 
     members = [m for iv in mosaic.intervals for m in iv.members]
-    if len(members) != len(set(members)) or len(members) != mosaic.num_vertices + mosaic.num_edges:
+    if len(members) != len(set(members)) or len(members) != len(mosaic.simplices):
         failures.append("1d interval partition")
     for iv in mosaic.intervals:
         if len(iv.members) != 2 ** (iv.type.m - iv.type.ell):
             failures.append("1d member count")
-    for e in range(mosaic.num_edges):
+    for e in range(len(mosaic.edge_radius)):
         if mosaic.edge_radius[e] < mosaic.vertex_radius[e] - 1e-9 or mosaic.edge_radius[
             e
         ] < mosaic.vertex_radius[e + 1] - 1e-9:
@@ -244,8 +244,10 @@ def _audit_1d(rng) -> list[str]:
     radii = np.array([iv.sphere.radius for iv in mosaic.intervals])
     anchors = np.array([iv.sphere.anchor[0] for iv in mosaic.intervals])
     in_win = (anchors >= lo) & (anchors < hi)
-    v_in = (mosaic.vertex_anchor >= lo) & (mosaic.vertex_anchor < hi)
-    e_in = (mosaic.edge_anchor >= lo) & (mosaic.edge_anchor < hi)
+    vertex_anchor = mosaic.anchors[mosaic.dims == 0, 0]
+    edge_anchor = mosaic.anchors[mosaic.dims == 1, 0]
+    v_in = (vertex_anchor >= lo) & (vertex_anchor < hi)
+    e_in = (edge_anchor >= lo) & (edge_anchor < hi)
     for r0 in (np.median(radii), np.inf):
         counts = {}
         for iv, keep, r in zip(mosaic.intervals, in_win, radii):

@@ -56,27 +56,40 @@ class TestEstimateRates:
         with pytest.warns(UserWarning):
             experiments.estimate_interval_rates(cfg_1d(buffer=0.5), replicates=1)
 
-    def test_scale_equivariance_per_sample(self):
-        # rescaling all coordinates by s scales every radius by s and leaves
-        # the interval census unchanged
-        from anchormosaic import mosaic1d
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_scale_equivariance_per_sample(self, k):
+        # scaling all coordinates by s and then translating within the plane
+        # scales every radius by s, moves every anchor along, and leaves the
+        # simplices and the interval census unchanged
+        from anchormosaic import geomcore, mosaic1d, mosaic2d
+
+        def decompose(cloud):
+            if k == 1:
+                return mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(cloud, (0, 1)))
+            y, w = geomcore.slice_cloud(cloud, 2)
+            tri = mosaic2d.regular_triangulation(y, w)
+            return mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri))
 
         rng = np.random.default_rng(4)
-        pts = np.column_stack([rng.uniform(0, 20, 60), rng.uniform(0, 2.2, 60)])
-        scale = 2.5
-        base = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (0, 20)))
-        scaled = mosaic1d.radius_and_intervals_1d(
-            mosaic1d.build_1d(pts * scale, (0, 20 * scale))
-        )
-        assert base.vertices.tolist() == scaled.vertices.tolist()
-        types_base = sorted((iv.type.ell, iv.type.m) for iv in base.intervals)
-        types_scaled = sorted((iv.type.ell, iv.type.m) for iv in scaled.intervals)
-        assert types_base == types_scaled
+        side = 20.0 if k == 1 else 6.0
+        cloud = np.column_stack([rng.uniform(0, side, (60, k)), rng.uniform(0, 2.2, 60)])
+        scale, shift = 2.5, np.array([-7.25, 3.5])[:k]
+        moved = cloud * scale
+        moved[:, :k] += shift
+        base, other = decompose(cloud), decompose(moved)
+
+        def census(mosaic):
+            return sorted(
+                (iv.type.ell, iv.type.m, iv.members) for iv in mosaic.intervals
+            )
+
+        assert base.vertices.tolist() == other.vertices.tolist()
+        assert census(base) == census(other)
+        row = {s: r for r, s in enumerate(other.simplices)}
+        moved_rows = [row[s] for s in base.simplices]
+        np.testing.assert_allclose(other.radii[moved_rows], base.radii * scale, rtol=1e-9)
         np.testing.assert_allclose(
-            scaled.vertex_radius, base.vertex_radius * scale, rtol=1e-9
-        )
-        np.testing.assert_allclose(
-            scaled.edge_radius, base.edge_radius * scale, rtol=1e-9
+            other.anchors[moved_rows], base.anchors * scale + shift, rtol=1e-9, atol=1e-9
         )
 
     def test_reconcile_counts_exact(self):
@@ -86,6 +99,27 @@ class TestEstimateRates:
         report1 = experiments.estimate_interval_rates(cfg_1d(seed=8), replicates=4)
         result1 = experiments.reconcile_simplex_counts(report1)
         assert result1.ok, result1.failures
+
+    @pytest.mark.parametrize(
+        "n,window,intervals,simplices",
+        [
+            (2, ((0.0, 1000.0),), {(0, 0): 1021, (0, 1): 262, (1, 1): 1021}, {0: 1283, 1: 1283}),
+            (
+                3,
+                ((0.0, 20.0), (0.0, 20.0)),
+                {(0, 0): 433, (0, 1): 111, (0, 2): 41, (1, 1): 997, (1, 2): 573, (2, 2): 561},
+                {0: 585, 1: 1763, 2: 1175},
+            ),
+        ],
+    )
+    def test_census_pinned_at_acceptance_seeds(self, n, window, intervals, simplices):
+        # replicate 0 of the criterion-6 and criterion-7 configurations; the
+        # in-window census must not move under refactors of the decomposition
+        cfg = SamplingConfig(n=n, rho=1.0, window=window, buffer=1.0, seed=2025)
+        cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+        record = experiments.run_replicate(cfg, 0)
+        assert record.interval_counts() == intervals
+        assert record.simplex_counts() == simplices
 
     def test_1d_critical_counts_balance(self):
         # critical vertices and edges alternate, so window counts differ by O(1)

@@ -1,13 +1,14 @@
 """Tests for the geometric kernel."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from anchormosaic import geomcore
-from anchormosaic.constants import IntervalType
+from anchormosaic import geomcore, mosaic1d, mosaic2d
+from anchormosaic.constants import SCHEMA_VERSION, IntervalType
 from anchormosaic.errors import DegeneracyError
 from anchormosaic.geomcore import AnchoredSphere, WeightedPoint
 
@@ -163,6 +164,32 @@ class TestSphereIsEmpty:
                 np.all(np.linalg.norm(cloud - center, axis=1) >= radius * (1 - 1e-9))
             )
             assert geomcore.sphere_is_empty(s, cloud) == brute
+
+
+class TestMosaic:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dump_schema(self, k):
+        rng = np.random.default_rng(42 + k)
+        if k == 1:
+            pts = np.column_stack([rng.uniform(0, 6, 12), rng.uniform(0, 1.0, 12)])
+            mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (0, 6)))
+        else:
+            cloud = np.column_stack([rng.uniform(0, 4, (30, 2)), rng.uniform(-1, 1, 30)])
+            y, w = geomcore.slice_cloud(cloud, 2)
+            tri = mosaic2d.regular_triangulation(y, w)
+            mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri), ((0, 4),) * 2)
+        dump = json.loads(json.dumps(mosaic.to_dict()))
+        assert dump["schema_version"] == SCHEMA_VERSION == 1
+        assert dump["k"] == k
+        assert len(dump["window"]) == k
+        assert [v["id"] for v in dump["vertices"]] == mosaic.vertices.tolist()
+        assert len(dump["simplices"]) == len(mosaic.simplices)
+        for s, iid in zip(dump["simplices"], mosaic.interval_id.tolist()):
+            assert s["interval"] == iid
+            iv = dump["intervals"][iid]
+            assert iv["id"] == iid
+            assert s["vertices"] in iv["members"]
+            assert s["radius"] == pytest.approx(iv["radius"], rel=1e-12)
 
 
 class TestVisibilityType:

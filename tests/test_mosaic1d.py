@@ -113,7 +113,7 @@ class TestRadiusAndIntervals:
         rng = np.random.default_rng(23)
         pts = np.column_stack([rng.uniform(0, 20, 80), rng.uniform(0, 2, 80)])
         mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (0, 20)))
-        for e in range(mosaic.num_edges):
+        for e in range(len(mosaic.edge_radius)):
             assert mosaic.edge_radius[e] >= mosaic.vertex_radius[e] - 1e-12
             assert mosaic.edge_radius[e] >= mosaic.vertex_radius[e + 1] - 1e-12
 
@@ -122,7 +122,7 @@ class TestRadiusAndIntervals:
         pts = np.column_stack([rng.uniform(0, 20, 60), rng.uniform(0, 2, 60)])
         mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (0, 20)))
         members = [m for iv in mosaic.intervals for m in iv.members]
-        assert len(members) == len(set(members)) == mosaic.num_vertices + mosaic.num_edges
+        assert len(members) == len(set(members)) == len(mosaic.simplices)
         assert {(iv.type.ell, iv.type.m) for iv in mosaic.intervals} <= {
             (0, 0), (0, 1), (1, 1),
         }
@@ -187,7 +187,7 @@ class TestRadiusAndIntervals:
     def test_types_match_visibility_oracle(self):
         # the facet-visibility classification, which types a simplex from a
         # least-squares solve for the anchor's barycentric coordinates, agrees
-        # with the clamp pairing on every interval
+        # with the sign rule on every interval
         rng = np.random.default_rng(47)
         pts = np.column_stack([rng.uniform(0, 30, 120), rng.uniform(0, 2, 120)])
         mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (0, 30)))
@@ -213,13 +213,3 @@ class TestRadiusAndIntervals:
         assert iv.type == IntervalType(0, 1)
         assert iv.lower == (374,)
         assert iv.sphere.anchor[0] == pytest.approx(6212.7, abs=0.1)
-
-    def test_dump_schema(self):
-        rng = np.random.default_rng(43)
-        pts = np.column_stack([rng.uniform(0, 6, 12), rng.uniform(0, 1.0, 12)])
-        mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (0, 6)))
-        dump = mosaic.to_dict()
-        assert dump["schema_version"] == 1
-        assert dump["k"] == 1
-        assert len(dump["simplices"]) == mosaic.num_vertices + mosaic.num_edges
-        assert all(0 <= s["interval"] < len(dump["intervals"]) for s in dump["simplices"])

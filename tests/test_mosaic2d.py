@@ -136,18 +136,6 @@ class TestPowerDual:
             assert powers[0] == pytest.approx(powers[1], rel=1e-9)
             assert powers[0] == pytest.approx(powers[2], rel=1e-9)
 
-    def test_cell_polygon_contains_generator_projection_of_its_min(self):
-        rng = np.random.default_rng(9)
-        cloud = random_cloud(rng, 25, 4.0, 1.0)
-        tri, dia, mosaic = build(cloud)
-        for row, v in enumerate(tri.vertices):
-            poly = dia.cell_polygon(int(v))
-            assert len(poly) >= 3
-            # the cell anchor lies inside (or on) the clipped polygon
-            anchor = mosaic.anchors[row]
-            u, c = dia.cell_halfplanes(int(v))
-            assert np.all(u @ anchor - c <= 1e-8)
-
 
 class TestRadiusAndIntervals:
     def test_symmetric_triangle(self):
@@ -277,15 +265,3 @@ class TestRadiusAndIntervals:
         assert iv.type == IntervalType(1, 2)
         assert iv.lower == (848, 867)
         assert iv.upper == (848, 867, 1084)
-
-    def test_dump_schema(self):
-        rng = np.random.default_rng(16)
-        cloud = random_cloud(rng, 30, 4.0, 1.0)
-        _, _, mosaic = build(cloud)
-        dump = mosaic.to_dict()
-        assert dump["schema_version"] == 1
-        assert dump["k"] == 2
-        assert len(dump["simplices"]) == len(mosaic.simplices)
-        for s in dump["simplices"]:
-            iv = dump["intervals"][s["interval"]]
-            assert s["radius"] == pytest.approx(iv["radius"], rel=1e-12)
