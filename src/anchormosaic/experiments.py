@@ -54,7 +54,14 @@ __all__ = [
 
 @dataclass
 class ReplicateRecord:
-    """Raw per-replicate outcome: one row per interval and per simplex."""
+    """Raw per-replicate outcome: one row per interval and per simplex.
+
+    An interval row holds the type (ell, m) of the interval, the radius of its
+    sphere and whether its anchor lies in the window; a simplex row holds the
+    dimension, radius and in-window flag of one simplex. The census counts
+    are integer bins over these columns: ``interval_counts`` and
+    ``simplex_counts`` each make one ``np.bincount`` over the selected rows.
+    """
 
     replicate: int
     num_points: int
@@ -66,18 +73,19 @@ class ReplicateRecord:
     simplex_in_window: np.ndarray  # (S,) bool
 
     def interval_counts(self, r0: float = math.inf) -> dict[tuple[int, int], int]:
-        sel = self.interval_in_window & (self.interval_radii <= r0)
-        out: dict[tuple[int, int], int] = {}
-        for ell, m in self.interval_types[sel]:
-            out[(int(ell), int(m))] = out.get((int(ell), int(m)), 0) + 1
-        return out
+        """In-window intervals of radius at most r0, per type present."""
+        types = self.interval_types[self.interval_in_window & (self.interval_radii <= r0)]
+        if len(types) == 0:
+            return {}
+        base = int(types.max()) + 1
+        counts = np.bincount(types[:, 0] * base + types[:, 1])
+        return {divmod(code, base): int(counts[code]) for code in np.flatnonzero(counts).tolist()}
 
     def simplex_counts(self, r0: float = math.inf) -> dict[int, int]:
-        sel = self.simplex_in_window & (self.simplex_radii <= r0)
-        out: dict[int, int] = {}
-        for j in self.simplex_dims[sel]:
-            out[int(j)] = out.get(int(j), 0) + 1
-        return out
+        """In-window simplices of radius at most r0, per dimension present."""
+        dims = self.simplex_dims[self.simplex_in_window & (self.simplex_radii <= r0)]
+        counts = np.bincount(dims)
+        return {j: int(counts[j]) for j in np.flatnonzero(counts).tolist()}
 
 
 @dataclass
@@ -191,19 +199,16 @@ def estimate_interval_rates(
     area = cfg.window_volume
     norm = cfg.rho ** (cfg.k / cfg.n) * area
 
+    interval_counts = [rec.interval_counts(threshold) for rec in records]
+    simplex_counts = [rec.simplex_counts(threshold) for rec in records]
     interval_rates = []
     for t in constants.valid_interval_types(cfg.k):
-        counts = np.array(
-            [rec.interval_counts(threshold).get((t.ell, t.m), 0) for rec in records],
-            dtype=float,
-        )
+        counts = np.array([c.get((t.ell, t.m), 0) for c in interval_counts], dtype=float)
         predicted = constants.expected_interval_count(t, dim_cfg, area, threshold) / norm
         interval_rates.append(_rate_estimate(f"interval({t.ell},{t.m})", t.ell, t.m, counts, norm, predicted))
     simplex_rates = []
     for j in range(cfg.k + 1):
-        counts = np.array(
-            [rec.simplex_counts(threshold).get(j, 0) for rec in records], dtype=float
-        )
+        counts = np.array([c.get(j, 0) for c in simplex_counts], dtype=float)
         predicted = constants.expected_simplex_count(j, dim_cfg, area, threshold) / norm
         simplex_rates.append(_rate_estimate(f"simplex-{j}", j, j, counts, norm, predicted))
 
@@ -306,14 +311,19 @@ def ks_gamma_test(radii: np.ndarray, shape: float, rate_scale: float, n: int) ->
 
     Transforms each radius r to P(shape, rate_scale * r^n), which is uniform
     on [0, 1] under the hypothesis that rate_scale * r^n is
-    Gamma(shape)-distributed, then applies a one-sample KS test.
+    Gamma(shape)-distributed, then applies a one-sample KS test. The
+    regularized lower incomplete Gamma function P is evaluated for all radii
+    in one ``scipy.special.gammainc`` call.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size < 100:
         raise InsufficientSampleError(f"need at least 100 radii, got {radii.size}")
-    transformed = np.array(
-        [specfun.regularized_lower_gamma(shape, rate_scale * r**n) for r in radii]
-    )
+    if not (math.isfinite(shape) and shape > 0.0):
+        raise ValueError(f"shape parameter must be positive and finite, got {shape}")
+    scaled = rate_scale * radii**n
+    if not np.all(np.isfinite(scaled) & (scaled >= 0.0)):
+        raise ValueError("rate_scale * r^n must be finite and non-negative for every radius")
+    transformed = special.gammainc(shape, scaled)
     return float(stats.kstest(transformed, "uniform").pvalue)
 
 

@@ -89,18 +89,22 @@ class Mosaic:
     function and interval decomposition, held column by column.
 
     ``y`` (N, k) and ``w`` (N,) are the projections and weights of all
-    generators; ``vertices`` lists the surviving ones. Simplices are sorted
-    tuples of generator indices: the vertices in the order of ``vertices``,
-    then the edges, then the triangles. Row r of ``dims``, ``anchors``,
-    ``radii`` and ``interval_id`` describes ``simplices[r]``; every simplex
-    carries the sphere of its interval's upper bound. Interval i runs from
-    row ``lower[i]`` to row ``upper[i]``.
+    generators; ``vertices`` lists the surviving ones, ``edges`` (E, 2) and
+    ``triangles`` (T, 3) the edges and triangles as generator indices sorted
+    within each row (T = 0 for k = 1). The rows are the vertices in the order
+    of ``vertices``, then the edges, then the triangles. Row r of ``dims``,
+    ``anchors``, ``radii`` and ``interval_id`` describes ``simplices[r]``;
+    every simplex carries the sphere of its interval's upper bound. Interval
+    i runs from row ``lower[i]`` to row ``upper[i]``. ``simplices``, the rows
+    as tuples, and ``intervals`` are built on first use, so a census that
+    reads only the columns never builds them.
     """
 
     y: np.ndarray
     w: np.ndarray
     vertices: np.ndarray
-    simplices: list[tuple[int, ...]]
+    edges: np.ndarray
+    triangles: np.ndarray
     dims: np.ndarray
     anchors: np.ndarray
     radii: np.ndarray
@@ -118,6 +122,14 @@ class Mosaic:
     def edge_radius(self) -> np.ndarray:
         """Radii of the edges, in row order."""
         return self.radii[self.dims == 1]
+
+    @cached_property
+    def simplices(self) -> list[tuple[int, ...]]:
+        """Sorted generator-index tuple of each row, built on first use."""
+        out: list[tuple[int, ...]] = [(v,) for v in self.vertices.tolist()]
+        out += map(tuple, self.edges.tolist())
+        out += map(tuple, self.triangles.tolist())
+        return out
 
     @cached_property
     def intervals(self) -> list[Interval]:
@@ -394,15 +406,12 @@ def radius_and_intervals(
     interval_id[order] = np.repeat(rank, np.diff(starts, append=count))
     lower = order[starts[listing]]
 
-    simplices: list[tuple[int, ...]] = [(v,) for v in vertices.tolist()]
-    simplices += [tuple(e) for e in np.sort(edges, axis=1).tolist()]
-    if n_t:
-        simplices += [tuple(t) for t in np.sort(triangles, axis=1).tolist()]
     return Mosaic(
         y=y,
         w=w,
         vertices=vertices,
-        simplices=simplices,
+        edges=np.sort(edges, axis=1),
+        triangles=np.sort(triangles, axis=1) if n_t else np.empty((0, 3), dtype=int),
         dims=dims,
         anchors=anchors,
         radii=radii,
@@ -436,8 +445,10 @@ def visibility_type(
         r2 = sphere.radius**2
         if np.max(np.abs(powers - r2)) > 1e-6 * max(r2, scale**2):
             raise ValueError("simplex vertices do not lie on the given sphere")
-    system = np.vstack([proj.T, np.ones(m + 1)])
-    target = np.append(anchor, 1.0)
+    # coordinates centred at the first projection keep the system's entries
+    # of the simplex's own size when the anchor is far away
+    system = np.vstack([(proj - proj[0]).T, np.ones(m + 1)])
+    target = np.append(anchor - proj[0], 1.0)
     bary, _, rank, _ = np.linalg.lstsq(system, target, rcond=_RANK_RCOND)
     if rank < m + 1:
         raise DegeneracyError("projected simplex is affinely degenerate")

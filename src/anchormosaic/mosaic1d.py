@@ -70,7 +70,10 @@ def build_1d(points: np.ndarray, window: tuple[float, float]) -> Mosaic1D:
     The power function of generator (x1, x2) at a is (a - x1)^2 + x2^2; its
     minimization diagram is the lower convex hull of the lift
     (x1, x1^2 + x2^2). Generators not on the lower hull have empty power
-    cells and are submerged.
+    cells and are submerged. The boundary between consecutive cells i and j
+    is taken as (x_i + x_j)/2 + (h_j^2 - h_i^2) / (2 (x_j - x_i)), which
+    equals (lift_j - lift_i) / (2 (x_j - x_i)) without its cancellation far
+    from the origin.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2 or pts.shape[0] == 0:
@@ -102,12 +105,14 @@ def build_1d(points: np.ndarray, window: tuple[float, float]) -> Mosaic1D:
 
     vertices = np.asarray(hull, dtype=int)
     xs = x[vertices]
-    hs = lift[vertices]
+    h2 = pts[vertices, 1] ** 2
     bounds = np.empty(len(vertices) + 1)
     bounds[0] = -np.inf
     bounds[-1] = np.inf
     if len(vertices) > 1:
-        bounds[1:-1] = (hs[1:] - hs[:-1]) / (2.0 * (xs[1:] - xs[:-1]))
+        bounds[1:-1] = (xs[1:] + xs[:-1]) / 2.0 + (h2[1:] - h2[:-1]) / (
+            2.0 * (xs[1:] - xs[:-1])
+        )
         if np.any(np.diff(bounds[1:-1]) <= 0.0):
             raise DegeneracyError("power-cell boundaries are not strictly increasing")
     return Mosaic1D(points=pts, window=(lo, hi), vertices=vertices, cell_bounds=bounds)

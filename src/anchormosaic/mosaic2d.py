@@ -55,7 +55,14 @@ class RegularTriangulation:
 def regular_triangulation(
     y: np.ndarray, w: np.ndarray, preimages: np.ndarray | None = None
 ) -> RegularTriangulation:
-    """Regular triangulation of weighted points via the lower convex hull of the lift."""
+    """Regular triangulation of weighted points via the lower convex hull of the lift.
+
+    Raises DegeneracyError on duplicate projections (found by comparing
+    neighbours in lexicographic order) and on a degenerate lift, and
+    MosaicError when an edge belongs to more than two triangles. The edges
+    are deduplicated and counted as integer keys ``lo * N + hi`` in one
+    1-D ``np.unique``, which returns them in lexicographic order.
+    """
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(y, dtype=float)))
     w = np.asarray(w, dtype=float)
     if y.ndim != 2 or y.shape[1] != 2:
@@ -65,8 +72,8 @@ def regular_triangulation(
     n_pts = y.shape[0]
     if n_pts < 3:
         raise ValueError(f"need at least 3 weighted points, got {n_pts}")
-    uniq = np.unique(y, axis=0)
-    if uniq.shape[0] < n_pts:
+    ordered = y[np.lexsort((y[:, 1], y[:, 0]))]
+    if np.any((ordered[1:] == ordered[:-1]).all(axis=1)):
         raise DegeneracyError("duplicate projected generators")
 
     lifted = np.einsum("ij,ij->i", y, y) - w
@@ -93,8 +100,10 @@ def regular_triangulation(
         flip = det < 0
         triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    pairs = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [0, 2]]])
-    edges, incidence = np.unique(np.sort(pairs, axis=1), axis=0, return_counts=True)
+    pairs = np.sort(
+        np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [0, 2]]]), axis=1
+    )
+    keys, incidence = np.unique(pairs[:, 0] * n_pts + pairs[:, 1], return_counts=True)
     if np.any(incidence > 2):
         raise MosaicError("an edge belongs to more than two triangles")
     return RegularTriangulation(
@@ -102,7 +111,7 @@ def regular_triangulation(
         w=w,
         triangles=triangles,
         vertices=np.unique(triangles),
-        edges=edges,
+        edges=np.column_stack([keys // n_pts, keys % n_pts]),
         preimages=preimages,
     )
 

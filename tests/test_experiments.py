@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from anchormosaic import experiments, sampler
+from anchormosaic import experiments, sampler, specfun
 from anchormosaic.errors import InsufficientSampleError
 from anchormosaic.sampler import SamplingConfig
 
@@ -121,6 +123,29 @@ class TestEstimateRates:
         assert record.interval_counts() == intervals
         assert record.simplex_counts() == simplices
 
+    @pytest.mark.parametrize("r0", ["median", "inf"])
+    def test_counts_match_counter_over_rows(self, r0):
+        # the bincount census against a Counter over the same rows, on
+        # replicate 0 of the criterion-7 configuration
+        cfg = SamplingConfig(
+            n=3, rho=1.0, window=((0.0, 20.0), (0.0, 20.0)), buffer=1.0, seed=2025
+        )
+        cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+        record = experiments.run_replicate(cfg, 0)
+        r0 = float(np.median(record.interval_radii)) if r0 == "median" else math.inf
+        iv = record.interval_in_window & (record.interval_radii <= r0)
+        sx = record.simplex_in_window & (record.simplex_radii <= r0)
+        intervals = Counter((int(ell), int(m)) for ell, m in record.interval_types[iv])
+        simplices = Counter(int(j) for j in record.simplex_dims[sx])
+        assert record.interval_counts(r0) == dict(intervals)
+        assert record.simplex_counts(r0) == dict(simplices)
+        assert all(type(ell) is int and type(m) is int for ell, m in record.interval_counts(r0))
+
+    def test_counts_of_empty_record(self):
+        record = experiments._empty_record(0, 2)
+        assert record.interval_counts() == {}
+        assert record.simplex_counts() == {}
+
     def test_1d_critical_counts_balance(self):
         # critical vertices and edges alternate, so window counts differ by O(1)
         report = experiments.estimate_interval_rates(cfg_1d(seed=12), replicates=5)
@@ -148,6 +173,25 @@ class TestKSGammaTest:
     def test_insufficient_sample(self):
         with pytest.raises(InsufficientSampleError):
             experiments.ks_gamma_test(np.ones(50), 0.5, 1.0, 2)
+
+    def test_matches_per_radius_reference(self):
+        # the vectorised transform against the scalar incomplete Gamma series
+        rng = np.random.default_rng(8)
+        shape, n, rate = 0.5, 2, math.pi
+        radii = (rng.gamma(shape, 1.0, size=2000) / rate) ** (1.0 / n)
+        reference = np.array(
+            [specfun.regularized_lower_gamma(shape, rate * r**n) for r in radii]
+        )
+        p_ref = float(stats.kstest(reference, "uniform").pvalue)
+        p = experiments.ks_gamma_test(radii, shape, rate, n)
+        assert p == pytest.approx(p_ref, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_invalid_radius_rejected(self, bad):
+        radii = np.linspace(0.1, 2.0, 200)
+        radii[17] = bad
+        with pytest.raises(ValueError):
+            experiments.ks_gamma_test(radii, 0.5, math.pi, 3)
 
     def test_mosaic_radii_follow_gamma_law(self):
         report = experiments.estimate_interval_rates(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,19 @@ class TestRotateToHalfplane:
         assert out == pytest.approx([0.0, 3.0])
 
 
+def close_pair_replicate():
+    """Replicate 3 of the criterion-6 configuration at the seed whose
+    generators 374 and 3668 lie 9.6e-5 apart near x = 1001: the config, the
+    half-plane points and their hull."""
+    cfg = SamplingConfig(
+        n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=6896151219952633663
+    )
+    cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+    points = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=3))
+    halfplane = mosaic1d.rotate_to_halfplane(points)
+    return cfg, halfplane, mosaic1d.build_1d(halfplane, cfg.window[0])
+
+
 class TestBuild1D:
     def test_symmetric_pair(self):
         mosaic = mosaic1d.build_1d(np.array([[0.0, 1.0], [2.0, 1.0]]), window=(-5, 5))
@@ -76,6 +90,18 @@ class TestBuild1D:
         pts = np.column_stack([rng.uniform(0, 10, 50), rng.uniform(0, 2, 50)])
         mosaic = mosaic1d.build_1d(pts, window=(0, 10))
         assert set(mosaic.vertices.tolist()) == brute_force_survivors(pts)
+
+    def test_cell_bounds_exact_far_from_origin(self):
+        # near x = 1000 the lift differences x_j^2 - x_i^2 cancel; every finite
+        # bound must agree with exact arithmetic on the float inputs
+        _, pts, hull = close_pair_replicate()
+        worst = 0.0
+        for i, j, got in zip(hull.vertices[:-1], hull.vertices[1:], hull.cell_bounds[1:-1]):
+            xi, hi = Fraction(float(pts[i, 0])), Fraction(float(pts[i, 1]))
+            xj, hj = Fraction(float(pts[j, 0])), Fraction(float(pts[j, 1]))
+            exact = (xj * xj + hj * hj - xi * xi - hi * hi) / (2 * (xj - xi))
+            worst = max(worst, float(abs(Fraction(float(got)) - exact) / abs(exact)))
+        assert worst <= 1e-13
 
     def test_duplicate_rejected(self):
         with pytest.raises(DegeneracyError):
@@ -201,15 +227,22 @@ class TestRadiusAndIntervals:
         # criterion-6 configuration; replicate 3 holds generators 374 and 3668,
         # 9.6e-5 apart near x = 1001, whose edge is anchored at x = 6212.7 with
         # a barycentric coordinate of about -5.4e7: a (0, 1) pair
-        cfg = SamplingConfig(
-            n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=6896151219952633663
-        )
-        cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+        cfg, _, hull = close_pair_replicate()
         experiments.run_replicate(cfg, 3)
-        points = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=3))
-        halfplane = mosaic1d.rotate_to_halfplane(points)
-        mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(halfplane, cfg.window[0]))
+        mosaic = mosaic1d.radius_and_intervals_1d(hull)
         (iv,) = [iv for iv in mosaic.intervals if iv.upper == (374, 3668)]
         assert iv.type == IntervalType(0, 1)
         assert iv.lower == (374,)
         assert iv.sphere.anchor[0] == pytest.approx(6212.7, abs=0.1)
+
+    def test_close_pair_visibility_oracle(self):
+        # the oracle's least-squares system, in coordinates centred at the
+        # first projection, types the same (0, 1) interval; uncentred, its
+        # residual (5.2e-6) crossed the affine-hull bound
+        _, pts, hull = close_pair_replicate()
+        mosaic = mosaic1d.radius_and_intervals_1d(hull)
+        (iv,) = [iv for iv in mosaic.intervals if iv.upper == (374, 3668)]
+        upper = [
+            geomcore.WeightedPoint(y=pts[v, :1], w=-float(pts[v, 1]) ** 2) for v in iv.upper
+        ]
+        assert geomcore.visibility_type(iv.sphere, upper) == IntervalType(0, 1)

@@ -94,6 +94,24 @@ class TestRegularTriangulation:
         winners = set(np.argmin(powers, axis=0).tolist())
         assert winners.isdisjoint(submerged)
 
+    @pytest.mark.parametrize("size", [10, 37, 160, 500])
+    def test_edges_match_row_unique(self, size):
+        # the integer-keyed edge list against a row-wise unique of the pairs
+        rng = np.random.default_rng(size)
+        cloud = random_cloud(rng, size, math.sqrt(size / 1.46), 1.5)
+        y, w = geomcore.slice_cloud(cloud, 2)
+        tri = mosaic2d.regular_triangulation(y, w)
+        t = tri.triangles
+        pairs = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [0, 2]]])
+        np.testing.assert_array_equal(tri.edges, np.unique(np.sort(pairs, 1), axis=0))
+
+    def test_duplicate_projection_far_apart_in_input(self):
+        rng = np.random.default_rng(3)
+        y = rng.uniform(0, 5, size=(50, 2))
+        y[41] = y[6]
+        with pytest.raises(DegeneracyError):
+            mosaic2d.regular_triangulation(y, np.zeros(50))
+
     def test_errors(self):
         with pytest.raises(ValueError):
             mosaic2d.regular_triangulation(np.zeros((2, 2)), np.zeros(2))
@@ -147,6 +165,16 @@ class TestRadiusAndIntervals:
         assert triangle[0].type == IntervalType(2, 2)
         assert triangle[0].sphere.anchor == pytest.approx([0.0, 0.0], abs=1e-12)
         assert triangle[0].sphere.radius == pytest.approx(math.sqrt(2.0))
+
+    def test_simplices_built_on_first_use(self):
+        rng = np.random.default_rng(11)
+        tri, dia, mosaic = build(random_cloud(rng, 90, 8.0, 1.2))
+        assert "simplices" not in vars(mosaic)
+        eager = [(v,) for v in tri.vertices.tolist()]
+        eager += [tuple(e) for e in np.sort(dia.edges, axis=1).tolist()]
+        eager += [tuple(t) for t in np.sort(tri.triangles, axis=1).tolist()]
+        assert mosaic.simplices == eager
+        assert "simplices" in vars(mosaic)
 
     def test_critical_vertex_radius_is_height(self):
         rng = np.random.default_rng(10)
