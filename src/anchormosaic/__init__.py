@@ -25,11 +25,11 @@ from .geomcore import (
     Mosaic,
     WeightedPoint,
     bp_jacobian,
+    lower_hull,
     project_to_slice,
     radius_and_intervals,
     smallest_anchored_circumsphere,
     sphere_is_empty,
-    visibility_type,
 )
 from .mosaic1d import Mosaic1D, build_1d, radius_and_intervals_1d, rotate_to_halfplane
 from .mosaic2d import (
@@ -61,6 +61,7 @@ __all__ = [
     "expected_interval_count",
     "expected_simplex_count",
     "interval_constant",
+    "lower_hull",
     "power_dual",
     "project_to_slice",
     "radius_and_intervals",
@@ -73,5 +74,4 @@ __all__ = [
     "smallest_anchored_circumsphere",
     "sphere_is_empty",
     "top_simplex_constant",
-    "visibility_type",
 ]

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import specfun
-from .errors import ConvergenceError  # noqa: F401  (re-exported for callers)
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -3,10 +3,10 @@
 The slice plane is always the span of the first k coordinate axes; general
 positions are handled by rotating inputs before they get here. Provides
 projections with slice weights, smallest anchored circumspheres, emptiness
-tests, the interval decomposition of a weighted Delaunay mosaic into one
-columnar ``Mosaic`` (shared by k = 1 and k = 2), facet-visibility interval
-typing (kept as an independent oracle), and the Jacobian of the
-sphere-parametrization change of variables.
+tests, the weighted Delaunay mosaic as one Qhull lower hull of the lifted
+generators, its interval decomposition into one columnar ``Mosaic`` (both
+shared by k = 1 and k = 2), and the Jacobian of the sphere-parametrization
+change of variables.
 
 The decomposition is combinatorial: a simplex's smallest anchored sphere is
 anchored in the relative interior of exactly one face of the power diagram,
@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .constants import SCHEMA_VERSION, IntervalType
 from .errors import DegeneracyError, MosaicError
@@ -38,8 +39,8 @@ __all__ = [
     "slice_cloud",
     "smallest_anchored_circumsphere",
     "sphere_is_empty",
+    "lower_hull",
     "radius_and_intervals",
-    "visibility_type",
     "bp_jacobian",
 ]
 
@@ -270,6 +271,61 @@ def sphere_is_empty(
     return bool(np.all(d2[keep] >= threshold))
 
 
+def lower_hull(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted Delaunay mosaic of projections ``y`` (N, k) with weights ``w``:
+    the lower convex hull of the lift (y, |y|^2 - w) in R^(k+1).
+
+    Returns the surviving generators (sorted indices; those strictly above
+    the lower hull have empty power cells and are submerged), the edges as
+    sorted generator pairs in lexicographic order, and the downward facets,
+    the (F, k+1) top simplices in Qhull's vertex order. Fewer than k + 2
+    generators are too few for Qhull; they span one simplex.
+
+    Qhull runs with ``Qbb``, which scales the lift to [0, m], m the largest
+    absolute projected coordinate, before the hull is built: on a 1-D lift
+    near x = 1000, where the lift is about 1e6, plain ``Qt`` dropped a
+    generator whose exact cross product with its neighbours is +1.3e-6.
+
+    Raises DegeneracyError on duplicate projections (found by comparing
+    neighbours in lexicographic order), on affinely dependent or otherwise
+    degenerate configurations, and MosaicError when an edge belongs to more
+    than two facets (for k <= 2, where every edge is a ridge or a facet).
+    The edges are deduplicated and counted as integer keys ``lo * N + hi``
+    in one 1-D ``np.unique``, which returns them in lexicographic order.
+    """
+    n_pts, k = y.shape
+    if w.shape != (n_pts,):
+        raise ValueError("weights must be a vector matching the projections")
+    ordered = y[np.lexsort(y.T[::-1])]
+    if np.any((ordered[1:] == ordered[:-1]).all(axis=1)):
+        raise DegeneracyError("duplicate projected generators")
+
+    if n_pts > k + 1:
+        try:
+            hull = ConvexHull(
+                np.column_stack([y, np.einsum("ij,ij->i", y, y) - w]), qhull_options="Qt Qbb"
+            )
+        except QhullError as exc:
+            raise DegeneracyError(f"degenerate lifted configuration: {exc}") from exc
+        cells = facets = np.asarray(hull.simplices[hull.equations[:, k] < 0.0], dtype=int)
+        if facets.shape[0] == 0:
+            raise DegeneracyError("no downward-facing hull facets")
+    else:
+        scale = max(1.0, float(np.max(np.ptp(y, axis=0))))
+        volume = np.prod(np.linalg.svd(y[1:] - y[0], compute_uv=False))
+        if volume <= 1e-12 * scale ** (n_pts - 1):
+            raise DegeneracyError("the projections are affinely dependent")
+        cells = np.arange(n_pts)[None, :]
+        facets = cells if n_pts == k + 1 else np.empty((0, k + 1), dtype=int)
+
+    a, b = np.triu_indices(cells.shape[1], 1)
+    lo, hi = np.minimum(cells[:, a], cells[:, b]), np.maximum(cells[:, a], cells[:, b])
+    keys, incidence = np.unique(lo * n_pts + hi, return_counts=True)
+    if np.any(incidence > 2):
+        raise MosaicError("an edge belongs to more than two facets")
+    return np.unique(cells), np.column_stack([keys // n_pts, keys % n_pts]), facets
+
+
 def radius_and_intervals(
     y: np.ndarray,
     w: np.ndarray,
@@ -420,44 +476,6 @@ def radius_and_intervals(
         upper=upper[lower],
         window=window,
     )
-
-
-def visibility_type(
-    sphere: AnchoredSphere,
-    simplex: Sequence[WeightedPoint],
-    rel_tol: float = 1e-9,
-    check_on_sphere: bool = True,
-) -> IntervalType:
-    """Interval type (ell, m) of an m-simplex on its anchored circumsphere.
-
-    m - ell is the number of facets of the projected simplex whose supporting
-    hyperplane (within the affine hull of the projections) strictly separates
-    the anchor from the opposite vertex; in barycentric coordinates of the
-    anchor these are exactly the negative coordinates.
-    """
-    proj = np.stack([np.asarray(p.y, dtype=float) for p in simplex])
-    m = proj.shape[0] - 1
-    anchor = np.asarray(sphere.anchor, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(proj - anchor))))
-    if check_on_sphere:
-        weights = np.array([p.w for p in simplex])
-        powers = np.einsum("ij,ij->i", proj - anchor, proj - anchor) - weights
-        r2 = sphere.radius**2
-        if np.max(np.abs(powers - r2)) > 1e-6 * max(r2, scale**2):
-            raise ValueError("simplex vertices do not lie on the given sphere")
-    # coordinates centred at the first projection keep the system's entries
-    # of the simplex's own size when the anchor is far away
-    system = np.vstack([(proj - proj[0]).T, np.ones(m + 1)])
-    target = np.append(anchor - proj[0], 1.0)
-    bary, _, rank, _ = np.linalg.lstsq(system, target, rcond=_RANK_RCOND)
-    if rank < m + 1:
-        raise DegeneracyError("projected simplex is affinely degenerate")
-    if np.max(np.abs(system @ bary - target)) > rel_tol * scale:
-        raise DegeneracyError("anchor does not lie in the affine hull of the projections")
-    if np.min(np.abs(bary)) < rel_tol:
-        raise DegeneracyError("anchor lies on a facet hyperplane of the projected simplex")
-    visible = int(np.count_nonzero(bary < 0.0))
-    return IntervalType(ell=m - visible, m=m)
 
 
 def bp_jacobian(r: float, u: np.ndarray, k: int, n: int | None = None) -> float:

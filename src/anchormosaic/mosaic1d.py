@@ -4,11 +4,10 @@ A cloud in R^n is first rotated about the first coordinate axis into the
 upper half-plane, which preserves every distance to the axis and therefore
 the induced weighted tessellation on the line. The tessellation itself is
 the lower envelope of the power parabolas; since they share the leading
-coefficient it reduces to a lower convex hull of lifted points, computed by a
-monotone-chain sweep in O(N log N). The interval decomposition is the
-dimension-generic one of :mod:`geomcore` on the chain of consecutive
-vertices: a vertex whose projection lies outside its cell is clamped to a
-cell boundary and paired with the edge dual to that boundary.
+coefficient it reduces to the lower convex hull of the lifted points, the
+same Qhull hull :func:`geomcore.lower_hull` builds for the plane. The
+interval decomposition is the dimension-generic one of :mod:`geomcore` on
+the chain of consecutive vertices.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError
-from .geomcore import Mosaic, radius_and_intervals
+from .geomcore import Mosaic, lower_hull, radius_and_intervals
 
 __all__ = ["Mosaic1D", "rotate_to_halfplane", "build_1d", "radius_and_intervals_1d"]
 
@@ -44,16 +42,14 @@ class Mosaic1D:
     """Weighted Delaunay mosaic on the line: the lower-hull record.
 
     ``vertices`` are indices into ``points`` of the surviving generators in
-    left-to-right order; edge i connects vertices i and i+1. ``cell_bounds``
-    holds the M+1 power-cell boundaries including the +-inf sentinels. The
-    radius function and the interval decomposition are the ``Mosaic`` that
+    left-to-right order; edge i connects vertices i and i+1. The radius
+    function and the interval decomposition are the ``Mosaic`` that
     :func:`radius_and_intervals_1d` returns.
     """
 
     points: np.ndarray
     window: tuple[float, float]
     vertices: np.ndarray
-    cell_bounds: np.ndarray
 
     @property
     def num_vertices(self) -> int:
@@ -68,12 +64,9 @@ def build_1d(points: np.ndarray, window: tuple[float, float]) -> Mosaic1D:
     """Weighted Delaunay mosaic of half-plane points over the line.
 
     The power function of generator (x1, x2) at a is (a - x1)^2 + x2^2; its
-    minimization diagram is the lower convex hull of the lift
-    (x1, x1^2 + x2^2). Generators not on the lower hull have empty power
-    cells and are submerged. The boundary between consecutive cells i and j
-    is taken as (x_i + x_j)/2 + (h_j^2 - h_i^2) / (2 (x_j - x_i)), which
-    equals (lift_j - lift_i) / (2 (x_j - x_i)) without its cancellation far
-    from the origin.
+    minimization diagram is :func:`geomcore.lower_hull` of ``y = x1`` and
+    ``w = -x2^2``. Generators not on the lower hull have empty power cells
+    and are submerged; the survivors are listed left to right.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2 or pts.shape[0] == 0:
@@ -83,39 +76,9 @@ def build_1d(points: np.ndarray, window: tuple[float, float]) -> Mosaic1D:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError(f"window must be a proper interval, got {window}")
-
-    x = pts[:, 0]
-    lift = x * x + pts[:, 1] * pts[:, 1]
-    order = np.argsort(x, kind="stable")
-    if np.any(np.diff(x[order]) == 0.0):
-        raise DegeneracyError("generators share a projected coordinate")
-
-    hull: list[int] = []
-    for idx in order:
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (x[a] - x[o]) * (lift[idx] - lift[o]) - (lift[a] - lift[o]) * (
-                x[idx] - x[o]
-            )
-            if cross <= 0.0:  # middle generator not strictly below the chord
-                hull.pop()
-            else:
-                break
-        hull.append(int(idx))
-
-    vertices = np.asarray(hull, dtype=int)
-    xs = x[vertices]
-    h2 = pts[vertices, 1] ** 2
-    bounds = np.empty(len(vertices) + 1)
-    bounds[0] = -np.inf
-    bounds[-1] = np.inf
-    if len(vertices) > 1:
-        bounds[1:-1] = (xs[1:] + xs[:-1]) / 2.0 + (h2[1:] - h2[:-1]) / (
-            2.0 * (xs[1:] - xs[:-1])
-        )
-        if np.any(np.diff(bounds[1:-1]) <= 0.0):
-            raise DegeneracyError("power-cell boundaries are not strictly increasing")
-    return Mosaic1D(points=pts, window=(lo, hi), vertices=vertices, cell_bounds=bounds)
+    vertices, _, _ = lower_hull(pts[:, :1], -pts[:, 1] ** 2)
+    vertices = vertices[np.argsort(pts[vertices, 0])]
+    return Mosaic1D(points=pts, window=(lo, hi), vertices=vertices)
 
 
 def radius_and_intervals_1d(mosaic: Mosaic1D) -> Mosaic:

@@ -9,7 +9,6 @@ parallel replicates are reproducible regardless of scheduling.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,8 +21,6 @@ __all__ = [
     "SamplingConfig",
     "sample_poisson_box",
     "choose_buffer",
-    "config_to_json",
-    "config_from_json",
 ]
 
 
@@ -76,26 +73,6 @@ class SamplingConfig:
             self.n - self.k
         )
         return np.asarray(lows), np.asarray(highs)
-
-
-def config_to_json(cfg: SamplingConfig) -> str:
-    """Serialize a sampling configuration (stable key order)."""
-    payload = {
-        "n": cfg.n,
-        "rho": cfg.rho,
-        "window": [[lo, hi] for lo, hi in cfg.window],
-        "buffer": cfg.buffer,
-        "seed": cfg.seed,
-        "replicate_index": cfg.replicate_index,
-        "max_expected_points": cfg.max_expected_points,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def config_from_json(text: str) -> SamplingConfig:
-    payload = json.loads(text)
-    payload["window"] = tuple((float(lo), float(hi)) for lo, hi in payload["window"])
-    return SamplingConfig(**payload)
 
 
 def _rng(cfg: SamplingConfig) -> np.random.Generator:

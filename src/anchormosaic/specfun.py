@@ -1,8 +1,8 @@
 """Self-contained special-function kernel.
 
 Provides the regularized lower incomplete Gamma function, (incomplete) Beta
-functions, the generalized hypergeometric sum 3F2 and its regularized form,
-and the closed form of the power-exponential integral
+functions, the generalized hypergeometric sum 3F2, and the closed form of the
+power-exponential integral
 
     int_0^{t0} t^(j-1) exp(-c t^p) dt.
 
@@ -13,17 +13,14 @@ pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from math import lgamma as log_gamma  # noqa: F401  (re-exported)
 
 from .errors import ConvergenceError, IterationLimitError
 
 __all__ = [
-    "log_gamma",
     "regularized_lower_gamma",
     "beta_fn",
     "beta_inc",
     "hyp3f2",
-    "regularized_hyp3f2",
     "power_exp_integral",
 ]
 
@@ -249,25 +246,6 @@ def hyp3f2(a1: float, a2: float, a3: float, b1: float, b2: float, z: float) -> f
         f"3F2 series hit the {_HYP3F2_MAX_TERMS}-term cap for parameters "
         f"({a1}, {a2}, {a3}; {b1}, {b2}; {z})"
     )
-
-
-def _gamma_sign(x: float) -> float:
-    # sign of Gamma(x) for x not a non-positive integer
-    if x > 0.0:
-        return 1.0
-    return -1.0 if math.floor(x) % 2 == 0 else 1.0
-
-
-def regularized_hyp3f2(
-    a1: float, a2: float, a3: float, b1: float, b2: float, z: float
-) -> float:
-    """Regularized hypergeometric function 3F2(...) / (Gamma(b1) Gamma(b2))."""
-    value = hyp3f2(a1, a2, a3, b1, b2, z)
-    if value == 0.0:
-        return 0.0
-    sign = _gamma_sign(b1) * _gamma_sign(b2) * math.copysign(1.0, value)
-    log_mag = math.log(abs(value)) - math.lgamma(b1) - math.lgamma(b2)
-    return sign * math.exp(log_mag)
 
 
 def power_exp_integral(j: float, p: float, c: float, t0: float) -> float:

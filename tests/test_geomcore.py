@@ -12,6 +12,8 @@ from anchormosaic.constants import SCHEMA_VERSION, IntervalType
 from anchormosaic.errors import DegeneracyError
 from anchormosaic.geomcore import AnchoredSphere, WeightedPoint
 
+from oracles import visibility_type
+
 
 class TestProjection:
     def test_simple(self):
@@ -166,6 +168,34 @@ class TestSphereIsEmpty:
             assert geomcore.sphere_is_empty(s, cloud) == brute
 
 
+class TestLowerHull:
+    def test_line(self):
+        # the lift (x, x^2 - w) of five generators; the one at x = 2 is submerged
+        y = np.array([[4.0], [0.0], [2.0], [1.0], [3.0]])
+        w = np.array([-1.0, -1.0, -9.0, -1.0, -1.0])
+        vertices, edges, facets = geomcore.lower_hull(y, w)
+        assert vertices.tolist() == [0, 1, 3, 4]
+        assert edges.tolist() == [[0, 4], [1, 3], [3, 4]]
+        assert facets.shape == (3, 2)
+        assert sorted(map(sorted, facets.tolist())) == edges.tolist()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_fewer_than_k_plus_two_generators(self, k):
+        for count in range(1, k + 2):
+            y = np.eye(count, k)
+            vertices, edges, facets = geomcore.lower_hull(y, np.zeros(count))
+            assert vertices.tolist() == list(range(count))
+            assert edges.tolist() == [[i, j] for i in range(count) for j in range(i + 1, count)]
+            assert facets.tolist() == ([list(range(count))] if count == k + 1 else [])
+            assert facets.shape[1] == k + 1
+
+    def test_errors(self):
+        with pytest.raises(DegeneracyError):
+            geomcore.lower_hull(np.array([[0.0], [1.0], [0.0]]), np.zeros(3))
+        with pytest.raises(ValueError):
+            geomcore.lower_hull(np.zeros((3, 1)), np.zeros(2))
+
+
 class TestMosaic:
     @pytest.mark.parametrize("k", [1, 2])
     def test_dump_schema(self, k):
@@ -200,23 +230,23 @@ class TestVisibilityType:
         # critical edge: projections straddle the anchor
         sphere = AnchoredSphere(anchor=np.array([0.0]), radius=math.sqrt(2.0))
         simplex = [self._wp([-1.0], -1.0), self._wp([1.0], -1.0)]
-        assert geomcore.visibility_type(sphere, simplex) == IntervalType(1, 1)
+        assert visibility_type(sphere, simplex) == IntervalType(1, 1)
 
     def test_anchor_left_of_both(self):
         # anchor at -1, generators at heights making both lie on radius sqrt(5)
         sphere = AnchoredSphere(anchor=np.array([-1.0]), radius=math.sqrt(5.0))
         simplex = [self._wp([0.0], -4.0), self._wp([1.0], -1.0)]
-        assert geomcore.visibility_type(sphere, simplex) == IntervalType(0, 1)
+        assert visibility_type(sphere, simplex) == IntervalType(0, 1)
 
     def test_anchor_inside_triangle(self):
         theta = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
         sphere = AnchoredSphere(anchor=np.array([0.0, 0.0]), radius=math.sqrt(2.0))
         simplex = [self._wp([np.cos(t), np.sin(t)], -1.0) for t in theta]
-        assert geomcore.visibility_type(sphere, simplex) == IntervalType(2, 2)
+        assert visibility_type(sphere, simplex) == IntervalType(2, 2)
 
     def test_single_vertex(self):
         sphere = AnchoredSphere(anchor=np.array([2.0, 0.0]), radius=1.0)
-        assert geomcore.visibility_type(sphere, [self._wp([2.0, 0.0], -1.0)]) == IntervalType(0, 0)
+        assert visibility_type(sphere, [self._wp([2.0, 0.0], -1.0)]) == IntervalType(0, 0)
 
     def test_sign_rule_one_dim(self):
         # for edges on the line the type reduces to the side test against the anchor
@@ -226,14 +256,14 @@ class TestVisibilityType:
             pre = np.column_stack([x, rng.uniform(0.2, 2.0, size=2)])
             s = geomcore.smallest_anchored_circumsphere(pre, 1)
             simplex = [self._wp([pre[i, 0]], -pre[i, 1] ** 2) for i in range(2)]
-            got = geomcore.visibility_type(s, simplex)
+            got = visibility_type(s, simplex)
             same_side = (x[0] - s.anchor[0]) * (x[1] - s.anchor[0]) > 0
             assert got == (IntervalType(0, 1) if same_side else IntervalType(1, 1))
 
     def test_off_sphere_rejected(self):
         sphere = AnchoredSphere(anchor=np.array([0.0]), radius=1.0)
         with pytest.raises(ValueError):
-            geomcore.visibility_type(sphere, [self._wp([5.0], -1.0)])
+            visibility_type(sphere, [self._wp([5.0], -1.0)])
 
 
 class TestBPJacobian:

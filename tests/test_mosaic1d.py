@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +10,8 @@ from anchormosaic import experiments, geomcore, mosaic1d, sampler
 from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError
 from anchormosaic.sampler import SamplingConfig
+
+from oracles import exact_lower_hull_1d, visibility_type
 
 
 def brute_force_survivors(points: np.ndarray, samples: int = 400_001) -> set[int]:
@@ -59,24 +60,26 @@ class TestRotateToHalfplane:
         assert out == pytest.approx([0.0, 3.0])
 
 
-def close_pair_replicate():
-    """Replicate 3 of the criterion-6 configuration at the seed whose
-    generators 374 and 3668 lie 9.6e-5 apart near x = 1001: the config, the
-    half-plane points and their hull."""
-    cfg = SamplingConfig(
-        n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=6896151219952633663
-    )
+def criterion6_replicate(seed: int, replicate: int):
+    """One replicate of the criterion-6 configuration at ``seed``: the config,
+    the half-plane points and their hull."""
+    cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=seed)
     cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
-    points = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=3))
+    points = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=replicate))
     halfplane = mosaic1d.rotate_to_halfplane(points)
     return cfg, halfplane, mosaic1d.build_1d(halfplane, cfg.window[0])
+
+
+def close_pair_replicate():
+    """Replicate 3 of the criterion-6 configuration at the seed whose
+    generators 374 and 3668 lie 9.6e-5 apart near x = 1001."""
+    return criterion6_replicate(6896151219952633663, 3)
 
 
 class TestBuild1D:
     def test_symmetric_pair(self):
         mosaic = mosaic1d.build_1d(np.array([[0.0, 1.0], [2.0, 1.0]]), window=(-5, 5))
         assert mosaic.vertices.tolist() == [0, 1]
-        assert mosaic.cell_bounds[1] == pytest.approx(1.0)
         assert mosaic.num_edges == 1
 
     def test_submerged_middle(self):
@@ -91,17 +94,19 @@ class TestBuild1D:
         mosaic = mosaic1d.build_1d(pts, window=(0, 10))
         assert set(mosaic.vertices.tolist()) == brute_force_survivors(pts)
 
-    def test_cell_bounds_exact_far_from_origin(self):
-        # near x = 1000 the lift differences x_j^2 - x_i^2 cancel; every finite
-        # bound must agree with exact arithmetic on the float inputs
-        _, pts, hull = close_pair_replicate()
-        worst = 0.0
-        for i, j, got in zip(hull.vertices[:-1], hull.vertices[1:], hull.cell_bounds[1:-1]):
-            xi, hi = Fraction(float(pts[i, 0])), Fraction(float(pts[i, 1]))
-            xj, hj = Fraction(float(pts[j, 0])), Fraction(float(pts[j, 1]))
-            exact = (xj * xj + hj * hj - xi * xi - hi * hi) / (2 * (xj - xi))
-            worst = max(worst, float(abs(Fraction(float(got)) - exact) / abs(exact)))
-        assert worst <= 1e-13
+    def test_far_from_origin_against_exact_chain(self):
+        # criterion-6 configuration at seed 201, replicate 6: near x = 945 the
+        # lift is about 1e6 and generator 83 lies below the chord of its
+        # neighbours by an exact cross product of only +1.3e-6; Qhull without
+        # the Qbb lift scaling drops it
+        _, pts, hull = criterion6_replicate(201, 6)
+        assert 83 in hull.vertices
+        assert len(hull.vertices) == 1274
+        assert hull.vertices.tolist() == exact_lower_hull_1d(pts)
+
+    def test_left_to_right_order(self):
+        pts = np.array([[3.0, 0.5], [-1.0, 0.2], [1.0, 0.1], [2.0, 3.0]])
+        assert mosaic1d.build_1d(pts, window=(-2, 4)).vertices.tolist() == [1, 2, 0]
 
     def test_duplicate_rejected(self):
         with pytest.raises(DegeneracyError):
@@ -221,7 +226,7 @@ class TestRadiusAndIntervals:
             upper = [
                 geomcore.WeightedPoint(y=pts[v, :1], w=-float(pts[v, 1]) ** 2) for v in iv.upper
             ]
-            assert geomcore.visibility_type(iv.sphere, upper) == iv.type
+            assert visibility_type(iv.sphere, upper) == iv.type
 
     def test_close_pair_with_far_anchor(self):
         # criterion-6 configuration; replicate 3 holds generators 374 and 3668,
@@ -245,4 +250,4 @@ class TestRadiusAndIntervals:
         upper = [
             geomcore.WeightedPoint(y=pts[v, :1], w=-float(pts[v, 1]) ** 2) for v in iv.upper
         ]
-        assert geomcore.visibility_type(iv.sphere, upper) == IntervalType(0, 1)
+        assert visibility_type(iv.sphere, upper) == IntervalType(0, 1)

@@ -12,6 +12,8 @@ from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError
 from anchormosaic.sampler import SamplingConfig
 
+from oracles import visibility_type
+
 
 def build(cloud: np.ndarray):
     y, w = geomcore.slice_cloud(cloud, 2)
@@ -273,7 +275,7 @@ class TestRadiusAndIntervals:
         tri, _, mosaic = build(cloud)
         for iv in mosaic.intervals:
             upper = [geomcore.WeightedPoint(y=tri.y[v], w=float(tri.w[v])) for v in iv.upper]
-            assert geomcore.visibility_type(iv.sphere, upper) == iv.type
+            assert visibility_type(iv.sphere, upper) == iv.type
 
     def test_sliver_triangle_claims_its_long_edge(self):
         # criterion-7 configuration; replicate 0 holds a sliver triangle of

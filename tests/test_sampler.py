@@ -102,14 +102,6 @@ class TestSamplePoissonBox:
             make_cfg(n=2, buffer=0.0)
 
 
-class TestConfigSerialization:
-    def test_round_trip(self):
-        cfg = make_cfg(n=3, window=((0.0, 5.0), (1.0, 4.0)), buffer=1.5, seed=12)
-        text = sampler.config_to_json(cfg)
-        assert sampler.config_from_json(text) == cfg
-        assert sampler.config_to_json(sampler.config_from_json(text)) == text
-
-
 class TestChooseBuffer:
     def test_bisection_against_gamma(self):
         cfg = make_cfg(n=2)
