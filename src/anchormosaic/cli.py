@@ -178,6 +178,7 @@ def _cmd_verify(args: argparse.Namespace, seed: int) -> int:
             "samples": samples,
             "left": check.left, "left_ci": list(check.left_ci),
             "right": check.right, "right_ci": list(check.right_ci),
+            "right_ess": check.right_ess, "right_nonfinite": check.right_nonfinite,
             "analytic": check.analytic,
             "ci_overlap": ok,
         }

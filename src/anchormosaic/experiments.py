@@ -331,11 +331,6 @@ def ks_gamma_test(radii: np.ndarray, shape: float, rate_scale: float, n: int) ->
 # sphere-parametrization identity
 
 
-def _gaussian_f(x: np.ndarray) -> np.ndarray:
-    # product Gaussian exp(-sum |x_i|^2) over the point tuple
-    return np.exp(-np.einsum("cij,cij->c", x, x))
-
-
 def _bump_f(x: np.ndarray) -> np.ndarray:
     # compactly supported product bump: prod_i max(0, 1 - |x_i|^2)^2
     g = np.maximum(0.0, 1.0 - np.einsum("cij,cij->ci", x, x))
@@ -364,6 +359,8 @@ class BPCheck:
     right: float
     right_ci: tuple[float, float]
     analytic: float
+    right_ess: float  # Kish effective sample size of the right side's weights
+    right_nonfinite: int  # right-side weights that were not finite, counted as 0
 
     @property
     def overlap(self) -> bool:
@@ -408,6 +405,8 @@ def _mean_ci(moments: _Moments) -> tuple[float, tuple[float, float]]:
 
 
 _VMF_KAPPAS = tuple(4.0**j for j in range(1, 17))
+# mixture weights: the uniform component, then one per kappa
+_MIX_PROBS = np.array([0.5] + [0.5 / len(_VMF_KAPPAS)] * len(_VMF_KAPPAS))
 
 
 def _sample_vmf(rng: np.random.Generator, centers: np.ndarray, kappa: float, d: int) -> np.ndarray:
@@ -439,14 +438,36 @@ def _sample_vmf(rng: np.random.Generator, centers: np.ndarray, kappa: float, d: 
     )
 
 
-def _log_vmf_pdf(cos_angle: np.ndarray, kappa: float, d: int) -> np.ndarray:
-    """log density w.r.t. the surface measure of S^(d-1), d in {2, 3}."""
+def _log_vmf_norm(kappa: float, d: int) -> float:
+    """log c_kappa, with kappa (cos - 1) + log c_kappa the log vMF density
+    w.r.t. the surface measure of S^(d-1), d in {2, 3}."""
     if d == 2:
-        return kappa * (cos_angle - 1.0) - np.log(2.0 * math.pi * special.i0e(kappa))
-    log_norm = (
-        math.log(kappa) - math.log(2.0 * math.pi) - math.log1p(-math.exp(-2.0 * kappa))
-    )
-    return kappa * (cos_angle - 1.0) + log_norm
+        return -np.log(2.0 * math.pi * special.i0e(kappa))
+    return math.log(kappa) - math.log(2.0 * math.pi) - math.log1p(-math.exp(-2.0 * kappa))
+
+
+# exp(-40) * 0.5 / 16 is about 1e-19, under half an ulp (3.5e-18 at d = 3,
+# 6.9e-18 at d = 2) of the defensive term 0.5 / sigma_d that the density
+# starts from; a vMF term whose exponent lies below this rounds away
+_NEGLIGIBLE_EXPONENT = -40.0
+
+
+def _log_mixture_density(cos_angle: np.ndarray, d: int) -> np.ndarray:
+    """log of the defensive vMF mixture density at cos(u_i, u_0), per row.
+
+    The sum starts at the uniform term and adds the 16 vMF terms in kappa
+    order. A term whose exponent kappa (cos - 1) + log c_kappa lies below
+    ``_NEGLIGIBLE_EXPONENT`` is under half an ulp of the sum, so leaving it
+    out changes no bit; each kappa is evaluated only on the rows above its
+    cut.
+    """
+    t = cos_angle - 1.0
+    dens = np.full(t.shape, _MIX_PROBS[0] / constants.sphere_surface(d))
+    for c, kappa in enumerate(_VMF_KAPPAS, start=1):
+        log_norm = _log_vmf_norm(kappa, d)
+        rows = np.flatnonzero(t >= (_NEGLIGIBLE_EXPONENT - log_norm) / kappa)
+        dens[rows] += _MIX_PROBS[c] * np.exp(kappa * t[rows] + log_norm)
+    return np.log(dens)
 
 
 def _sphere_mixture(
@@ -457,30 +478,35 @@ def _sphere_mixture(
     u_0 is uniform; u_1..u_m come from a half-uniform, half-vMF(u_0) mixture
     over a ladder of concentrations, which keeps the weights bounded near the
     aligned configurations where the parameter-space integrand blows up.
+
+    Every row first gets a uniform draw; one stable sort of the component
+    labels then groups the vMF rows by component, in row order within each,
+    and each component draws on its contiguous slice in kappa order. That
+    consumes the random stream exactly as one boolean-masked pass per
+    component would.
     """
     sigma_d = constants.sphere_surface(d)
     u = np.empty((chunk, m + 1, d))
     raw = rng.standard_normal((chunk, d))
-    u[:, 0] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    u0 = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    u[:, 0] = u0
     log_q = np.full(chunk, -math.log(sigma_d))
-    if m == 0:
-        return u, log_q
     n_comp = len(_VMF_KAPPAS)
-    probs = np.array([0.5] + [0.5 / n_comp] * n_comp)
     for i in range(1, m + 1):
-        comp = rng.choice(n_comp + 1, size=chunk, p=probs)
+        comp = rng.choice(n_comp + 1, size=chunk, p=_MIX_PROBS)
         draw = rng.standard_normal((chunk, d))
         draw /= np.linalg.norm(draw, axis=1, keepdims=True)
+        counts = np.bincount(comp, minlength=n_comp + 1)
+        rows = np.argsort(comp.astype(np.uint8), kind="stable")[counts[0]:]
+        ends = np.cumsum(counts) - counts[0]
+        centers = np.take(u0, rows, axis=0)
         for c, kappa in enumerate(_VMF_KAPPAS, start=1):
-            sel = comp == c
-            if np.any(sel):
-                draw[sel] = _sample_vmf(rng, u[sel, 0], kappa, d)
+            if counts[c]:
+                lo, hi = ends[c - 1], ends[c]
+                centers[lo:hi] = _sample_vmf(rng, centers[lo:hi], kappa, d)
+        draw[rows] = centers
         u[:, i] = draw
-        cos_angle = np.einsum("cj,cj->c", draw, u[:, 0])
-        dens = probs[0] / sigma_d * np.ones(chunk)
-        for c, kappa in enumerate(_VMF_KAPPAS, start=1):
-            dens += probs[c] * np.exp(_log_vmf_pdf(cos_angle, kappa, d))
-        log_q += np.log(dens)
+        log_q += _log_mixture_density(np.einsum("cj,cj->c", draw, u[:, 0]), d)
     return u, log_q
 
 
@@ -516,24 +542,28 @@ def verify_bp_identity(
         raise ValueError(f"sphere dimension d = m+n-k = {d} is outside the supported range")
     if test_function not in ("gaussian", "bump"):
         raise ValueError(f"unknown test function {test_function!r}")
-    f = _gaussian_f if test_function == "gaussian" else _bump_f
+    bump = test_function == "bump"
     alpha = n * (m + 1) - (k + 1)
     a_r = (alpha + 1) / 2.0
     grass = constants.grassmannian_volume(m, k) if m < k else 1.0
-    log_m_factorial = math.lgamma(m + 1)
     sd_y = 1.0 / math.sqrt(2.0 * (m + 1))
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     left_mom = right_mom = (0, 0.0, 0.0)
+    right_nonfinite = 0
     done = 0
     while done < samples:
         size = min(chunk, samples - done)
         done += size
 
         # left side: x ~ product Gaussian with density exp(-|x|^2) / pi^(n/2)
-        x = rng.standard_normal((size, m + 1, n)) / math.sqrt(2.0)
-        log_q = -np.einsum("cij,cij->c", x, x) - (n * (m + 1) / 2.0) * math.log(math.pi)
-        vals = f(x) * np.exp(-log_q)
+        x = rng.standard_normal((size, m + 1, n))
+        x /= math.sqrt(2.0)
+        sq = np.einsum("cij,cij->c", x, x)
+        log_q = -sq - (n * (m + 1) / 2.0) * math.log(math.pi)
+        # the product Gaussian test function is exp(-sum |x_i|^2)
+        fx = _bump_f(x) if bump else np.exp(-sq)
+        vals = fx * np.exp(-log_q)
         left_mom = _merge_moments(left_mom, _moments(vals))
 
         # right side
@@ -542,11 +572,14 @@ def verify_bp_identity(
             frames = rng.standard_normal((size, k, m))
             frames, _ = np.linalg.qr(frames)
             u_first_k = np.einsum("cij,ckj->cki", frames, u_small[:, :, :m])
+            u_full = np.concatenate([u_first_k, u_small[:, :, m:]], axis=2)
         else:
-            u_first_k = u_small[:, :, :k]
-        u_full = np.concatenate([u_first_k, u_small[:, :, m:]], axis=2)
+            u_full = u_small
 
-        s_k = u_full[:, :, :k].sum(axis=1)
+        # sum over the m + 1 points, added in order like a reduction over axis 1
+        s_k = u_full[:, 0, :k].copy()
+        for i in range(1, m + 1):
+            s_k += u_full[:, i, :k]
         delta = np.maximum((m + 1) - np.einsum("cj,cj->c", s_k, s_k) / (m + 1), 1e-12)
         g = rng.gamma(a_r, 1.0 / delta)
         r = np.sqrt(g)
@@ -573,7 +606,6 @@ def verify_bp_identity(
             vol = np.abs(np.linalg.det(proj[:, 1:] - proj[:, :1]))  # m! * Vol_m(u')
             with np.errstate(divide="ignore"):
                 log_vol_pow = (k - m + 1) * np.where(vol > 0, np.log(np.maximum(vol, 1e-300)), -np.inf)
-        fx = f(x_right)
         with np.errstate(invalid="ignore"):
             log_w = (
                 alpha * np.log(r)
@@ -583,16 +615,23 @@ def verify_bp_identity(
                 - log_qy
                 + math.log(grass)
             )
-            if test_function == "gaussian":
+            if bump:
+                fx = _bump_f(x_right)
+                w = np.where(fx > 0, fx * np.exp(log_w), 0.0)
+            else:
                 log_w -= np.einsum("cij,cij->c", x_right, x_right)
                 w = np.exp(log_w)
-            else:
-                w = np.where(fx > 0, fx * np.exp(log_w), 0.0)
-        w = np.where(np.isfinite(w), w, 0.0)
+        finite = np.isfinite(w)
+        right_nonfinite += size - int(np.count_nonzero(finite))
+        w = np.where(finite, w, 0.0)
         right_mom = _merge_moments(right_mom, _moments(w))
 
     left, left_ci = _mean_ci(left_mom)
     right, right_ci = _mean_ci(right_mom)
+    # Kish effective sample size (sum w)^2 / sum w^2 = n mean^2 / (mean^2 + M2 / n)
+    _, _, right_m2 = right_mom
+    mean_sq = right * right
+    right_ess = samples / (1.0 + right_m2 / samples / mean_sq) if mean_sq > 0.0 else 0.0
     return BPCheck(
         n=n,
         k=k,
@@ -604,6 +643,8 @@ def verify_bp_identity(
         right=right,
         right_ci=right_ci,
         analytic=_analytic_integral(test_function, n, m),
+        right_ess=right_ess,
+        right_nonfinite=right_nonfinite,
     )
 
 
@@ -710,9 +751,7 @@ def verify_beta_projection_law(
     r2 = np.einsum("ij,ij->i", x[:, :k], x[:, :k])
 
     def ks_pvalue(a: float, b: float) -> float:
-        norm = specfun.beta_fn(a, b)
-        u = np.array([specfun.beta_inc(t, a, b) / norm for t in r2])
-        return float(stats.kstest(u, "uniform").pvalue)
+        return float(stats.kstest(special.betainc(a, b, r2), "uniform").pvalue)
 
     return BetaLawCheck(
         n=n,

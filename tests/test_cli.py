@@ -137,6 +137,15 @@ class TestVerifyCommand:
         assert payload["analytic"] == pytest.approx(9.8696044, rel=1e-6)
         assert code in (cli.EXIT_OK, cli.EXIT_STATISTICAL)
 
+    def test_bp_reports_weight_health(self, capsys):
+        _, out, _ = run(
+            capsys, "verify", "bp", "--n", "3", "--k", "2", "--m", "1",
+            "--samples", "3e4", "--seed", "1",
+        )
+        payload = json.loads(out)
+        assert payload["right_nonfinite"] == 0
+        assert 0.0 < payload["right_ess"] < payload["samples"]
+
 
 class TestErrorPaths:
     def test_usage_error(self, capsys):

@@ -1,4 +1,4 @@
-"""The mosaic demos run end to end, each in its own interpreter."""
+"""Every demo runs end to end, each in its own interpreter."""
 
 import os
 import subprocess
@@ -13,8 +13,11 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "demo,expected",
     [
+        ("01_constants_tables.py", "r0 =  inf: criticals"),
         ("02_one_dimensional_mosaic.py", "critical intervals"),
         ("03_planar_mosaic.py", "empty-circumsphere check: 0 violations"),
+        ("04_monte_carlo_rates.py", "reconciliation exact: True"),
+        ("05_identity_checks.py", "CI overlap: True"),
     ],
 )
 def test_demo_runs(demo, expected):

@@ -6,9 +6,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from anchormosaic import experiments, sampler, specfun
+from anchormosaic import constants, experiments, sampler, specfun
 from anchormosaic.errors import InsufficientSampleError
 from anchormosaic.sampler import SamplingConfig
 
@@ -245,6 +245,60 @@ class TestBPIdentity:
         assert check.right == pytest.approx(check.analytic, rel=0.03)
         assert check.overlap
 
+    # float.hex of (left, left_ci, right, right_ci) at samples=30_000,
+    # chunk=7_000, seed=3; the last chunk of 2_000 rows is uneven
+    PINNED = {
+        (2, 1, 1, "gaussian"): (
+            "0x1.3bd3cc9be45dfp+3", ("0x1.3bd3cc9be45dfp+3", "0x1.3bd3cc9be45dfp+3"),
+            "0x1.3b4ee8c152d16p+3", ("0x1.371e539184569p+3", "0x1.3f7f7df1214c3p+3"),
+        ),
+        (3, 2, 2, "gaussian"): (
+            "0x1.594e658cd8e72p+7", ("0x1.594e658cd8e72p+7", "0x1.594e658cd8e72p+7"),
+            "0x1.4bc7a6bb4a339p+7", ("0x1.3804441d41a8fp+7", "0x1.5f8b095952be3p+7"),
+        ),
+        (3, 2, 1, "gaussian"): (
+            "0x1.f019b59389d7ep+4", ("0x1.f019b59389d7ep+4", "0x1.f019b59389d7ep+4"),
+            "0x1.ef01d887365b4p+4", ("0x1.e65c99fea8ff2p+4", "0x1.f7a7170fc3b76p+4"),
+        ),
+        (2, 2, 2, "gaussian"): (
+            "0x1.f019b59389d7ep+4", ("0x1.f019b59389d7ep+4", "0x1.f019b59389d7ep+4"),
+            "0x1.ee23b2987c614p+4", ("0x1.e499510c96538p+4", "0x1.f7ae1424626f0p+4"),
+        ),
+        (2, 1, 1, "bump"): (
+            "0x1.1d308dba20ad5p+0", ("0x1.17125979339c5p+0", "0x1.234ec1fb0dbe5p+0"),
+            "0x1.15d32779cf3a1p+0", ("0x1.0bec1fcfd9bd8p+0", "0x1.1fba2f23c4b6ap+0"),
+        ),
+        (3, 1, 0, "gaussian"): (
+            "0x1.645f7c63f2c6cp+2", ("0x1.645f7c63f2c6cp+2", "0x1.645f7c63f2c6cp+2"),
+            "0x1.645f7c63f2c6cp+2", ("0x1.645f7c63f2c6cp+2", "0x1.645f7c63f2c6cp+2"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "{}-{}-{}-{}".format(*c))
+    def test_bp_bits_pinned(self, case):
+        # the sampler's RNG stream and its arithmetic are fixed bit for bit
+        n, k, m, kind = case
+        check = experiments.verify_bp_identity(
+            n, k, m, test_function=kind, samples=30_000, chunk=7_000, seed=3
+        )
+        got = (
+            check.left.hex(), tuple(v.hex() for v in check.left_ci),
+            check.right.hex(), tuple(v.hex() for v in check.right_ci),
+        )
+        assert got == self.PINNED[case]
+
+    def test_point_case_has_full_effective_sample_size(self):
+        # m = 0: every right-side weight is the same constant
+        check = experiments.verify_bp_identity(3, 1, 0, samples=20_000, seed=4, chunk=7_000)
+        assert check.right_ess == 20_000
+        assert check.right_nonfinite == 0
+
+    @pytest.mark.parametrize("n,k,m", [(2, 1, 1), (3, 2, 2), (3, 2, 1), (2, 2, 2)])
+    def test_weight_health_of_criterion_triples(self, n, k, m):
+        check = experiments.verify_bp_identity(n, k, m, samples=20_000, seed=5)
+        assert check.right_nonfinite == 0
+        assert 0.0 < check.right_ess < check.samples
+
     def test_validation(self):
         with pytest.raises(ValueError):
             experiments.verify_bp_identity(2, 3, 1)
@@ -252,6 +306,62 @@ class TestBPIdentity:
             experiments.verify_bp_identity(6, 2, 1)  # sphere dimension too high
         with pytest.raises(ValueError):
             experiments.verify_bp_identity(2, 1, 1, test_function="what")
+
+
+def _log_vmf_pdf(cos_angle, kappa, d):
+    if d == 2:
+        return kappa * (cos_angle - 1.0) - np.log(2.0 * math.pi * special.i0e(kappa))
+    log_norm = (
+        math.log(kappa) - math.log(2.0 * math.pi) - math.log1p(-math.exp(-2.0 * kappa))
+    )
+    return kappa * (cos_angle - 1.0) + log_norm
+
+
+def _full_log_density(cos_angle, d):
+    # reference: the defensive term plus all 16 vMF terms on every row
+    probs = np.array([0.5] + [0.5 / 16] * 16)
+    dens = probs[0] / constants.sphere_surface(d) * np.ones(cos_angle.size)
+    for c, kappa in enumerate(experiments._VMF_KAPPAS, start=1):
+        dens += probs[c] * np.exp(_log_vmf_pdf(cos_angle, kappa, d))
+    return np.log(dens)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestSphereMixture:
+    @pytest.mark.parametrize("d,m", [(2, 1), (3, 1), (3, 2)])
+    def test_log_density_matches_full_sum(self, d, m):
+        rng = np.random.Generator(np.random.Philox(key=8))
+        u, log_q = experiments._sphere_mixture(rng, 200_000, m, d)
+        ref = np.full(u.shape[0], -math.log(constants.sphere_surface(d)))
+        for i in range(1, m + 1):
+            cos_angle = np.einsum("cj,cj->c", np.ascontiguousarray(u[:, i]), u[:, 0])
+            ref += _full_log_density(cos_angle, d)
+        assert _same_bits(log_q, ref)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_log_density_at_the_cuts(self, d):
+        # rows whose exponent sits at each kappa's cut and one ulp either side
+        rows = [-1.0, 0.0, 1.0]
+        for kappa in experiments._VMF_KAPPAS:
+            log_norm = experiments._log_vmf_norm(kappa, d)
+            cos_cut = 1.0 + (experiments._NEGLIGIBLE_EXPONENT - log_norm) / kappa
+            if cos_cut > -1.0:
+                rows += [np.nextafter(cos_cut, -2.0), cos_cut, np.nextafter(cos_cut, 2.0)]
+        cos_angle = np.array(rows)
+        assert _same_bits(experiments._log_mixture_density(cos_angle, d),
+                          _full_log_density(cos_angle, d))
+
+    @pytest.mark.parametrize("d,m", [(2, 1), (3, 1), (3, 2)])
+    def test_density_is_normalised(self, d, m):
+        # E_q[1/q(u)] is the volume of (S^(d-1))^(m+1); 1/q <= (2 sigma_d)^(m+1)
+        rng = np.random.Generator(np.random.Philox(key=9))
+        _, log_q = experiments._sphere_mixture(rng, 200_000, m, d)
+        inv_q = np.exp(-log_q)
+        se = np.std(inv_q) / math.sqrt(inv_q.size)
+        assert abs(np.mean(inv_q) - constants.sphere_surface(d) ** (m + 1)) < 4.0 * se
 
 
 class TestAngleIntegral:
@@ -296,6 +406,19 @@ class TestBetaLaw:
         assert check.p_half_dims > 0.01
         assert check.p_fraction_dims < 0.01
         assert check.passed
+
+    def test_matches_per_sample_reference(self):
+        n, k, samples, seed = 5, 2, 3_000, 4
+        check = experiments.verify_beta_projection_law(n, k, samples=samples, seed=seed)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        x = rng.standard_normal((samples, n))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        r2 = np.einsum("ij,ij->i", x[:, :k], x[:, :k])
+        for a, b, p in [(k / 2.0, (n - k) / 2.0, check.p_half_dims),
+                        (k / n, (n - k) / n, check.p_fraction_dims)]:
+            norm = specfun.beta_fn(a, b)
+            u = np.array([specfun.beta_inc(t, a, b) / norm for t in r2])
+            assert p == pytest.approx(stats.kstest(u, "uniform").pvalue, rel=1e-9)
 
     def test_other_dimensions(self):
         check = experiments.verify_beta_projection_law(5, 1, samples=20_000, seed=1)
