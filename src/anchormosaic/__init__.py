@@ -26,7 +26,6 @@ from .geomcore import (
     WeightedPoint,
     bp_jacobian,
     lower_hull,
-    project_to_slice,
     radius_and_intervals,
     smallest_anchored_circumsphere,
     sphere_is_empty,
@@ -63,7 +62,6 @@ __all__ = [
     "interval_constant",
     "lower_hull",
     "power_dual",
-    "project_to_slice",
     "radius_and_intervals",
     "radius_and_intervals_1d",
     "radius_and_intervals_2d",

@@ -91,13 +91,8 @@ def _emit(payload: dict, rows: list[dict], out: str | None, fmt: str) -> None:
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        lines = [experiments.CSV_HEADER]
-        for row in rows:
-            cells = [
-                row[key] for key in ("type", "ell", "m", "count", "rate", "se", "predicted", "z")
-            ]
-            lines.append(",".join("" if cell == "" else repr(cell) if isinstance(cell, float) else str(cell) for cell in cells))
-        text = "\n".join(lines) + "\n"
+        keys = experiments.CSV_HEADER.split(",")
+        text = experiments.csv_text([[row[key] for key in keys] for row in rows])
     _write(text, out)
 
 

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from scipy import special
+
 from . import specfun
 
 __all__ = [
@@ -304,12 +306,9 @@ def simplex_constant(j: int, k: int, n: int) -> float:
 
 
 def _gamma_fraction(shape: float, cfg: DimensionConfig, r0: float) -> float:
-    if r0 < 0:
+    if not r0 >= 0:
         raise ValueError(f"radius threshold must be non-negative, got {r0}")
-    if math.isinf(r0):
-        return 1.0
-    x = cfg.rho * ball_volume(cfg.n) * r0**cfg.n
-    return specfun.regularized_lower_gamma(shape, x) if x > 0 else 0.0
+    return float(special.gammainc(shape, cfg.rho * ball_volume(cfg.n) * r0**cfg.n))
 
 
 def expected_interval_count(

@@ -17,6 +17,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -34,6 +35,7 @@ __all__ = [
     "estimate_interval_rates",
     "report_to_json",
     "report_to_csv",
+    "csv_text",
     "ks_gamma_test",
     "BPCheck",
     "verify_bp_identity",
@@ -280,16 +282,25 @@ def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def csv_text(rows: Sequence[Sequence]) -> str:
+    """CSV_HEADER and one line per row of cells: floats by ``repr`` (round-trip
+    exact), ``""`` as an empty cell, anything else by ``str``."""
+    lines = [CSV_HEADER]
+    for cells in rows:
+        lines.append(",".join(
+            "" if cell == "" else repr(cell) if isinstance(cell, float) else str(cell)
+            for cell in cells
+        ))
+    return "\n".join(lines) + "\n"
+
+
 def report_to_csv(report: ExperimentReport) -> str:
     """One row per interval type and simplex dimension, fixed column order."""
-    lines = [CSV_HEADER]
-    for kind, rates in (("interval", report.interval_rates), ("simplex", report.simplex_rates)):
-        for r in rates:
-            lines.append(
-                f"{kind},{r.ell},{r.m},{r.count_mean!r},{r.rate!r},{r.se!r},"
-                f"{r.predicted!r},{r.z!r}"
-            )
-    return "\n".join(lines) + "\n"
+    return csv_text([
+        (kind, r.ell, r.m, r.count_mean, r.rate, r.se, r.predicted, r.z)
+        for kind, rates in (("interval", report.interval_rates), ("simplex", report.simplex_rates))
+        for r in rates
+    ])
 
 
 def _rate_estimate(
@@ -341,7 +352,7 @@ def _analytic_integral(kind: str, n: int, m: int) -> float:
     if kind == "gaussian":
         return math.pi ** (n * (m + 1) / 2.0)
     # int_{|x|<1} (1-|x|^2)^2 dx = sigma_n * B(n/2, 3) / 2, per point
-    single = constants.sphere_surface(n) * specfun.beta_fn(n / 2.0, 3.0) / 2.0
+    single = constants.sphere_surface(n) * special.beta(n / 2.0, 3.0) / 2.0
     return single ** (m + 1)
 
 

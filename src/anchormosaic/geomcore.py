@@ -35,7 +35,6 @@ __all__ = [
     "AnchoredSphere",
     "Interval",
     "Mosaic",
-    "project_to_slice",
     "slice_cloud",
     "smallest_anchored_circumsphere",
     "sphere_is_empty",
@@ -45,19 +44,20 @@ __all__ = [
 ]
 
 _RANK_RCOND = 1e-12
+# relative radius band within which a point counts as on, not inside, a sphere
+_EMPTY_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class WeightedPoint:
     """Projection of an R^n point onto the slice plane, with its slice weight.
 
-    The weight is minus the squared distance of the preimage to the plane, so
-    it is always <= 0 for slice-induced weights.
+    The weight is minus the squared distance of the R^n point to the plane,
+    so it is always <= 0 for slice-induced weights.
     """
 
     y: np.ndarray
     w: float
-    preimage: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -192,17 +192,6 @@ class Mosaic:
         }
 
 
-def project_to_slice(x: Sequence[float] | np.ndarray, k: int) -> WeightedPoint:
-    """Drop coordinates k+1..n of ``x`` and attach the weight -(distance to plane)^2."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a single point")
-    if not 1 <= k <= x.size:
-        raise ValueError(f"need 1 <= k <= {x.size}, got k={k}")
-    tail = x[k:]
-    return WeightedPoint(y=x[:k].copy(), w=-float(tail @ tail), preimage=x.copy())
-
-
 def slice_cloud(cloud: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized projection of an (N, n) cloud: returns (projections, weights)."""
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
@@ -250,11 +239,10 @@ def sphere_is_empty(
     sphere: AnchoredSphere,
     cloud: np.ndarray,
     exclude: Sequence[int] = (),
-    rel_tol: float = 1e-9,
 ) -> bool:
     """True iff no non-excluded cloud point lies strictly inside the sphere.
 
-    Points closer to the embedded anchor than radius * (1 - rel_tol) count as
+    Points closer to the embedded anchor than radius * (1 - 1e-9) count as
     inside; the tolerance band absorbs floating-point noise for the defining
     points, which sit exactly on the sphere.
     """
@@ -267,7 +255,7 @@ def sphere_is_empty(
     keep = np.ones(cloud.shape[0], dtype=bool)
     if len(exclude):
         keep[np.asarray(list(exclude), dtype=int)] = False
-    threshold = (sphere.radius * (1.0 - rel_tol)) ** 2
+    threshold = (sphere.radius * (1.0 - _EMPTY_REL_TOL)) ** 2
     return bool(np.all(d2[keep] >= threshold))
 
 

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from . import specfun
 from .constants import ball_volume
 
 __all__ = [
@@ -103,21 +103,11 @@ def choose_buffer(cfg: SamplingConfig, r_quantile: float) -> float:
     at most 1 - r_quantile.
 
     Uses the radius law of the largest-shape interval type: the transformed
-    radius rho * nu_n * r^n is Gamma(k + 1 - k/n)-distributed, inverted here
-    by bisection on the regularized lower incomplete Gamma function.
+    radius rho * nu_n * r^n is Gamma(k + 1 - k/n)-distributed, and its
+    r_quantile-quantile is the inverse of the regularized lower incomplete
+    Gamma function.
     """
     if not 0.0 < r_quantile < 1.0:
         raise ValueError(f"quantile must lie in (0, 1), got {r_quantile}")
-    shape = cfg.k + 1.0 - cfg.k / cfg.n
-    hi = max(shape, 1.0)
-    while specfun.regularized_lower_gamma(shape, hi) < r_quantile:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if specfun.regularized_lower_gamma(shape, mid) < r_quantile:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+    x = special.gammaincinv(cfg.k + 1.0 - cfg.k / cfg.n, r_quantile)
     return float((x / (cfg.rho * ball_volume(cfg.n))) ** (1.0 / cfg.n))

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from anchormosaic.constants import IntervalType
-from anchormosaic.errors import DegeneracyError
+from anchormosaic.errors import DegeneracyError, IterationLimitError
 from anchormosaic.geomcore import AnchoredSphere, WeightedPoint
 
 _RANK_RCOND = 1e-12
+_MAX_GAMMA_ITER = 10_000
+_MAX_BETA_ITER = 10_000
+_TINY = 1e-300
 
 
 def visibility_type(
@@ -70,3 +74,155 @@ def exact_lower_hull_1d(points: np.ndarray) -> list[int]:
             hull.pop()
         hull.append(idx)
     return hull
+
+
+# Scalar incomplete Gamma and Beta functions (series and Lentz continued
+# fractions), the per-element references for the vectorised scipy.special calls.
+
+
+def _require_finite(**kwargs: float) -> None:
+    for name, value in kwargs.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def regularized_lower_gamma(a: float, x: float) -> float:
+    """Regularized lower incomplete Gamma function P(a, x) = gamma(a, x) / Gamma(a).
+
+    Uses the power series for x < a + 1 and the Lentz continued fraction for
+    the complementary function otherwise. P is monotone non-decreasing in x,
+    with P(a, 0) = 0 and P(a, x) -> 1 as x -> inf.
+    """
+    _require_finite(a=a, x=x)
+    if a <= 0.0:
+        raise ValueError(f"shape parameter must be positive, got a={a}")
+    if x < 0.0:
+        raise ValueError(f"argument must be non-negative, got x={x}")
+    if x == 0.0:
+        return 0.0
+    if x < a + 1.0:
+        return _lower_gamma_series(a, x)
+    return 1.0 - _upper_gamma_cf(a, x)
+
+
+def _gamma_prefactor(a: float, x: float) -> float:
+    # x^a e^{-x} / Gamma(a), assembled in log space
+    return math.exp(a * math.log(x) - x - math.lgamma(a))
+
+
+def _lower_gamma_series(a: float, x: float) -> float:
+    # P(a,x) = x^a e^{-x}/Gamma(a) * sum_{i>=0} x^i / (a (a+1) ... (a+i))
+    ap = a
+    term = 1.0 / a
+    total = term
+    for _ in range(_MAX_GAMMA_ITER):
+        ap += 1.0
+        term *= x / ap
+        total += term
+        if abs(term) < abs(total) * 1e-16:
+            return total * _gamma_prefactor(a, x)
+    raise IterationLimitError(
+        f"incomplete Gamma series did not converge for a={a}, x={x}"
+    )
+
+
+def _upper_gamma_cf(a: float, x: float) -> float:
+    # Q(a,x) via the standard even-odd continued fraction, modified Lentz method
+    b = x + 1.0 - a
+    c = 1.0 / _TINY
+    d = 1.0 / b if b != 0.0 else 1.0 / _TINY
+    h = d
+    for i in range(1, _MAX_GAMMA_ITER):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h * _gamma_prefactor(a, x)
+    raise IterationLimitError(
+        f"incomplete Gamma continued fraction did not converge for a={a}, x={x}"
+    )
+
+
+def beta_fn(a: float, b: float) -> float:
+    """Complete Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b)."""
+    _require_finite(a=a, b=b)
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError(f"Beta parameters must be positive, got a={a}, b={b}")
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+def beta_inc(t0: float, a: float, b: float) -> float:
+    """Incomplete Beta integral int_0^{t0} t^(a-1) (1-t)^(b-1) dt (not regularized).
+
+    Satisfies beta_inc(1, a, b) = beta_fn(a, b) and is monotone in t0.
+    """
+    _require_finite(t0=t0, a=a, b=b)
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError(f"Beta parameters must be positive, got a={a}, b={b}")
+    if not 0.0 <= t0 <= 1.0:
+        raise ValueError(f"upper limit must lie in [0, 1], got t0={t0}")
+    return _regularized_beta_inc(t0, a, b) * beta_fn(a, b)
+
+
+def _regularized_beta_inc(x: float, a: float, b: float) -> float:
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    front = math.exp(
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log1p(-x)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    # continued fraction for the regularized incomplete Beta, modified Lentz method
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _TINY:
+        d = _TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_BETA_ITER):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = 1.0 + aa / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = 1.0 + aa / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h
+    raise IterationLimitError(
+        f"incomplete Beta continued fraction did not converge for a={a}, b={b}, x={x}"
+    )

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from anchormosaic import constants, experiments, sampler, specfun
+from anchormosaic import constants, experiments, sampler
 from anchormosaic.errors import InsufficientSampleError
 from anchormosaic.sampler import SamplingConfig
+
+from oracles import beta_fn, beta_inc, regularized_lower_gamma
 
 
 def cfg_1d(**overrides):
@@ -180,7 +182,7 @@ class TestKSGammaTest:
         shape, n, rate = 0.5, 2, math.pi
         radii = (rng.gamma(shape, 1.0, size=2000) / rate) ** (1.0 / n)
         reference = np.array(
-            [specfun.regularized_lower_gamma(shape, rate * r**n) for r in radii]
+            [regularized_lower_gamma(shape, rate * r**n) for r in radii]
         )
         p_ref = float(stats.kstest(reference, "uniform").pvalue)
         p = experiments.ks_gamma_test(radii, shape, rate, n)
@@ -416,8 +418,8 @@ class TestBetaLaw:
         r2 = np.einsum("ij,ij->i", x[:, :k], x[:, :k])
         for a, b, p in [(k / 2.0, (n - k) / 2.0, check.p_half_dims),
                         (k / n, (n - k) / n, check.p_fraction_dims)]:
-            norm = specfun.beta_fn(a, b)
-            u = np.array([specfun.beta_inc(t, a, b) / norm for t in r2])
+            norm = beta_fn(a, b)
+            u = np.array([beta_inc(t, a, b) / norm for t in r2])
             assert p == pytest.approx(stats.kstest(u, "uniform").pvalue, rel=1e-9)
 
     def test_other_dimensions(self):

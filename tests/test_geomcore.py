@@ -17,27 +17,27 @@ from oracles import visibility_type
 
 class TestProjection:
     def test_simple(self):
-        wp = geomcore.project_to_slice(np.array([3.0, 4.0]), 1)
-        assert wp.y == pytest.approx([3.0])
-        assert wp.w == pytest.approx(-16.0)
+        y, w = geomcore.slice_cloud(np.array([[3.0, 4.0]]), 1)
+        assert y[0] == pytest.approx([3.0])
+        assert w[0] == pytest.approx(-16.0)
 
     def test_point_in_plane(self):
-        wp = geomcore.project_to_slice(np.array([1.0, 2.0, 0.0]), 2)
-        assert wp.w == 0.0
+        _, w = geomcore.slice_cloud(np.array([[1.0, 2.0, 0.0]]), 2)
+        assert w[0] == 0.0
 
     def test_two_tail_coordinates(self):
-        wp = geomcore.project_to_slice(np.array([1.0, 2.0, 2.0]), 1)
-        assert wp.y == pytest.approx([1.0])
-        assert wp.w == pytest.approx(-8.0)
+        y, w = geomcore.slice_cloud(np.array([[1.0, 2.0, 2.0]]), 1)
+        assert y[0] == pytest.approx([1.0])
+        assert w[0] == pytest.approx(-8.0)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(0)
         cloud = rng.normal(size=(20, 4))
         y, w = geomcore.slice_cloud(cloud, 2)
         for i in range(20):
-            wp = geomcore.project_to_slice(cloud[i], 2)
-            assert y[i] == pytest.approx(wp.y)
-            assert w[i] == pytest.approx(wp.w)
+            tail = cloud[i, 2:]
+            assert y[i] == pytest.approx(cloud[i, :2])
+            assert w[i] == pytest.approx(-float(tail @ tail))
 
 
 class TestSmallestAnchoredCircumsphere:
@@ -166,6 +166,15 @@ class TestSphereIsEmpty:
                 np.all(np.linalg.norm(cloud - center, axis=1) >= radius * (1 - 1e-9))
             )
             assert geomcore.sphere_is_empty(s, cloud) == brute
+
+    def test_tolerance_band_boundary(self):
+        # points within a relative 1e-9 of the radius count as on the sphere
+        s = AnchoredSphere(anchor=np.array([1.0, -2.0]), radius=3.0)
+        direction = np.array([0.6, 0.0, 0.8])
+        inside = np.array([[1.0, -2.0, 0.0]]) + 3.0 * (1.0 - 2e-9) * direction
+        on_band = np.array([[1.0, -2.0, 0.0]]) + 3.0 * (1.0 - 0.5e-9) * direction
+        assert not geomcore.sphere_is_empty(s, inside)
+        assert geomcore.sphere_is_empty(s, on_band)
 
 
 class TestLowerHull:

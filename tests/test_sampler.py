@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from anchormosaic import sampler, specfun
+from anchormosaic import sampler
+from anchormosaic.constants import ball_volume
 from anchormosaic.sampler import SamplingConfig
+
+from oracles import regularized_lower_gamma
 
 
 def make_cfg(**overrides):
@@ -109,8 +112,21 @@ class TestChooseBuffer:
         buffer = sampler.choose_buffer(cfg, quantile)
         shape = cfg.k + 1.0 - cfg.k / cfg.n
         x = cfg.rho * math.pi * buffer**2
-        assert specfun.regularized_lower_gamma(shape, x) == pytest.approx(
+        assert regularized_lower_gamma(shape, x) == pytest.approx(
             quantile, abs=1e-10
+        )
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2)])
+    def test_far_tail_accuracy(self, n, k):
+        # the tail mass beyond the buffer is 1 - q to ten digits, where P
+        # itself is within 1e-9 of 1 and a root search on it is ill-conditioned
+        cfg = make_cfg(n=n, window=((0.0, 2.0),) * k)
+        quantile = 1.0 - 1e-9
+        buffer = sampler.choose_buffer(cfg, quantile)
+        shape = k + 1.0 - k / n
+        x = cfg.rho * ball_volume(n) * buffer**n
+        assert special.gammaincc(shape, x) == pytest.approx(
+            1.0 - quantile, rel=1e-10, abs=0
         )
 
     def test_monotone_in_quantile(self):

@@ -9,21 +9,25 @@ from scipy import integrate
 from anchormosaic import specfun
 from anchormosaic.errors import ConvergenceError
 
+from oracles import beta_fn, beta_inc, regularized_lower_gamma
+
 
 class TestRegularizedLowerGamma:
+    """The scalar reference that the vectorised Gamma-law tests compare to."""
+
     def test_exponential_shape(self):
         # gamma(1, x) = 1 - e^-x
-        assert specfun.regularized_lower_gamma(1.0, 2.0) == pytest.approx(
+        assert regularized_lower_gamma(1.0, 2.0) == pytest.approx(
             1.0 - math.exp(-2.0), rel=1e-14
         )
 
     def test_zero_argument(self):
-        assert specfun.regularized_lower_gamma(2.5, 0.0) == 0.0
+        assert regularized_lower_gamma(2.5, 0.0) == 0.0
 
     def test_against_quadrature(self):
         # frozen from adaptive quadrature of t^(a-1) e^-t on [0, 2] / Gamma(1.5)
         oracle = 0.7385358700508892
-        value = specfun.regularized_lower_gamma(1.5, 2.0)
+        value = regularized_lower_gamma(1.5, 2.0)
         assert value == pytest.approx(oracle, rel=1e-12)
         live, _ = integrate.quad(lambda t: t**0.5 * math.exp(-t), 0.0, 2.0)
         assert value == pytest.approx(live / math.gamma(1.5), rel=1e-10)
@@ -31,60 +35,62 @@ class TestRegularizedLowerGamma:
     @pytest.mark.parametrize("a", [0.3, 0.5, 1.0, 1.5, 2.3333, 7.0, 40.0])
     def test_bounds_and_monotone(self, a):
         grid = np.linspace(0.0, 8.0 * a, 200)
-        values = [specfun.regularized_lower_gamma(a, x) for x in grid]
+        values = [regularized_lower_gamma(a, x) for x in grid]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b >= a_ for a_, b in zip(values, values[1:]))
-        assert specfun.regularized_lower_gamma(a, 80.0 * a) > 1.0 - 1e-9
+        assert regularized_lower_gamma(a, 80.0 * a) > 1.0 - 1e-9
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            specfun.regularized_lower_gamma(0.0, 1.0)
+            regularized_lower_gamma(0.0, 1.0)
         with pytest.raises(ValueError):
-            specfun.regularized_lower_gamma(-1.0, 1.0)
+            regularized_lower_gamma(-1.0, 1.0)
         with pytest.raises(ValueError):
-            specfun.regularized_lower_gamma(1.0, -0.5)
+            regularized_lower_gamma(1.0, -0.5)
         with pytest.raises(ValueError):
-            specfun.regularized_lower_gamma(1.0, math.nan)
+            regularized_lower_gamma(1.0, math.nan)
         with pytest.raises(ValueError):
-            specfun.regularized_lower_gamma(math.inf, 1.0)
+            regularized_lower_gamma(math.inf, 1.0)
 
 
 class TestBeta:
+    """The scalar reference that the vectorised Beta-law test compares to."""
+
     def test_uniform(self):
-        assert specfun.beta_fn(1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
+        assert beta_fn(1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_half_half(self):
-        assert specfun.beta_fn(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)
+        assert beta_fn(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)
 
     @pytest.mark.parametrize("a,b", [(0.5, 2.0), (1.3, 4.7), (3.0, 3.0), (0.2, 0.9)])
     def test_symmetry_and_gamma_identity(self, a, b):
-        assert specfun.beta_fn(a, b) == pytest.approx(specfun.beta_fn(b, a), rel=1e-14)
+        assert beta_fn(a, b) == pytest.approx(beta_fn(b, a), rel=1e-14)
         via_gamma = math.exp(
             math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
         )
-        assert specfun.beta_fn(a, b) == pytest.approx(via_gamma, rel=1e-12)
+        assert beta_fn(a, b) == pytest.approx(via_gamma, rel=1e-12)
 
     def test_incomplete_complete(self):
-        assert specfun.beta_inc(1.0, 2.5, 3.5) == pytest.approx(
-            specfun.beta_fn(2.5, 3.5), rel=1e-14
+        assert beta_inc(1.0, 2.5, 3.5) == pytest.approx(
+            beta_fn(2.5, 3.5), rel=1e-14
         )
-        assert specfun.beta_inc(0.0, 2.5, 3.5) == 0.0
+        assert beta_inc(0.0, 2.5, 3.5) == 0.0
 
     def test_incomplete_against_quadrature(self):
         # frozen from quadrature of t (1-t)^2 on [0, 0.5]
         oracle = 0.05729166666666667
-        assert specfun.beta_inc(0.5, 2.0, 3.0) == pytest.approx(oracle, rel=1e-12)
+        assert beta_inc(0.5, 2.0, 3.0) == pytest.approx(oracle, rel=1e-12)
 
     def test_incomplete_monotone(self):
         grid = np.linspace(0.0, 1.0, 101)
-        values = [specfun.beta_inc(t, 1.7, 0.4) for t in grid]
+        values = [beta_inc(t, 1.7, 0.4) for t in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            specfun.beta_fn(-1.0, 2.0)
+            beta_fn(-1.0, 2.0)
         with pytest.raises(ValueError):
-            specfun.beta_inc(1.5, 1.0, 1.0)
+            beta_inc(1.5, 1.0, 1.0)
 
 
 class TestHyp3f2:
@@ -212,6 +218,24 @@ class TestPowerExpIntegral:
             lambda t: t ** (j - 1.0) * math.exp(-c * t**p), 0.0, t0, limit=200
         )
         assert specfun.power_exp_integral(j, p, c, t0) == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "j,p,c,t0", [(-2.0, -1.0, 1.0, 0.02), (-1.5, -2.0, 0.7, 0.1), (-2.0, -1.0, 1.0, 0.05)]
+    )
+    def test_negative_exponent_far_tail(self, j, p, c, t0):
+        # x = c t0^p is far out in the upper tail, where 1 - P(j/p, x) rounds
+        # to 0 or loses most of its digits; the integral is tiny but positive
+        direct, _ = integrate.quad(
+            lambda t: t ** (j - 1.0) * math.exp(-c * t**p),
+            0.0,
+            t0,
+            epsabs=0,
+            epsrel=1e-13,
+            limit=200,
+        )
+        # abs=0: pytest.approx would otherwise accept anything within 1e-12;
+        # rel=1e-11 also catches the 4.9e-10 cancellation of the last case
+        assert specfun.power_exp_integral(j, p, c, t0) == pytest.approx(direct, rel=1e-11, abs=0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
