@@ -23,11 +23,10 @@ from .geomcore import (
     AnchoredSphere,
     Interval,
     Mosaic,
-    WeightedPoint,
     bp_jacobian,
+    dual_vertices,
     lower_hull,
     radius_and_intervals,
-    smallest_anchored_circumsphere,
     sphere_is_empty,
 )
 from .mosaic1d import Mosaic1D, build_1d, radius_and_intervals_1d, rotate_to_halfplane
@@ -47,7 +46,6 @@ __all__ = [
     "IntervalType",
     "AnchoredSphere",
     "Interval",
-    "WeightedPoint",
     "Mosaic",
     "Mosaic1D",
     "PowerDiagram",
@@ -57,6 +55,7 @@ __all__ = [
     "bp_jacobian",
     "build_1d",
     "choose_buffer",
+    "dual_vertices",
     "expected_interval_count",
     "expected_simplex_count",
     "interval_constant",
@@ -69,7 +68,6 @@ __all__ = [
     "rotate_to_halfplane",
     "sample_poisson_box",
     "simplex_constant",
-    "smallest_anchored_circumsphere",
     "sphere_is_empty",
     "top_simplex_constant",
 ]

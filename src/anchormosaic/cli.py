@@ -72,7 +72,10 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--n", type=int, default=2)
     p_ver.add_argument("--k", type=int, default=1)
     p_ver.add_argument("--m", type=int, default=1)
-    p_ver.add_argument("--samples", type=float, default=1e6)
+    p_ver.add_argument(
+        "--samples", type=float, default=None,
+        help="samples, or draws for gamma-lemma (default: bp 1e6, gamma-lemma 100, beta-law 20000)",
+    )
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--test-function", choices=("gaussian", "bump"), default="gaussian")
     p_ver.add_argument("--out", type=str, default=None)
@@ -159,18 +162,23 @@ def _cmd_simulate(args: argparse.Namespace, seed: int) -> int:
     return EXIT_OK
 
 
+def _given(**counts: int | None) -> dict[str, int]:
+    """The counts that were given; a check runs its own default for the rest."""
+    return {name: value for name, value in counts.items() if value is not None}
+
+
 def _cmd_verify(args: argparse.Namespace, seed: int) -> int:
-    samples = int(args.samples)
+    samples = None if args.samples is None else int(args.samples)
     if args.kind == "bp":
         check = experiments.verify_bp_identity(
             args.n, args.k, args.m, test_function=args.test_function,
-            samples=samples, seed=seed,
+            seed=seed, **_given(samples=samples),
         )
         ok = check.overlap
         payload = {
             "kind": "verify-bp",
             "n": args.n, "k": args.k, "m": args.m,
-            "samples": samples,
+            "samples": check.samples,
             "left": check.left, "left_ci": list(check.left_ci),
             "right": check.right, "right_ci": list(check.right_ci),
             "right_ess": check.right_ess, "right_nonfinite": check.right_nonfinite,
@@ -186,7 +194,7 @@ def _cmd_verify(args: argparse.Namespace, seed: int) -> int:
             "abs_error": check.abs_error, "pass": ok,
         }
     elif args.kind == "gamma-lemma":
-        check = experiments.verify_gamma_lemma(draws=max(samples, 100) if samples < 10**4 else 100, seed=seed)
+        check = experiments.verify_gamma_lemma(seed=seed, **_given(draws=samples))
         ok = check.passed
         payload = {
             "kind": "verify-gamma-lemma", "draws": check.draws,
@@ -194,10 +202,12 @@ def _cmd_verify(args: argparse.Namespace, seed: int) -> int:
             "pass": ok,
         }
     else:  # beta-law
-        check = experiments.verify_beta_projection_law(args.n, args.k, samples=samples, seed=seed)
+        check = experiments.verify_beta_projection_law(
+            args.n, args.k, seed=seed, **_given(samples=samples)
+        )
         ok = check.passed
         payload = {
-            "kind": "verify-beta-law", "n": args.n, "k": args.k, "samples": samples,
+            "kind": "verify-beta-law", "n": args.n, "k": args.k, "samples": check.samples,
             "p_half_dims": check.p_half_dims, "p_fraction_dims": check.p_fraction_dims,
             "pass": ok,
         }

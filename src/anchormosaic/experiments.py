@@ -22,10 +22,10 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate, special, stats
 
-from . import constants, mosaic1d, mosaic2d, sampler, specfun
+from . import constants, sampler, specfun
 from .constants import SCHEMA_VERSION, DimensionConfig
 from .errors import InsufficientSampleError
-from .geomcore import slice_cloud
+from .geomcore import lower_hull, radius_and_intervals, slice_cloud
 
 __all__ = [
     "ReplicateRecord",
@@ -130,21 +130,17 @@ def _window_mask(anchors: np.ndarray, window: tuple[tuple[float, float], ...]) -
 
 
 def run_replicate(cfg: sampler.SamplingConfig, replicate: int) -> ReplicateRecord:
-    """Sample, slice, build the mosaic, and record every interval and simplex."""
+    """Sample, slice, build the mosaic, and record every interval and simplex.
+
+    The same three steps for every k: the slice's projections and weights,
+    their lifted lower hull, and its interval decomposition. Only an empty
+    sample gives an empty record.
+    """
     points = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=replicate))
-    if cfg.k == 1:
-        if len(points) == 0:
-            return _empty_record(replicate, 0)
-        hull = mosaic1d.build_1d(mosaic1d.rotate_to_halfplane(points), window=cfg.window[0])
-        mosaic = mosaic1d.radius_and_intervals_1d(hull)
-    elif cfg.k == 2:
-        if len(points) < 3:
-            return _empty_record(replicate, len(points))
-        y, w = slice_cloud(points, 2)
-        tri = mosaic2d.regular_triangulation(y, w, preimages=points)
-        mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri), window=cfg.window)
-    else:
-        raise ValueError(f"mosaic construction supports k in {{1, 2}}, got k={cfg.k}")
+    if len(points) == 0:
+        return _empty_record(replicate, 0)
+    y, w = slice_cloud(points, cfg.k)
+    mosaic = radius_and_intervals(y, w, *lower_hull(y, w), window=cfg.window)
     simplex_in_window = _window_mask(mosaic.anchors, cfg.window)
     return ReplicateRecord(
         replicate=replicate,

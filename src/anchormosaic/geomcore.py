@@ -2,11 +2,12 @@
 
 The slice plane is always the span of the first k coordinate axes; general
 positions are handled by rotating inputs before they get here. Provides
-projections with slice weights, smallest anchored circumspheres, emptiness
-tests, the weighted Delaunay mosaic as one Qhull lower hull of the lifted
-generators, its interval decomposition into one columnar ``Mosaic`` (both
-shared by k = 1 and k = 2), and the Jacobian of the sphere-parametrization
-change of variables.
+projections with slice weights, emptiness tests, the weighted Delaunay
+mosaic as one Qhull lower hull of the lifted generators (any k), the dual
+vertices of its top simplices, its interval decomposition into one columnar
+``Mosaic`` (k <= 2), and the Jacobian of the sphere-parametrization change
+of variables. The census runs ``slice_cloud``, ``lower_hull`` and
+``radius_and_intervals`` in that order for every k.
 
 The decomposition is combinatorial: a simplex's smallest anchored sphere is
 anchored in the relative interior of exactly one face of the power diagram,
@@ -19,7 +20,6 @@ triangles and radical-hyperplane crossings for edges, all in closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -31,33 +31,19 @@ from .constants import SCHEMA_VERSION, IntervalType
 from .errors import DegeneracyError, MosaicError
 
 __all__ = [
-    "WeightedPoint",
     "AnchoredSphere",
     "Interval",
     "Mosaic",
     "slice_cloud",
-    "smallest_anchored_circumsphere",
     "sphere_is_empty",
     "lower_hull",
+    "dual_vertices",
     "radius_and_intervals",
     "bp_jacobian",
 ]
 
-_RANK_RCOND = 1e-12
 # relative radius band within which a point counts as on, not inside, a sphere
 _EMPTY_REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class WeightedPoint:
-    """Projection of an R^n point onto the slice plane, with its slice weight.
-
-    The weight is minus the squared distance of the R^n point to the plane,
-    so it is always <= 0 for slice-induced weights.
-    """
-
-    y: np.ndarray
-    w: float
 
 
 @dataclass(frozen=True)
@@ -201,40 +187,6 @@ def slice_cloud(cloud: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cloud[:, :k].copy(), -np.einsum("ij,ij->i", tails, tails)
 
 
-def smallest_anchored_circumsphere(
-    points: Sequence[Sequence[float]] | np.ndarray, k: int
-) -> AnchoredSphere:
-    """Smallest sphere through m+1 points of R^n whose center lies in the k-plane.
-
-    The anchors of all circumscribing anchored spheres form a (k-m)-flat, cut
-    out by the m linear equal-power equations; the smallest sphere's anchor is
-    the orthogonal projection of the first point's slice projection onto that
-    flat (the minimum of a convex quadratic).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    count, n = pts.shape
-    m = count - 1
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n={n}, got k={k}")
-    if m > k:
-        raise ValueError(f"at most k+1={k + 1} points can lie on an anchored sphere generically")
-    y = pts[:, :k]
-    sq = np.einsum("ij,ij->i", pts, pts)
-    if m == 0:
-        anchor = y[0].copy()
-    else:
-        lhs = 2.0 * (y[1:] - y[0])
-        rhs = (sq[1:] - sq[0]) - lhs @ y[0]
-        shift, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=_RANK_RCOND)
-        if rank < m:
-            raise DegeneracyError(
-                "projected points are affinely dependent; no unique anchored circumsphere"
-            )
-        anchor = y[0] + shift
-    r2 = float(np.sum((anchor - y[0]) ** 2) + (sq[0] - y[0] @ y[0]))
-    return AnchoredSphere(anchor=anchor, radius=math.sqrt(max(r2, 0.0)))
-
-
 def sphere_is_empty(
     sphere: AnchoredSphere,
     cloud: np.ndarray,
@@ -276,10 +228,12 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
     Raises DegeneracyError on duplicate projections (found by comparing
     neighbours in lexicographic order), on affinely dependent or otherwise
-    degenerate configurations, and MosaicError when an edge belongs to more
-    than two facets (for k <= 2, where every edge is a ridge or a facet).
-    The edges are deduplicated and counted as integer keys ``lo * N + hi``
-    in one 1-D ``np.unique``, which returns them in lexicographic order.
+    degenerate configurations, and MosaicError when a ridge, a k-subset of a
+    facet, belongs to more than two facets (for k = 2 the ridges are the
+    edges). Edges and ridges are sorted as integer keys, ``lo * N + hi`` for
+    an edge and the sorted indices read as digits in base N for a ridge,
+    which sort in lexicographic order and are exact while N^2 and N^k stay
+    below 2^63.
     """
     n_pts, k = y.shape
     if w.shape != (n_pts,):
@@ -298,6 +252,12 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         cells = facets = np.asarray(hull.simplices[hull.equations[:, k] < 0.0], dtype=int)
         if facets.shape[0] == 0:
             raise DegeneracyError("no downward-facing hull facets")
+        # the ridge opposite corner i of a sorted facet, as a key in base N
+        others = np.nonzero(~np.eye(k + 1, dtype=bool))[1].reshape(k + 1, k)
+        digits = n_pts ** np.arange(k - 1, -1, -1)
+        ridges = np.sort(np.sort(facets, axis=1)[:, others] @ digits, axis=None)
+        if np.any(ridges[2:] == ridges[:-2]):
+            raise MosaicError("a ridge belongs to more than two facets")
     else:
         scale = max(1.0, float(np.max(np.ptp(y, axis=0))))
         volume = np.prod(np.linalg.svd(y[1:] - y[0], compute_uv=False))
@@ -308,10 +268,28 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
     a, b = np.triu_indices(cells.shape[1], 1)
     lo, hi = np.minimum(cells[:, a], cells[:, b]), np.maximum(cells[:, a], cells[:, b])
-    keys, incidence = np.unique(lo * n_pts + hi, return_counts=True)
-    if np.any(incidence > 2):
-        raise MosaicError("an edge belongs to more than two facets")
-    return np.unique(cells), np.column_stack([keys // n_pts, keys % n_pts]), facets
+    keys = np.sort(lo * n_pts + hi, axis=None)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    survivors = np.flatnonzero(np.bincount(cells.ravel(), minlength=n_pts))
+    return survivors, np.column_stack([keys // n_pts, keys % n_pts]), facets
+
+
+def dual_vertices(y: np.ndarray, w: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """Equal-power points of the (F, k+1) top simplices of a weighted
+    Delaunay mosaic of projections ``y`` (N, k) with weights ``w``: the
+    vertices of the power diagram, (F, k).
+
+    Each solves the k linear equations ``2 (y_i - y_0) . x = L_i - L_0``,
+    with ``L = |y|^2 - w`` the lift, for the corners i = 1..k of its simplex;
+    an affinely dependent simplex raises DegeneracyError.
+    """
+    lifted = np.einsum("ij,ij->i", y, y) - w
+    lhs = 2.0 * (y[simplices[:, 1:]] - y[simplices[:, :1]])
+    rhs = lifted[simplices[:, 1:]] - lifted[simplices[:, :1]]
+    try:
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise DegeneracyError("a top simplex has affinely dependent generators") from exc
 
 
 def radius_and_intervals(
@@ -319,24 +297,25 @@ def radius_and_intervals(
     w: np.ndarray,
     vertices: np.ndarray,
     edges: np.ndarray,
-    triangles: np.ndarray | None = None,
-    duals: np.ndarray | None = None,
+    facets: np.ndarray | None = None,
     window: tuple[tuple[float, float], ...] | None = None,
 ) -> Mosaic:
     """Anchored radius function and interval decomposition of a weighted
-    Delaunay mosaic in R^k.
+    Delaunay mosaic in R^k, for k <= 2; a larger k raises ValueError.
 
     ``y`` (N, k) and ``w`` (N,) are all generators, ``vertices`` the
-    surviving ones, ``edges`` (E, 2) the mosaic edges and, when there are
-    any, ``triangles`` (T, 3) the triangles with their dual vertices
-    ``duals`` (T, k); the triangle stage needs ``edges`` as sorted rows in
-    lexicographic order. Every interval is read off the signs of the
-    barycentric coordinates of its upper bound's anchor, with no tolerance:
+    surviving ones, ``edges`` (E, 2) the mosaic edges and ``facets``
+    (F, k+1) the top simplices, as :func:`lower_hull` returns them. For
+    k = 1 the facets are the edges again and add nothing; for k = 2 they
+    are the triangles, and the triangle stage needs ``edges`` as sorted rows
+    in lexicographic order. Every anchor is computed here, and every
+    interval is read off the signs of the barycentric coordinates of its
+    upper bound's anchor, with no tolerance:
 
-    - A triangle's anchor is its dual vertex. The edges opposite its negative
-      corners join its interval, and with two negative corners so does the
-      remaining vertex (a (0, 2) interval). An edge claimed by both of its
-      triangles raises MosaicError.
+    - A triangle's anchor is its dual vertex (:func:`dual_vertices`). The
+      edges opposite its negative corners join its interval, and with two
+      negative corners so does the remaining vertex (a (0, 2) interval). An
+      edge claimed by both of its triangles raises MosaicError.
     - An unclaimed edge (i, j) is anchored where its radical hyperplane
       crosses it, at ``y_i + s (y_j - y_i)`` with
       ``s = 1/2 + (w_i - w_j) / (2 |y_j - y_i|^2)``. It is a critical (1, 1)
@@ -350,8 +329,11 @@ def radius_and_intervals(
     never otherwise; any other outcome raises MosaicError. Intervals are
     listed by decreasing row of their lower bound.
     """
-    n_v, n_e = len(vertices), len(edges)
-    n_t = 0 if triangles is None else len(triangles)
+    k = y.shape[1]
+    if k > 2:
+        raise ValueError(f"the interval decomposition supports k <= 2, got k={k}")
+    triangles = facets if k == 2 and facets is not None else np.empty((0, 3), dtype=int)
+    n_v, n_e, n_t = len(vertices), len(edges), len(triangles)
     count = n_v + n_e + n_t
     scale = max(1.0, float(np.max(np.ptp(y[vertices], axis=0))))
     vert_row = np.full(len(y), -1, dtype=int)
@@ -371,14 +353,14 @@ def radius_and_intervals(
     j_outside = dw >= d2  # s >= 1: likewise for y_j
 
     free = np.ones(n_e, dtype=bool)
-    tri_anchor, tri_power = np.empty((0, y.shape[1])), np.empty(0)
+    tri_anchor, tri_power = np.empty((0, k)), np.empty(0)
     apex, apex_upper = np.empty(0, dtype=int), np.empty(0, dtype=int)
     if n_t:
-        tri_anchor = duals
+        tri_anchor = dual_vertices(y, w, triangles)
         a, b, c = triangles[:, 0], triangles[:, 1], triangles[:, 2]
-        pow_a = np.einsum("ij,ij->i", duals - y[a], duals - y[a]) - w[a]
-        pow_b = np.einsum("ij,ij->i", duals - y[b], duals - y[b]) - w[b]
-        pow_c = np.einsum("ij,ij->i", duals - y[c], duals - y[c]) - w[c]
+        pow_a = np.einsum("ij,ij->i", tri_anchor - y[a], tri_anchor - y[a]) - w[a]
+        pow_b = np.einsum("ij,ij->i", tri_anchor - y[b], tri_anchor - y[b]) - w[b]
+        pow_c = np.einsum("ij,ij->i", tri_anchor - y[c], tri_anchor - y[c]) - w[c]
         power_scale = np.maximum(np.abs(pow_a), 1e-12 * scale * scale)
         if np.max(np.abs(pow_b - pow_a) / power_scale) > 1e-6 or np.max(
             np.abs(pow_c - pow_a) / power_scale
@@ -455,7 +437,7 @@ def radius_and_intervals(
         w=w,
         vertices=vertices,
         edges=np.sort(edges, axis=1),
-        triangles=np.sort(triangles, axis=1) if n_t else np.empty((0, 3), dtype=int),
+        triangles=np.sort(triangles, axis=1),
         dims=dims,
         anchors=anchors,
         radii=radii,

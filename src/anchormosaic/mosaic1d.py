@@ -8,6 +8,10 @@ coefficient it reduces to the lower convex hull of the lifted points, the
 same Qhull hull :func:`geomcore.lower_hull` builds for the plane. The
 interval decomposition is the dimension-generic one of :mod:`geomcore` on
 the chain of consecutive vertices.
+
+These are step-by-step adapters, kept for callers that want the half-plane
+form and a left-to-right record; the census slices with
+:func:`geomcore.slice_cloud` and runs :mod:`geomcore` directly.
 """
 
 from __future__ import annotations

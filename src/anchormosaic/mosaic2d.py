@@ -1,25 +1,22 @@
 """Regular (weighted Delaunay) triangulations in the plane, their power
 diagrams, and the planar entry to the interval decomposition.
 
-The triangulation is the lower convex hull of the lift
-(y1, y2) -> (y1, y2, |y|^2 - w), built by :func:`geomcore.lower_hull`, the
-same hull that gives the mosaic on the line; generators strictly above the
-lower hull have empty power cells and are submerged. The dual vertices of
-the power diagram solve two linear equal-power equations per triangle. The
-anchored radius function and its intervals come from the dimension-generic
-:func:`geomcore.radius_and_intervals`, which this module feeds with the
-triangles and their dual vertices.
+Step-by-step adapters over :mod:`geomcore`, kept for callers that want each
+stage on its own; the census itself runs :func:`geomcore.lower_hull` and
+:func:`geomcore.radius_and_intervals` directly. The triangulation is the
+lower convex hull of the lift (y1, y2) -> (y1, y2, |y|^2 - w); generators
+strictly above it have empty power cells and are submerged. The dual
+vertices of the power diagram come from :func:`geomcore.dual_vertices`,
+the one equal-power solve, which the decomposition also calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneracyError
-from .geomcore import Mosaic, lower_hull, radius_and_intervals
+from .geomcore import Mosaic, dual_vertices, lower_hull, radius_and_intervals
 
 __all__ = [
     "RegularTriangulation",
@@ -46,10 +43,6 @@ class RegularTriangulation:
     vertices: np.ndarray
     edges: np.ndarray
     preimages: np.ndarray | None = None
-
-    @cached_property
-    def lifted(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.y, self.y) - self.w
 
 
 def regular_triangulation(
@@ -82,20 +75,11 @@ class PowerDiagram:
 
 
 def power_dual(tri: RegularTriangulation) -> PowerDiagram:
-    """Power diagram dual to a regular triangulation.
-
-    Diagram vertices solve the two linear equal-power equations per triangle.
-    """
-    y = tri.y
-    lifted = tri.lifted
-    a, b, c = tri.triangles[:, 0], tri.triangles[:, 1], tri.triangles[:, 2]
-    lhs = np.stack([2.0 * (y[b] - y[a]), 2.0 * (y[c] - y[a])], axis=1)
-    rhs = np.stack([lifted[b] - lifted[a], lifted[c] - lifted[a]], axis=1)
-    try:
-        duals = np.linalg.solve(lhs, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError("a triangle has collinear generators") from exc
-    return PowerDiagram(tri=tri, dual_vertices=duals, edges=tri.edges)
+    """Power diagram dual to a regular triangulation: the equal-power point
+    of each triangle, from :func:`geomcore.dual_vertices`."""
+    return PowerDiagram(
+        tri=tri, dual_vertices=dual_vertices(tri.y, tri.w, tri.triangles), edges=tri.edges
+    )
 
 
 def radius_and_intervals_2d(
@@ -106,10 +90,9 @@ def radius_and_intervals_2d(
     """Anchored radius function and interval decomposition of a planar mosaic.
 
     The dimension-generic :func:`geomcore.radius_and_intervals` on the
-    triangulation's vertices, edges and triangles, anchored at the dual
-    vertices. The result lists the vertices, the edges and the triangles in
-    the order of ``tri.vertices``, ``dia.edges`` and ``tri.triangles``.
+    triangulation's vertices, edges and triangles; it computes the triangles'
+    dual vertices itself, so ``dia`` supplies only the edges. The result
+    lists the vertices, the edges and the triangles in the order of
+    ``tri.vertices``, ``dia.edges`` and ``tri.triangles``.
     """
-    return radius_and_intervals(
-        tri.y, tri.w, tri.vertices, dia.edges, tri.triangles, dia.dual_vertices, window
-    )
+    return radius_and_intervals(tri.y, tri.w, tri.vertices, dia.edges, tri.triangles, window)

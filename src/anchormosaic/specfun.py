@@ -120,7 +120,10 @@ def power_exp_integral(j: float, p: float, c: float, t0: float) -> float:
     a = j / p
     if a <= 0.0:
         raise ValueError(f"j/p must be positive, got {a}")
-    x = c * t0**p  # inf ** p is inf for p > 0 and 0 for p < 0
+    try:
+        x = c * t0**p  # inf ** p is inf for p > 0 and 0 for p < 0
+    except OverflowError:
+        x = math.inf  # a finite t0 ** p past the float range, for either sign of p
     # for p < 0 the upper tail directly: 1 - P(a, x) rounds to 0 once x is large
     frac = float(special.gammainc(a, x) if p > 0 else special.gammaincc(a, x))
     return frac * math.exp(math.lgamma(a) - a * math.log(c)) / abs(p)

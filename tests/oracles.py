@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -10,12 +11,59 @@ import numpy as np
 
 from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError, IterationLimitError
-from anchormosaic.geomcore import AnchoredSphere, WeightedPoint
+from anchormosaic.geomcore import AnchoredSphere
 
 _RANK_RCOND = 1e-12
 _MAX_GAMMA_ITER = 10_000
 _MAX_BETA_ITER = 10_000
 _TINY = 1e-300
+
+
+@dataclass(frozen=True)
+class WeightedPoint:
+    """Projection of an R^n point onto the slice plane, with its slice weight.
+
+    The weight is minus the squared distance of the R^n point to the plane,
+    so it is always <= 0 for slice-induced weights.
+    """
+
+    y: np.ndarray
+    w: float
+
+
+def smallest_anchored_circumsphere(
+    points: Sequence[Sequence[float]] | np.ndarray, k: int
+) -> AnchoredSphere:
+    """Smallest sphere through m+1 points of R^n whose center lies in the k-plane.
+
+    The anchors of all circumscribing anchored spheres form a (k-m)-flat, cut
+    out by the m linear equal-power equations; the smallest sphere's anchor is
+    the orthogonal projection of the first point's slice projection onto that
+    flat (the minimum of a convex quadratic), here from a least-squares solve
+    on the R^n points rather than the package's closed forms.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    count, n = pts.shape
+    m = count - 1
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n={n}, got k={k}")
+    if m > k:
+        raise ValueError(f"at most k+1={k + 1} points can lie on an anchored sphere generically")
+    y = pts[:, :k]
+    sq = np.einsum("ij,ij->i", pts, pts)
+    if m == 0:
+        anchor = y[0].copy()
+    else:
+        lhs = 2.0 * (y[1:] - y[0])
+        rhs = (sq[1:] - sq[0]) - lhs @ y[0]
+        shift, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=_RANK_RCOND)
+        if rank < m:
+            raise DegeneracyError(
+                "projected points are affinely dependent; no unique anchored circumsphere"
+            )
+        anchor = y[0] + shift
+    r2 = float(np.sum((anchor - y[0]) ** 2) + (sq[0] - y[0] @ y[0]))
+    return AnchoredSphere(anchor=anchor, radius=math.sqrt(max(r2, 0.0)))
 
 
 def visibility_type(

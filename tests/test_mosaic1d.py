@@ -11,7 +11,12 @@ from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError
 from anchormosaic.sampler import SamplingConfig
 
-from oracles import exact_lower_hull_1d, visibility_type
+from oracles import (
+    WeightedPoint,
+    exact_lower_hull_1d,
+    smallest_anchored_circumsphere,
+    visibility_type,
+)
 
 
 def brute_force_survivors(points: np.ndarray, samples: int = 400_001) -> set[int]:
@@ -31,12 +36,12 @@ def brute_force_intervals(points: np.ndarray):
     out = []
     n = len(points)
     for i in range(n):
-        sphere = geomcore.smallest_anchored_circumsphere(points[i : i + 1], 1)
+        sphere = smallest_anchored_circumsphere(points[i : i + 1], 1)
         if geomcore.sphere_is_empty(sphere, points, exclude=[i]):
             out.append(((0, 0), float(sphere.anchor[0]), sphere.radius))
     for i in range(n):
         for j in range(i + 1, n):
-            sphere = geomcore.smallest_anchored_circumsphere(points[[i, j]], 1)
+            sphere = smallest_anchored_circumsphere(points[[i, j]], 1)
             if not geomcore.sphere_is_empty(sphere, points, exclude=[i, j]):
                 continue
             same_side = (points[i, 0] - sphere.anchor[0]) * (
@@ -224,7 +229,7 @@ class TestRadiusAndIntervals:
         mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (0, 30)))
         for iv in mosaic.intervals:
             upper = [
-                geomcore.WeightedPoint(y=pts[v, :1], w=-float(pts[v, 1]) ** 2) for v in iv.upper
+                WeightedPoint(y=pts[v, :1], w=-float(pts[v, 1]) ** 2) for v in iv.upper
             ]
             assert visibility_type(iv.sphere, upper) == iv.type
 
@@ -248,6 +253,6 @@ class TestRadiusAndIntervals:
         mosaic = mosaic1d.radius_and_intervals_1d(hull)
         (iv,) = [iv for iv in mosaic.intervals if iv.upper == (374, 3668)]
         upper = [
-            geomcore.WeightedPoint(y=pts[v, :1], w=-float(pts[v, 1]) ** 2) for v in iv.upper
+            WeightedPoint(y=pts[v, :1], w=-float(pts[v, 1]) ** 2) for v in iv.upper
         ]
         assert visibility_type(iv.sphere, upper) == IntervalType(0, 1)

@@ -12,7 +12,7 @@ from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError
 from anchormosaic.sampler import SamplingConfig
 
-from oracles import visibility_type
+from oracles import WeightedPoint, smallest_anchored_circumsphere, visibility_type
 
 
 def build(cloud: np.ndarray):
@@ -45,7 +45,7 @@ class TestRegularTriangulation:
         assert mine == theirs
         # direct empty-circumcircle certificate
         for a, b, c in tri.triangles:
-            sphere = geomcore.smallest_anchored_circumsphere(
+            sphere = smallest_anchored_circumsphere(
                 np.column_stack([y[[a, b, c]], np.zeros(3)]), 2
             )
             cloud = np.column_stack([y, np.zeros(len(y))])
@@ -71,7 +71,7 @@ class TestRegularTriangulation:
         cloud = random_cloud(rng, 60, 6.0, 1.5)
         y, w = geomcore.slice_cloud(cloud, 2)
         tri = mosaic2d.regular_triangulation(y, w)
-        lifted = np.column_stack([y, tri.lifted])
+        lifted = np.column_stack([y, np.einsum("ij,ij->i", y, y) - w])
         for t in tri.triangles:
             base = lifted[t]
             normal = np.cross(base[1] - base[0], base[2] - base[0])
@@ -238,7 +238,7 @@ class TestRadiusAndIntervals:
         cloud = random_cloud(rng, 80, 7.0, 1.1)
         _, _, mosaic = build(cloud)
         for iv in mosaic.intervals:
-            direct = geomcore.smallest_anchored_circumsphere(cloud[list(iv.upper)], 2)
+            direct = smallest_anchored_circumsphere(cloud[list(iv.upper)], 2)
             assert iv.sphere.anchor == pytest.approx(direct.anchor, abs=1e-7)
             assert iv.sphere.radius == pytest.approx(direct.radius, rel=1e-7)
 
@@ -274,7 +274,7 @@ class TestRadiusAndIntervals:
         cloud = random_cloud(rng, 150, 10.0, 1.3)
         tri, _, mosaic = build(cloud)
         for iv in mosaic.intervals:
-            upper = [geomcore.WeightedPoint(y=tri.y[v], w=float(tri.w[v])) for v in iv.upper]
+            upper = [WeightedPoint(y=tri.y[v], w=float(tri.w[v])) for v in iv.upper]
             assert visibility_type(iv.sphere, upper) == iv.type
 
     def test_sliver_triangle_claims_its_long_edge(self):

@@ -27,3 +27,10 @@ def test_every_public_name_resolves(name):
     names = getattr(module, "__all__", [])
     assert [attr for attr in names if not hasattr(module, attr)] == []
     assert len(set(names)) == len(names)
+
+
+def test_census_builds_every_mosaic_in_geomcore():
+    # the census has one path for every k; the per-k modules are adapters
+    experiments = importlib.import_module("anchormosaic.experiments")
+    assert not hasattr(experiments, "mosaic1d")
+    assert not hasattr(experiments, "mosaic2d")

@@ -237,6 +237,17 @@ class TestPowerExpIntegral:
         # rel=1e-11 also catches the 4.9e-10 cancellation of the last case
         assert specfun.power_exp_integral(j, p, c, t0) == pytest.approx(direct, rel=1e-11, abs=0)
 
+    @pytest.mark.parametrize(
+        "j,p,c,t0,want",
+        [(2.0, 2.0, 1.0, 1e200, 0.5), (-2.0, -1.0, 1.0, 1e-310, 0.0), (-2.0, -2.0, 1.0, 1e-160, 0.0)],
+    )
+    def test_power_past_float_range(self, j, p, c, t0, want):
+        # t0 ** p overflows; the integral is then its value at t0 = inf for
+        # p > 0 and underflows to 0 for p < 0
+        assert specfun.power_exp_integral(j, p, c, t0) == want
+        if p > 0:
+            assert specfun.power_exp_integral(j, p, c, math.inf) == want
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             specfun.power_exp_integral(1.0, 0.0, 1.0, 1.0)
