@@ -16,8 +16,8 @@ print(f"sampled {len(points)} points in the buffered box")
 
 halfplane = mosaic1d.rotate_to_halfplane(points)
 mosaic = mosaic1d.build_1d(halfplane, window=cfg.window[0])
-print(f"surviving generators: {mosaic.num_vertices} of {len(points)} "
-      f"({len(points) - mosaic.num_vertices} submerged)")
+print(f"surviving generators: {len(mosaic.vertices)} of {len(points)} "
+      f"({len(points) - len(mosaic.vertices)} submerged)")
 
 mosaic = mosaic1d.radius_and_intervals_1d(mosaic)
 

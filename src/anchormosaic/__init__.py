@@ -23,7 +23,6 @@ from .geomcore import (
     AnchoredSphere,
     Interval,
     Mosaic,
-    bp_jacobian,
     dual_vertices,
     lower_hull,
     radius_and_intervals,
@@ -52,7 +51,6 @@ __all__ = [
     "RegularTriangulation",
     "SamplingConfig",
     "asymptotic_limits_1d",
-    "bp_jacobian",
     "build_1d",
     "choose_buffer",
     "dual_vertices",

@@ -11,6 +11,7 @@ fields such as runtimes are omitted).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -37,10 +38,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_n_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",")]
+    """``--n``: an inclusive range ``lo..hi`` or a comma list; never empty."""
+    lo, dots, hi = text.partition("..")
+    try:
+        ns = list(range(int(lo), int(hi) + 1)) if dots else [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a range or list of integers: {text!r}") from None
+    if not ns:
+        raise argparse.ArgumentTypeError(f"empty range: {text!r}")
+    return ns
+
+
+def _sample_count(text: str) -> int:
+    """``--samples``: a whole number of at least 1, also written as ``1e6``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (value >= 1 and value.is_integer()):
+        raise argparse.ArgumentTypeError(f"need a whole number of at least 1, got {text!r}")
+    return int(value)
 
 
 def _build_parser() -> _Parser:
@@ -49,7 +66,7 @@ def _build_parser() -> _Parser:
 
     p_const = sub.add_parser("constants", help="closed-form interval and simplex constants")
     p_const.add_argument("--k", type=int, required=True, choices=(1, 2))
-    p_const.add_argument("--n", type=str, required=True, help="ambient dimensions, e.g. 2..9 or 3,5,7")
+    p_const.add_argument("--n", type=_parse_n_range, required=True, help="ambient dimensions, e.g. 2..9 or 3,5,7")
     p_const.add_argument("--r0", type=float, default=None, help="radius threshold for the expectation column")
     p_const.add_argument("--rho", type=float, default=1.0)
     p_const.add_argument("--out", type=str, default=None)
@@ -73,7 +90,7 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--k", type=int, default=1)
     p_ver.add_argument("--m", type=int, default=1)
     p_ver.add_argument(
-        "--samples", type=float, default=None,
+        "--samples", type=_sample_count, default=None,
         help="samples, or draws for gamma-lemma (default: bp 1e6, gamma-lemma 100, beta-law 20000)",
     )
     p_ver.add_argument("--seed", type=int, default=0)
@@ -100,11 +117,10 @@ def _emit(payload: dict, rows: list[dict], out: str | None, fmt: str) -> None:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    ns = _parse_n_range(args.n)
     types = constants.valid_interval_types(args.k)
     table: dict[str, dict[str, float]] = {}
     rows: list[dict] = []
-    for n in ns:
+    for n in args.n:
         cfg = DimensionConfig(n=n, k=args.k, rho=args.rho)
         norm = args.rho ** (args.k / n)  # expectations per unit rho^(k/n) |R|
         entry: dict[str, float] = {}
@@ -146,12 +162,13 @@ def _cmd_simulate(args: argparse.Namespace, seed: int) -> int:
     side = args.window ** (1.0 / args.k)
     window = tuple((0.0, side) for _ in range(args.k))
     cfg = sampler.SamplingConfig(
-        n=args.n, rho=args.rho, window=window, buffer=1.0, seed=seed
+        n=args.n, rho=args.rho, window=window,
+        buffer=1.0 if args.buffer is None else args.buffer, seed=seed,
     )
-    buffer = args.buffer if args.buffer is not None else sampler.choose_buffer(cfg, 1.0 - 1e-6)
-    cfg = sampler.SamplingConfig(
-        n=args.n, rho=args.rho, window=window, buffer=buffer, seed=seed
-    )
+    if args.buffer is None:
+        cfg = dataclasses.replace(
+            cfg, buffer=sampler.choose_buffer(cfg, sampler.DEFAULT_BUFFER_QUANTILE)
+        )
     report = experiments.estimate_interval_rates(cfg, replicates=args.reps, r0=args.r0)
     text = (
         experiments.report_to_json(report)
@@ -168,11 +185,10 @@ def _given(**counts: int | None) -> dict[str, int]:
 
 
 def _cmd_verify(args: argparse.Namespace, seed: int) -> int:
-    samples = None if args.samples is None else int(args.samples)
     if args.kind == "bp":
         check = experiments.verify_bp_identity(
             args.n, args.k, args.m, test_function=args.test_function,
-            seed=seed, **_given(samples=samples),
+            seed=seed, **_given(samples=args.samples),
         )
         ok = check.overlap
         payload = {
@@ -194,7 +210,7 @@ def _cmd_verify(args: argparse.Namespace, seed: int) -> int:
             "abs_error": check.abs_error, "pass": ok,
         }
     elif args.kind == "gamma-lemma":
-        check = experiments.verify_gamma_lemma(seed=seed, **_given(draws=samples))
+        check = experiments.verify_gamma_lemma(seed=seed, **_given(draws=args.samples))
         ok = check.passed
         payload = {
             "kind": "verify-gamma-lemma", "draws": check.draws,
@@ -203,7 +219,7 @@ def _cmd_verify(args: argparse.Namespace, seed: int) -> int:
         }
     else:  # beta-law
         check = experiments.verify_beta_projection_law(
-            args.n, args.k, seed=seed, **_given(samples=samples)
+            args.n, args.k, seed=seed, **_given(samples=args.samples)
         )
         ok = check.passed
         payload = {

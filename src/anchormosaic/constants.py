@@ -155,7 +155,7 @@ def vertex_edge_pair_constant(k: int, n: int) -> float:
     _check_dims(k, n)
     b1 = (k + 3.0) / 2.0
     b2 = (n + 2.0) / 2.0
-    series = specfun.hyp3f2(0.5, 1.0, (k - n + 2.0) / 2.0, b1, b2, 1.0)
+    series = specfun.hyp3f2(0.5, 1.0, (k - n + 2.0) / 2.0, b1, b2)
     if series <= 0.0:
         raise ArithmeticError(f"3F2 sum must be positive, got {series}")
     log_c = (

@@ -183,7 +183,7 @@ def estimate_interval_rates(
     if replicates < 1:
         raise ValueError("need at least one replicate")
     threshold = math.inf if r0 is None else float(r0)
-    recommended = sampler.choose_buffer(cfg, 1.0 - 1e-6)
+    recommended = sampler.choose_buffer(cfg, sampler.DEFAULT_BUFFER_QUANTILE)
     if cfg.buffer < recommended:
         warnings.warn(
             f"buffer {cfg.buffer:.3g} is below the recommended {recommended:.3g}; "
@@ -517,6 +517,24 @@ def _sphere_mixture(
     return u, log_q
 
 
+def _log_sphere_jacobian(r: np.ndarray, u: np.ndarray, k: int, n: int) -> np.ndarray:
+    """log of the sphere-parametrization Jacobian r^alpha [m! Vol_m(u')]^(k-m+1),
+    alpha = n(m+1) - (k+1), of the map (y, r, u) -> (y + r u_0, ..., y + r u_m),
+    per row.
+
+    ``r`` is (N,) and ``u`` (N, m+1, d) holds each row's m + 1 unit vectors,
+    with d = m + n - k; u' is their first m coordinates, so m! Vol_m(u') is
+    |det(u'_i - u'_0)| (1 for m = 0). A degenerate u' gives -inf. For
+    m = k = n this is the classical sphere-parametrization Jacobian with the
+    full simplex volume.
+    """
+    m = u.shape[1] - 1
+    proj = u[:, :, :m]
+    vol = np.abs(np.linalg.det(proj[:, 1:] - proj[:, :1]))  # m! * Vol_m(u')
+    with np.errstate(divide="ignore"):
+        return (n * (m + 1) - (k + 1)) * np.log(r) + (k - m + 1) * np.log(vol)
+
+
 def verify_bp_identity(
     n: int,
     k: int,
@@ -544,6 +562,8 @@ def verify_bp_identity(
     """
     if not 0 <= m <= k <= n:
         raise ValueError(f"need 0 <= m <= k <= n, got ({n}, {k}, {m})")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     d = m + n - k
     if d < 2 or (m >= 1 and d > 3):
         raise ValueError(f"sphere dimension d = m+n-k = {d} is outside the supported range")
@@ -606,17 +626,9 @@ def verify_bp_identity(
 
         x_right = r[:, None, None] * u_full
         x_right[:, :, :k] += y[:, None, :]
-        if m == 0:
-            log_vol_pow = 0.0
-        else:
-            proj = u_small[:, :, :m]
-            vol = np.abs(np.linalg.det(proj[:, 1:] - proj[:, :1]))  # m! * Vol_m(u')
-            with np.errstate(divide="ignore"):
-                log_vol_pow = (k - m + 1) * np.where(vol > 0, np.log(np.maximum(vol, 1e-300)), -np.inf)
         with np.errstate(invalid="ignore"):
             log_w = (
-                alpha * np.log(r)
-                + log_vol_pow
+                _log_sphere_jacobian(r, u_small, k, n)
                 - log_qu
                 - log_qr
                 - log_qy
@@ -711,6 +723,8 @@ def verify_gamma_lemma(
 ) -> GammaLemmaCheck:
     """Check the power-exponential integral closed form against adaptive
     quadrature on random parameter draws."""
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = 0.0
     for _ in range(draws):
@@ -752,6 +766,8 @@ def verify_beta_projection_law(
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     x = rng.standard_normal((samples, n))
     x /= np.linalg.norm(x, axis=1, keepdims=True)

@@ -4,10 +4,9 @@ The slice plane is always the span of the first k coordinate axes; general
 positions are handled by rotating inputs before they get here. Provides
 projections with slice weights, emptiness tests, the weighted Delaunay
 mosaic as one Qhull lower hull of the lifted generators (any k), the dual
-vertices of its top simplices, its interval decomposition into one columnar
-``Mosaic`` (k <= 2), and the Jacobian of the sphere-parametrization change
-of variables. The census runs ``slice_cloud``, ``lower_hull`` and
-``radius_and_intervals`` in that order for every k.
+vertices of its top simplices and its interval decomposition into one
+columnar ``Mosaic`` (k <= 2). The census runs ``slice_cloud``,
+``lower_hull`` and ``radius_and_intervals`` in that order for every k.
 
 The decomposition is combinatorial: a simplex's smallest anchored sphere is
 anchored in the relative interior of exactly one face of the power diagram,
@@ -39,7 +38,6 @@ __all__ = [
     "lower_hull",
     "dual_vertices",
     "radius_and_intervals",
-    "bp_jacobian",
 ]
 
 # relative radius band within which a point counts as on, not inside, a sphere
@@ -446,26 +444,3 @@ def radius_and_intervals(
         upper=upper[lower],
         window=window,
     )
-
-
-def bp_jacobian(r: float, u: np.ndarray, k: int, n: int | None = None) -> float:
-    """Jacobian r^((n-1)(k+1)) * k! * Vol_k(u') of the map
-    (y, r, u) -> (y + r u_0, ..., y + r u_k), where u' is the projection of
-    the k+1 unit vectors u onto the k-plane.
-
-    Degenerate projections give 0. For k = n this is the classical sphere
-    parametrization Jacobian with the full (unprojected) simplex volume.
-    """
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[0] != k + 1:
-        raise ValueError(f"need k+1={k + 1} unit vectors, got {u.shape[0]}")
-    if n is None:
-        n = u.shape[1]
-    elif n != u.shape[1]:
-        raise ValueError(f"vectors live in dimension {u.shape[1]}, not n={n}")
-    if k == 0:
-        vol_factor = 1.0  # k! Vol_0 = 1
-    else:
-        proj = u[:, :k]
-        vol_factor = abs(np.linalg.det(proj[1:] - proj[0]))
-    return float(r ** ((n - 1) * (k + 1)) * vol_factor)

@@ -55,14 +55,6 @@ class Mosaic1D:
     window: tuple[float, float]
     vertices: np.ndarray
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def num_edges(self) -> int:
-        return max(len(self.vertices) - 1, 0)
-
 
 def build_1d(points: np.ndarray, window: tuple[float, float]) -> Mosaic1D:
     """Weighted Delaunay mosaic of half-plane points over the line.

@@ -7,12 +7,14 @@ stage on its own; the census itself runs :func:`geomcore.lower_hull` and
 lower convex hull of the lift (y1, y2) -> (y1, y2, |y|^2 - w); generators
 strictly above it have empty power cells and are submerged. The dual
 vertices of the power diagram come from :func:`geomcore.dual_vertices`,
-the one equal-power solve, which the decomposition also calls.
+the one equal-power solve, which the decomposition calls itself; the
+diagram solves them only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,19 +69,25 @@ def regular_triangulation(
 class PowerDiagram:
     """Dual of a regular triangulation: a diagram vertex per triangle (the
     equal-power point of its three generators) and the triangulation edges,
-    each dual to the boundary between two power cells."""
+    each dual to the boundary between two power cells. The dual vertices are
+    solved only when read; :func:`radius_and_intervals_2d` solves its own."""
 
     tri: RegularTriangulation
-    dual_vertices: np.ndarray          # (T, 2) equal-power points
-    edges: np.ndarray                  # (E, 2) sorted generator pairs
+
+    @cached_property
+    def dual_vertices(self) -> np.ndarray:
+        """(T, 2) equal-power points, from :func:`geomcore.dual_vertices`."""
+        return dual_vertices(self.tri.y, self.tri.w, self.tri.triangles)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(E, 2) sorted generator pairs, the triangulation's edges."""
+        return self.tri.edges
 
 
 def power_dual(tri: RegularTriangulation) -> PowerDiagram:
-    """Power diagram dual to a regular triangulation: the equal-power point
-    of each triangle, from :func:`geomcore.dual_vertices`."""
-    return PowerDiagram(
-        tri=tri, dual_vertices=dual_vertices(tri.y, tri.w, tri.triangles), edges=tri.edges
-    )
+    """Power diagram dual to a regular triangulation."""
+    return PowerDiagram(tri=tri)
 
 
 def radius_and_intervals_2d(
@@ -90,7 +98,7 @@ def radius_and_intervals_2d(
     """Anchored radius function and interval decomposition of a planar mosaic.
 
     The dimension-generic :func:`geomcore.radius_and_intervals` on the
-    triangulation's vertices, edges and triangles; it computes the triangles'
+    triangulation's vertices, edges and triangles; it solves the triangles'
     dual vertices itself, so ``dia`` supplies only the edges. The result
     lists the vertices, the edges and the triangles in the order of
     ``tri.vertices``, ``dia.edges`` and ``tri.triangles``.

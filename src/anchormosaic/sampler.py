@@ -23,6 +23,11 @@ __all__ = [
     "choose_buffer",
 ]
 
+# radius quantile of the default buffer: an interval sphere outgrows the
+# buffer with probability at most 1e-6
+DEFAULT_BUFFER_QUANTILE = 1.0 - 1e-6
+MAX_EXPECTED_POINTS = 1e7  # cap on the expected point count of one sample
+
 
 @dataclass(frozen=True)
 class SamplingConfig:
@@ -40,7 +45,6 @@ class SamplingConfig:
     buffer: float
     seed: int = 0
     replicate_index: int = 0
-    max_expected_points: float = 1e7
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -89,9 +93,9 @@ def sample_poisson_box(cfg: SamplingConfig) -> np.ndarray:
     lows, highs = cfg.box_bounds()
     volume = float(np.prod(highs - lows))
     mean = cfg.rho * volume
-    if mean > cfg.max_expected_points:
+    if mean > MAX_EXPECTED_POINTS:
         raise ValueError(
-            f"expected point count {mean:.3g} exceeds the cap {cfg.max_expected_points:.3g}"
+            f"expected point count {mean:.3g} exceeds the cap {MAX_EXPECTED_POINTS:.3g}"
         )
     rng = _rng(cfg)
     count = int(rng.poisson(mean))

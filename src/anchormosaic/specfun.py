@@ -1,8 +1,8 @@
 """Special functions that ``scipy.special`` lacks and the paper needs.
 
-Provides the generalized hypergeometric sum 3F2, behind the one-dimensional
-vertex-edge constant C01, and the closed form of the power-exponential
-integral (the paper's Gamma lemma)
+Provides the generalized hypergeometric sum 3F2 at unit argument, behind
+the one-dimensional vertex-edge constant C01, and the closed form of the
+power-exponential integral (the paper's Gamma lemma)
 
     int_0^{t0} t^(j-1) exp(-c t^p) dt.
 
@@ -38,28 +38,24 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and float(x).is_integer()
 
 
-def hyp3f2(a1: float, a2: float, a3: float, b1: float, b2: float, z: float) -> float:
-    """Generalized hypergeometric sum 3F2(a1, a2, a3; b1, b2; z) for real z in [0, 1].
+def hyp3f2(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
+    """Generalized hypergeometric sum 3F2(a1, a2, a3; b1, b2; 1) at unit argument.
 
     The series terminates exactly when some upper parameter is a non-positive
-    integer. For non-terminating series at z = 1 the sufficient convergence
+    integer. For a non-terminating series the sufficient convergence
     condition b1 + b2 > a1 + a2 + a3 is enforced; the polynomially decaying
     tail is summed with a first-order asymptotic remainder estimate once all
     terms have settled to a fixed sign.
     """
-    _require_finite(a1=a1, a2=a2, a3=a3, b1=b1, b2=b2, z=z)
+    _require_finite(a1=a1, a2=a2, a3=a3, b1=b1, b2=b2)
     for name, b in (("b1", b1), ("b2", b2)):
         if _is_nonpositive_integer(b):
             raise ValueError(f"{name} must not be a non-positive integer, got {b}")
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"argument must lie in [0, 1], got z={z}")
-    if z == 0.0:
-        return 1.0
 
     uppers = (a1, a2, a3)
     terminating = any(_is_nonpositive_integer(a) for a in uppers)
     psi = b1 + b2 - (a1 + a2 + a3)
-    if z == 1.0 and not terminating and psi <= 0.0:
+    if not terminating and psi <= 0.0:
         raise ConvergenceError(
             "3F2 series diverges at z=1: requires b1 + b2 > a1 + a2 + a3, "
             f"got {b1 + b2} <= {a1 + a2 + a3}"
@@ -74,16 +70,9 @@ def hyp3f2(a1: float, a2: float, a3: float, b1: float, b2: float, z: float) -> f
         num = (j + a1) * (j + a2) * (j + a3)
         if num == 0.0:
             return total  # terminating series: all later terms vanish
-        term *= num * z / ((j + b1) * (j + b2) * (j + 1.0))
+        term *= num / ((j + b1) * (j + b2) * (j + 1.0))
         total += term
-        if z < 1.0:
-            if abs(term) <= _HYP3F2_RELTOL * abs(total) * (1.0 - z):
-                streak += 1
-                if streak >= 3:
-                    return total
-            else:
-                streak = 0
-        elif j + 1 <= sign_fix:
+        if j + 1 <= sign_fix:
             # alternating regime: the remainder is bounded by the next term
             if 4.0 * abs(term) <= _HYP3F2_RELTOL * abs(total):
                 streak += 1
@@ -92,14 +81,14 @@ def hyp3f2(a1: float, a2: float, a3: float, b1: float, b2: float, z: float) -> f
             else:
                 streak = 0
         else:
-            # fixed-sign regime at z=1: terms decay like j^-(psi+1), so the
+            # fixed-sign regime: terms decay like j^-(psi+1), so the
             # remainder is approximately term * (j+1)/psi with O(1/j) error
             tail = term * (j + 1.0) / psi
             if 8.0 * abs(tail) <= _HYP3F2_RELTOL * abs(total) * (j + 1.0):
                 return total + tail
     raise IterationLimitError(
         f"3F2 series hit the {_HYP3F2_MAX_TERMS}-term cap for parameters "
-        f"({a1}, {a2}, {a3}; {b1}, {b2}; {z})"
+        f"({a1}, {a2}, {a3}; {b1}, {b2}; 1)"
     )
 
 

@@ -166,3 +166,21 @@ class TestErrorPaths:
         code, _, err = run(capsys, "constants", "--k", "2", "--n", "2")
         assert code == cli.EXIT_NUMERICAL
         assert "numerical error" in err
+
+    @pytest.mark.parametrize("text", ["x", "2..", "5..3"])
+    def test_bad_dimension_range_is_usage_error(self, capsys, text):
+        # unparsable text and an empty range; n <= k stays a numerical error
+        code, out, err = run(capsys, "constants", "--k", "1", "--n", text)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "kind,extra", [("bp", ()), ("gamma-lemma", ()), ("beta-law", ("--n", "4", "--k", "2"))]
+    )
+    @pytest.mark.parametrize("samples", ["0", "-5", "2.5"])
+    def test_bad_sample_count_is_usage_error(self, capsys, kind, extra, samples):
+        code, out, err = run(capsys, "verify", kind, *extra, "--samples", samples)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "usage error" in err

@@ -187,6 +187,25 @@ class TestOneCensusPath:
             theirs = radii[(types == (ell, m)).all(axis=1)]
             np.testing.assert_allclose(np.sort(mine), np.sort(theirs), rtol=1e-12, atol=0)
 
+    def test_adapter_route_solves_duals_once(self, monkeypatch):
+        # power_dual defers its solve; the decomposition makes the only one
+        from anchormosaic import geomcore, mosaic2d
+
+        calls = []
+        solve = geomcore.dual_vertices
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(geomcore, "dual_vertices", counted)
+        monkeypatch.setattr(mosaic2d, "dual_vertices", counted)
+        y, w = geomcore.slice_cloud(np.random.default_rng(7).uniform(0, 10, (200, 3)), 2)
+        tri = mosaic2d.regular_triangulation(y, w)
+        mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri))
+        assert len(calls) == 1
+        assert mosaic.anchors[mosaic.dims == 2].shape == (len(tri.triangles), 2)
+
     @pytest.mark.parametrize("seed,points,rows", [(3, 1, 1), (14, 2, 3)])
     def test_sparse_planar_sample_is_recorded(self, seed, points, rows):
         # one or two generators span one simplex; only an empty sample gives
@@ -363,6 +382,82 @@ class TestBPIdentity:
             experiments.verify_bp_identity(2, 1, 1, test_function="what")
 
 
+def _jacobian(r, u, k, n):
+    # one row of the bp kernel's vectorised Jacobian
+    u = np.asarray(u, dtype=float)[None]
+    return float(np.exp(experiments._log_sphere_jacobian(np.array([r]), u, k, n))[0])
+
+
+class TestBPJacobian:
+    def test_planar_two_angle_form(self):
+        # k = 1, n = 2: the Jacobian is r^2 |cos(b) - cos(a)|
+        a, b, r = 0.0, math.pi / 2, 2.0
+        u = np.array([[math.cos(a), math.sin(a)], [math.cos(b), math.sin(b)]])
+        assert _jacobian(r, u, 1, 2) == pytest.approx(4.0, rel=1e-14)
+
+    def test_degenerate_projection(self):
+        u = np.array(
+            [
+                [0.6, 0.0, 0.8],
+                [0.6, 0.0, -0.8],
+                [0.6, 0.0, 0.8],
+            ]
+        )
+        assert _jacobian(1.5, u, 2, 3) == 0.0
+
+    def test_full_dimension_reduces_to_classical(self):
+        # k = n: the projected simplex is the simplex itself
+        rng = np.random.default_rng(12)
+        u = rng.normal(size=(3, 2))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        vol2 = abs(np.linalg.det(u[1:] - u[0]))  # 2! * area
+        r = 1.7
+        assert _jacobian(r, u, 2, 2) == pytest.approx(r**3 * vol2, rel=1e-12)
+
+    def test_against_finite_difference_determinant(self):
+        # oracle: central finite differences of the parametrization
+        # (y, r, local sphere charts) -> point tuple, with tangent charts that
+        # are orthonormal at the evaluation point
+        rng = np.random.default_rng(4)
+        k, n = 2, 3
+        u = rng.normal(size=(k + 1, n))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        y = rng.uniform(-1, 1, size=k)
+        r = 1.3
+
+        tangents = []
+        for i in range(k + 1):
+            basis, _ = np.linalg.qr(
+                np.column_stack([u[i], rng.normal(size=(n, n - 1))])
+            )
+            tangents.append(basis[:, 1:])
+
+        def chart(params):
+            yy = params[:k]
+            rr = params[k]
+            out = np.empty((k + 1) * n)
+            for i in range(k + 1):
+                t = params[k + 1 + i * (n - 1) : k + 1 + (i + 1) * (n - 1)]
+                ui = u[i] + tangents[i] @ t
+                ui = ui / np.linalg.norm(ui)
+                point = rr * ui
+                point[:k] += yy
+                out[i * n : (i + 1) * n] = point
+            return out
+
+        dim = (k + 1) * n
+        params0 = np.concatenate([y, [r], np.zeros((k + 1) * (n - 1))])
+        step = 1e-5
+        jac = np.empty((dim, dim))
+        for col in range(dim):
+            lo, hi = params0.copy(), params0.copy()
+            lo[col] -= step
+            hi[col] += step
+            jac[:, col] = (chart(hi) - chart(lo)) / (2 * step)
+        oracle = abs(np.linalg.det(jac))
+        assert _jacobian(r, u, k, n) == pytest.approx(oracle, rel=1e-4)
+
+
 def _log_vmf_pdf(cos_angle, kappa, d):
     if d == 2:
         return kappa * (cos_angle - 1.0) - np.log(2.0 * math.pi * special.i0e(kappa))
@@ -478,3 +573,18 @@ class TestBetaLaw:
     def test_other_dimensions(self):
         check = experiments.verify_beta_projection_law(5, 1, samples=20_000, seed=1)
         assert check.p_half_dims > 0.01
+
+
+@pytest.mark.parametrize(
+    "check,args,count",
+    [
+        pytest.param(experiments.verify_bp_identity, (2, 1, 1), "samples", id="bp"),
+        pytest.param(experiments.verify_gamma_lemma, (), "draws", id="gamma-lemma"),
+        pytest.param(experiments.verify_beta_projection_law, (4, 2), "samples", id="beta-law"),
+    ],
+)
+@pytest.mark.parametrize("value", [0, -5])
+def test_checks_reject_no_draws(check, args, count, value):
+    # no draws would give a vacuous pass, a NaN statistic or a division by zero
+    with pytest.raises(ValueError, match=count):
+        check(*args, **{count: value})

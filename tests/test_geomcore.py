@@ -274,72 +274,3 @@ class TestVisibilityType:
         with pytest.raises(ValueError):
             visibility_type(sphere, [self._wp([5.0], -1.0)])
 
-
-class TestBPJacobian:
-    def test_planar_two_angle_form(self):
-        # k = 1, n = 2: the Jacobian is r^2 |cos(b) - cos(a)|
-        a, b, r = 0.0, math.pi / 2, 2.0
-        u = np.array([[math.cos(a), math.sin(a)], [math.cos(b), math.sin(b)]])
-        assert geomcore.bp_jacobian(r, u, 1) == pytest.approx(4.0, rel=1e-14)
-
-    def test_degenerate_projection(self):
-        u = np.array(
-            [
-                [0.6, 0.0, 0.8],
-                [0.6, 0.0, -0.8],
-                [0.6, 0.0, 0.8],
-            ]
-        )
-        assert geomcore.bp_jacobian(1.5, u, 2) == 0.0
-
-    def test_full_dimension_reduces_to_classical(self):
-        # k = n: the projected simplex is the simplex itself
-        rng = np.random.default_rng(12)
-        u = rng.normal(size=(3, 2))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        vol2 = abs(np.linalg.det(u[1:] - u[0]))  # 2! * area
-        r = 1.7
-        assert geomcore.bp_jacobian(r, u, 2) == pytest.approx(r**3 * vol2, rel=1e-12)
-
-    def test_against_finite_difference_determinant(self):
-        # oracle: central finite differences of the parametrization
-        # (y, r, local sphere charts) -> point tuple, with tangent charts that
-        # are orthonormal at the evaluation point
-        rng = np.random.default_rng(4)
-        k, n = 2, 3
-        u = rng.normal(size=(k + 1, n))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        y = rng.uniform(-1, 1, size=k)
-        r = 1.3
-
-        tangents = []
-        for i in range(k + 1):
-            basis, _ = np.linalg.qr(
-                np.column_stack([u[i], rng.normal(size=(n, n - 1))])
-            )
-            tangents.append(basis[:, 1:])
-
-        def chart(params):
-            yy = params[:k]
-            rr = params[k]
-            out = np.empty((k + 1) * n)
-            for i in range(k + 1):
-                t = params[k + 1 + i * (n - 1) : k + 1 + (i + 1) * (n - 1)]
-                ui = u[i] + tangents[i] @ t
-                ui = ui / np.linalg.norm(ui)
-                point = rr * ui
-                point[:k] += yy
-                out[i * n : (i + 1) * n] = point
-            return out
-
-        dim = (k + 1) * n
-        params0 = np.concatenate([y, [r], np.zeros((k + 1) * (n - 1))])
-        step = 1e-5
-        jac = np.empty((dim, dim))
-        for col in range(dim):
-            lo, hi = params0.copy(), params0.copy()
-            lo[col] -= step
-            hi[col] += step
-            jac[:, col] = (chart(hi) - chart(lo)) / (2 * step)
-        oracle = abs(np.linalg.det(jac))
-        assert geomcore.bp_jacobian(r, u, k) == pytest.approx(oracle, rel=1e-4)

@@ -1,7 +1,10 @@
 """Tests of the package's public surface."""
 
+import functools
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +37,32 @@ def test_census_builds_every_mosaic_in_geomcore():
     experiments = importlib.import_module("anchormosaic.experiments")
     assert not hasattr(experiments, "mosaic1d")
     assert not hasattr(experiments, "mosaic2d")
+
+
+@functools.cache
+def _caller_lines() -> tuple[str, ...]:
+    # the code that may call a layer: the package (its re-exports aside), the
+    # demos and the benchmark
+    root = Path(__file__).resolve().parents[1]
+    package_init = root / "src" / "anchormosaic" / "__init__.py"
+    return tuple(
+        line
+        for top in ("src", "demos", "perfbench")
+        for path in sorted((root / top).rglob("*.py"))
+        if path != package_init
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if not line.startswith("__all__")
+    )
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_public_name_has_a_caller(layer):
+    # a public name that only its own tests use is dead API; its definition
+    # and its __all__ entry do not count as uses
+    unused = []
+    for name in importlib.import_module(f"anchormosaic.{layer}").__all__:
+        declaration = re.compile(rf'^\s*((def|class)\s+{name}\b|"{name}",?\s*$)')
+        use = re.compile(rf"\b{name}\b")
+        if not any(use.search(line) and not declaration.match(line) for line in _caller_lines()):
+            unused.append(name)
+    assert unused == []

@@ -92,7 +92,8 @@ class TestSamplePoissonBox:
         assert abs(corr) < 0.25
 
     def test_count_cap(self):
-        cfg = make_cfg(rho=1e6, window=((0.0, 1e4),), max_expected_points=1e6)
+        # about 4e10 expected points, over the 1e7 cap
+        cfg = make_cfg(rho=1e6, window=((0.0, 1e4),))
         with pytest.raises(ValueError):
             sampler.sample_poisson_box(cfg)
 
