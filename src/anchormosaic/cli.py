@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -49,15 +50,27 @@ def _parse_n_range(text: str) -> list[int]:
     return ns
 
 
-def _sample_count(text: str) -> int:
-    """``--samples``: a whole number of at least 1, also written as ``1e6``."""
+def _number(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """``--samples``, ``--reps``: a whole number of at least 1, also written as ``1e6``."""
+    value = _number(text)
     if not (value >= 1 and value.is_integer()):
         raise argparse.ArgumentTypeError(f"need a whole number of at least 1, got {text!r}")
     return int(value)
+
+
+def _positive(text: str) -> float:
+    """``--window``: a finite number above 0."""
+    value = _number(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"need a finite number above 0, got {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -76,10 +89,10 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--k", type=int, required=True, choices=(1, 2))
     p_sim.add_argument("--rho", type=float, default=1.0)
-    p_sim.add_argument("--window", type=float, required=True, help="k-volume of the counting window")
+    p_sim.add_argument("--window", type=_positive, required=True, help="k-volume of the counting window")
     p_sim.add_argument("--buffer", type=float, default=None, help="sampling margin (default: radius quantile 1-1e-6)")
     p_sim.add_argument("--r0", type=float, default=None)
-    p_sim.add_argument("--reps", type=int, default=10)
+    p_sim.add_argument("--reps", type=_count, default=10)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", type=str, default=None)
     p_sim.add_argument("--format", choices=("csv", "json"), default="json")
@@ -90,7 +103,7 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--k", type=int, default=1)
     p_ver.add_argument("--m", type=int, default=1)
     p_ver.add_argument(
-        "--samples", type=_sample_count, default=None,
+        "--samples", type=_count, default=None,
         help="samples, or draws for gamma-lemma (default: bp 1e6, gamma-lemma 100, beta-law 20000)",
     )
     p_ver.add_argument("--seed", type=int, default=0)
@@ -198,6 +211,7 @@ def _cmd_verify(args: argparse.Namespace, seed: int) -> int:
             "left": check.left, "left_ci": list(check.left_ci),
             "right": check.right, "right_ci": list(check.right_ci),
             "right_ess": check.right_ess, "right_nonfinite": check.right_nonfinite,
+            "right_max_share": check.right_max_share,
             "analytic": check.analytic,
             "ci_overlap": ok,
         }

@@ -368,6 +368,7 @@ class BPCheck:
     analytic: float
     right_ess: float  # Kish effective sample size of the right side's weights
     right_nonfinite: int  # right-side weights that were not finite, counted as 0
+    right_max_share: float  # the largest right-side weight over the sum of them
 
     @property
     def overlap(self) -> bool:
@@ -414,35 +415,47 @@ def _mean_ci(moments: _Moments) -> tuple[float, tuple[float, float]]:
 _VMF_KAPPAS = tuple(4.0**j for j in range(1, 17))
 # mixture weights: the uniform component, then one per kappa
 _MIX_PROBS = np.array([0.5] + [0.5 / len(_VMF_KAPPAS)] * len(_VMF_KAPPAS))
+# each component's concentration; the uniform component is kappa = 0
+_KAPPA_LADDER = np.array((0.0,) + _VMF_KAPPAS)
 
 
-def _sample_vmf(rng: np.random.Generator, centers: np.ndarray, kappa: float, d: int) -> np.ndarray:
-    """von Mises-Fisher draws on S^(d-1) around per-row centers, d in {2, 3}."""
-    count = centers.shape[0]
+def _sample_vmf(rng: np.random.Generator, centers: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """von Mises-Fisher draws on S^(d-1), d in {2, 3}: one per row, around the
+    row's unit center with the row's own kappa; kappa = 0 draws uniformly."""
+    count, d = centers.shape
+    draws = np.empty((count, d))
+    c0, c1 = centers[:, 0], centers[:, 1]
     if d == 2:
-        theta = np.arctan2(centers[:, 1], centers[:, 0])
-        angles = rng.vonmises(theta, kappa)
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    # d == 3: inverse-CDF in the cosine, uniform azimuth around the center
+        # the angle from the center; numpy's vonmises returns a uniform angle
+        # for kappa < 1e-8
+        angle = rng.vonmises(0.0, kappa)
+        cos_a, sin_a = np.cos(angle), np.sin(angle)
+        draws[:, 0] = cos_a * c0 - sin_a * c1
+        draws[:, 1] = sin_a * c0 + cos_a * c1
+        return draws
+    # inverse CDF in the cosine, whose kappa -> 0 limit is 2 xi - 1, and a
+    # uniform azimuth in the frame t1 = c x a / |c x a|, t2 = c x t1, where
+    # the axis a is e_0 unless |c_0| >= 0.9, then e_1
     xi = rng.random(count)
-    with np.errstate(over="ignore"):
-        cos_t = 1.0 + np.log(xi + (1.0 - xi) * np.exp(-2.0 * kappa)) / kappa
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_t = np.where(
+            kappa > 0.0,
+            1.0 + np.log(xi + (1.0 - xi) * np.exp(-2.0 * kappa)) / kappa,
+            2.0 * xi - 1.0,
+        )
     cos_t = np.clip(cos_t, -1.0, 1.0)
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t**2))
+    sin_t = np.sqrt(1.0 - cos_t * cos_t)
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
-    tangent = np.column_stack([np.cos(phi), np.sin(phi)])
-    # orthonormal frame per center
-    helper = np.where(
-        (np.abs(centers[:, :1]) < 0.9), np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])
-    )
-    t1 = np.cross(centers, helper)
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(centers, t1)
-    return (
-        cos_t[:, None] * centers
-        + (sin_t * tangent[:, 0])[:, None] * t1
-        + (sin_t * tangent[:, 1])[:, None] * t2
-    )
+    p, q = sin_t * np.cos(phi), sin_t * np.sin(phi)
+    c2 = centers[:, 2]
+    first = np.abs(c0) < 0.9
+    t1 = (np.where(first, 0.0, -c2), np.where(first, c2, 0.0), np.where(first, -c1, c0))
+    norm = np.sqrt(t1[0] * t1[0] + t1[1] * t1[1] + t1[2] * t1[2])
+    t1 = tuple(v / norm for v in t1)
+    t2 = (c1 * t1[2] - c2 * t1[1], c2 * t1[0] - c0 * t1[2], c0 * t1[1] - c1 * t1[0])
+    for j, c in enumerate((c0, c1, c2)):
+        draws[:, j] = cos_t * c + p * t1[j] + q * t2[j]
+    return draws
 
 
 def _log_vmf_norm(kappa: float, d: int) -> float:
@@ -466,15 +479,18 @@ def _log_mixture_density(cos_angle: np.ndarray, d: int) -> np.ndarray:
     order. A term whose exponent kappa (cos - 1) + log c_kappa lies below
     ``_NEGLIGIBLE_EXPONENT`` is under half an ulp of the sum, so leaving it
     out changes no bit; each kappa is evaluated only on the rows above its
-    cut.
+    cut. With the rows sorted by cosine once, those rows are a suffix.
     """
-    t = cos_angle - 1.0
+    order = np.argsort(cos_angle)
+    t = cos_angle[order] - 1.0
     dens = np.full(t.shape, _MIX_PROBS[0] / constants.sphere_surface(d))
     for c, kappa in enumerate(_VMF_KAPPAS, start=1):
         log_norm = _log_vmf_norm(kappa, d)
-        rows = np.flatnonzero(t >= (_NEGLIGIBLE_EXPONENT - log_norm) / kappa)
-        dens[rows] += _MIX_PROBS[c] * np.exp(kappa * t[rows] + log_norm)
-    return np.log(dens)
+        lo = np.searchsorted(t, (_NEGLIGIBLE_EXPONENT - log_norm) / kappa)
+        dens[lo:] += _MIX_PROBS[c] * np.exp(kappa * t[lo:] + log_norm)
+    log_dens = np.empty_like(dens)
+    log_dens[order] = np.log(dens)
+    return log_dens
 
 
 def _sphere_mixture(
@@ -486,32 +502,17 @@ def _sphere_mixture(
     over a ladder of concentrations, which keeps the weights bounded near the
     aligned configurations where the parameter-space integrand blows up.
 
-    Every row first gets a uniform draw; one stable sort of the component
-    labels then groups the vMF rows by component, in row order within each,
-    and each component draws on its contiguous slice in kappa order. That
-    consumes the random stream exactly as one boolean-masked pass per
-    component would.
+    Each sphere point is one pass: every row draws its component, then one
+    vMF draw with that component's kappa from ``_KAPPA_LADDER``, where
+    kappa = 0 is the uniform component.
     """
-    sigma_d = constants.sphere_surface(d)
     u = np.empty((chunk, m + 1, d))
     raw = rng.standard_normal((chunk, d))
-    u0 = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    u[:, 0] = u0
-    log_q = np.full(chunk, -math.log(sigma_d))
-    n_comp = len(_VMF_KAPPAS)
+    u[:, 0] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    log_q = np.full(chunk, -math.log(constants.sphere_surface(d)))
     for i in range(1, m + 1):
-        comp = rng.choice(n_comp + 1, size=chunk, p=_MIX_PROBS)
-        draw = rng.standard_normal((chunk, d))
-        draw /= np.linalg.norm(draw, axis=1, keepdims=True)
-        counts = np.bincount(comp, minlength=n_comp + 1)
-        rows = np.argsort(comp.astype(np.uint8), kind="stable")[counts[0]:]
-        ends = np.cumsum(counts) - counts[0]
-        centers = np.take(u0, rows, axis=0)
-        for c, kappa in enumerate(_VMF_KAPPAS, start=1):
-            if counts[c]:
-                lo, hi = ends[c - 1], ends[c]
-                centers[lo:hi] = _sample_vmf(rng, centers[lo:hi], kappa, d)
-        draw[rows] = centers
+        kappa = _KAPPA_LADDER[rng.choice(len(_KAPPA_LADDER), size=chunk, p=_MIX_PROBS)]
+        draw = _sample_vmf(rng, u[:, 0], kappa)
         u[:, i] = draw
         log_q += _log_mixture_density(np.einsum("cj,cj->c", draw, u[:, 0]), d)
     return u, log_q
@@ -524,13 +525,18 @@ def _log_sphere_jacobian(r: np.ndarray, u: np.ndarray, k: int, n: int) -> np.nda
 
     ``r`` is (N,) and ``u`` (N, m+1, d) holds each row's m + 1 unit vectors,
     with d = m + n - k; u' is their first m coordinates, so m! Vol_m(u') is
-    |det(u'_i - u'_0)| (1 for m = 0). A degenerate u' gives -inf. For
-    m = k = n this is the classical sphere-parametrization Jacobian with the
-    full simplex volume.
+    |det(u'_i - u'_0)| (1 for m = 0), written out for m = 1 and m = 2. A
+    degenerate u' gives -inf. For m = k = n this is the classical
+    sphere-parametrization Jacobian with the full simplex volume.
     """
     m = u.shape[1] - 1
-    proj = u[:, :, :m]
-    vol = np.abs(np.linalg.det(proj[:, 1:] - proj[:, :1]))  # m! * Vol_m(u')
+    e = u[:, 1:, :m] - u[:, :1, :m]
+    if m == 1:
+        vol = np.abs(e[:, 0, 0])
+    elif m == 2:
+        vol = np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
+    else:
+        vol = np.abs(np.linalg.det(e))  # m! * Vol_m(u')
     with np.errstate(divide="ignore"):
         return (n * (m + 1) - (k + 1)) * np.log(r) + (k - m + 1) * np.log(vol)
 
@@ -546,8 +552,10 @@ def verify_bp_identity(
 ) -> BPCheck:
     """Estimate both sides of the sphere-parametrization identity.
 
-    Left: plain Monte Carlo over (R^n)^(m+1), importance-sampled by the
-    product Gaussian. Right: Monte Carlo over (y, P, r, u) with the Jacobian
+    Left: Monte Carlo over (R^n)^(m+1), importance-sampled by the product
+    Gaussian. For the Gaussian test function f/q is the constant
+    pi^(n(m+1)/2), so that side is the exact value and draws nothing.
+    Right: Monte Carlo over (y, P, r, u) with the Jacobian
     r^alpha [m! Vol_m(u')]^(k-m+1); y and r are drawn from the exact Gaussian
     and generalized-Gamma conditionals given u (which keeps the weights
     bounded), P from the invariant Grassmannian measure, and u from a
@@ -558,7 +566,9 @@ def verify_bp_identity(
     it does not cancel when the weights are nearly constant. A side with
     constant weights (the Gaussian left side, the m = 0 right side) reports a
     zero-width CI; then ``BPCheck.overlap`` reduces to "the right CI covers
-    the exact left value".
+    the exact left value". The right side's weight health is its Kish
+    effective sample size, its count of non-finite weights and the largest
+    weight's share of the weights' sum.
     """
     if not 0 <= m <= k <= n:
         raise ValueError(f"need 0 <= m <= k <= n, got ({n}, {k}, {m})")
@@ -575,29 +585,35 @@ def verify_bp_identity(
     grass = constants.grassmannian_volume(m, k) if m < k else 1.0
     sd_y = 1.0 / math.sqrt(2.0 * (m + 1))
 
+    analytic = _analytic_integral(test_function, n, m)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    left_mom = right_mom = (0, 0.0, 0.0)
+    # the Gaussian's left-side weight f/q is the constant pi^(n(m+1)/2), so
+    # that side is exact and draws nothing
+    left_mom = (0, 0.0, 0.0) if bump else (samples, analytic, 0.0)
+    right_mom = (0, 0.0, 0.0)
     right_nonfinite = 0
+    right_max = 0.0
     done = 0
     while done < samples:
         size = min(chunk, samples - done)
         done += size
 
-        # left side: x ~ product Gaussian with density exp(-|x|^2) / pi^(n/2)
-        x = rng.standard_normal((size, m + 1, n))
-        x /= math.sqrt(2.0)
-        sq = np.einsum("cij,cij->c", x, x)
-        log_q = -sq - (n * (m + 1) / 2.0) * math.log(math.pi)
-        # the product Gaussian test function is exp(-sum |x_i|^2)
-        fx = _bump_f(x) if bump else np.exp(-sq)
-        vals = fx * np.exp(-log_q)
-        left_mom = _merge_moments(left_mom, _moments(vals))
+        if bump:
+            # left side: x ~ product Gaussian with density exp(-|x|^2) / pi^(n/2)
+            x = rng.standard_normal((size, m + 1, n))
+            x /= math.sqrt(2.0)
+            log_q = -np.einsum("cij,cij->c", x, x) - (n * (m + 1) / 2.0) * math.log(math.pi)
+            left_mom = _merge_moments(left_mom, _moments(_bump_f(x) * np.exp(-log_q)))
 
         # right side
         u_small, log_qu = _sphere_mixture(rng, size, m, d)
         if m < k:
+            # an orthonormal k x m frame of a uniform m-plane in R^k
             frames = rng.standard_normal((size, k, m))
-            frames, _ = np.linalg.qr(frames)
+            if m == 1:
+                frames /= np.linalg.norm(frames, axis=1, keepdims=True)
+            else:
+                frames, _ = np.linalg.qr(frames)
             u_first_k = np.einsum("cij,ckj->cki", frames, u_small[:, :, :m])
             u_full = np.concatenate([u_first_k, u_small[:, :, m:]], axis=2)
         else:
@@ -617,15 +633,10 @@ def verify_bp_identity(
             - delta * g
             - math.lgamma(a_r)
         )
-        mean_y = -(r / (m + 1))[:, None] * s_k
-        y = mean_y + sd_y * rng.standard_normal((size, k))
-        log_qy = (
-            -k / 2.0 * math.log(2.0 * math.pi * sd_y**2)
-            - np.einsum("cj,cj->c", y - mean_y, y - mean_y) / (2.0 * sd_y**2)
-        )
+        z = rng.standard_normal((size, k))
+        y = sd_y * z - (r / (m + 1))[:, None] * s_k
+        log_qy = -k / 2.0 * math.log(2.0 * math.pi * sd_y**2) - 0.5 * np.einsum("cj,cj->c", z, z)
 
-        x_right = r[:, None, None] * u_full
-        x_right[:, :, :k] += y[:, None, :]
         with np.errstate(invalid="ignore"):
             log_w = (
                 _log_sphere_jacobian(r, u_small, k, n)
@@ -635,14 +646,19 @@ def verify_bp_identity(
                 + math.log(grass)
             )
             if bump:
+                x_right = r[:, None, None] * u_full
+                x_right[:, :, :k] += y[:, None, :]
                 fx = _bump_f(x_right)
                 w = np.where(fx > 0, fx * np.exp(log_w), 0.0)
             else:
-                log_w -= np.einsum("cij,cij->c", x_right, x_right)
-                w = np.exp(log_w)
+                # sum_i |r u_i + (y, 0)|^2 with |u_i| = 1
+                yy = np.einsum("cj,cj->c", y, y)
+                ys = np.einsum("cj,cj->c", y, s_k)
+                w = np.exp(log_w - ((m + 1) * (r * r + yy) + 2.0 * r * ys))
         finite = np.isfinite(w)
         right_nonfinite += size - int(np.count_nonzero(finite))
         w = np.where(finite, w, 0.0)
+        right_max = max(right_max, float(np.max(w)))
         right_mom = _merge_moments(right_mom, _moments(w))
 
     left, left_ci = _mean_ci(left_mom)
@@ -651,6 +667,8 @@ def verify_bp_identity(
     _, _, right_m2 = right_mom
     mean_sq = right * right
     right_ess = samples / (1.0 + right_m2 / samples / mean_sq) if mean_sq > 0.0 else 0.0
+    right_sum = right * samples
+    right_max_share = right_max / right_sum if right_sum > 0.0 else 0.0
     return BPCheck(
         n=n,
         k=k,
@@ -661,9 +679,10 @@ def verify_bp_identity(
         left_ci=left_ci,
         right=right,
         right_ci=right_ci,
-        analytic=_analytic_integral(test_function, n, m),
+        analytic=analytic,
         right_ess=right_ess,
         right_nonfinite=right_nonfinite,
+        right_max_share=right_max_share,
     )
 
 

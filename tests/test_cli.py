@@ -150,6 +150,7 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["right_nonfinite"] == 0
         assert 0.0 < payload["right_ess"] < payload["samples"]
+        assert 0.0 < payload["right_max_share"] <= 1.0
 
 
 class TestErrorPaths:
@@ -181,6 +182,16 @@ class TestErrorPaths:
     @pytest.mark.parametrize("samples", ["0", "-5", "2.5"])
     def test_bad_sample_count_is_usage_error(self, capsys, kind, extra, samples):
         code, out, err = run(capsys, "verify", kind, *extra, "--samples", samples)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--reps", "0"), ("--reps", "2.5"), ("--window", "-5"), ("--window", "nan")]
+    )
+    def test_bad_simulate_count_or_window_is_usage_error(self, capsys, flag, value):
+        argv = {"--n": "2", "--k": "1", "--window": "100", "--reps": "2", flag: value}
+        code, out, err = run(capsys, "simulate", *[t for item in argv.items() for t in item])
         assert code == cli.EXIT_USAGE
         assert out == ""
         assert "usage error" in err
