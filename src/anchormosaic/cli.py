@@ -3,18 +3,17 @@
 Subcommands: ``constants`` prints the closed-form tables, ``simulate`` runs
 the Monte Carlo rate estimation, ``verify`` runs one of the identity checks.
 Exit codes: 0 success, 1 usage error, 2 numerical or degeneracy error,
-3 statistical-check failure. The environment variable ANCHORMOSAIC_SEED
-overrides --seed. JSON reports are byte-stable for fixed flags (volatile
-fields such as runtimes are omitted).
+3 statistical-check failure. ``--seed`` must be a whole number in
+[0, 2^64); anything else is a usage error. JSON reports are byte-stable for
+fixed flags (volatile fields such as runtimes are omitted); a ``verify``
+report holds every field of its check.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
-import os
 import sys
 
 from . import constants, experiments, sampler
@@ -65,6 +64,13 @@ def _count(text: str) -> int:
     return int(value)
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a whole number in [0, 2^64), the range of the generators' keys."""
+    if not (text.isascii() and text.isdigit() and int(text) < 2**64):
+        raise argparse.ArgumentTypeError(f"need a whole number in [0, 2^64), got {text!r}")
+    return int(text)
+
+
 def _positive(text: str) -> float:
     """``--window``: a finite number above 0."""
     value = _number(text)
@@ -93,7 +99,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--buffer", type=float, default=None, help="sampling margin (default: radius quantile 1-1e-6)")
     p_sim.add_argument("--r0", type=float, default=None)
     p_sim.add_argument("--reps", type=_count, default=10)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--out", type=str, default=None)
     p_sim.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -106,7 +112,7 @@ def _build_parser() -> _Parser:
         "--samples", type=_count, default=None,
         help="samples, or draws for gamma-lemma (default: bp 1e6, gamma-lemma 100, beta-law 20000)",
     )
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     p_ver.add_argument("--test-function", choices=("gaussian", "bump"), default="gaussian")
     p_ver.add_argument("--out", type=str, default=None)
     return parser
@@ -122,7 +128,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _emit(payload: dict, rows: list[dict], out: str | None, fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = experiments.json_text(payload)
     else:
         keys = experiments.CSV_HEADER.split(",")
         text = experiments.csv_text([[row[key] for key in keys] for row in rows])
@@ -171,12 +177,12 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace, seed: int) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> int:
     side = args.window ** (1.0 / args.k)
     window = tuple((0.0, side) for _ in range(args.k))
     cfg = sampler.SamplingConfig(
         n=args.n, rho=args.rho, window=window,
-        buffer=1.0 if args.buffer is None else args.buffer, seed=seed,
+        buffer=1.0 if args.buffer is None else args.buffer, seed=args.seed,
     )
     if args.buffer is None:
         cfg = dataclasses.replace(
@@ -197,52 +203,24 @@ def _given(**counts: int | None) -> dict[str, int]:
     return {name: value for name, value in counts.items() if value is not None}
 
 
-def _cmd_verify(args: argparse.Namespace, seed: int) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     if args.kind == "bp":
         check = experiments.verify_bp_identity(
             args.n, args.k, args.m, test_function=args.test_function,
-            seed=seed, **_given(samples=args.samples),
+            seed=args.seed, **_given(samples=args.samples),
         )
-        ok = check.overlap
-        payload = {
-            "kind": "verify-bp",
-            "n": args.n, "k": args.k, "m": args.m,
-            "samples": check.samples,
-            "left": check.left, "left_ci": list(check.left_ci),
-            "right": check.right, "right_ci": list(check.right_ci),
-            "right_ess": check.right_ess, "right_nonfinite": check.right_nonfinite,
-            "right_max_share": check.right_max_share,
-            "analytic": check.analytic,
-            "ci_overlap": ok,
-        }
     elif args.kind == "angle":
         check = experiments.verify_angle_integral(args.n)
-        ok = check.abs_error <= 1e-8
-        payload = {
-            "kind": "verify-angle", "n": args.n,
-            "quadrature": check.quadrature, "closed_form": check.closed_form,
-            "abs_error": check.abs_error, "pass": ok,
-        }
     elif args.kind == "gamma-lemma":
-        check = experiments.verify_gamma_lemma(seed=seed, **_given(draws=args.samples))
-        ok = check.passed
-        payload = {
-            "kind": "verify-gamma-lemma", "draws": check.draws,
-            "max_rel_error": check.max_rel_error, "tolerance": check.tolerance,
-            "pass": ok,
-        }
+        check = experiments.verify_gamma_lemma(seed=args.seed, **_given(draws=args.samples))
     else:  # beta-law
         check = experiments.verify_beta_projection_law(
-            args.n, args.k, seed=seed, **_given(samples=args.samples)
+            args.n, args.k, seed=args.seed, **_given(samples=args.samples)
         )
-        ok = check.passed
-        payload = {
-            "kind": "verify-beta-law", "n": args.n, "k": args.k, "samples": check.samples,
-            "p_half_dims": check.p_half_dims, "p_fraction_dims": check.p_fraction_dims,
-            "pass": ok,
-        }
-    payload["schema_version"] = SCHEMA_VERSION
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    verdict, ok = ("ci_overlap", check.overlap) if args.kind == "bp" else ("pass", check.passed)
+    payload = {"schema_version": SCHEMA_VERSION, "kind": f"verify-{args.kind}", verdict: ok}
+    payload.update(dataclasses.asdict(check))
+    _write(experiments.json_text(payload), args.out)
     return EXIT_OK if ok else EXIT_STATISTICAL
 
 
@@ -253,16 +231,12 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    seed = getattr(args, "seed", 0)
-    env_seed = os.environ.get("ANCHORMOSAIC_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
     try:
         if args.command == "constants":
             return _cmd_constants(args)
         if args.command == "simulate":
-            return _cmd_simulate(args, seed)
-        return _cmd_verify(args, seed)
+            return _cmd_simulate(args)
+        return _cmd_verify(args)
     except (DegeneracyError, ConvergenceError, IterationLimitError, MosaicError,
             ValueError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -36,6 +36,7 @@ __all__ = [
     "log_sphere_surface",
     "log_ball_volume",
     "grassmannian_volume",
+    "angle_bracket",
     "critical_vertex_constant",
     "vertex_edge_pair_constant",
     "critical_edge_constant",
@@ -207,13 +208,19 @@ def critical_edge_constant(k: int, n: int) -> float:
     return math.exp(log_c)
 
 
+def angle_bracket(n: int) -> float:
+    """2 Gamma(n-1) / Gamma(n-1/2) - Gamma((n-1)/2) / Gamma(n/2), the bracket of
+    the two-angle integral's closed form sqrt(pi) / (n-1) * bracket."""
+    return 2.0 * math.exp(math.lgamma(n - 1.0) - math.lgamma(n - 0.5)) - math.exp(
+        math.lgamma((n - 1.0) / 2.0) - math.lgamma(n / 2.0)
+    )
+
+
 @lru_cache(maxsize=None)
 def _pair_constant_1d(n: int) -> float:
     # C[0,1; 1,n] via the one-dimensional angle-integral closed form
     _check_dims(1, n)
-    bracket = 2.0 * math.exp(math.lgamma(n - 1.0) - math.lgamma(n - 0.5)) - math.exp(
-        math.lgamma((n - 1.0) / 2.0) - math.lgamma(n / 2.0)
-    )
+    bracket = angle_bracket(n)
     if bracket <= 0.0:
         raise ArithmeticError(f"angle-integral bracket must be positive, got {bracket}")
     log_c = (

@@ -33,6 +33,7 @@ __all__ = [
     "ExperimentReport",
     "run_replicate",
     "estimate_interval_rates",
+    "json_text",
     "report_to_json",
     "report_to_csv",
     "csv_text",
@@ -106,13 +107,9 @@ class RateEstimate:
 
 @dataclass
 class ExperimentReport:
-    n: int
-    k: int
-    rho: float
-    window: tuple[tuple[float, float], ...]
-    buffer: float
-    seed: int
-    replicates: int
+    """Rates of one run over ``len(records)`` replicates sampled with ``cfg``."""
+
+    cfg: sampler.SamplingConfig
     r0: float
     interval_rates: list[RateEstimate]
     simplex_rates: list[RateEstimate]
@@ -190,48 +187,43 @@ def estimate_interval_rates(
             "window counts may be biased by the truncated sample",
             stacklevel=2,
         )
-    start = time.perf_counter()
-    records = [run_replicate(cfg, rep) for rep in range(replicates)]
-
     dim_cfg = DimensionConfig(n=cfg.n, k=cfg.k, rho=cfg.rho)
     area = cfg.window_volume
     norm = cfg.rho ** (cfg.k / cfg.n) * area
+    # the predictions first, so that dimensions with no constants fail
+    # before any replicate is sampled
+    types = constants.valid_interval_types(cfg.k)
+    interval_predicted = [
+        constants.expected_interval_count(t, dim_cfg, area, threshold) / norm for t in types
+    ]
+    simplex_predicted = [
+        constants.expected_simplex_count(j, dim_cfg, area, threshold) / norm
+        for j in range(cfg.k + 1)
+    ]
 
+    start = time.perf_counter()
+    records = [run_replicate(cfg, rep) for rep in range(replicates)]
     interval_counts = [rec.interval_counts(threshold) for rec in records]
     simplex_counts = [rec.simplex_counts(threshold) for rec in records]
     interval_rates = []
-    for t in constants.valid_interval_types(cfg.k):
+    for t, predicted in zip(types, interval_predicted):
         counts = np.array([c.get((t.ell, t.m), 0) for c in interval_counts], dtype=float)
-        predicted = constants.expected_interval_count(t, dim_cfg, area, threshold) / norm
         interval_rates.append(_rate_estimate(f"interval({t.ell},{t.m})", t.ell, t.m, counts, norm, predicted))
     simplex_rates = []
-    for j in range(cfg.k + 1):
+    for j, predicted in enumerate(simplex_predicted):
         counts = np.array([c.get(j, 0) for c in simplex_counts], dtype=float)
-        predicted = constants.expected_simplex_count(j, dim_cfg, area, threshold) / norm
         simplex_rates.append(_rate_estimate(f"simplex-{j}", j, j, counts, norm, predicted))
 
     radii_by_type: dict[tuple[int, int], np.ndarray] = {}
     if collect_radii:
-        for t in constants.valid_interval_types(cfg.k):
-            chunks = []
-            for rec in records:
-                sel = (
-                    rec.interval_in_window
-                    & (rec.interval_radii <= threshold)
-                    & (rec.interval_types[:, 0] == t.ell)
-                    & (rec.interval_types[:, 1] == t.m)
-                )
-                chunks.append(rec.interval_radii[sel])
-            radii_by_type[(t.ell, t.m)] = np.concatenate(chunks) if chunks else np.empty(0)
+        kept = [rec.interval_in_window & (rec.interval_radii <= threshold) for rec in records]
+        radii = np.concatenate([rec.interval_radii[sel] for rec, sel in zip(records, kept)])
+        kinds = np.concatenate([rec.interval_types[sel] for rec, sel in zip(records, kept)])
+        for t in types:
+            radii_by_type[(t.ell, t.m)] = radii[(kinds[:, 0] == t.ell) & (kinds[:, 1] == t.m)]
 
     return ExperimentReport(
-        n=cfg.n,
-        k=cfg.k,
-        rho=cfg.rho,
-        window=cfg.window,
-        buffer=cfg.buffer,
-        seed=cfg.seed,
-        replicates=replicates,
+        cfg=cfg,
         r0=threshold,
         interval_rates=interval_rates,
         simplex_rates=simplex_rates,
@@ -244,38 +236,39 @@ def estimate_interval_rates(
 CSV_HEADER = "type,ell,m,count,rate,se,predicted,z"
 
 
+def json_text(payload: dict) -> str:
+    """A JSON document with sorted keys and two-space indent, newline-terminated."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def report_to_json(report: ExperimentReport) -> str:
     """Serialize a report with versioned keys; byte-stable for fixed inputs
     (volatile fields such as the runtime are omitted)."""
 
     def row(rate: RateEstimate) -> dict:
-        return {
-            "ell": rate.ell,
-            "m": rate.m,
-            "count_mean": rate.count_mean,
-            "rate": rate.rate,
-            "se": rate.se,
-            "predicted": rate.predicted,
-            "z": rate.z if math.isfinite(rate.z) else None,
-        }
+        fields = dataclasses.asdict(rate)
+        del fields["label"]
+        fields["z"] = rate.z if math.isfinite(rate.z) else None
+        return fields
 
+    cfg = report.cfg
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "simulate",
         "config": {
-            "n": report.n,
-            "k": report.k,
-            "rho": report.rho,
-            "window": [[lo, hi] for lo, hi in report.window],
-            "buffer": report.buffer,
-            "seed": report.seed,
-            "replicates": report.replicates,
+            "n": cfg.n,
+            "k": cfg.k,
+            "rho": cfg.rho,
+            "window": [[lo, hi] for lo, hi in cfg.window],
+            "buffer": cfg.buffer,
+            "seed": cfg.seed,
+            "replicates": len(report.records),
             "r0": report.r0 if math.isfinite(report.r0) else None,
         },
         "intervals": [row(r) for r in report.interval_rates],
         "simplices": [row(r) for r in report.simplex_rates],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text(payload)
 
 
 def csv_text(rows: Sequence[Sequence]) -> str:
@@ -695,10 +688,11 @@ class AngleIntegralCheck:
     n: int
     quadrature: float
     closed_form: float
+    abs_error: float
 
     @property
-    def abs_error(self) -> float:
-        return abs(self.quadrature - self.closed_form)
+    def passed(self) -> bool:
+        return self.abs_error <= 1e-8
 
 
 def verify_angle_integral(n: int) -> AngleIntegralCheck:
@@ -715,15 +709,11 @@ def verify_angle_integral(n: int) -> AngleIntegralCheck:
 
     half, _ = integrate.dblquad(integrand, 0.0, math.pi / 2.0, 0.0, lambda a: a,
                                 epsabs=1e-12, epsrel=1e-12)
-    closed = (
-        math.sqrt(math.pi)
-        / (n - 1.0)
-        * (
-            2.0 * math.exp(math.lgamma(n - 1.0) - math.lgamma(n - 0.5))
-            - math.exp(math.lgamma((n - 1.0) / 2.0) - math.lgamma(n / 2.0))
-        )
+    quadrature = 2.0 * half
+    closed = math.sqrt(math.pi) / (n - 1.0) * constants.angle_bracket(n)
+    return AngleIntegralCheck(
+        n=n, quadrature=quadrature, closed_form=closed, abs_error=abs(quadrature - closed)
     )
-    return AngleIntegralCheck(n=n, quadrature=2.0 * half, closed_form=closed)
 
 
 @dataclass
@@ -753,8 +743,9 @@ def verify_gamma_lemma(
         c = float(rng.uniform(0.2, 3.0))
         t0 = float(rng.uniform(0.1, 2.5))
         closed = specfun.power_exp_integral(j, p, c, t0)
+        # QUADPACK's QAWS takes the endpoint singularity t^(j-1) as its weight
         direct, _ = integrate.quad(
-            lambda t: t ** (j - 1.0) * math.exp(-c * t**p), 0.0, t0,
+            lambda t: math.exp(-c * t**p), 0.0, t0, weight="alg", wvar=(j - 1.0, 0.0),
             epsabs=1e-13, epsrel=1e-12, limit=200,
         )
         worst = max(worst, abs(closed - direct) / abs(direct))
@@ -810,7 +801,6 @@ def verify_beta_projection_law(
 
 @dataclass
 class ReconcileResult:
-    thresholds: list[float]
     failures: list[str]
 
     @property
@@ -818,26 +808,23 @@ class ReconcileResult:
         return not self.failures
 
 
-def reconcile_simplex_counts(
-    report: ExperimentReport, thresholds: tuple[float, ...] | None = None
-) -> ReconcileResult:
+def reconcile_simplex_counts(report: ExperimentReport) -> ReconcileResult:
     """Exact per-replicate audit: for every j and every radius threshold, the
     number of j-simplices equals sum over types of binom(m - ell, m - j) times
-    the interval count. A failure message pinpoints the replicate."""
-    if thresholds is None:
-        finite = report.records and any(len(r.interval_radii) for r in report.records)
-        rmax = (
-            max(float(np.max(r.interval_radii)) for r in report.records if len(r.interval_radii))
-            if finite
-            else 1.0
-        )
-        thresholds = (0.25 * rmax, 0.5 * rmax, rmax, math.inf)
+    the interval count. The thresholds are 1/4, 1/2 and 1 times the largest
+    interval radius (1 when there is none) and infinity. A failure message
+    pinpoints the replicate."""
+    rmax = max(
+        (float(np.max(r.interval_radii)) for r in report.records if len(r.interval_radii)),
+        default=1.0,
+    )
+    thresholds = (0.25 * rmax, 0.5 * rmax, rmax, math.inf)
     failures = []
     for rec in report.records:
         for r0 in thresholds:
             iv = rec.interval_counts(r0)
             sx = rec.simplex_counts(r0)
-            for j in range(report.k + 1):
+            for j in range(report.cfg.k + 1):
                 predicted = sum(
                     math.comb(m - ell, m - j) * count
                     for (ell, m), count in iv.items()
@@ -849,4 +836,4 @@ def reconcile_simplex_counts(
                         f"replicate {rec.replicate}, r0={r0}: dimension {j} has "
                         f"{got} simplices but intervals predict {predicted}"
                     )
-    return ReconcileResult(thresholds=list(thresholds), failures=failures)
+    return ReconcileResult(failures=failures)

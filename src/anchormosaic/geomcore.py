@@ -295,7 +295,7 @@ def radius_and_intervals(
     w: np.ndarray,
     vertices: np.ndarray,
     edges: np.ndarray,
-    facets: np.ndarray | None = None,
+    facets: np.ndarray,
     window: tuple[tuple[float, float], ...] | None = None,
 ) -> Mosaic:
     """Anchored radius function and interval decomposition of a weighted
@@ -330,7 +330,7 @@ def radius_and_intervals(
     k = y.shape[1]
     if k > 2:
         raise ValueError(f"the interval decomposition supports k <= 2, got k={k}")
-    triangles = facets if k == 2 and facets is not None else np.empty((0, 3), dtype=int)
+    triangles = facets if k == 2 else np.empty((0, 3), dtype=int)
     n_v, n_e, n_t = len(vertices), len(edges), len(triangles)
     count = n_v + n_e + n_t
     scale = max(1.0, float(np.max(np.ptp(y[vertices], axis=0))))

@@ -82,16 +82,14 @@ def radius_and_intervals_1d(mosaic: Mosaic1D) -> Mosaic:
 
     The dimension-generic :func:`geomcore.radius_and_intervals` with
     ``y = x1``, ``w = -x2^2`` and an edge between each pair of consecutive
-    vertices; no triangles. An edge is critical when its radical point lies
+    vertices; the edges are also the facets, as :func:`geomcore.lower_hull`
+    gives them for k = 1. An edge is critical when its radical point lies
     strictly between its endpoints and otherwise pairs with the endpoint on
     the positive side, whose cell is clamped there. The result lists the
     vertices left to right, then the edges left to right.
     """
     v = mosaic.vertices
+    edges = np.column_stack([v[:-1], v[1:]])
     return radius_and_intervals(
-        mosaic.points[:, :1],
-        -mosaic.points[:, 1] ** 2,
-        v,
-        np.column_stack([v[:-1], v[1:]]),
-        window=(mosaic.window,),
+        mosaic.points[:, :1], -mosaic.points[:, 1] ** 2, v, edges, edges, window=(mosaic.window,)
     )

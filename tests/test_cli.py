@@ -1,10 +1,11 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
-from anchormosaic import cli
+from anchormosaic import cli, experiments, sampler
 
 
 def run(capsys, *argv):
@@ -72,15 +73,25 @@ class TestSimulateCommand:
             assert code == cli.EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
-        base, overridden = tmp_path / "x.json", tmp_path / "y.json"
-        run(capsys, "simulate", "--n", "2", "--k", "1", "--window", "40",
-            "--reps", "1", "--seed", "5", "--out", str(base))
-        monkeypatch.setenv("ANCHORMOSAIC_SEED", "99")
-        run(capsys, "simulate", "--n", "2", "--k", "1", "--window", "40",
-            "--reps", "1", "--seed", "5", "--out", str(overridden))
-        assert json.loads(base.read_text())["config"]["seed"] == 5
-        assert json.loads(overridden.read_text())["config"]["seed"] == 99
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "simulate", "--n", "2", "--k", "1", "--window", "10",
+            "--reps", "1", "--seed", str(2**64 - 1),
+        )
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["config"]["seed"] == 2**64 - 1
+
+    def test_dimensions_without_constants_fail_before_sampling(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled although n <= k has no constants")
+
+        monkeypatch.setattr(sampler, "sample_poisson_box", never)
+        code, out, err = run(
+            capsys, "simulate", "--n", "2", "--k", "2", "--window", "2500", "--reps", "40"
+        )
+        assert code == cli.EXIT_NUMERICAL
+        assert out == ""
+        assert "numerical error: ambient dimension must exceed k" in err
 
     def test_csv_schema(self, capsys):
         code, out, _ = run(
@@ -153,6 +164,31 @@ class TestVerifyCommand:
         assert 0.0 < payload["right_max_share"] <= 1.0
 
 
+class TestVerifyDocument:
+    @pytest.mark.parametrize(
+        "kind,check,extra,verdict",
+        [
+            ("bp", experiments.BPCheck, ("--n", "2", "--k", "1", "--samples", "2000"), "ci_overlap"),
+            ("angle", experiments.AngleIntegralCheck, ("--n", "3"), "pass"),
+            ("gamma-lemma", experiments.GammaLemmaCheck, ("--samples", "5"), "pass"),
+            ("beta-law", experiments.BetaLawCheck, ("--n", "4", "--k", "2", "--samples", "2000"), "pass"),
+        ],
+    )
+    def test_keys_are_the_check_fields(self, capsys, kind, check, extra, verdict):
+        _, out, _ = run(capsys, "verify", kind, *extra)
+        payload = json.loads(out)
+        fields = {f.name for f in dataclasses.fields(check)}
+        assert set(payload) == fields | {"kind", "schema_version", verdict}
+        assert payload["kind"] == f"verify-{kind}"
+
+    def test_bp_names_its_test_function(self, capsys):
+        _, out, _ = run(
+            capsys, "verify", "bp", "--n", "2", "--k", "1", "--m", "1",
+            "--test-function", "bump", "--samples", "2000",
+        )
+        assert json.loads(out)["test_function"] == "bump"
+
+
 class TestErrorPaths:
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "constants", "--k", "5", "--n", "3")
@@ -192,6 +228,22 @@ class TestErrorPaths:
     def test_bad_simulate_count_or_window_is_usage_error(self, capsys, flag, value):
         argv = {"--n": "2", "--k": "1", "--window": "100", "--reps": "2", flag: value}
         code, out, err = run(capsys, "simulate", *[t for item in argv.items() for t in item])
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--n", "2", "--k", "1", "--window", "10", "--reps", "1"),
+            ("verify", "gamma-lemma", "--samples", "1"),
+            ("verify", "beta-law", "--n", "4", "--k", "2", "--samples", "100"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "-3", str(2**64), str(2**128), "1.5", "abc"])
+    def test_seed_outside_the_key_range_is_usage_error(self, capsys, argv, seed):
+        # a seed is a whole number in [0, 2^64), the generators' key range
+        code, out, err = run(capsys, *argv, "--seed", seed)
         assert code == cli.EXIT_USAGE
         assert out == ""
         assert "usage error" in err
