@@ -72,10 +72,18 @@ def _seed(text: str) -> int:
 
 
 def _positive(text: str) -> float:
-    """``--window``: a finite number above 0."""
+    """``--window``, ``--rho``: a finite number above 0."""
     value = _number(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"need a finite number above 0, got {text!r}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    """``--buffer``, ``--r0``: a number of at least 0, ``inf`` included."""
+    value = _number(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"need a number of at least 0, got {text!r}")
     return value
 
 
@@ -86,18 +94,18 @@ def _build_parser() -> _Parser:
     p_const = sub.add_parser("constants", help="closed-form interval and simplex constants")
     p_const.add_argument("--k", type=int, required=True, choices=(1, 2))
     p_const.add_argument("--n", type=_parse_n_range, required=True, help="ambient dimensions, e.g. 2..9 or 3,5,7")
-    p_const.add_argument("--r0", type=float, default=None, help="radius threshold for the expectation column")
-    p_const.add_argument("--rho", type=float, default=1.0)
+    p_const.add_argument("--r0", type=_non_negative, default=None, help="radius threshold for the expectation column")
+    p_const.add_argument("--rho", type=_positive, default=1.0)
     p_const.add_argument("--out", type=str, default=None)
     p_const.add_argument("--format", choices=("csv", "json"), default="json")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo interval/simplex rates")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--k", type=int, required=True, choices=(1, 2))
-    p_sim.add_argument("--rho", type=float, default=1.0)
+    p_sim.add_argument("--rho", type=_positive, default=1.0)
     p_sim.add_argument("--window", type=_positive, required=True, help="k-volume of the counting window")
-    p_sim.add_argument("--buffer", type=float, default=None, help="sampling margin (default: radius quantile 1-1e-6)")
-    p_sim.add_argument("--r0", type=float, default=None)
+    p_sim.add_argument("--buffer", type=_non_negative, default=None, help="sampling margin (default: radius quantile 1-1e-6)")
+    p_sim.add_argument("--r0", type=_non_negative, default=None)
     p_sim.add_argument("--reps", type=_count, default=10)
     p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--out", type=str, default=None)

@@ -83,6 +83,13 @@ class Mosaic:
     i runs from row ``lower[i]`` to row ``upper[i]``. ``simplices``, the rows
     as tuples, and ``intervals`` are built on first use, so a census that
     reads only the columns never builds them.
+
+    ``intervals`` is built in one columnar pass: each column is read with one
+    ``tolist()``, the intervals of one type share one ``IntervalType``, the
+    sphere anchors are the rows of one copy ``anchors[upper]`` (so no
+    interval shares memory with ``anchors`` or with another interval), and
+    the members are slices of one list of the simplices in interval-id order.
+    ``to_dict`` likewise reads each column once.
     """
 
     y: np.ndarray
@@ -119,54 +126,52 @@ class Mosaic:
     @cached_property
     def intervals(self) -> list[Interval]:
         """One ``Interval`` per id, members in row order, built on first use."""
-        order = np.argsort(self.interval_id, kind="stable").tolist()
+        simplices = self.simplices
+        kinds = list(zip(self.dims[self.lower].tolist(), self.dims[self.upper].tolist()))
+        types = {kind: IntervalType(*kind) for kind in set(kinds)}
+        # members: the simplices grouped by interval id, row order within a group
+        ranked = [simplices[r] for r in np.argsort(self.interval_id, kind="stable").tolist()]
         stops = np.cumsum(np.bincount(self.interval_id, minlength=len(self.lower))).tolist()
-        out: list[Interval] = []
-        start = 0
-        for lo, up, stop in zip(self.lower.tolist(), self.upper.tolist(), stops):
-            out.append(
-                Interval(
-                    lower=self.simplices[lo],
-                    upper=self.simplices[up],
-                    type=IntervalType(int(self.dims[lo]), int(self.dims[up])),
-                    sphere=AnchoredSphere(
-                        anchor=self.anchors[up].copy(), radius=float(self.radii[up])
-                    ),
-                    members=tuple(self.simplices[r] for r in order[start:stop]),
-                )
+        members = [tuple(ranked[start:stop]) for start, stop in zip([0, *stops[:-1]], stops)]
+        return list(
+            map(
+                Interval,
+                map(simplices.__getitem__, self.lower.tolist()),
+                map(simplices.__getitem__, self.upper.tolist()),
+                map(types.__getitem__, kinds),
+                map(AnchoredSphere, self.anchors[self.upper], self.radii[self.upper].tolist()),
+                members,
             )
-            start = stop
-        return out
+        )
 
     def to_dict(self) -> dict:
         """JSON-ready dump: vertices, simplices with radii/anchors, interval ids."""
+        y, w = self.y.tolist(), self.w.tolist()
+        columns = zip(
+            self.simplices,
+            self.dims.tolist(),
+            self.radii.tolist(),
+            self.anchors.tolist(),
+            self.interval_id.tolist(),
+        )
         return {
             "schema_version": SCHEMA_VERSION,
             "k": int(self.y.shape[1]),
             "window": None
             if self.window is None
             else [[float(b) for b in side] for side in self.window],
-            "vertices": [
-                {"id": int(v), "y": [float(c) for c in self.y[v]], "w": float(self.w[v])}
-                for v in self.vertices
-            ],
+            "vertices": [{"id": v, "y": y[v], "w": w[v]} for v in self.vertices.tolist()],
             "simplices": [
-                {
-                    "vertices": list(s),
-                    "dim": int(self.dims[idx]),
-                    "radius": float(self.radii[idx]),
-                    "anchor": [float(c) for c in self.anchors[idx]],
-                    "interval": int(self.interval_id[idx]),
-                }
-                for idx, s in enumerate(self.simplices)
+                {"vertices": list(s), "dim": dim, "radius": r, "anchor": a, "interval": iid}
+                for s, dim, r, a, iid in columns
             ],
             "intervals": [
                 {
                     "id": iid,
                     "ell": iv.type.ell,
                     "m": iv.type.m,
-                    "radius": float(iv.sphere.radius),
-                    "anchor": [float(c) for c in iv.sphere.anchor],
+                    "radius": iv.sphere.radius,
+                    "anchor": iv.sphere.anchor.tolist(),
                     "lower": list(iv.lower),
                     "upper": list(iv.upper),
                     "members": [list(mm) for mm in iv.members],
@@ -194,19 +199,25 @@ def sphere_is_empty(
 
     Points closer to the embedded anchor than radius * (1 - 1e-9) count as
     inside; the tolerance band absorbs floating-point noise for the defining
-    points, which sit exactly on the sphere.
+    points, which sit exactly on the sphere. A NaN coordinate of a point not
+    excluded makes the sphere not empty.
+
+    The squared distances are a column sum: the coordinates are copied as
+    one (n, N) array, the anchor is taken off its first k rows, and the
+    squared rows are added; excluded points get distance infinity, and the
+    nearest point is compared with the threshold.
     """
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
     if cloud.shape[0] == 0:
         return True
-    center = np.zeros(cloud.shape[1])
-    center[: sphere.anchor.size] = sphere.anchor
-    d2 = np.einsum("ij,ij->i", cloud - center, cloud - center)
-    keep = np.ones(cloud.shape[0], dtype=bool)
+    diff = cloud.T.copy()
+    diff[: sphere.anchor.size] -= sphere.anchor[:, None]
+    np.multiply(diff, diff, out=diff)
+    d2 = np.add.reduce(diff, axis=0)
     if len(exclude):
-        keep[np.asarray(list(exclude), dtype=int)] = False
+        d2[np.asarray(list(exclude), dtype=int)] = np.inf
     threshold = (sphere.radius * (1.0 - _EMPTY_REL_TOL)) ** 2
-    return bool(np.all(d2[keep] >= threshold))
+    return bool(d2.min() >= threshold)
 
 
 def lower_hull(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -53,7 +53,7 @@ class SamplingConfig:
             raise ValueError(f"window defines k={self.k}, need 1 <= k <= n={self.n}")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError(f"density must be positive, got {self.rho}")
-        if self.buffer < 0:
+        if not self.buffer >= 0:
             raise ValueError(f"buffer must be non-negative, got {self.buffer}")
         for lo, hi in self.window:
             if not lo < hi:

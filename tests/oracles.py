@@ -11,7 +11,7 @@ import numpy as np
 
 from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError, IterationLimitError
-from anchormosaic.geomcore import AnchoredSphere
+from anchormosaic.geomcore import AnchoredSphere, Interval, Mosaic
 
 _RANK_RCOND = 1e-12
 _MAX_GAMMA_ITER = 10_000
@@ -122,6 +122,31 @@ def exact_lower_hull_1d(points: np.ndarray) -> list[int]:
             hull.pop()
         hull.append(idx)
     return hull
+
+
+def intervals_per_row(mosaic: Mosaic) -> list[Interval]:
+    """The intervals of a mosaic, built row by row: for each interval id its
+    bounds, type and sphere read off the ``lower`` and ``upper`` rows, and its
+    members the rows with that id in row order; the reference for the
+    columnar ``Mosaic.intervals``."""
+    order = np.argsort(mosaic.interval_id, kind="stable").tolist()
+    stops = np.cumsum(np.bincount(mosaic.interval_id, minlength=len(mosaic.lower))).tolist()
+    out: list[Interval] = []
+    start = 0
+    for lo, up, stop in zip(mosaic.lower.tolist(), mosaic.upper.tolist(), stops):
+        out.append(
+            Interval(
+                lower=mosaic.simplices[lo],
+                upper=mosaic.simplices[up],
+                type=IntervalType(int(mosaic.dims[lo]), int(mosaic.dims[up])),
+                sphere=AnchoredSphere(
+                    anchor=mosaic.anchors[up].copy(), radius=float(mosaic.radii[up])
+                ),
+                members=tuple(mosaic.simplices[r] for r in order[start:stop]),
+            )
+        )
+        start = stop
+    return out
 
 
 # Scalar incomplete Gamma and Beta functions (series and Lentz continued

@@ -235,6 +235,46 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("constants", "--k", "1", "--n", "2", "--rho", "0"),
+            ("constants", "--k", "1", "--n", "2", "--rho", "-1"),
+            ("constants", "--k", "1", "--n", "2", "--rho", "inf"),
+            ("constants", "--k", "1", "--n", "2", "--rho", "nan"),
+            ("constants", "--k", "1", "--n", "2", "--r0", "-1"),
+            ("constants", "--k", "1", "--n", "2", "--r0", "nan"),
+            ("simulate", "--n", "2", "--k", "1", "--window", "10", "--reps", "1", "--rho", "0"),
+            ("simulate", "--n", "2", "--k", "1", "--window", "10", "--reps", "1", "--buffer", "-1"),
+            ("simulate", "--n", "2", "--k", "1", "--window", "10", "--reps", "1", "--buffer", "nan"),
+            ("simulate", "--n", "2", "--k", "1", "--window", "10", "--reps", "1", "--r0", "-1"),
+            ("simulate", "--n", "2", "--k", "1", "--window", "10", "--reps", "1", "--r0", "nan"),
+            ("simulate", "--n", "2", "--k", "1", "--window", "10", "--reps", "1", "--r0", "x"),
+        ],
+    )
+    def test_out_of_range_density_buffer_or_threshold_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "usage error" in err
+
+    def test_infinite_threshold_is_accepted(self, capsys):
+        # r0 = inf is the default threshold: every radius counts
+        code, out, _ = run(capsys, "constants", "--k", "1", "--n", "2", "--r0", "inf")
+        assert code == cli.EXIT_OK
+        table = json.loads(out)["table"]["2"]
+        assert table["E[c(0,0)](r0)"] == pytest.approx(table["C[0,0]"], rel=1e-12)
+
+    def test_zero_buffer_with_n_above_k_is_numerical_error(self, capsys):
+        # a valid buffer on its own; SamplingConfig needs a positive one when n > k
+        code, out, err = run(
+            capsys, "simulate", "--n", "2", "--k", "1", "--window", "10", "--reps", "1",
+            "--buffer", "0",
+        )
+        assert code == cli.EXIT_NUMERICAL
+        assert out == ""
+        assert "a positive buffer is required" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("simulate", "--n", "2", "--k", "1", "--window", "10", "--reps", "1"),
             ("verify", "gamma-lemma", "--samples", "1"),
             ("verify", "beta-law", "--n", "4", "--k", "2", "--samples", "100"),

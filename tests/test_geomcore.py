@@ -12,7 +12,12 @@ from anchormosaic.constants import SCHEMA_VERSION, IntervalType
 from anchormosaic.errors import DegeneracyError
 from anchormosaic.geomcore import AnchoredSphere
 
-from oracles import WeightedPoint, smallest_anchored_circumsphere, visibility_type
+from oracles import (
+    WeightedPoint,
+    intervals_per_row,
+    smallest_anchored_circumsphere,
+    visibility_type,
+)
 
 
 class TestProjection:
@@ -176,6 +181,56 @@ class TestSphereIsEmpty:
         assert not geomcore.sphere_is_empty(s, inside)
         assert geomcore.sphere_is_empty(s, on_band)
 
+    def test_every_point_excluded(self):
+        s = AnchoredSphere(anchor=np.array([0.0]), radius=10.0)
+        cloud = np.array([[0.0, 0.1], [1.0, -0.2], [-1.0, 0.3]])
+        assert not geomcore.sphere_is_empty(s, cloud, exclude=[0, 1])
+        assert geomcore.sphere_is_empty(s, cloud, exclude=[0, 1, 2])
+
+    @pytest.mark.parametrize("kind", [list, tuple, lambda rows: np.array(rows, dtype=int)])
+    def test_exclude_kinds(self, kind):
+        # the points at rows 1 and 3 lie inside; excluding both empties the sphere
+        s = AnchoredSphere(anchor=np.array([0.0, 0.0]), radius=1.0)
+        cloud = np.array([[2.0, 0.0, 0.0], [0.1, 0.0, 0.2], [0.0, 3.0, 0.0], [0.0, -0.5, 0.0]])
+        assert geomcore.sphere_is_empty(s, cloud, exclude=kind([1, 3]))
+        assert not geomcore.sphere_is_empty(s, cloud, exclude=kind([1]))
+        assert not geomcore.sphere_is_empty(s, cloud, exclude=kind([3]))
+        assert not geomcore.sphere_is_empty(s, cloud, exclude=kind([]))
+
+    def test_nan_coordinate_is_not_empty(self):
+        s = AnchoredSphere(anchor=np.array([0.0]), radius=1.0)
+        cloud = np.array([[5.0, 0.0], [np.nan, 0.0], [-5.0, 0.0]])
+        assert not geomcore.sphere_is_empty(s, cloud)
+        assert not geomcore.sphere_is_empty(s, cloud, exclude=(0,))
+
+    def test_excluded_nan_row_is_ignored(self):
+        s = AnchoredSphere(anchor=np.array([0.0]), radius=1.0)
+        cloud = np.array([[5.0, 0.0], [0.0, np.nan], [-5.0, 0.0]])
+        assert geomcore.sphere_is_empty(s, cloud, exclude=(1,))
+        inside = np.vstack([cloud, [[0.0, 0.5]]])
+        assert not geomcore.sphere_is_empty(s, inside, exclude=(1,))
+
+    def test_single_point_as_vector(self):
+        s = AnchoredSphere(anchor=np.array([0.0]), radius=1.0)
+        assert not geomcore.sphere_is_empty(s, np.array([0.0, 0.5]))
+        assert geomcore.sphere_is_empty(s, np.array([0.0, 1.5]))
+        assert geomcore.sphere_is_empty(s, [0.0, 0.5], exclude=[0])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_anchor_of_either_slice_dimension_in_3d(self, k):
+        rng = np.random.default_rng(40 + k)
+        cloud = rng.uniform(-2, 2, size=(60, 3))
+        for _ in range(30):
+            anchor = rng.uniform(-2, 2, size=k)
+            radius = float(rng.uniform(0.1, 2.0))
+            exclude = rng.choice(60, size=3, replace=False)
+            center = np.concatenate([anchor, np.zeros(3 - k)])
+            keep = np.ones(60, dtype=bool)
+            keep[exclude] = False
+            brute = bool(np.all(np.linalg.norm(cloud[keep] - center, axis=1) >= radius * (1 - 1e-9)))
+            s = AnchoredSphere(anchor=anchor, radius=radius)
+            assert geomcore.sphere_is_empty(s, cloud, exclude=exclude) == brute
+
 
 class TestLowerHull:
     def test_line(self):
@@ -229,6 +284,52 @@ class TestMosaic:
             assert iv["id"] == iid
             assert s["vertices"] in iv["members"]
             assert s["radius"] == pytest.approx(iv["radius"], rel=1e-12)
+
+    @staticmethod
+    def _random_mosaic(k, seed):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(20, 300))
+        side = count / 1.27 if k == 1 else math.sqrt(count / 1.46)
+        cloud = np.column_stack(
+            [rng.uniform(0, side, (count, k)), rng.uniform(-2.0, 2.0, (count, 3 - k))]
+        )
+        y, w = geomcore.slice_cloud(cloud, k)
+        return geomcore.radius_and_intervals(y, w, *geomcore.lower_hull(y, w))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_intervals_match_per_row_builder(self, k, seed):
+        mosaic = self._random_mosaic(k, 100 * k + seed)
+        expected = intervals_per_row(mosaic)
+        got = mosaic.intervals
+        assert len(got) == len(expected) == len(mosaic.lower)
+        for iv, ref in zip(got, expected):
+            assert iv.lower == ref.lower
+            assert iv.upper == ref.upper
+            assert type(iv.type) is IntervalType and iv.type == ref.type
+            assert iv.sphere.anchor.dtype == ref.sphere.anchor.dtype
+            assert iv.sphere.anchor.shape == ref.sphere.anchor.shape == (k,)
+            assert iv.sphere.anchor.tolist() == ref.sphere.anchor.tolist()
+            assert type(iv.sphere.radius) is float and iv.sphere.radius == ref.sphere.radius
+            assert iv.members == ref.members
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_interval_anchors_are_copies(self, k):
+        mosaic = self._random_mosaic(k, 7)
+        anchors = mosaic.anchors.copy()
+        first, second = mosaic.intervals[:2]
+        kept = second.sphere.anchor.copy()
+        assert not np.shares_memory(first.sphere.anchor, mosaic.anchors)
+        first.sphere.anchor[:] = 1e9
+        assert np.array_equal(mosaic.anchors, anchors)
+        assert np.array_equal(second.sphere.anchor, kept)
+
+    def test_intervals_built_on_first_use(self):
+        mosaic = self._random_mosaic(2, 3)
+        assert "intervals" not in vars(mosaic)
+        intervals = mosaic.intervals
+        assert "intervals" in vars(mosaic)
+        assert mosaic.intervals is intervals
 
 
 class TestVisibilityType:

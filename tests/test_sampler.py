@@ -104,6 +104,9 @@ class TestSamplePoissonBox:
             make_cfg(rho=-1.0)
         with pytest.raises(ValueError):
             make_cfg(n=2, buffer=0.0)
+        for buffer in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="buffer must be non-negative"):
+                make_cfg(buffer=buffer)
 
 
 class TestChooseBuffer:
