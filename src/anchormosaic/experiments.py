@@ -137,7 +137,7 @@ def run_replicate(cfg: sampler.SamplingConfig, replicate: int) -> ReplicateRecor
     if len(points) == 0:
         return _empty_record(replicate, 0)
     y, w = slice_cloud(points, cfg.k)
-    mosaic = radius_and_intervals(y, w, *lower_hull(y, w), window=cfg.window)
+    mosaic = radius_and_intervals(y, w, lower_hull(y, w), window=cfg.window)
     simplex_in_window = _window_mask(mosaic.anchors, cfg.window)
     return ReplicateRecord(
         replicate=replicate,

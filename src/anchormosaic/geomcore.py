@@ -3,24 +3,27 @@
 The slice plane is always the span of the first k coordinate axes; general
 positions are handled by rotating inputs before they get here. Provides
 projections with slice weights, emptiness tests, the weighted Delaunay
-mosaic as one Qhull lower hull of the lifted generators (any k), the dual
-vertices of its top simplices and its interval decomposition into one
-columnar ``Mosaic`` (k <= 2). The census runs ``slice_cloud``,
-``lower_hull`` and ``radius_and_intervals`` in that order for every k.
+mosaic as one Qhull lower hull of the lifted generators, listed face by
+face, the dual vertices of its top simplices and its interval decomposition
+into one columnar ``Mosaic``, all for any k. The census runs
+``slice_cloud``, ``lower_hull`` and ``radius_and_intervals`` in that order
+for every k.
 
 The decomposition is combinatorial: a simplex's smallest anchored sphere is
 anchored in the relative interior of exactly one face of the power diagram,
 the simplex dual to that face is the interval's upper bound, and the signs
 of the anchor's barycentric coordinates on the upper bound give the lower
 bound and the type (Bauer & Edelsbrunner, "The Morse theory of Cech and
-Delaunay complexes", Trans. AMS 2017). Anchors are dual vertices for
-triangles and radical-hyperplane crossings for edges, all in closed form.
+Delaunay complexes", Trans. AMS 2017). One loop applies that rule from the
+top dimension down; anchors are dual vertices for the top simplices and
+equal-power points of a Gram system for the lower ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
@@ -74,15 +77,15 @@ class Mosaic:
     function and interval decomposition, held column by column.
 
     ``y`` (N, k) and ``w`` (N,) are the projections and weights of all
-    generators; ``vertices`` lists the surviving ones, ``edges`` (E, 2) and
-    ``triangles`` (T, 3) the edges and triangles as generator indices sorted
-    within each row (T = 0 for k = 1). The rows are the vertices in the order
-    of ``vertices``, then the edges, then the triangles. Row r of ``dims``,
-    ``anchors``, ``radii`` and ``interval_id`` describes ``simplices[r]``;
-    every simplex carries the sphere of its interval's upper bound. Interval
-    i runs from row ``lower[i]`` to row ``upper[i]``. ``simplices``, the rows
-    as tuples, and ``intervals`` are built on first use, so a census that
-    reads only the columns never builds them.
+    generators; ``faces[m]`` (F_m, m+1) lists the m-simplices as generator
+    indices sorted within each row, ``faces[0]`` the surviving generators.
+    The rows are the faces level by level, m = 0 to k, each level in the
+    order of ``faces[m]``. Row r of ``dims``, ``anchors``, ``radii`` and
+    ``interval_id`` describes ``simplices[r]``; every simplex carries the
+    sphere of its interval's upper bound. Interval i runs from row
+    ``lower[i]`` to row ``upper[i]``. ``simplices``, the rows as tuples, and
+    ``intervals`` are built on first use, so a census that reads only the
+    columns never builds them.
 
     ``intervals`` is built in one columnar pass: each column is read with one
     ``tolist()``, the intervals of one type share one ``IntervalType``, the
@@ -94,9 +97,7 @@ class Mosaic:
 
     y: np.ndarray
     w: np.ndarray
-    vertices: np.ndarray
-    edges: np.ndarray
-    triangles: np.ndarray
+    faces: list[np.ndarray]
     dims: np.ndarray
     anchors: np.ndarray
     radii: np.ndarray
@@ -106,22 +107,24 @@ class Mosaic:
     window: tuple[tuple[float, float], ...] | None = None
 
     @property
+    def vertices(self) -> np.ndarray:
+        """The surviving generators, in the order of ``faces[0]``."""
+        return self.faces[0][:, 0]
+
+    @property
     def vertex_radius(self) -> np.ndarray:
         """Radii of the vertices, in the order of ``vertices``."""
-        return self.radii[: len(self.vertices)]
+        return self.radii[: len(self.faces[0])]
 
     @property
     def edge_radius(self) -> np.ndarray:
-        """Radii of the edges, in row order."""
-        return self.radii[self.dims == 1]
+        """Radii of the edges, in row order: a view of their rows of ``radii``."""
+        return self.radii[len(self.faces[0]) : len(self.faces[0]) + len(self.faces[1])]
 
     @cached_property
     def simplices(self) -> list[tuple[int, ...]]:
         """Sorted generator-index tuple of each row, built on first use."""
-        out: list[tuple[int, ...]] = [(v,) for v in self.vertices.tolist()]
-        out += map(tuple, self.edges.tolist())
-        out += map(tuple, self.triangles.tolist())
-        return out
+        return [tuple(row) for face in self.faces for row in face.tolist()]
 
     @cached_property
     def intervals(self) -> list[Interval]:
@@ -220,15 +223,18 @@ def sphere_is_empty(
     return bool(d2.min() >= threshold)
 
 
-def lower_hull(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted Delaunay mosaic of projections ``y`` (N, k) with weights ``w``:
-    the lower convex hull of the lift (y, |y|^2 - w) in R^(k+1).
 
-    Returns the surviving generators (sorted indices; those strictly above
-    the lower hull have empty power cells and are submerged), the edges as
-    sorted generator pairs in lexicographic order, and the downward facets,
-    the (F, k+1) top simplices in Qhull's vertex order. Fewer than k + 2
-    generators are too few for Qhull; they span one simplex.
+
+def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
+    """Weighted Delaunay mosaic of projections ``y`` (N, k) with weights ``w``:
+    the lower convex hull of the lift (y, |y|^2 - w) in R^(k+1), as its faces.
+
+    ``faces[k]`` are the cells, the downward facets, and ``faces[m]``, m < k,
+    their distinct (m+1)-subsets: generator indices sorted within each row,
+    the rows in lexicographic order. ``faces[0]`` holds the surviving
+    generators; those strictly above the lower hull have empty power cells
+    and are submerged. Fewer than k + 2 generators, too few for Qhull, span
+    one cell, a top simplex only when there are k + 1 of them.
 
     Qhull runs with ``Qbb``, which scales the lift to [0, m], m the largest
     absolute projected coordinate, before the hull is built: on a 1-D lift
@@ -237,16 +243,18 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
     Raises DegeneracyError on duplicate projections (found by comparing
     neighbours in lexicographic order), on affinely dependent or otherwise
-    degenerate configurations, and MosaicError when a ridge, a k-subset of a
-    facet, belongs to more than two facets (for k = 2 the ridges are the
-    edges). Edges and ridges are sorted as integer keys, ``lo * N + hi`` for
-    an edge and the sorted indices read as digits in base N for a ridge,
-    which sort in lexicographic order and are exact while N^2 and N^k stay
-    below 2^63.
+    degenerate configurations, and MosaicError when a ridge (in
+    ``faces[k-1]``) belongs to more than two cells. A face below the top is
+    keyed as its indices read as digits in base N, exact while N^k < 2^63; a
+    larger N raises ValueError before any key is formed.
     """
     n_pts, k = y.shape
     if w.shape != (n_pts,):
         raise ValueError("weights must be a vector matching the projections")
+    if n_pts**k >= 2**63:
+        raise ValueError(
+            f"faces are keyed as k = {k} digits in base N = {n_pts}, exact only while N^k < 2^63"
+        )
     ordered = y[np.lexsort(y.T[::-1])]
     if np.any((ordered[1:] == ordered[:-1]).all(axis=1)):
         raise DegeneracyError("duplicate projected generators")
@@ -258,29 +266,59 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
             )
         except QhullError as exc:
             raise DegeneracyError(f"degenerate lifted configuration: {exc}") from exc
-        cells = facets = np.asarray(hull.simplices[hull.equations[:, k] < 0.0], dtype=int)
-        if facets.shape[0] == 0:
+        cells = np.asarray(hull.simplices[hull.equations[:, k] < 0.0], dtype=int)
+        if cells.shape[0] == 0:
             raise DegeneracyError("no downward-facing hull facets")
-        # the ridge opposite corner i of a sorted facet, as a key in base N
-        others = np.nonzero(~np.eye(k + 1, dtype=bool))[1].reshape(k + 1, k)
-        digits = n_pts ** np.arange(k - 1, -1, -1)
-        ridges = np.sort(np.sort(facets, axis=1)[:, others] @ digits, axis=None)
-        if np.any(ridges[2:] == ridges[:-2]):
-            raise MosaicError("a ridge belongs to more than two facets")
     else:
         scale = max(1.0, float(np.max(np.ptp(y, axis=0))))
         volume = np.prod(np.linalg.svd(y[1:] - y[0], compute_uv=False))
         if volume <= 1e-12 * scale ** (n_pts - 1):
             raise DegeneracyError("the projections are affinely dependent")
         cells = np.arange(n_pts)[None, :]
-        facets = cells if n_pts == k + 1 else np.empty((0, k + 1), dtype=int)
+    cells = np.sort(cells, axis=1)
 
-    a, b = np.triu_indices(cells.shape[1], 1)
-    lo, hi = np.minimum(cells[:, a], cells[:, b]), np.maximum(cells[:, a], cells[:, b])
-    keys = np.sort(lo * n_pts + hi, axis=None)
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    survivors = np.flatnonzero(np.bincount(cells.ravel(), minlength=n_pts))
-    return survivors, np.column_stack([keys // n_pts, keys % n_pts]), facets
+    faces = []
+    for m in range(k):
+        corners = np.array(list(combinations(range(cells.shape[1]), m + 1)), dtype=int)
+        digits = n_pts ** np.arange(m, -1, -1)
+        keys = np.sort(cells[:, corners.reshape(-1, m + 1)] @ digits, axis=None)
+        if m == k - 1 and np.any(keys[2:] == keys[:-2]):
+            raise MosaicError("a ridge belongs to more than two facets")
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        faces.append(keys[:, None] // digits % n_pts)
+    top = cells if cells.shape[1] == k + 1 else np.empty((0, k + 1), dtype=int)
+    faces.append(top[np.lexsort(top.T[::-1])])
+    return faces
+
+
+def _corner_system(y: np.ndarray, w: np.ndarray, simplices: np.ndarray):
+    """Equal-power equations ``e_c . u = b_c``, c = 1..m, of (F, m+1)
+    ``simplices`` for a point's offset u from corner 0: ``e_c = y_c - y_0``
+    (F, m, k) and ``b_c = (|e_c|^2 - (w_c - w_0)) / 2`` (F, m)."""
+    e = y[simplices[:, 1:]] - y[simplices[:, :1]]
+    dw = w[simplices[:, 1:]] - w[simplices[:, :1]]
+    return e, 0.5 * (np.einsum("fck,fck->fc", e, e) - dw)
+
+
+def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``x`` with ``lhs x = rhs`` for (F, m, m) and (F, m) batches; a 1 x 1
+    system is one division. A singular system raises DegeneracyError."""
+    if lhs.shape[1:] == (1, 1) and np.all(lhs != 0.0):
+        return rhs / lhs[:, 0]
+    try:
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise DegeneracyError("a simplex has affinely dependent generators") from exc
+
+
+def _find(keys: np.ndarray, order: np.ndarray, rows: np.ndarray, n_pts: int) -> np.ndarray:
+    """Positions of the sorted index ``rows`` (R, m+1) among faces with base-N
+    ``keys`` that ``order`` sorts; a row that is not a face raises MosaicError."""
+    wanted = rows @ n_pts ** np.arange(rows.shape[1] - 1, -1, -1)
+    found = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)]
+    if np.any(keys[found] != wanted):
+        raise MosaicError("a claimed face is not in the mosaic")
+    return found
 
 
 def dual_vertices(y: np.ndarray, w: np.ndarray, simplices: np.ndarray) -> np.ndarray:
@@ -288,145 +326,106 @@ def dual_vertices(y: np.ndarray, w: np.ndarray, simplices: np.ndarray) -> np.nda
     Delaunay mosaic of projections ``y`` (N, k) with weights ``w``: the
     vertices of the power diagram, (F, k).
 
-    Each solves the k linear equations ``2 (y_i - y_0) . x = L_i - L_0``,
-    with ``L = |y|^2 - w`` the lift, for the corners i = 1..k of its simplex;
-    an affinely dependent simplex raises DegeneracyError.
+    Each solves ``e_c . u = (|e_c|^2 - (w_c - w_0)) / 2``, ``e_c = y_c - y_0``,
+    c = 1..k, and returns ``y_0 + u``: relative to a corner and with
+    differences of weights, nothing cancels the way differences of the lift
+    ``|y|^2 - w`` do far from the origin. An affinely dependent simplex
+    raises DegeneracyError.
     """
-    lifted = np.einsum("ij,ij->i", y, y) - w
-    lhs = 2.0 * (y[simplices[:, 1:]] - y[simplices[:, :1]])
-    rhs = lifted[simplices[:, 1:]] - lifted[simplices[:, :1]]
-    try:
-        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError("a top simplex has affinely dependent generators") from exc
+    e, b = _corner_system(y, w, simplices)
+    return y[simplices[:, 0]] + _solve(e, b)
 
 
 def radius_and_intervals(
     y: np.ndarray,
     w: np.ndarray,
-    vertices: np.ndarray,
-    edges: np.ndarray,
-    facets: np.ndarray,
+    faces: Sequence[np.ndarray],
     window: tuple[tuple[float, float], ...] | None = None,
 ) -> Mosaic:
     """Anchored radius function and interval decomposition of a weighted
-    Delaunay mosaic in R^k, for k <= 2; a larger k raises ValueError.
+    Delaunay mosaic in R^k, for any k.
 
-    ``y`` (N, k) and ``w`` (N,) are all generators, ``vertices`` the
-    surviving ones, ``edges`` (E, 2) the mosaic edges and ``facets``
-    (F, k+1) the top simplices, as :func:`lower_hull` returns them. For
-    k = 1 the facets are the edges again and add nothing; for k = 2 they
-    are the triangles, and the triangle stage needs ``edges`` as sorted rows
-    in lexicographic order. Every anchor is computed here, and every
-    interval is read off the signs of the barycentric coordinates of its
-    upper bound's anchor, with no tolerance:
+    ``y`` (N, k) and ``w`` (N,) are all generators and ``faces[m]`` the
+    m-simplices with indices sorted within each row, as :func:`lower_hull`
+    gives them (a level's rows may come in any order). One rule (Bauer &
+    Edelsbrunner) runs for m = k, ..., 1, with no tolerance: an m-simplex
+    no higher upper bound claims is an upper bound, anchored at the
+    equal-power point in its corners' affine hull (:func:`dual_vertices` for
+    m = k; for m < k ``y_0 + sum lambda_c e_c``, lambda from the Gram system
+    ``(e_i . e_j) lambda = b`` of the equations ``e_c . u = b_c``). The Gram
+    system gives its barycentric coordinates ``(1 - sum lambda, lambda)``;
+    it claims every face left when a non-empty set of its negative corners
+    is dropped, down to its lower bound, the face of its positive corners.
+    A vertex nothing claims is a critical (0, 0) interval anchored at its
+    own projection. An exact zero coordinate raises DegeneracyError.
 
-    - A triangle's anchor is its dual vertex (:func:`dual_vertices`). The
-      edges opposite its negative corners join its interval, and with two
-      negative corners so does the remaining vertex (a (0, 2) interval). An
-      edge claimed by both of its triangles raises MosaicError.
-    - An unclaimed edge (i, j) is anchored where its radical hyperplane
-      crosses it, at ``y_i + s (y_j - y_i)`` with
-      ``s = 1/2 + (w_i - w_j) / (2 |y_j - y_i|^2)``. It is a critical (1, 1)
-      interval if ``0 < s < 1`` and otherwise a (0, 1) interval whose lower
-      bound is the vertex with the positive coordinate.
-    - A vertex no upper bound claims is a critical (0, 0) interval anchored
-      at its own projection.
-
-    Certificate: a vertex is claimed exactly once if an incident edge puts its
-    projection outside its power cell (``s <= 0`` seen from the vertex), and
-    never otherwise; any other outcome raises MosaicError. Intervals are
-    listed by decreasing row of their lower bound.
+    Certificates, each raising MosaicError: every anchor has equal power at
+    its corners (``2 |e_c . u - b_c|`` within 1e-6 of the power); no simplex
+    is claimed twice, or claimed but absent from ``faces``; a vertex is
+    claimed exactly when an incident edge puts its projection outside its
+    power cell; no squared radius is negative beyond round-off. Intervals
+    are listed by decreasing row of their lower bound.
     """
-    k = y.shape[1]
-    if k > 2:
-        raise ValueError(f"the interval decomposition supports k <= 2, got k={k}")
-    triangles = facets if k == 2 else np.empty((0, 3), dtype=int)
-    n_v, n_e, n_t = len(vertices), len(edges), len(triangles)
-    count = n_v + n_e + n_t
+    n_pts, k = y.shape
+    sizes = [len(face) for face in faces]
+    first = np.cumsum([0, *sizes])
+    count = int(first[-1])
+    vertices = faces[0][:, 0]
     scale = max(1.0, float(np.max(np.ptp(y[vertices], axis=0))))
-    vert_row = np.full(len(y), -1, dtype=int)
-    vert_row[vertices] = np.arange(n_v)
-    dims = np.repeat([0, 1, 2], [n_v, n_e, n_t])
-    upper = np.arange(count)
+    upper = np.full(count, -1)
+    anchors, powers = np.empty((count, k)), np.empty(count)
+    claims = [np.empty(0, dtype=int)]
+    keys = [face @ n_pts ** np.arange(face.shape[1] - 1, -1, -1) for face in faces[:k]]
+    orders = [np.argsort(key, kind="stable") for key in keys]
 
-    # edges: the anchor is the radical hyperplane's crossing of the edge
-    i, j = edges[:, 0], edges[:, 1]
+    for m in range(k, 0, -1):
+        rows = first[m] + np.flatnonzero(upper[first[m] : first[m + 1]] < 0)
+        upper[rows] = rows
+        simplices = faces[m][rows - first[m]]
+        e, b = _corner_system(y, w, simplices)
+        lam = _solve(np.einsum("fck,fdk->fcd", e, e), b)
+        origin = y[simplices[:, 0]]
+        if m == k:
+            anchor = dual_vertices(y, w, simplices)
+        else:
+            anchor = origin + np.einsum("fc,fck->fk", lam, e)
+        u = anchor - origin
+        power = np.einsum("fk,fk->f", u, u) - w[simplices[:, 0]]
+        # corner c's power minus corner 0's is 2 (e_c . u - b_c)
+        mismatch = 2.0 * np.abs(np.einsum("fck,fk->fc", e, u) - b)
+        if np.any(mismatch > 1e-6 * np.maximum(np.abs(power), 1e-12 * scale * scale)[:, None]):
+            raise MosaicError("an anchor fails the equal-power certificate")
+        anchors[rows], powers[rows] = anchor, power
+
+        bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
+        if np.any(bary == 0.0):
+            raise DegeneracyError("an anchor lies on a facet hyperplane of its simplex")
+        negative = bary < 0.0
+        for drop in map(np.array, product([False, True], repeat=m + 1)):
+            level = m - int(drop.sum())
+            if not 0 <= level < m:
+                continue
+            hit = np.flatnonzero(negative[:, drop].all(axis=1))
+            found = _find(keys[level], orders[level], simplices[hit][:, ~drop], n_pts)
+            claimed = first[level] + found
+            upper[claimed] = rows[hit]
+            claims.append(claimed)
+
+    rows = np.flatnonzero(upper[: first[1]] < 0)
+    upper[rows] = rows
+    anchors[rows], powers[rows] = y[vertices[rows]], -w[vertices[rows]]
+
+    if np.any(np.bincount(np.concatenate(claims), minlength=count) > 1):
+        raise MosaicError("a simplex is claimed by two upper bounds")
+    i, j = faces[1][:, 0], faces[1][:, 1]
     d = y[j] - y[i]
-    d2 = np.einsum("ij,ij->i", d, d)
-    dw = w[i] - w[j]
-    s = 0.5 + dw / (2.0 * d2)
-    edge_anchor = y[i] + s[:, None] * d
-    edge_power = s * s * d2 - w[i]
-    i_outside = dw <= -d2  # s <= 0: y_i lies outside its own cell
-    j_outside = dw >= d2  # s >= 1: likewise for y_j
-
-    free = np.ones(n_e, dtype=bool)
-    tri_anchor, tri_power = np.empty((0, k)), np.empty(0)
-    apex, apex_upper = np.empty(0, dtype=int), np.empty(0, dtype=int)
-    if n_t:
-        tri_anchor = dual_vertices(y, w, triangles)
-        a, b, c = triangles[:, 0], triangles[:, 1], triangles[:, 2]
-        pow_a = np.einsum("ij,ij->i", tri_anchor - y[a], tri_anchor - y[a]) - w[a]
-        pow_b = np.einsum("ij,ij->i", tri_anchor - y[b], tri_anchor - y[b]) - w[b]
-        pow_c = np.einsum("ij,ij->i", tri_anchor - y[c], tri_anchor - y[c]) - w[c]
-        power_scale = np.maximum(np.abs(pow_a), 1e-12 * scale * scale)
-        if np.max(np.abs(pow_b - pow_a) / power_scale) > 1e-6 or np.max(
-            np.abs(pow_c - pow_a) / power_scale
-        ) > 1e-6:
-            raise MosaicError("a dual vertex fails the equal-power certificate")
-        tri_power = (pow_a + pow_b + pow_c) / 3.0
-
-        # Corner i of the triangle (i, j, k), with p = y_k - y_j and
-        # q = y_i - y_j, has the dual vertex's barycentric coordinate
-        #   ((|q|^2 - w_i + w_j) |p|^2 - (|p|^2 - w_k + w_j) p.q) / (2 |p x q|^2),
-        # from the generators alone; only the numerator's sign is needed.
-        yt, wt = y[triangles], w[triangles]
-        yj, wj = np.roll(yt, -1, axis=1), np.roll(wt, -1, axis=1)
-        p = np.roll(yt, -2, axis=1) - yj
-        q = yt - yj
-        pp = np.einsum("tkx,tkx->tk", p, p)
-        pq = np.einsum("tkx,tkx->tk", p, q)
-        alpha_p = pp - (np.roll(wt, -2, axis=1) - wj)
-        alpha_q = np.einsum("tkx,tkx->tk", q, q) - (wt - wj)
-        bary_numerator = alpha_q * pp - alpha_p * pq
-        if np.any(bary_numerator == 0.0):
-            raise DegeneracyError("a dual vertex lies on the line of a triangle edge")
-        negative = bary_numerator < 0.0
-
-        # triangle claims: the edge opposite corner i is (j, k)
-        ends = np.sort(
-            np.stack([np.roll(triangles, -1, axis=1), np.roll(triangles, -2, axis=1)], axis=2),
-            axis=2,
-        )
-        edge_keys = i * len(y) + j
-        opposite = np.searchsorted(edge_keys, ends[..., 0] * len(y) + ends[..., 1])
-        claimer, corner = np.nonzero(negative)
-        claimed_edges = opposite[claimer, corner]
-        edge_claims = np.bincount(claimed_edges, minlength=n_e)
-        if np.any(edge_claims > 1):
-            raise MosaicError("an edge is claimed by both of its triangles")
-        tri_row = n_v + n_e + np.arange(n_t)
-        upper[n_v + claimed_edges] = tri_row[claimer]
-        free = edge_claims == 0
-        pairs02 = np.flatnonzero(np.count_nonzero(negative, axis=1) == 2)
-        apex = triangles[pairs02][~negative[pairs02]]
-        apex_upper = tri_row[pairs02]
-
-    # edge claims: an unclaimed edge with 0 < s < 1 is critical
-    low_i = np.flatnonzero(free & i_outside)
-    low_j = np.flatnonzero(free & j_outside)
-    claimed_vertices = vert_row[np.concatenate([apex, i[low_i], j[low_j]])]
-    upper[claimed_vertices] = np.concatenate([apex_upper, n_v + low_i, n_v + low_j])
-
-    outside = np.zeros(n_v, dtype=int)
-    outside[vert_row[i[i_outside]]] = 1
-    outside[vert_row[j[j_outside]]] = 1
-    if np.any(np.bincount(claimed_vertices, minlength=n_v) != outside):
+    d2, dw = np.einsum("ij,ij->i", d, d), w[i] - w[j]
+    outside = np.zeros(n_pts, dtype=bool)
+    outside[np.concatenate([i[dw <= -d2], j[dw >= d2]])] = True
+    if np.any(outside[vertices] != (upper[: first[1]] != np.arange(first[1]))):
         raise MosaicError("vertex claims disagree with the vertices outside their cells")
 
-    anchors = np.vstack([y[vertices], edge_anchor, tri_anchor])[upper]
-    powers = np.concatenate([-w[vertices], edge_power, tri_power])[upper]
+    anchors, powers = anchors[upper], powers[upper]
     if np.min(powers) < -1e-9 * scale * scale:
         raise MosaicError("negative squared radius; weights are not slice-induced")
     radii = np.sqrt(np.maximum(powers, 0.0))
@@ -444,10 +443,8 @@ def radius_and_intervals(
     return Mosaic(
         y=y,
         w=w,
-        vertices=vertices,
-        edges=np.sort(edges, axis=1),
-        triangles=np.sort(triangles, axis=1),
-        dims=dims,
+        faces=list(faces),
+        dims=np.repeat(np.arange(k + 1), sizes),
         anchors=anchors,
         radii=radii,
         interval_id=interval_id,

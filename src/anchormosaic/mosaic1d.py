@@ -72,7 +72,7 @@ def build_1d(points: np.ndarray, window: tuple[float, float]) -> Mosaic1D:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError(f"window must be a proper interval, got {window}")
-    vertices, _, _ = lower_hull(pts[:, :1], -pts[:, 1] ** 2)
+    vertices = lower_hull(pts[:, :1], -pts[:, 1] ** 2)[0][:, 0]
     vertices = vertices[np.argsort(pts[vertices, 0])]
     return Mosaic1D(points=pts, window=(lo, hi), vertices=vertices)
 
@@ -82,14 +82,13 @@ def radius_and_intervals_1d(mosaic: Mosaic1D) -> Mosaic:
 
     The dimension-generic :func:`geomcore.radius_and_intervals` with
     ``y = x1``, ``w = -x2^2`` and an edge between each pair of consecutive
-    vertices; the edges are also the facets, as :func:`geomcore.lower_hull`
-    gives them for k = 1. An edge is critical when its radical point lies
-    strictly between its endpoints and otherwise pairs with the endpoint on
-    the positive side, whose cell is clamped there. The result lists the
+    vertices. An edge is critical when its radical point lies strictly
+    between its endpoints and otherwise pairs with the endpoint on the
+    positive side, whose cell is clamped there. The result lists the
     vertices left to right, then the edges left to right.
     """
     v = mosaic.vertices
-    edges = np.column_stack([v[:-1], v[1:]])
+    faces = [v[:, None], np.sort(np.column_stack([v[:-1], v[1:]]), axis=1)]
     return radius_and_intervals(
-        mosaic.points[:, :1], -mosaic.points[:, 1] ** 2, v, edges, edges, window=(mosaic.window,)
+        mosaic.points[:, :1], -mosaic.points[:, 1] ** 2, faces, window=(mosaic.window,)
     )

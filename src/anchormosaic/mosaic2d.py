@@ -33,9 +33,10 @@ __all__ = [
 class RegularTriangulation:
     """Weighted Delaunay triangulation of projections ``y`` with weights ``w``.
 
-    ``triangles`` index into the full generator array, in Qhull's order and
-    orientation; ``vertices`` lists the surviving (non-submerged) generators
-    and ``edges`` the sorted generator pairs in lexicographic order.
+    ``triangles`` index into the full generator array, sorted within each
+    row and the rows in lexicographic order; ``vertices`` lists the surviving
+    (non-submerged) generators and ``edges`` the sorted generator pairs in
+    lexicographic order.
     ``preimages`` optionally keeps the originating R^n points.
     """
 
@@ -61,7 +62,7 @@ def regular_triangulation(
         raise ValueError(f"need at least 3 weighted points, got {y.shape[0]}")
     vertices, edges, triangles = lower_hull(y, w)
     return RegularTriangulation(
-        y=y, w=w, triangles=triangles, vertices=vertices, edges=edges, preimages=preimages
+        y=y, w=w, triangles=triangles, vertices=vertices[:, 0], edges=edges, preimages=preimages
     )
 
 
@@ -103,4 +104,5 @@ def radius_and_intervals_2d(
     lists the vertices, the edges and the triangles in the order of
     ``tri.vertices``, ``dia.edges`` and ``tri.triangles``.
     """
-    return radius_and_intervals(tri.y, tri.w, tri.vertices, dia.edges, tri.triangles, window)
+    faces = [tri.vertices[:, None], dia.edges, tri.triangles]
+    return radius_and_intervals(tri.y, tri.w, faces, window)

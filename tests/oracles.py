@@ -105,6 +105,37 @@ def visibility_type(
     return IntervalType(ell=m - visible, m=m)
 
 
+def exact_anchor(y: np.ndarray, w: np.ndarray) -> list[Fraction]:
+    """Equal-power point of the weighted points ``(y_c, w_c)``, c = 0..m, in
+    the affine hull of the ``y_c``, in rational arithmetic on the float
+    inputs: ``y_0 + sum_i lambda_i e_i`` with ``e_i = y_i - y_0`` and the Gram
+    system ``(e_i . e_j) lambda = b``, ``b_i = (|e_i|^2 - w_i + w_0) / 2``,
+    solved by Gauss-Jordan elimination over fractions."""
+    ys = [[Fraction(float(v)) for v in row] for row in np.atleast_2d(y)]
+    ws = [Fraction(float(v)) for v in w]
+    e = [[a - b for a, b in zip(row, ys[0])] for row in ys[1:]]
+
+    def dot(p: list[Fraction], q: list[Fraction]) -> Fraction:
+        return sum((a * b for a, b in zip(p, q)), Fraction(0))
+
+    m = len(e)
+    rows = [
+        [dot(e[i], e[j]) for j in range(m)] + [(dot(e[i], e[i]) - ws[i + 1] + ws[0]) / 2]
+        for i in range(m)
+    ]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise DegeneracyError("the points are affinely dependent")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(m):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    lam = [rows[i][m] / rows[i][i] for i in range(m)]
+    return [ys[0][x] + sum(lam[i] * e[i][x] for i in range(m)) for x in range(len(ys[0]))]
+
+
 def exact_lower_hull_1d(points: np.ndarray) -> list[int]:
     """Indices of the half-plane points (x, h) on the lower convex hull of the
     lift (x, x^2 + h^2), left to right: a monotone chain whose cross products

@@ -230,16 +230,21 @@ class TestOneCensusPath:
         assert record.num_points == points
         assert len(record.simplex_dims) == rows
 
-    def test_k3_hull_builds_and_the_decomposition_names_k(self):
+    def test_k3_replicate_reconciles(self):
         from anchormosaic import geomcore
 
         cfg = SamplingConfig(n=4, rho=1.0, window=((0.0, 4.0),) * 3, buffer=1.41, seed=0)
         points = sampler.sample_poisson_box(cfg)
         assert len(points) == 852
-        _, _, facets = geomcore.lower_hull(*geomcore.slice_cloud(points, 3))
+        facets = geomcore.lower_hull(*geomcore.slice_cloud(points, 3))[3]
         assert facets.shape == (3168, 4)
-        with pytest.raises(ValueError, match="k=3"):
-            experiments.run_replicate(cfg, 0)
+        record = experiments.run_replicate(cfg, 0)
+        assert record.num_points == 852
+        assert np.count_nonzero(record.simplex_dims == 3) == 3168
+        report = experiments.ExperimentReport(
+            cfg=cfg, r0=math.inf, interval_rates=[], simplex_rates=[], records=[record]
+        )
+        assert experiments.reconcile_simplex_counts(report).failures == []
 
 
 class TestKSGammaTest:

@@ -1,19 +1,23 @@
 """Tests for the geometric kernel."""
 
+import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from anchormosaic import geomcore, mosaic1d, mosaic2d
+from anchormosaic import geomcore, mosaic1d, mosaic2d, sampler
 from anchormosaic.constants import SCHEMA_VERSION, IntervalType
 from anchormosaic.errors import DegeneracyError
 from anchormosaic.geomcore import AnchoredSphere
+from anchormosaic.sampler import SamplingConfig
 
 from oracles import (
     WeightedPoint,
+    exact_anchor,
     intervals_per_row,
     smallest_anchored_circumsphere,
     visibility_type,
@@ -237,7 +241,8 @@ class TestLowerHull:
         # the lift (x, x^2 - w) of five generators; the one at x = 2 is submerged
         y = np.array([[4.0], [0.0], [2.0], [1.0], [3.0]])
         w = np.array([-1.0, -1.0, -9.0, -1.0, -1.0])
-        vertices, edges, facets = geomcore.lower_hull(y, w)
+        faces = geomcore.lower_hull(y, w)
+        vertices, edges, facets = faces[0][:, 0], faces[1], faces[1]
         assert vertices.tolist() == [0, 1, 3, 4]
         assert edges.tolist() == [[0, 4], [1, 3], [3, 4]]
         assert facets.shape == (3, 2)
@@ -247,7 +252,8 @@ class TestLowerHull:
     def test_fewer_than_k_plus_two_generators(self, k):
         for count in range(1, k + 2):
             y = np.eye(count, k)
-            vertices, edges, facets = geomcore.lower_hull(y, np.zeros(count))
+            faces = geomcore.lower_hull(y, np.zeros(count))
+            vertices, edges, facets = faces[0][:, 0], faces[1], faces[k]
             assert vertices.tolist() == list(range(count))
             assert edges.tolist() == [[i, j] for i in range(count) for j in range(i + 1, count)]
             assert facets.tolist() == ([list(range(count))] if count == k + 1 else [])
@@ -258,6 +264,12 @@ class TestLowerHull:
             geomcore.lower_hull(np.array([[0.0], [1.0], [0.0]]), np.zeros(3))
         with pytest.raises(ValueError):
             geomcore.lower_hull(np.zeros((3, 1)), np.zeros(2))
+
+    def test_keys_that_would_overflow_are_refused(self):
+        # 17 affinely independent generators in R^16 span one simplex, whose
+        # 16-digit face keys in base 17 exceed 2^63
+        with pytest.raises(ValueError, match=r"N\^k < 2\^63"):
+            geomcore.lower_hull(np.eye(17, 16), np.zeros(17))
 
 
 class TestMosaic:
@@ -294,7 +306,7 @@ class TestMosaic:
             [rng.uniform(0, side, (count, k)), rng.uniform(-2.0, 2.0, (count, 3 - k))]
         )
         y, w = geomcore.slice_cloud(cloud, k)
-        return geomcore.radius_and_intervals(y, w, *geomcore.lower_hull(y, w))
+        return geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("seed", range(4))
@@ -324,12 +336,49 @@ class TestMosaic:
         assert np.array_equal(mosaic.anchors, anchors)
         assert np.array_equal(second.sphere.anchor, kept)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_edge_radius_is_a_view(self, k):
+        mosaic = self._random_mosaic(k, 5)
+        assert np.shares_memory(mosaic.edge_radius, mosaic.radii)
+        assert np.array_equal(mosaic.edge_radius, mosaic.radii[mosaic.dims == 1])
+
     def test_intervals_built_on_first_use(self):
         mosaic = self._random_mosaic(2, 3)
         assert "intervals" not in vars(mosaic)
         intervals = mosaic.intervals
         assert "intervals" in vars(mosaic)
         assert mosaic.intervals is intervals
+
+
+class TestAnchorAccuracy:
+    """Anchors against exact rational solves, in window units."""
+
+    @staticmethod
+    def _worst_error(cfg, replicate, dim):
+        cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+        points = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=replicate))
+        y, w = geomcore.slice_cloud(points, cfg.k)
+        mosaic = geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
+        top = mosaic.faces[dim]
+        assert dim == cfg.k and len(top) > 1000  # top simplices anchor themselves
+        anchors = mosaic.anchors[mosaic.dims == dim]
+        return max(
+            abs(float(Fraction(float(a)) - b))
+            for row, anchor in zip(top, anchors)
+            for a, b in zip(anchor, exact_anchor(y[row], w[row]))
+        )
+
+    def test_triangle_anchors(self):
+        # criterion-7 replicate 0, sliver triangles included; normal
+        # equations in place of the square solve err by about 2e-6 here
+        cfg = SamplingConfig(n=3, rho=1.0, window=((0.0, 20.0),) * 2, buffer=1.0, seed=2025)
+        assert self._worst_error(cfg, 0, 2) <= 1e-9
+
+    def test_edge_anchors_far_from_the_origin(self):
+        # criterion-6 at seed 201, replicate 6, where x is about 1000: a solve
+        # on differences of the lift |y|^2 - w errs by about 1e-9 here
+        cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=201)
+        assert self._worst_error(cfg, 6, 1) <= 1e-10
 
 
 class TestVisibilityType:
