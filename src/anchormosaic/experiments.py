@@ -567,6 +567,8 @@ def verify_bp_identity(
         raise ValueError(f"need 0 <= m <= k <= n, got ({n}, {k}, {m})")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     d = m + n - k
     if d < 2 or (m >= 1 and d > 3):
         raise ValueError(f"sphere dimension d = m+n-k = {d} is outside the supported range")

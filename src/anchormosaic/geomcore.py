@@ -15,8 +15,9 @@ the simplex dual to that face is the interval's upper bound, and the signs
 of the anchor's barycentric coordinates on the upper bound give the lower
 bound and the type (Bauer & Edelsbrunner, "The Morse theory of Cech and
 Delaunay complexes", Trans. AMS 2017). One loop applies that rule from the
-top dimension down; anchors are dual vertices for the top simplices and
-equal-power points of a Gram system for the lower ones.
+top dimension down, with one equal-power corner system per level: its
+square solve anchors the top simplices, its Gram solve the lower ones, and
+the Gram solve gives the barycentric signs at every level.
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ class Mosaic:
     order of ``faces[m]``. Row r of ``dims``, ``anchors``, ``radii`` and
     ``interval_id`` describes ``simplices[r]``; every simplex carries the
     sphere of its interval's upper bound. Interval i runs from row
-    ``lower[i]`` to row ``upper[i]``. ``simplices``, the rows as tuples, and
-    ``intervals`` are built on first use, so a census that reads only the
-    columns never builds them.
+    ``lower[i]``, its smallest row, to row ``upper[i]``, the i-th row that
+    is an upper bound: ``upper`` is increasing and ``interval_id[upper[i]]``
+    is i. ``simplices``, the rows as tuples, and ``intervals`` are built on
+    first use, so a census that reads only the columns never builds them.
 
     ``intervals`` is built in one columnar pass: each column is read with one
     ``tolist()``, the intervals of one type share one ``IntervalType``, the
@@ -223,8 +225,6 @@ def sphere_is_empty(
     return bool(d2.min() >= threshold)
 
 
-
-
 def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     """Weighted Delaunay mosaic of projections ``y`` (N, k) with weights ``w``:
     the lower convex hull of the lift (y, |y|^2 - w) in R^(k+1), as its faces.
@@ -330,7 +330,8 @@ def dual_vertices(y: np.ndarray, w: np.ndarray, simplices: np.ndarray) -> np.nda
     c = 1..k, and returns ``y_0 + u``: relative to a corner and with
     differences of weights, nothing cancels the way differences of the lift
     ``|y|^2 - w`` do far from the origin. An affinely dependent simplex
-    raises DegeneracyError.
+    raises DegeneracyError. :func:`radius_and_intervals` makes the same solve
+    on the corner system it has built for the signs.
     """
     e, b = _corner_system(y, w, simplices)
     return y[simplices[:, 0]] + _solve(e, b)
@@ -350,12 +351,14 @@ def radius_and_intervals(
     gives them (a level's rows may come in any order). One rule (Bauer &
     Edelsbrunner) runs for m = k, ..., 1, with no tolerance: an m-simplex
     no higher upper bound claims is an upper bound, anchored at the
-    equal-power point in its corners' affine hull (:func:`dual_vertices` for
-    m = k; for m < k ``y_0 + sum lambda_c e_c``, lambda from the Gram system
-    ``(e_i . e_j) lambda = b`` of the equations ``e_c . u = b_c``). The Gram
-    system gives its barycentric coordinates ``(1 - sum lambda, lambda)``;
-    it claims every face left when a non-empty set of its negative corners
-    is dropped, down to its lower bound, the face of its positive corners.
+    equal-power point in its corners' affine hull. Each level builds the
+    equations ``e_c . u = b_c`` once; m = k anchors at ``y_0 + u`` from their
+    square solve, as :func:`dual_vertices` does, and m < k at ``y_0 + sum
+    lambda_c e_c``, lambda from the Gram system ``(e_i . e_j) lambda = b``.
+    At every level the Gram system gives the barycentric coordinates
+    ``(1 - sum lambda, lambda)``; the simplex claims every face left when a
+    non-empty set of its negative corners is dropped, down to its lower
+    bound, the face of its positive corners.
     A vertex nothing claims is a critical (0, 0) interval anchored at its
     own projection. An exact zero coordinate raises DegeneracyError.
 
@@ -363,8 +366,8 @@ def radius_and_intervals(
     its corners (``2 |e_c . u - b_c|`` within 1e-6 of the power); no simplex
     is claimed twice, or claimed but absent from ``faces``; a vertex is
     claimed exactly when an incident edge puts its projection outside its
-    power cell; no squared radius is negative beyond round-off. Intervals
-    are listed by decreasing row of their lower bound.
+    power cell; no squared radius is negative beyond round-off. Interval i
+    is the one whose upper bound is the i-th upper-bound row.
     """
     n_pts, k = y.shape
     sizes = [len(face) for face in faces]
@@ -385,10 +388,7 @@ def radius_and_intervals(
         e, b = _corner_system(y, w, simplices)
         lam = _solve(np.einsum("fck,fdk->fcd", e, e), b)
         origin = y[simplices[:, 0]]
-        if m == k:
-            anchor = dual_vertices(y, w, simplices)
-        else:
-            anchor = origin + np.einsum("fc,fck->fk", lam, e)
+        anchor = origin + (_solve(e, b) if m == k else np.einsum("fc,fck->fk", lam, e))
         u = anchor - origin
         power = np.einsum("fk,fk->f", u, u) - w[simplices[:, 0]]
         # corner c's power minus corner 0's is 2 (e_c . u - b_c)
@@ -430,15 +430,10 @@ def radius_and_intervals(
         raise MosaicError("negative squared radius; weights are not slice-induced")
     radii = np.sqrt(np.maximum(powers, 0.0))
 
-    # group rows by upper bound; list the groups by decreasing lower-bound row
-    order = np.argsort(upper, kind="stable")
-    starts = np.flatnonzero(np.diff(upper[order], prepend=-1))
-    listing = np.argsort(-order[starts], kind="stable")
-    rank = np.empty(len(starts), dtype=int)
-    rank[listing] = np.arange(len(starts))
-    interval_id = np.empty(count, dtype=int)
-    interval_id[order] = np.repeat(rank, np.diff(starts, append=count))
-    lower = order[starts[listing]]
+    # interval i is the i-th upper bound in row order; its lower bound is its first row
+    bound = upper == np.arange(count)
+    interval_id = np.cumsum(bound)[upper] - 1
+    lower = np.unique(interval_id, return_index=True)[1]
 
     return Mosaic(
         y=y,
@@ -449,6 +444,6 @@ def radius_and_intervals(
         radii=radii,
         interval_id=interval_id,
         lower=lower,
-        upper=upper[lower],
+        upper=np.flatnonzero(bound),
         window=window,
     )

@@ -5,10 +5,10 @@ Step-by-step adapters over :mod:`geomcore`, kept for callers that want each
 stage on its own; the census itself runs :func:`geomcore.lower_hull` and
 :func:`geomcore.radius_and_intervals` directly. The triangulation is the
 lower convex hull of the lift (y1, y2) -> (y1, y2, |y|^2 - w); generators
-strictly above it have empty power cells and are submerged. The dual
-vertices of the power diagram come from :func:`geomcore.dual_vertices`,
-the one equal-power solve, which the decomposition calls itself; the
-diagram solves them only when they are read.
+strictly above it have empty power cells and are submerged. The power
+diagram solves its dual vertices with :func:`geomcore.dual_vertices` only
+when they are read; the decomposition anchors the triangles on its own
+corner system, so a census through these adapters solves them once.
 """
 
 from __future__ import annotations

@@ -105,12 +105,11 @@ def visibility_type(
     return IntervalType(ell=m - visible, m=m)
 
 
-def exact_anchor(y: np.ndarray, w: np.ndarray) -> list[Fraction]:
-    """Equal-power point of the weighted points ``(y_c, w_c)``, c = 0..m, in
-    the affine hull of the ``y_c``, in rational arithmetic on the float
-    inputs: ``y_0 + sum_i lambda_i e_i`` with ``e_i = y_i - y_0`` and the Gram
-    system ``(e_i . e_j) lambda = b``, ``b_i = (|e_i|^2 - w_i + w_0) / 2``,
-    solved by Gauss-Jordan elimination over fractions."""
+def _exact_gram(y: np.ndarray, w: np.ndarray):
+    """Rational ``y_0``, ``e_i = y_i - y_0`` and ``lambda`` of the Gram system
+    ``(e_i . e_j) lambda = b``, ``b_i = (|e_i|^2 - w_i + w_0) / 2``, of the
+    weighted points ``(y_c, w_c)``, c = 0..m, on the float inputs, solved by
+    Gauss-Jordan elimination over fractions."""
     ys = [[Fraction(float(v)) for v in row] for row in np.atleast_2d(y)]
     ws = [Fraction(float(v)) for v in w]
     e = [[a - b for a, b in zip(row, ys[0])] for row in ys[1:]]
@@ -132,8 +131,23 @@ def exact_anchor(y: np.ndarray, w: np.ndarray) -> list[Fraction]:
             if r != col and rows[r][col] != 0:
                 factor = rows[r][col] / rows[col][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    lam = [rows[i][m] / rows[i][i] for i in range(m)]
-    return [ys[0][x] + sum(lam[i] * e[i][x] for i in range(m)) for x in range(len(ys[0]))]
+    return ys[0], e, [rows[i][m] / rows[i][i] for i in range(m)]
+
+
+def exact_anchor(y: np.ndarray, w: np.ndarray) -> list[Fraction]:
+    """Equal-power point of the weighted points ``(y_c, w_c)``, c = 0..m, in
+    the affine hull of the ``y_c``, in rational arithmetic on the float
+    inputs: ``y_0 + sum_i lambda_i e_i``, lambda from the Gram system."""
+    origin, e, lam = _exact_gram(y, w)
+    return [x + sum(l * ei[d] for l, ei in zip(lam, e)) for d, x in enumerate(origin)]
+
+
+def exact_barycentric(y: np.ndarray, w: np.ndarray) -> list[Fraction]:
+    """Rational barycentric coordinates ``(1 - sum lambda, lambda)`` of the
+    equal-power point of the weighted points ``(y_c, w_c)`` on their simplex,
+    lambda from the Gram system."""
+    lam = _exact_gram(y, w)[2]
+    return [1 - sum(lam, Fraction(0)), *lam]
 
 
 def exact_lower_hull_1d(points: np.ndarray) -> list[int]:

@@ -202,7 +202,8 @@ class TestOneCensusPath:
             np.testing.assert_allclose(np.sort(mine), np.sort(theirs), rtol=1e-12, atol=0)
 
     def test_adapter_route_solves_duals_once(self, monkeypatch):
-        # power_dual defers its solve; the decomposition makes the only one
+        # power_dual defers its solve and the decomposition anchors the
+        # triangles on its own corner system, so dual_vertices is never called
         from anchormosaic import geomcore, mosaic2d
 
         calls = []
@@ -217,8 +218,26 @@ class TestOneCensusPath:
         y, w = geomcore.slice_cloud(np.random.default_rng(7).uniform(0, 10, (200, 3)), 2)
         tri = mosaic2d.regular_triangulation(y, w)
         mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri))
-        assert len(calls) == 1
+        assert len(calls) == 0
         assert mosaic.anchors[mosaic.dims == 2].shape == (len(tri.triangles), 2)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_corner_system_per_level(self, k, monkeypatch):
+        # the decomposition forms each level's equal-power equations once
+        from anchormosaic import geomcore
+
+        calls = []
+        build = geomcore._corner_system
+
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
+
+        y, w = geomcore.slice_cloud(np.random.default_rng(7).uniform(0, 10, (200, 3)), k)
+        faces = geomcore.lower_hull(y, w)
+        monkeypatch.setattr(geomcore, "_corner_system", counted)
+        geomcore.radius_and_intervals(y, w, faces)
+        assert len(calls) == k
 
     @pytest.mark.parametrize("seed,points,rows", [(3, 1, 1), (14, 2, 3)])
     def test_sparse_planar_sample_is_recorded(self, seed, points, rows):
@@ -402,6 +421,8 @@ class TestBPIdentity:
             experiments.verify_bp_identity(6, 2, 1)  # sphere dimension too high
         with pytest.raises(ValueError):
             experiments.verify_bp_identity(2, 1, 1, test_function="what")
+        with pytest.raises(ValueError, match="chunk"):
+            experiments.verify_bp_identity(2, 1, 1, chunk=0)
 
 
 def _jacobian(r, u, k, n):

@@ -18,10 +18,12 @@ from anchormosaic.sampler import SamplingConfig
 from oracles import (
     WeightedPoint,
     exact_anchor,
+    exact_barycentric,
     intervals_per_row,
     smallest_anchored_circumsphere,
     visibility_type,
 )
+from test_k3 import decompose, random_cloud
 
 
 class TestProjection:
@@ -301,6 +303,8 @@ class TestMosaic:
     def _random_mosaic(k, seed):
         rng = np.random.default_rng(seed)
         count = int(rng.integers(20, 300))
+        if k == 3:
+            return decompose(random_cloud(rng, count)[0])
         side = count / 1.27 if k == 1 else math.sqrt(count / 1.46)
         cloud = np.column_stack(
             [rng.uniform(0, side, (count, k)), rng.uniform(-2.0, 2.0, (count, 3 - k))]
@@ -308,7 +312,20 @@ class TestMosaic:
         y, w = geomcore.slice_cloud(cloud, k)
         return geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_intervals_numbered_by_upper_bound(self, k, seed):
+        # interval i is the i-th upper-bound row, and its lower bound is its
+        # smallest row
+        mosaic = self._random_mosaic(k, 100 * k + seed)
+        ids, rows = mosaic.interval_id, np.arange(len(mosaic.interval_id))
+        assert np.all(np.diff(mosaic.upper) > 0)
+        assert np.array_equal(ids[mosaic.upper], np.arange(len(mosaic.upper)))
+        smallest = np.full(len(mosaic.lower), len(rows))
+        np.minimum.at(smallest, ids, rows)
+        assert np.array_equal(mosaic.lower, smallest)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))
     def test_intervals_match_per_row_builder(self, k, seed):
         mosaic = self._random_mosaic(k, 100 * k + seed)
@@ -354,11 +371,15 @@ class TestAnchorAccuracy:
     """Anchors against exact rational solves, in window units."""
 
     @staticmethod
-    def _worst_error(cfg, replicate, dim):
+    def _mosaic(cfg, replicate):
         cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
         points = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=replicate))
         y, w = geomcore.slice_cloud(points, cfg.k)
-        mosaic = geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
+        return geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
+
+    def _worst_error(self, cfg, replicate, dim):
+        mosaic = self._mosaic(cfg, replicate)
+        y, w = mosaic.y, mosaic.w
         top = mosaic.faces[dim]
         assert dim == cfg.k and len(top) > 1000  # top simplices anchor themselves
         anchors = mosaic.anchors[mosaic.dims == dim]
@@ -379,6 +400,22 @@ class TestAnchorAccuracy:
         # on differences of the lift |y|^2 - w errs by about 1e-9 here
         cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=201)
         assert self._worst_error(cfg, 6, 1) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "n,window", [(2, ((0.0, 1000.0),)), (3, ((0.0, 20.0), (0.0, 20.0)))]
+    )
+    def test_upper_bound_types_match_exact_signs(self, n, window):
+        # replicate 0 of criteria 6 and 7: an upper bound of type (ell, m),
+        # m > 0, has ell + 1 positive rational barycentric coordinates
+        cfg = SamplingConfig(n=n, rho=1.0, window=window, buffer=1.0, seed=2025)
+        mosaic = self._mosaic(cfg, 0)
+        bounds = mosaic.dims[mosaic.upper] > 0
+        rows = [list(mosaic.simplices[r]) for r in mosaic.upper[bounds].tolist()]
+        assert len(rows) > 1000
+        positive = [
+            sum(c > 0 for c in exact_barycentric(mosaic.y[row], mosaic.w[row])) for row in rows
+        ]
+        assert positive == (mosaic.dims[mosaic.lower[bounds]] + 1).tolist()
 
 
 class TestVisibilityType:
