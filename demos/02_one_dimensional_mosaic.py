@@ -1,12 +1,13 @@
 """Build a one-dimensional weighted mosaic step by step.
 
-Samples a planar Poisson cloud, rotates it into the upper half-plane,
-computes the weighted Delaunay mosaic on the line, and walks through the
-interval decomposition of the radius function, printing the left-to-right
-pattern of critical and regular intervals.
+Samples a planar Poisson cloud, slices it with the first coordinate axis,
+computes the weighted Delaunay mosaic on the line as the lower hull of the
+lifted generators, and walks through the interval decomposition of the
+radius function, printing the left-to-right pattern of critical and regular
+intervals.
 """
 
-from anchormosaic import mosaic1d, sampler
+from anchormosaic import geomcore, sampler
 from anchormosaic.constants import IntervalType
 from anchormosaic.sampler import SamplingConfig
 
@@ -14,12 +15,12 @@ cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 20.0),), buffer=2.5, seed=11)
 points = sampler.sample_poisson_box(cfg)
 print(f"sampled {len(points)} points in the buffered box")
 
-halfplane = mosaic1d.rotate_to_halfplane(points)
-mosaic = mosaic1d.build_1d(halfplane, window=cfg.window[0])
-print(f"surviving generators: {len(mosaic.vertices)} of {len(points)} "
-      f"({len(points) - len(mosaic.vertices)} submerged)")
+y, w = geomcore.slice_cloud(points, 1)
+faces = geomcore.lower_hull(y, w)
+print(f"surviving generators: {len(faces[0])} of {len(points)} "
+      f"({len(points) - len(faces[0])} submerged)")
 
-mosaic = mosaic1d.radius_and_intervals_1d(mosaic)
+mosaic = geomcore.radius_and_intervals(y, w, faces, window=cfg.window)
 
 names = {
     IntervalType(0, 0): "critical vertex",

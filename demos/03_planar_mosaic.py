@@ -1,15 +1,16 @@
 """Planar weighted mosaic from a slice of a 3-dimensional Poisson process.
 
-Builds the regular triangulation via the lifted lower hull, dualizes to the
-power diagram, computes the anchored radius function, and summarizes the
-interval census against its closed-form prediction. Also dumps the mosaic to
-JSON to demonstrate the export schema.
+Builds the regular triangulation via the lifted lower hull, computes the
+anchored radius function, whose triangle anchors are the vertices of the
+dual power diagram, and summarizes the interval census against its
+closed-form prediction. Also dumps the mosaic to JSON to demonstrate the
+export schema.
 """
 
 import json
 from collections import Counter
 
-from anchormosaic import constants, geomcore, mosaic2d, sampler
+from anchormosaic import constants, geomcore, sampler
 from anchormosaic.sampler import SamplingConfig
 
 cfg = SamplingConfig(
@@ -19,13 +20,13 @@ cloud = sampler.sample_poisson_box(cfg)
 print(f"sampled {len(cloud)} points in the buffered slab")
 
 y, w = geomcore.slice_cloud(cloud, 2)
-tri = mosaic2d.regular_triangulation(y, w, preimages=cloud)
-dia = mosaic2d.power_dual(tri)
-mosaic = mosaic2d.radius_and_intervals_2d(tri, dia, window=cfg.window)
+faces = geomcore.lower_hull(y, w)
+mosaic = geomcore.radius_and_intervals(y, w, faces, window=cfg.window)
+vertices, edges, triangles = faces
 
-print(f"triangulation: {len(tri.vertices)} vertices, {len(tri.edges)} edges, "
-      f"{len(tri.triangles)} triangles "
-      f"({len(cloud) - len(tri.vertices)} generators submerged)")
+print(f"triangulation: {len(vertices)} vertices, {len(edges)} edges, "
+      f"{len(triangles)} triangles "
+      f"({len(cloud) - len(vertices)} generators submerged)")
 
 area = cfg.window_volume
 in_window = [

@@ -23,18 +23,9 @@ from .geomcore import (
     AnchoredSphere,
     Interval,
     Mosaic,
-    dual_vertices,
     lower_hull,
     radius_and_intervals,
     sphere_is_empty,
-)
-from .mosaic1d import Mosaic1D, build_1d, radius_and_intervals_1d, rotate_to_halfplane
-from .mosaic2d import (
-    PowerDiagram,
-    RegularTriangulation,
-    power_dual,
-    radius_and_intervals_2d,
-    regular_triangulation,
 )
 from .sampler import SamplingConfig, choose_buffer, sample_poisson_box
 
@@ -46,24 +37,14 @@ __all__ = [
     "AnchoredSphere",
     "Interval",
     "Mosaic",
-    "Mosaic1D",
-    "PowerDiagram",
-    "RegularTriangulation",
     "SamplingConfig",
     "asymptotic_limits_1d",
-    "build_1d",
     "choose_buffer",
-    "dual_vertices",
     "expected_interval_count",
     "expected_simplex_count",
     "interval_constant",
     "lower_hull",
-    "power_dual",
     "radius_and_intervals",
-    "radius_and_intervals_1d",
-    "radius_and_intervals_2d",
-    "regular_triangulation",
-    "rotate_to_halfplane",
     "sample_poisson_box",
     "simplex_constant",
     "sphere_is_empty",

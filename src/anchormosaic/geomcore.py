@@ -4,10 +4,10 @@ The slice plane is always the span of the first k coordinate axes; general
 positions are handled by rotating inputs before they get here. Provides
 projections with slice weights, emptiness tests, the weighted Delaunay
 mosaic as one Qhull lower hull of the lifted generators, listed face by
-face, the dual vertices of its top simplices and its interval decomposition
-into one columnar ``Mosaic``, all for any k. The census runs
-``slice_cloud``, ``lower_hull`` and ``radius_and_intervals`` in that order
-for every k.
+face, and its interval decomposition into one columnar ``Mosaic``, all for
+any k. ``slice_cloud``, ``lower_hull`` and ``radius_and_intervals``, in that
+order, are the one path to a mosaic for every k; the anchors of the top
+simplices are the vertices of the power diagram.
 
 The decomposition is combinatorial: a simplex's smallest anchored sphere is
 anchored in the relative interior of exactly one face of the power diagram,
@@ -15,9 +15,10 @@ the simplex dual to that face is the interval's upper bound, and the signs
 of the anchor's barycentric coordinates on the upper bound give the lower
 bound and the type (Bauer & Edelsbrunner, "The Morse theory of Cech and
 Delaunay complexes", Trans. AMS 2017). One loop applies that rule from the
-top dimension down, with one equal-power corner system per level: its
-square solve anchors the top simplices, its Gram solve the lower ones, and
-the Gram solve gives the barycentric signs at every level.
+top dimension down, with one equal-power corner system per level. At the
+top level its square solve gives the anchor offset and a second square solve
+on the transposed system its barycentric coordinates; below, the Gram system
+gives both.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "slice_cloud",
     "sphere_is_empty",
     "lower_hull",
-    "dual_vertices",
     "radius_and_intervals",
 ]
 
@@ -321,22 +321,6 @@ def _find(keys: np.ndarray, order: np.ndarray, rows: np.ndarray, n_pts: int) -> 
     return found
 
 
-def dual_vertices(y: np.ndarray, w: np.ndarray, simplices: np.ndarray) -> np.ndarray:
-    """Equal-power points of the (F, k+1) top simplices of a weighted
-    Delaunay mosaic of projections ``y`` (N, k) with weights ``w``: the
-    vertices of the power diagram, (F, k).
-
-    Each solves ``e_c . u = (|e_c|^2 - (w_c - w_0)) / 2``, ``e_c = y_c - y_0``,
-    c = 1..k, and returns ``y_0 + u``: relative to a corner and with
-    differences of weights, nothing cancels the way differences of the lift
-    ``|y|^2 - w`` do far from the origin. An affinely dependent simplex
-    raises DegeneracyError. :func:`radius_and_intervals` makes the same solve
-    on the corner system it has built for the signs.
-    """
-    e, b = _corner_system(y, w, simplices)
-    return y[simplices[:, 0]] + _solve(e, b)
-
-
 def radius_and_intervals(
     y: np.ndarray,
     w: np.ndarray,
@@ -352,10 +336,14 @@ def radius_and_intervals(
     Edelsbrunner) runs for m = k, ..., 1, with no tolerance: an m-simplex
     no higher upper bound claims is an upper bound, anchored at the
     equal-power point in its corners' affine hull. Each level builds the
-    equations ``e_c . u = b_c`` once; m = k anchors at ``y_0 + u`` from their
-    square solve, as :func:`dual_vertices` does, and m < k at ``y_0 + sum
-    lambda_c e_c``, lambda from the Gram system ``(e_i . e_j) lambda = b``.
-    At every level the Gram system gives the barycentric coordinates
+    equations ``e_c . u = b_c``, ``e_c = y_c - y_0``, once. m = k anchors at
+    ``y_0 + u``, u from their square solve, a vertex of the power diagram;
+    relative to a corner and with differences of weights, nothing cancels
+    the way differences of the lift ``|y|^2 - w`` do far from the origin.
+    Its lambda solves ``e^T lambda = u``, so the signs never pass through
+    the Gram matrix, whose condition number is the square of e's. m < k
+    anchors at ``y_0 + sum lambda_c e_c``, lambda from the Gram system
+    ``(e_i . e_j) lambda = b``. The barycentric coordinates are
     ``(1 - sum lambda, lambda)``; the simplex claims every face left when a
     non-empty set of its negative corners is dropped, down to its lower
     bound, the face of its positive corners.
@@ -386,9 +374,14 @@ def radius_and_intervals(
         upper[rows] = rows
         simplices = faces[m][rows - first[m]]
         e, b = _corner_system(y, w, simplices)
-        lam = _solve(np.einsum("fck,fdk->fcd", e, e), b)
         origin = y[simplices[:, 0]]
-        anchor = origin + (_solve(e, b) if m == k else np.einsum("fc,fck->fk", lam, e))
+        if m == k:
+            offset = _solve(e, b)
+            lam = _solve(np.swapaxes(e, 1, 2), offset)
+            anchor = origin + offset
+        else:
+            lam = _solve(np.einsum("fck,fdk->fcd", e, e), b)
+            anchor = origin + np.einsum("fc,fck->fk", lam, e)
         u = anchor - origin
         power = np.einsum("fk,fk->f", u, u) - w[simplices[:, 0]]
         # corner c's power minus corner 0's is 2 (e_c . u - b_c)

@@ -9,9 +9,11 @@ same Qhull hull :func:`geomcore.lower_hull` builds for the plane. The
 interval decomposition is the dimension-generic one of :mod:`geomcore` on
 the chain of consecutive vertices.
 
-These are step-by-step adapters, kept for callers that want the half-plane
-form and a left-to-right record; the census slices with
-:func:`geomcore.slice_cloud` and runs :mod:`geomcore` directly.
+A benchmark shim: the benchmark's audit workload and tracer still call these
+step-by-step adapters, and nothing else in the package or its demos does.
+They go with the benchmark change that retires them; the one path to a
+mosaic is :func:`geomcore.slice_cloud`, :func:`geomcore.lower_hull` and
+:func:`geomcore.radius_and_intervals`.
 """
 
 from __future__ import annotations

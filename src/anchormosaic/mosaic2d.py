@@ -1,24 +1,23 @@
 """Regular (weighted Delaunay) triangulations in the plane, their power
 diagrams, and the planar entry to the interval decomposition.
 
-Step-by-step adapters over :mod:`geomcore`, kept for callers that want each
-stage on its own; the census itself runs :func:`geomcore.lower_hull` and
-:func:`geomcore.radius_and_intervals` directly. The triangulation is the
-lower convex hull of the lift (y1, y2) -> (y1, y2, |y|^2 - w); generators
-strictly above it have empty power cells and are submerged. The power
-diagram solves its dual vertices with :func:`geomcore.dual_vertices` only
-when they are read; the decomposition anchors the triangles on its own
-corner system, so a census through these adapters solves them once.
+A benchmark shim: the benchmark's audit workload and tracer still call these
+step-by-step adapters over :mod:`geomcore`, and nothing else in the package
+or its demos does. They go with the benchmark change that retires them; the
+one path to a mosaic is :func:`geomcore.slice_cloud`,
+:func:`geomcore.lower_hull` and :func:`geomcore.radius_and_intervals`. The
+triangulation is the lower convex hull of the lift (y1, y2) ->
+(y1, y2, |y|^2 - w); generators strictly above it have empty power cells and
+are submerged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .geomcore import Mosaic, dual_vertices, lower_hull, radius_and_intervals
+from .geomcore import Mosaic, lower_hull, radius_and_intervals
 
 __all__ = [
     "RegularTriangulation",
@@ -68,17 +67,12 @@ def regular_triangulation(
 
 @dataclass
 class PowerDiagram:
-    """Dual of a regular triangulation: a diagram vertex per triangle (the
-    equal-power point of its three generators) and the triangulation edges,
-    each dual to the boundary between two power cells. The dual vertices are
-    solved only when read; :func:`radius_and_intervals_2d` solves its own."""
+    """Dual of a regular triangulation: the triangulation edges, each dual to
+    the boundary between two power cells. The diagram's vertices are the
+    anchors of the triangles in the ``Mosaic`` of
+    :func:`radius_and_intervals_2d`."""
 
     tri: RegularTriangulation
-
-    @cached_property
-    def dual_vertices(self) -> np.ndarray:
-        """(T, 2) equal-power points, from :func:`geomcore.dual_vertices`."""
-        return dual_vertices(self.tri.y, self.tri.w, self.tri.triangles)
 
     @property
     def edges(self) -> np.ndarray:
@@ -99,10 +93,9 @@ def radius_and_intervals_2d(
     """Anchored radius function and interval decomposition of a planar mosaic.
 
     The dimension-generic :func:`geomcore.radius_and_intervals` on the
-    triangulation's vertices, edges and triangles; it solves the triangles'
-    dual vertices itself, so ``dia`` supplies only the edges. The result
-    lists the vertices, the edges and the triangles in the order of
-    ``tri.vertices``, ``dia.edges`` and ``tri.triangles``.
+    triangulation's vertices, edges and triangles; ``dia`` supplies only
+    the edges. The result lists the vertices, the edges and the triangles in
+    the order of ``tri.vertices``, ``dia.edges`` and ``tri.triangles``.
     """
     faces = [tri.vertices[:, None], dia.edges, tri.triangles]
     return radius_and_intervals(tri.y, tri.w, faces, window)

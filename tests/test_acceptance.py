@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from anchormosaic import constants, experiments, geomcore, mosaic1d, mosaic2d, sampler
+from anchormosaic import constants, experiments, geomcore, sampler
 from anchormosaic.sampler import SamplingConfig
 
 from test_constants import MISPRINTED_2D, TABLE_1D, TABLE_2D, TYPES_2D
@@ -226,7 +226,8 @@ def _audit_1d(rng) -> list[str]:
         [rng.uniform(0, span, size), rng.uniform(0, 2.5, size)]
     )
     lo, hi = 0.15 * span, 0.85 * span
-    mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (lo, hi)))
+    y, w = geomcore.slice_cloud(pts, 1)
+    mosaic = geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
     failures = []
 
     members = [m for iv in mosaic.intervals for m in iv.members]
@@ -235,11 +236,10 @@ def _audit_1d(rng) -> list[str]:
     for iv in mosaic.intervals:
         if len(iv.members) != 2 ** (iv.type.m - iv.type.ell):
             failures.append("1d member count")
-    for e in range(len(mosaic.edge_radius)):
-        if mosaic.edge_radius[e] < mosaic.vertex_radius[e] - 1e-9 or mosaic.edge_radius[
-            e
-        ] < mosaic.vertex_radius[e + 1] - 1e-9:
-            failures.append("1d radius monotonicity")
+    # the vertex rows of each edge's endpoints; the vertices are sorted
+    ends = mosaic.vertex_radius[np.searchsorted(mosaic.vertices, mosaic.faces[1])]
+    below = (mosaic.edge_radius[:, None] < ends - 1e-9).any(axis=1)
+    failures += ["1d radius monotonicity"] * int(np.count_nonzero(below))
     # reconciliation at three thresholds
     radii = np.array([iv.sphere.radius for iv in mosaic.intervals])
     anchors = np.array([iv.sphere.anchor[0] for iv in mosaic.intervals])
@@ -283,12 +283,7 @@ def _audit_2d(rng) -> list[str]:
         [rng.uniform(0, side, (size, 2)), rng.uniform(-1.5, 1.5, (size, 1))]
     )
     y, w = geomcore.slice_cloud(cloud, 2)
-    try:
-        tri = mosaic2d.regular_triangulation(y, w, preimages=cloud)
-    except ValueError:
-        return []  # fewer than 3 points never happens for size >= 10
-    dia = mosaic2d.power_dual(tri)
-    mosaic = mosaic2d.radius_and_intervals_2d(tri, dia)
+    mosaic = geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
     failures = []
 
     members = [m for iv in mosaic.intervals for m in iv.members]

@@ -67,14 +67,11 @@ class TestEstimateRates:
         # scaling all coordinates by s and then translating within the plane
         # scales every radius by s, moves every anchor along, and leaves the
         # simplices and the interval census unchanged
-        from anchormosaic import geomcore, mosaic1d, mosaic2d
+        from anchormosaic import geomcore
 
         def decompose(cloud):
-            if k == 1:
-                return mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(cloud, (0, 1)))
-            y, w = geomcore.slice_cloud(cloud, 2)
-            tri = mosaic2d.regular_triangulation(y, w)
-            return mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri))
+            y, w = geomcore.slice_cloud(cloud, k)
+            return geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
 
         rng = np.random.default_rng(4)
         side = 20.0 if k == 1 else 6.0
@@ -171,56 +168,6 @@ class TestEstimateRates:
 
 
 class TestOneCensusPath:
-    @pytest.mark.parametrize(
-        "n,window", [(2, ((0.0, 1000.0),)), (3, ((0.0, 20.0), (0.0, 20.0)))]
-    )
-    def test_adapter_route_agrees(self, n, window):
-        # replicate 0 of the criterion-6 and criterion-7 configurations, once
-        # through run_replicate and once through the per-k adapters
-        from anchormosaic import geomcore, mosaic1d, mosaic2d
-
-        cfg = SamplingConfig(n=n, rho=1.0, window=window, buffer=1.0, seed=2025)
-        cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
-        record = experiments.run_replicate(cfg, 0)
-        points = sampler.sample_poisson_box(cfg)
-        if n == 2:
-            halfplane = mosaic1d.rotate_to_halfplane(points)
-            mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(halfplane, window[0]))
-        else:
-            y, w = geomcore.slice_cloud(points, 2)
-            tri = mosaic2d.regular_triangulation(y, w)
-            mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri))
-        types = np.column_stack([mosaic.dims[mosaic.lower], mosaic.dims[mosaic.upper]])
-        radii = mosaic.radii[mosaic.upper]
-        in_window = experiments._window_mask(mosaic.anchors[mosaic.upper], window)
-
-        adapter_counts = Counter(map(tuple, types[in_window].tolist()))
-        assert record.interval_counts() == dict(adapter_counts)
-        for ell, m in set(adapter_counts) | set(map(tuple, types.tolist())):
-            mine = record.interval_radii[(record.interval_types == (ell, m)).all(axis=1)]
-            theirs = radii[(types == (ell, m)).all(axis=1)]
-            np.testing.assert_allclose(np.sort(mine), np.sort(theirs), rtol=1e-12, atol=0)
-
-    def test_adapter_route_solves_duals_once(self, monkeypatch):
-        # power_dual defers its solve and the decomposition anchors the
-        # triangles on its own corner system, so dual_vertices is never called
-        from anchormosaic import geomcore, mosaic2d
-
-        calls = []
-        solve = geomcore.dual_vertices
-
-        def counted(*args):
-            calls.append(1)
-            return solve(*args)
-
-        monkeypatch.setattr(geomcore, "dual_vertices", counted)
-        monkeypatch.setattr(mosaic2d, "dual_vertices", counted)
-        y, w = geomcore.slice_cloud(np.random.default_rng(7).uniform(0, 10, (200, 3)), 2)
-        tri = mosaic2d.regular_triangulation(y, w)
-        mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri))
-        assert len(calls) == 0
-        assert mosaic.anchors[mosaic.dims == 2].shape == (len(tri.triangles), 2)
-
     @pytest.mark.parametrize("k", [1, 2])
     def test_one_corner_system_per_level(self, k, monkeypatch):
         # the decomposition forms each level's equal-power equations once

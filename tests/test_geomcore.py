@@ -1,6 +1,7 @@
 """Tests for the geometric kernel."""
 
 import dataclasses
+import functools
 import json
 import math
 from fractions import Fraction
@@ -8,8 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.spatial import Delaunay
 
-from anchormosaic import geomcore, mosaic1d, mosaic2d, sampler
+from anchormosaic import experiments, geomcore, sampler
 from anchormosaic.constants import SCHEMA_VERSION, IntervalType
 from anchormosaic.errors import DegeneracyError
 from anchormosaic.geomcore import AnchoredSphere
@@ -19,11 +21,48 @@ from oracles import (
     WeightedPoint,
     exact_anchor,
     exact_barycentric,
+    exact_lower_hull_1d,
     intervals_per_row,
     smallest_anchored_circumsphere,
     visibility_type,
 )
-from test_k3 import decompose, random_cloud
+from test_k3 import random_cloud
+
+
+def replicate_points(cfg: SamplingConfig, replicate: int) -> np.ndarray:
+    """The sample of ``replicate`` at ``cfg`` with the census's default buffer."""
+    cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+    return sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=replicate))
+
+
+def build(points: np.ndarray, k: int, window=None) -> geomcore.Mosaic:
+    """The mosaic of the k-plane slice of ``points``."""
+    y, w = geomcore.slice_cloud(points, k)
+    return geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w), window)
+
+
+# (5, 3), 6^3 window: replicate 69 at seed 7 holds a sliver tetrahedron at the
+# boundary of the sampled box, volume 9.3e-8 and cond(e) 2.7e8, whose Gram
+# matrix e e^T is singular in floating point
+SLIVER_CFG = SamplingConfig(n=5, rho=1.0, window=((0.0, 6.0),) * 3, buffer=1.0, seed=7)
+
+
+@functools.cache
+def sliver_mosaic() -> geomcore.Mosaic:
+    return build(replicate_points(SLIVER_CFG, 69), 3)
+
+
+def planar_cloud(rng, count, side, height):
+    """``count`` points of R^3 over a ``side``-square, within ``height`` of the plane."""
+    return np.column_stack(
+        [rng.uniform(0, side, (count, 2)), rng.uniform(-height, height, (count, 1))]
+    )
+
+
+def power_grid_winners(y: np.ndarray, w: np.ndarray, grid: np.ndarray) -> set[int]:
+    """Generators of least power at some point of ``grid``."""
+    powers = np.stack([np.einsum("ij,ij->i", grid - y[i], grid - y[i]) - w[i] for i in range(len(y))])
+    return set(np.argmin(powers, axis=0).tolist())
 
 
 class TestProjection:
@@ -273,19 +312,87 @@ class TestLowerHull:
         with pytest.raises(ValueError, match=r"N\^k < 2\^63"):
             geomcore.lower_hull(np.eye(17, 16), np.zeros(17))
 
+    def test_line_against_grid_oracle(self):
+        # the survivors are the generators whose power wins somewhere on a
+        # fine grid of the line
+        rng = np.random.default_rng(17)
+        points = np.column_stack([rng.uniform(0, 10, 50), rng.uniform(0, 2, 50)])
+        y, w = geomcore.slice_cloud(points, 1)
+        lo, hi = y.min(), y.max()
+        grid = np.linspace(4 * lo - 3 * hi - 3, 4 * hi - 3 * lo + 3, 400_001)[:, None]
+        assert set(geomcore.lower_hull(y, w)[0][:, 0].tolist()) == power_grid_winners(y, w, grid)
+
+    def test_line_far_from_origin_against_exact_chain(self):
+        # criterion-6 configuration at seed 201, replicate 6: near x = 945 the
+        # lift is about 1e6 and generator 83 lies below the chord of its
+        # neighbours by an exact cross product of only +1.3e-6; Qhull without
+        # the Qbb lift scaling drops it
+        cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=201)
+        points = replicate_points(cfg, 6)
+        vertices = geomcore.lower_hull(*geomcore.slice_cloud(points, 1))[0][:, 0]
+        assert 83 in vertices
+        assert len(vertices) == 1274
+        assert vertices.tolist() == sorted(exact_lower_hull_1d(points))
+
+    def test_equal_weights_match_unweighted_delaunay(self):
+        rng = np.random.default_rng(2)
+        y = rng.uniform(0, 5, size=(40, 2))
+        triangles = geomcore.lower_hull(y, np.full(40, -1.3))[2]
+        assert {tuple(t) for t in triangles.tolist()} == {
+            tuple(sorted(t)) for t in Delaunay(y).simplices.tolist()
+        }
+        # direct empty-circumcircle certificate
+        cloud = np.column_stack([y, np.zeros(len(y))])
+        for a, b, c in triangles:
+            sphere = smallest_anchored_circumsphere(cloud[[a, b, c]], 2)
+            assert geomcore.sphere_is_empty(sphere, cloud, exclude=[a, b, c])
+
+    def test_heavily_weighted_generator_submerged(self):
+        # the generator at (1, 1) never attains the least power on a fine grid
+        y = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
+        w = np.array([0.0, 0.0, 0.0, -25.0])
+        assert 3 not in geomcore.lower_hull(y, w)[0]
+        grid = np.stack(np.meshgrid(np.linspace(-2, 5, 141), np.linspace(-2, 5, 141)), axis=-1)
+        assert 3 not in power_grid_winners(y, w, grid.reshape(-1, 2))
+
+    def test_submerged_generators_never_win(self):
+        rng = np.random.default_rng(6)
+        y, w = geomcore.slice_cloud(planar_cloud(rng, 50, 5.0, 1.5), 2)
+        submerged = set(range(50)) - set(geomcore.lower_hull(y, w)[0][:, 0].tolist())
+        grid = np.stack(np.meshgrid(np.linspace(-1, 6, 201), np.linspace(-1, 6, 201)), axis=-1)
+        assert power_grid_winners(y, w, grid.reshape(-1, 2)).isdisjoint(submerged)
+
+    def test_lower_hull_certificate(self):
+        # no lifted generator lies below the plane of a cell
+        rng = np.random.default_rng(5)
+        y, w = geomcore.slice_cloud(planar_cloud(rng, 60, 6.0, 1.5), 2)
+        lifted = np.column_stack([y, np.einsum("ij,ij->i", y, y) - w])
+        for t in geomcore.lower_hull(y, w)[2]:
+            base = lifted[t]
+            normal = np.cross(base[1] - base[0], base[2] - base[0])
+            if normal[2] > 0:
+                normal = -normal  # downward-facing
+            offsets = (lifted - base[0]) @ normal
+            assert np.all(offsets <= 1e-9 * np.abs(offsets).max() + 1e-12)
+
+    def test_duplicate_projection_far_apart_in_input(self):
+        rng = np.random.default_rng(3)
+        y = rng.uniform(0, 5, size=(50, 2))
+        y[41] = y[6]
+        with pytest.raises(DegeneracyError):
+            geomcore.lower_hull(y, np.zeros(50))
+
 
 class TestMosaic:
     @pytest.mark.parametrize("k", [1, 2])
     def test_dump_schema(self, k):
         rng = np.random.default_rng(42 + k)
         if k == 1:
-            pts = np.column_stack([rng.uniform(0, 6, 12), rng.uniform(0, 1.0, 12)])
-            mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (0, 6)))
+            cloud = np.column_stack([rng.uniform(0, 6, 12), rng.uniform(0, 1.0, 12)])
+            mosaic = build(cloud, 1, ((0, 6),))
         else:
             cloud = np.column_stack([rng.uniform(0, 4, (30, 2)), rng.uniform(-1, 1, 30)])
-            y, w = geomcore.slice_cloud(cloud, 2)
-            tri = mosaic2d.regular_triangulation(y, w)
-            mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri), ((0, 4),) * 2)
+            mosaic = build(cloud, 2, ((0, 4),) * 2)
         dump = json.loads(json.dumps(mosaic.to_dict()))
         assert dump["schema_version"] == SCHEMA_VERSION == 1
         assert dump["k"] == k
@@ -304,13 +411,12 @@ class TestMosaic:
         rng = np.random.default_rng(seed)
         count = int(rng.integers(20, 300))
         if k == 3:
-            return decompose(random_cloud(rng, count)[0])
+            return build(random_cloud(rng, count)[0], 3)
         side = count / 1.27 if k == 1 else math.sqrt(count / 1.46)
         cloud = np.column_stack(
             [rng.uniform(0, side, (count, k)), rng.uniform(-2.0, 2.0, (count, 3 - k))]
         )
-        y, w = geomcore.slice_cloud(cloud, k)
-        return geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
+        return build(cloud, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))
@@ -366,19 +472,23 @@ class TestMosaic:
         assert "intervals" in vars(mosaic)
         assert mosaic.intervals is intervals
 
+    def test_equal_power_at_the_power_diagram_vertices(self):
+        # the anchors of the top rows are the vertices of the power diagram:
+        # each has equal power at its triangle's three generators
+        rng = np.random.default_rng(8)
+        mosaic = build(planar_cloud(rng, 30, 5.0, 1.2), 2)
+        y, w = mosaic.y, mosaic.w
+        for (a, b, c), z in zip(mosaic.faces[2], mosaic.anchors[mosaic.dims == 2]):
+            powers = [np.sum((z - y[i]) ** 2) - w[i] for i in (a, b, c)]
+            assert powers[0] == pytest.approx(powers[1], rel=1e-9)
+            assert powers[0] == pytest.approx(powers[2], rel=1e-9)
+
 
 class TestAnchorAccuracy:
     """Anchors against exact rational solves, in window units."""
 
-    @staticmethod
-    def _mosaic(cfg, replicate):
-        cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
-        points = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=replicate))
-        y, w = geomcore.slice_cloud(points, cfg.k)
-        return geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
-
     def _worst_error(self, cfg, replicate, dim):
-        mosaic = self._mosaic(cfg, replicate)
+        mosaic = build(replicate_points(cfg, replicate), cfg.k)
         y, w = mosaic.y, mosaic.w
         top = mosaic.faces[dim]
         assert dim == cfg.k and len(top) > 1000  # top simplices anchor themselves
@@ -402,20 +512,50 @@ class TestAnchorAccuracy:
         assert self._worst_error(cfg, 6, 1) <= 1e-10
 
     @pytest.mark.parametrize(
-        "n,window", [(2, ((0.0, 1000.0),)), (3, ((0.0, 20.0), (0.0, 20.0)))]
+        "n,window",
+        [(2, ((0.0, 1000.0),)), (3, ((0.0, 20.0), (0.0, 20.0))), (5, SLIVER_CFG.window)],
     )
     def test_upper_bound_types_match_exact_signs(self, n, window):
-        # replicate 0 of criteria 6 and 7: an upper bound of type (ell, m),
-        # m > 0, has ell + 1 positive rational barycentric coordinates
-        cfg = SamplingConfig(n=n, rho=1.0, window=window, buffer=1.0, seed=2025)
-        mosaic = self._mosaic(cfg, 0)
-        bounds = mosaic.dims[mosaic.upper] > 0
-        rows = [list(mosaic.simplices[r]) for r in mosaic.upper[bounds].tolist()]
-        assert len(rows) > 1000
+        # an upper bound of type (ell, m), m > 0, has ell + 1 positive
+        # rational barycentric coordinates: every upper bound of replicate 0
+        # of criteria 6 and 7, and at k = 3 the 40 worst-conditioned top
+        # simplices of the sliver sample
+        if n == 5:
+            mosaic = sliver_mosaic()
+            top = np.flatnonzero(mosaic.dims == 3)
+            cells = mosaic.faces[3]
+            cond = np.linalg.cond(mosaic.y[cells[:, 1:]] - mosaic.y[cells[:, :1]])
+            bounds = top[np.argsort(cond)[-40:]]
+        else:
+            cfg = SamplingConfig(n=n, rho=1.0, window=window, buffer=1.0, seed=2025)
+            mosaic = build(replicate_points(cfg, 0), cfg.k)
+            bounds = mosaic.upper[mosaic.dims[mosaic.upper] > 0]
+            assert len(bounds) > 1000
+        rows = [list(mosaic.simplices[r]) for r in bounds.tolist()]
         positive = [
             sum(c > 0 for c in exact_barycentric(mosaic.y[row], mosaic.w[row])) for row in rows
         ]
-        assert positive == (mosaic.dims[mosaic.lower[bounds]] + 1).tolist()
+        assert positive == (mosaic.dims[mosaic.lower[mosaic.interval_id[bounds]]] + 1).tolist()
+
+    def test_sliver_sample_decomposes(self):
+        # the top level's signs come from the square system, not from the
+        # Gram matrix, which is singular in floating point at the sliver
+        cfg = dataclasses.replace(SLIVER_CFG, buffer=sampler.choose_buffer(SLIVER_CFG, 1 - 1e-6))
+        record = experiments.run_replicate(cfg, 69)
+        assert record.num_points == 4439
+        report = experiments.ExperimentReport(
+            cfg=cfg, r0=math.inf, interval_rates=[], simplex_rates=[], records=[record]
+        )
+        assert experiments.reconcile_simplex_counts(report).failures == []
+        mosaic = sliver_mosaic()
+        assert len(mosaic.dims) == 44_403
+        cells = mosaic.faces[3]
+        volumes = np.abs(np.linalg.det(mosaic.y[cells[:, 1:]] - mosaic.y[cells[:, :1]]))
+        sliver = int(np.argmin(volumes))
+        row = np.flatnonzero(mosaic.dims == 3)[sliver]
+        exact = exact_barycentric(mosaic.y[cells[sliver]], mosaic.w[cells[sliver]])
+        ell = mosaic.dims[mosaic.lower[mosaic.interval_id[row]]]
+        assert sum(c > 0 for c in exact) == ell + 1
 
 
 class TestVisibilityType:

@@ -1,4 +1,4 @@
-"""Tests for the one-dimensional mosaic construction and radius function."""
+"""Tests for the one-dimensional adapters: mosaic construction and radius function."""
 
 import dataclasses
 import math
@@ -11,20 +11,7 @@ from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError
 from anchormosaic.sampler import SamplingConfig
 
-from oracles import (
-    WeightedPoint,
-    exact_lower_hull_1d,
-    smallest_anchored_circumsphere,
-    visibility_type,
-)
-
-
-def brute_force_survivors(points: np.ndarray, samples: int = 400_001) -> set[int]:
-    """Generators whose power function wins somewhere on a fine grid."""
-    span = points[:, 0].max() - points[:, 0].min()
-    grid = np.linspace(points[:, 0].min() - 3 * span - 3, points[:, 0].max() + 3 * span + 3, samples)
-    powers = (grid[None, :] - points[:, 0, None]) ** 2 + points[:, 1, None] ** 2
-    return set(np.unique(np.argmin(powers, axis=0)).tolist())
+from oracles import WeightedPoint, smallest_anchored_circumsphere, visibility_type
 
 
 def brute_force_intervals(points: np.ndarray):
@@ -92,22 +79,6 @@ class TestBuild1D:
         mosaic = mosaic1d.build_1d(pts, window=(-5, 5))
         assert mosaic.vertices.tolist() == [0, 2]
         assert len(mosaic.vertices) - 1 == 1
-
-    def test_random_against_grid_oracle(self):
-        rng = np.random.default_rng(17)
-        pts = np.column_stack([rng.uniform(0, 10, 50), rng.uniform(0, 2, 50)])
-        mosaic = mosaic1d.build_1d(pts, window=(0, 10))
-        assert set(mosaic.vertices.tolist()) == brute_force_survivors(pts)
-
-    def test_far_from_origin_against_exact_chain(self):
-        # criterion-6 configuration at seed 201, replicate 6: near x = 945 the
-        # lift is about 1e6 and generator 83 lies below the chord of its
-        # neighbours by an exact cross product of only +1.3e-6; Qhull without
-        # the Qbb lift scaling drops it
-        _, pts, hull = criterion6_replicate(201, 6)
-        assert 83 in hull.vertices
-        assert len(hull.vertices) == 1274
-        assert hull.vertices.tolist() == exact_lower_hull_1d(pts)
 
     def test_left_to_right_order(self):
         pts = np.array([[3.0, 0.5], [-1.0, 0.2], [1.0, 0.1], [2.0, 3.0]])
@@ -256,3 +227,22 @@ class TestRadiusAndIntervals:
             WeightedPoint(y=pts[v, :1], w=-float(pts[v, 1]) ** 2) for v in iv.upper
         ]
         assert visibility_type(iv.sphere, upper) == IntervalType(0, 1)
+
+
+def test_adapter_matches_geomcore():
+    # replicate 0 of the criterion-6 configuration: the adapters give the
+    # mosaic of slice_cloud, lower_hull and radius_and_intervals, with its
+    # vertices and edges listed left to right
+    cfg, halfplane, hull = criterion6_replicate(2025, 0)
+    mosaic = mosaic1d.radius_and_intervals_1d(hull)
+    y, w = geomcore.slice_cloud(sampler.sample_poisson_box(cfg), 1)
+    direct = geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
+    row = {s: r for r, s in enumerate(direct.simplices)}
+    rows = [row[s] for s in mosaic.simplices]
+    assert sorted(rows) == list(range(len(direct.simplices)))
+    np.testing.assert_array_equal(mosaic.radii, direct.radii[rows])
+    np.testing.assert_array_equal(mosaic.anchors, direct.anchors[rows])
+    assert sorted((iv.lower, iv.upper, iv.type) for iv in mosaic.intervals) == sorted(
+        (iv.lower, iv.upper, iv.type) for iv in direct.intervals
+    )
+    assert np.all(np.diff(halfplane[mosaic.vertices, 0]) > 0)

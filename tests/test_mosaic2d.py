@@ -1,11 +1,10 @@
-"""Tests for the planar regular triangulation, power diagram, and intervals."""
+"""Tests for the planar adapters: regular triangulation, power diagram, and intervals."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
 
 from anchormosaic import experiments, geomcore, mosaic2d, sampler
 from anchormosaic.constants import IntervalType
@@ -35,67 +34,6 @@ class TestRegularTriangulation:
         assert len(tri.triangles) == 1
         assert sorted(tri.triangles[0]) == [0, 1, 2]
 
-    def test_equal_weights_match_unweighted_delaunay(self):
-        rng = np.random.default_rng(2)
-        y = rng.uniform(0, 5, size=(40, 2))
-        tri = mosaic2d.regular_triangulation(y, np.full(40, -1.3))
-        reference = Delaunay(y)
-        mine = {tuple(sorted(t)) for t in tri.triangles}
-        theirs = {tuple(sorted(t)) for t in reference.simplices}
-        assert mine == theirs
-        # direct empty-circumcircle certificate
-        for a, b, c in tri.triangles:
-            sphere = smallest_anchored_circumsphere(
-                np.column_stack([y[[a, b, c]], np.zeros(3)]), 2
-            )
-            cloud = np.column_stack([y, np.zeros(len(y))])
-            assert geomcore.sphere_is_empty(sphere, cloud, exclude=[a, b, c])
-
-    def test_heavily_weighted_centroid_submerged(self):
-        y = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
-        w = np.array([0.0, 0.0, 0.0, -25.0])
-        tri = mosaic2d.regular_triangulation(y, w)
-        assert 3 not in tri.vertices
-        # power-cell emptiness oracle on a fine grid: the submerged point
-        # never attains the minimal power distance
-        grid = np.stack(
-            np.meshgrid(np.linspace(-2, 5, 141), np.linspace(-2, 5, 141)), axis=-1
-        ).reshape(-1, 2)
-        powers = np.stack(
-            [np.einsum("ij,ij->i", grid - y[i], grid - y[i]) - w[i] for i in range(4)]
-        )
-        assert not np.any(np.argmin(powers, axis=0) == 3)
-
-    def test_lower_hull_certificate(self):
-        rng = np.random.default_rng(5)
-        cloud = random_cloud(rng, 60, 6.0, 1.5)
-        y, w = geomcore.slice_cloud(cloud, 2)
-        tri = mosaic2d.regular_triangulation(y, w)
-        lifted = np.column_stack([y, np.einsum("ij,ij->i", y, y) - w])
-        for t in tri.triangles:
-            base = lifted[t]
-            normal = np.cross(base[1] - base[0], base[2] - base[0])
-            if normal[2] > 0:
-                normal = -normal  # downward-facing
-            offsets = (lifted - base[0]) @ normal
-            assert np.all(offsets <= 1e-9 * np.abs(offsets).max() + 1e-12)
-
-    def test_submerged_points_on_upper_hull_only(self):
-        rng = np.random.default_rng(6)
-        cloud = random_cloud(rng, 50, 5.0, 1.5)
-        y, w = geomcore.slice_cloud(cloud, 2)
-        tri = mosaic2d.regular_triangulation(y, w)
-        submerged = sorted(set(range(50)) - set(tri.vertices.tolist()))
-        # a submerged generator's power cell is empty: on a fine grid it never wins
-        grid = np.stack(
-            np.meshgrid(np.linspace(-1, 6, 201), np.linspace(-1, 6, 201)), axis=-1
-        ).reshape(-1, 2)
-        powers = np.stack(
-            [np.einsum("ij,ij->i", grid - y[i], grid - y[i]) - w[i] for i in range(50)]
-        )
-        winners = set(np.argmin(powers, axis=0).tolist())
-        assert winners.isdisjoint(submerged)
-
     @pytest.mark.parametrize("size", [10, 37, 160, 500])
     def test_edges_match_row_unique(self, size):
         # the integer-keyed edge list against a row-wise unique of the pairs
@@ -106,13 +44,6 @@ class TestRegularTriangulation:
         t = tri.triangles
         pairs = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [0, 2]]])
         np.testing.assert_array_equal(tri.edges, np.unique(np.sort(pairs, 1), axis=0))
-
-    def test_duplicate_projection_far_apart_in_input(self):
-        rng = np.random.default_rng(3)
-        y = rng.uniform(0, 5, size=(50, 2))
-        y[41] = y[6]
-        with pytest.raises(DegeneracyError):
-            mosaic2d.regular_triangulation(y, np.zeros(50))
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -132,8 +63,9 @@ class TestPowerDual:
         theta = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
         y = np.column_stack([np.cos(theta), np.sin(theta)])
         tri = mosaic2d.regular_triangulation(y, np.zeros(3))
-        dia = mosaic2d.power_dual(tri)
-        assert dia.dual_vertices[0] == pytest.approx([0.0, 0.0], abs=1e-12)
+        mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri))
+        # the power diagram's vertex is the anchor of the top row
+        assert mosaic.anchors[mosaic.dims == 2][0] == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_radical_line_shifts_toward_lighter_point(self):
         # two generators embedded in a triangle; check the halfplane boundary
@@ -147,12 +79,9 @@ class TestPowerDual:
     def test_equal_power_at_dual_vertices(self):
         rng = np.random.default_rng(8)
         cloud = random_cloud(rng, 30, 5.0, 1.2)
-        y, w = geomcore.slice_cloud(cloud, 2)
-        tri = mosaic2d.regular_triangulation(y, w)
-        dia = mosaic2d.power_dual(tri)
-        for t, (a, b, c) in enumerate(tri.triangles):
-            z = dia.dual_vertices[t]
-            powers = [np.sum((z - y[i]) ** 2) - w[i] for i in (a, b, c)]
+        tri, _, mosaic = build(cloud)
+        for (a, b, c), z in zip(tri.triangles, mosaic.anchors[mosaic.dims == 2]):
+            powers = [np.sum((z - tri.y[i]) ** 2) - tri.w[i] for i in (a, b, c)]
             assert powers[0] == pytest.approx(powers[1], rel=1e-9)
             assert powers[0] == pytest.approx(powers[2], rel=1e-9)
 
@@ -295,3 +224,21 @@ class TestRadiusAndIntervals:
         assert iv.type == IntervalType(1, 2)
         assert iv.lower == (848, 867)
         assert iv.upper == (848, 867, 1084)
+
+
+def test_adapter_matches_geomcore():
+    # replicate 0 of the criterion-7 configuration: the adapters give the
+    # mosaic of slice_cloud, lower_hull and radius_and_intervals row for row
+    cfg = SamplingConfig(n=3, rho=1.0, window=((0.0, 20.0),) * 2, buffer=1.0, seed=2025)
+    cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+    cloud = sampler.sample_poisson_box(cfg)
+    y, w = geomcore.slice_cloud(cloud, 2)
+    tri = mosaic2d.regular_triangulation(y, w, preimages=cloud)
+    mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri), cfg.window)
+    faces = geomcore.lower_hull(y, w)
+    direct = geomcore.radius_and_intervals(y, w, faces, cfg.window)
+    assert tri.preimages is cloud
+    for got, expected in zip([tri.vertices[:, None], tri.edges, tri.triangles], faces):
+        np.testing.assert_array_equal(got, expected)
+    for column in ("dims", "anchors", "radii", "interval_id", "lower", "upper"):
+        np.testing.assert_array_equal(getattr(mosaic, column), getattr(direct, column))

@@ -1,5 +1,6 @@
 """Tests of the package's public surface."""
 
+import ast
 import functools
 import importlib
 import pkgutil
@@ -37,6 +38,52 @@ def test_census_builds_every_mosaic_in_geomcore():
     experiments = importlib.import_module("anchormosaic.experiments")
     assert not hasattr(experiments, "mosaic1d")
     assert not hasattr(experiments, "mosaic2d")
+
+
+ADAPTERS = {"mosaic1d", "mosaic2d"}
+ADAPTER_NAMES = {
+    "Mosaic1D",
+    "PowerDiagram",
+    "RegularTriangulation",
+    "build_1d",
+    "power_dual",
+    "radius_and_intervals_1d",
+    "radius_and_intervals_2d",
+    "regular_triangulation",
+    "rotate_to_halfplane",
+}
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every dotted name an ``import`` or ``from ... import`` in ``path``
+    names, the imported names included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_only_the_benchmark_builds_mosaics_through_the_adapters():
+    # the package and the demos build every mosaic with slice_cloud,
+    # lower_hull and radius_and_intervals; the per-k adapters stay only as a
+    # shim for the benchmark, and the package namespace offers neither them
+    # nor a second solve for the power diagram's vertices
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "anchormosaic"
+    paths = [p for p in sorted(package.glob("*.py")) if p.stem not in ADAPTERS]
+    paths += sorted((root / "demos").glob("*.py"))
+    importers = [
+        path.name
+        for path in paths
+        if any(set(name.split(".")) & ADAPTERS for name in _imported_modules(path))
+    ]
+    assert importers == []
+    assert set(anchormosaic.__all__).isdisjoint(ADAPTER_NAMES | {"dual_vertices"})
+    assert not hasattr(importlib.import_module("anchormosaic.geomcore"), "dual_vertices")
 
 
 @functools.cache
