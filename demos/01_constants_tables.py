@@ -32,7 +32,6 @@ print("\nTwo-dimensional mosaic (k = 2): intervals per unit area")
 header = [f"C{t}" for t in ["(0,0)", "(0,1)", "(0,2)", "(1,1)", "(1,2)", "(2,2)"]]
 print(f"{'n':>6} " + " ".join(f"{h:>8}" for h in header) + f" {'D_0':>8} {'D_1':>8} {'D_2':>8}")
 for n in list(range(3, 11)) + [20]:
-    cells = [constants.interval_constant(t, 2, n) for t in constants.valid_interval_types(2)]
     order = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     cells = [constants.interval_constant(t, 2, n) for t in order]
     ds = [constants.simplex_constant(j, 2, n) for j in range(3)]

@@ -369,12 +369,11 @@ class AsymptoticLimits1D:
     values: dict[int, tuple[float, float, float]]  # n -> (C00, C01, D0)
 
 
-def asymptotic_limits_1d(
-    sample_ns: tuple[int, ...] = (100, 1000, 10000),
-) -> AsymptoticLimits1D:
-    """Limits of C[0,0; 1,n], C[0,1; 1,n], D_0[1,n] with large-n evaluations."""
+def asymptotic_limits_1d() -> AsymptoticLimits1D:
+    """Limits of C[0,0; 1,n], C[0,1; 1,n], D_0[1,n] with their values at
+    n = 100, 1000 and 10000."""
     values = {}
-    for n in sample_ns:
+    for n in (100, 1000, 10000):
         c00 = critical_vertex_constant(1, n)
         c01 = _pair_constant_1d(n)
         values[n] = (c00, c01, c00 + c01)

@@ -729,11 +729,9 @@ class GammaLemmaCheck:
         return self.max_rel_error <= self.tolerance
 
 
-def verify_gamma_lemma(
-    draws: int = 100, seed: int = 0, tolerance: float = 1e-9
-) -> GammaLemmaCheck:
+def verify_gamma_lemma(draws: int = 100, seed: int = 0) -> GammaLemmaCheck:
     """Check the power-exponential integral closed form against adaptive
-    quadrature on random parameter draws."""
+    quadrature on random parameter draws, to 1e-9 relative."""
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -751,7 +749,7 @@ def verify_gamma_lemma(
             epsabs=1e-13, epsrel=1e-12, limit=200,
         )
         worst = max(worst, abs(closed - direct) / abs(direct))
-    return GammaLemmaCheck(draws=draws, max_rel_error=worst, tolerance=tolerance)
+    return GammaLemmaCheck(draws=draws, max_rel_error=worst, tolerance=1e-9)
 
 
 @dataclass

@@ -1,14 +1,19 @@
-"""Independent oracles that the tests check the package against."""
+"""Independent oracles that the tests check the package against, the one
+invariant audit of an interval decomposition, and the random clouds and the
+mosaic path the decomposition tests share."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
+from anchormosaic import geomcore
 from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError, IterationLimitError
 from anchormosaic.geomcore import AnchoredSphere, Interval, Mosaic
@@ -192,6 +197,109 @@ def intervals_per_row(mosaic: Mosaic) -> list[Interval]:
         )
         start = stop
     return out
+
+
+def random_cloud(
+    rng: np.random.Generator,
+    count: int,
+    k: int,
+    side: float,
+    height: tuple[float, float],
+    tail: int = 1,
+) -> np.ndarray:
+    """``count`` points of R^(k + tail): k slice coordinates uniform over
+    [0, side), drawn first, then ``tail`` coordinates uniform over the
+    ``height`` range (low, high)."""
+    return np.column_stack(
+        [rng.uniform(0.0, side, (count, k)), rng.uniform(*height, (count, tail))]
+    )
+
+
+def build(cloud: np.ndarray, k: int, window=None) -> Mosaic:
+    """The mosaic of the k-plane slice of ``cloud``: ``slice_cloud``,
+    ``lower_hull`` and ``radius_and_intervals``."""
+    y, w = geomcore.slice_cloud(cloud, k)
+    return geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w), window)
+
+
+def interval_violations(
+    mosaic: Mosaic, cloud: np.ndarray, interior: Sequence[tuple[float, float]]
+) -> list[str]:
+    """Every invariant of the interval decomposition that ``mosaic`` of
+    ``cloud`` breaks, one message each, for any k; ``interior`` is one
+    half-open range per slice axis. Each message starts with its kind:
+
+    - partition: every simplex lies in exactly one interval;
+    - members: an interval of type (ell, m) has 2^(m - ell) members, each
+      between its lower and upper bound;
+    - reconciliation: at the median interval radius and at infinity, the
+      j-simplices of radius at most r0 number sum C(m - ell, m - j) over the
+      intervals of type (ell, m) of radius at most r0, over the whole mosaic
+      and over the simplices and intervals anchored in ``interior``;
+    - monotone: no face has a larger radius than its coface;
+    - emptiness: no cloud point lies inside the sphere of an interval
+      anchored in ``interior``.
+    """
+    intervals, simplices = mosaic.intervals, mosaic.simplices
+    found = []
+    members = [s for iv in intervals for s in iv.members]
+    if len(members) != len(simplices) or set(members) != set(simplices):
+        found.append("partition: the intervals do not partition the simplices")
+    for iv in intervals:
+        lower, upper = set(iv.lower), set(iv.upper)
+        if len(iv.members) != 2 ** (iv.type.m - iv.type.ell) or not all(
+            lower <= set(s) <= upper for s in iv.members
+        ):
+            found.append(f"members: {iv.type} interval {iv.lower}..{iv.upper}")
+    lo, hi = np.asarray(interior, dtype=float).T
+
+    def within(anchors: np.ndarray) -> np.ndarray:
+        return np.all((lo <= anchors) & (anchors < hi), axis=1)
+
+    radius = np.array([iv.sphere.radius for iv in intervals])
+    anchored = within(np.array([iv.sphere.anchor for iv in intervals]))
+    for where, keep, rows in (
+        ("mosaic", np.ones(len(intervals), dtype=bool), np.ones(len(simplices), dtype=bool)),
+        ("interior", anchored, within(mosaic.anchors)),
+    ):
+        for r0 in (float(np.median(radius)), math.inf):
+            census = Counter(iv.type for iv, use in zip(intervals, keep & (radius <= r0)) if use)
+            for j in range(mosaic.y.shape[1] + 1):
+                predicted = sum(
+                    math.comb(t.m - t.ell, t.m - j) * c for t, c in census.items() if t.m >= j
+                )
+                if np.count_nonzero(rows & (mosaic.dims == j) & (mosaic.radii <= r0)) != predicted:
+                    found.append(f"reconciliation: dimension {j} over the {where} at r0 = {r0}")
+    radii, row = mosaic.radii.tolist(), {s: r for r, s in enumerate(simplices)}
+    for r, s in enumerate(simplices):
+        for face in combinations(s, len(s) - 1) if len(s) > 1 else ():
+            if radii[row[face]] > radii[r]:
+                found.append(f"monotone: {face} has a larger radius than its coface {s}")
+    for iv, keep in zip(intervals, anchored):
+        if keep and not geomcore.sphere_is_empty(iv.sphere, cloud, exclude=iv.upper):
+            found.append(f"emptiness: the sphere of {iv.upper} is not empty")
+    return found
+
+
+def oracle_disagreements(mosaic: Mosaic, cloud: np.ndarray) -> list[str]:
+    """Intervals of ``mosaic`` whose type differs from ``visibility_type`` of
+    their upper bound's weighted projections, or whose sphere differs from
+    ``smallest_anchored_circumsphere`` of the upper bound's points of
+    ``cloud``: the anchor by more than 1e-8 of its size (at least 1), the
+    radius by more than 1e-8 relative."""
+    found = []
+    for iv in mosaic.intervals:
+        upper = [WeightedPoint(y=mosaic.y[v], w=float(mosaic.w[v])) for v in iv.upper]
+        if visibility_type(iv.sphere, upper) != iv.type:
+            found.append(f"type: {iv.type} interval {iv.lower}..{iv.upper}")
+        direct = smallest_anchored_circumsphere(cloud[list(iv.upper)], mosaic.y.shape[1])
+        scale = max(1.0, float(np.max(np.abs(direct.anchor))))
+        if (
+            np.max(np.abs(iv.sphere.anchor - direct.anchor)) > 1e-8 * scale
+            or abs(iv.sphere.radius - direct.radius) > 1e-8 * direct.radius
+        ):
+            found.append(f"sphere: {iv.type} interval {iv.lower}..{iv.upper}")
+    return found
 
 
 # Scalar incomplete Gamma and Beta functions (series and Lentz continued

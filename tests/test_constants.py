@@ -296,7 +296,7 @@ class TestAsymptoticLimits:
         assert lim.vertex_count_limit == pytest.approx(2.33164, abs=1e-5)
 
     def test_monotone_convergence(self):
-        lim = constants.asymptotic_limits_1d(sample_ns=(100, 1000, 10000))
+        lim = constants.asymptotic_limits_1d()
         targets = (lim.critical_vertex_limit, lim.pair_limit, lim.vertex_count_limit)
         gaps = {
             n: [abs(v - t) for v, t in zip(vals, targets)]

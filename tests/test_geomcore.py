@@ -19,26 +19,22 @@ from anchormosaic.sampler import SamplingConfig
 
 from oracles import (
     WeightedPoint,
+    build,
     exact_anchor,
     exact_barycentric,
     exact_lower_hull_1d,
+    interval_violations,
     intervals_per_row,
+    random_cloud,
     smallest_anchored_circumsphere,
     visibility_type,
 )
-from test_k3 import random_cloud
 
 
 def replicate_points(cfg: SamplingConfig, replicate: int) -> np.ndarray:
     """The sample of ``replicate`` at ``cfg`` with the census's default buffer."""
     cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
     return sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=replicate))
-
-
-def build(points: np.ndarray, k: int, window=None) -> geomcore.Mosaic:
-    """The mosaic of the k-plane slice of ``points``."""
-    y, w = geomcore.slice_cloud(points, k)
-    return geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w), window)
 
 
 # (5, 3), 6^3 window: replicate 69 at seed 7 holds a sliver tetrahedron at the
@@ -50,13 +46,6 @@ SLIVER_CFG = SamplingConfig(n=5, rho=1.0, window=((0.0, 6.0),) * 3, buffer=1.0, 
 @functools.cache
 def sliver_mosaic() -> geomcore.Mosaic:
     return build(replicate_points(SLIVER_CFG, 69), 3)
-
-
-def planar_cloud(rng, count, side, height):
-    """``count`` points of R^3 over a ``side``-square, within ``height`` of the plane."""
-    return np.column_stack(
-        [rng.uniform(0, side, (count, 2)), rng.uniform(-height, height, (count, 1))]
-    )
 
 
 def power_grid_winners(y: np.ndarray, w: np.ndarray, grid: np.ndarray) -> set[int]:
@@ -357,7 +346,7 @@ class TestLowerHull:
 
     def test_submerged_generators_never_win(self):
         rng = np.random.default_rng(6)
-        y, w = geomcore.slice_cloud(planar_cloud(rng, 50, 5.0, 1.5), 2)
+        y, w = geomcore.slice_cloud(random_cloud(rng, 50, 2, 5.0, (-1.5, 1.5)), 2)
         submerged = set(range(50)) - set(geomcore.lower_hull(y, w)[0][:, 0].tolist())
         grid = np.stack(np.meshgrid(np.linspace(-1, 6, 201), np.linspace(-1, 6, 201)), axis=-1)
         assert power_grid_winners(y, w, grid.reshape(-1, 2)).isdisjoint(submerged)
@@ -365,7 +354,7 @@ class TestLowerHull:
     def test_lower_hull_certificate(self):
         # no lifted generator lies below the plane of a cell
         rng = np.random.default_rng(5)
-        y, w = geomcore.slice_cloud(planar_cloud(rng, 60, 6.0, 1.5), 2)
+        y, w = geomcore.slice_cloud(random_cloud(rng, 60, 2, 6.0, (-1.5, 1.5)), 2)
         lifted = np.column_stack([y, np.einsum("ij,ij->i", y, y) - w])
         for t in geomcore.lower_hull(y, w)[2]:
             base = lifted[t]
@@ -388,11 +377,9 @@ class TestMosaic:
     def test_dump_schema(self, k):
         rng = np.random.default_rng(42 + k)
         if k == 1:
-            cloud = np.column_stack([rng.uniform(0, 6, 12), rng.uniform(0, 1.0, 12)])
-            mosaic = build(cloud, 1, ((0, 6),))
+            mosaic = build(random_cloud(rng, 12, 1, 6, (0, 1.0)), 1, ((0, 6),))
         else:
-            cloud = np.column_stack([rng.uniform(0, 4, (30, 2)), rng.uniform(-1, 1, 30)])
-            mosaic = build(cloud, 2, ((0, 4),) * 2)
+            mosaic = build(random_cloud(rng, 30, 2, 4, (-1, 1)), 2, ((0, 4),) * 2)
         dump = json.loads(json.dumps(mosaic.to_dict()))
         assert dump["schema_version"] == SCHEMA_VERSION == 1
         assert dump["k"] == k
@@ -411,12 +398,11 @@ class TestMosaic:
         rng = np.random.default_rng(seed)
         count = int(rng.integers(20, 300))
         if k == 3:
-            return build(random_cloud(rng, count)[0], 3)
-        side = count / 1.27 if k == 1 else math.sqrt(count / 1.46)
-        cloud = np.column_stack(
-            [rng.uniform(0, side, (count, k)), rng.uniform(-2.0, 2.0, (count, 3 - k))]
-        )
-        return build(cloud, k)
+            side, height, tail = max((count / 1.4) ** (1 / 3), 2.0), 1.2, 1
+        else:
+            side = count / 1.27 if k == 1 else math.sqrt(count / 1.46)
+            height, tail = 2.0, 3 - k
+        return build(random_cloud(rng, count, k, side, (-height, height), tail), k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))
@@ -476,12 +462,73 @@ class TestMosaic:
         # the anchors of the top rows are the vertices of the power diagram:
         # each has equal power at its triangle's three generators
         rng = np.random.default_rng(8)
-        mosaic = build(planar_cloud(rng, 30, 5.0, 1.2), 2)
+        mosaic = build(random_cloud(rng, 30, 2, 5.0, (-1.2, 1.2)), 2)
         y, w = mosaic.y, mosaic.w
         for (a, b, c), z in zip(mosaic.faces[2], mosaic.anchors[mosaic.dims == 2]):
             powers = [np.sum((z - y[i]) ** 2) - w[i] for i in (a, b, c)]
             assert powers[0] == pytest.approx(powers[1], rel=1e-9)
             assert powers[0] == pytest.approx(powers[2], rel=1e-9)
+
+
+class TestIntervalViolations:
+    """The shared audit reports each fault injected into a copy of a real
+    mosaic's columns or intervals."""
+
+    INTERIOR = [(2.4, 9.6)] * 2
+
+    def _faulty(self, fault):
+        cloud = random_cloud(np.random.default_rng(12), 200, 2, 12.0, (-1.4, 1.4))
+        mosaic = build(cloud, 2)
+        if fault == "raised radius":
+            # a vertex above every simplex, its cofaces included
+            radii = mosaic.radii.copy()
+            radii[0] = 2.0 * radii.max()
+            return dataclasses.replace(mosaic, radii=radii), cloud
+        edits = {
+            "dropped member": (
+                IntervalType(0, 2),
+                lambda iv: dataclasses.replace(iv, members=iv.members[1:]),
+            ),
+            # (1, 2) has the member count of (0, 1), so only the census can tell
+            "wrong type": (
+                IntervalType(0, 1),
+                lambda iv: dataclasses.replace(iv, type=IntervalType(1, 2)),
+            ),
+            "non-empty sphere": (
+                IntervalType(2, 2),
+                lambda iv: dataclasses.replace(
+                    iv, sphere=AnchoredSphere(iv.sphere.anchor, 4.0 * iv.sphere.radius)
+                ),
+            ),
+        }
+        kind, edit = edits[fault]
+        lo, hi = np.array(self.INTERIOR).T
+        intervals = list(mosaic.intervals)
+        # the largest interior interval of the type: above the median radius,
+        # so a larger sphere leaves the census at the median as it was
+        candidates = [
+            i
+            for i, iv in enumerate(intervals)
+            if iv.type == kind and np.all((lo <= iv.sphere.anchor) & (iv.sphere.anchor < hi))
+        ]
+        i = max(candidates, key=lambda i: intervals[i].sphere.radius)
+        intervals[i] = edit(intervals[i])
+        faulty = dataclasses.replace(mosaic)
+        faulty.intervals = intervals
+        return faulty, cloud
+
+    @pytest.mark.parametrize(
+        "fault,kinds",
+        [
+            ("dropped member", {"partition", "members"}),
+            ("raised radius", {"monotone"}),
+            ("wrong type", {"reconciliation"}),
+            ("non-empty sphere", {"emptiness"}),
+        ],
+    )
+    def test_each_fault_is_reported(self, fault, kinds):
+        found = interval_violations(*self._faulty(fault), self.INTERIOR)
+        assert {message.split(":")[0] for message in found} == kinds
 
 
 class TestAnchorAccuracy:

@@ -1,4 +1,6 @@
-"""Tests for the one-dimensional adapters: mosaic construction and radius function."""
+"""Tests for the one-dimensional decomposition, built through ``geomcore``, and
+for the one-dimensional adapters, a benchmark shim: half-plane rotation, the
+mosaic on the line, and their agreement with ``geomcore``."""
 
 import dataclasses
 import math
@@ -11,7 +13,15 @@ from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError
 from anchormosaic.sampler import SamplingConfig
 
-from oracles import WeightedPoint, smallest_anchored_circumsphere, visibility_type
+from oracles import (
+    WeightedPoint,
+    build,
+    interval_violations,
+    oracle_disagreements,
+    random_cloud,
+    smallest_anchored_circumsphere,
+    visibility_type,
+)
 
 
 def brute_force_intervals(points: np.ndarray):
@@ -53,19 +63,21 @@ class TestRotateToHalfplane:
 
 
 def criterion6_replicate(seed: int, replicate: int):
-    """One replicate of the criterion-6 configuration at ``seed``: the config,
-    the half-plane points and their hull."""
+    """One replicate of the criterion-6 configuration at ``seed``: the config
+    and the sample."""
     cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=seed)
     cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
-    points = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=replicate))
-    halfplane = mosaic1d.rotate_to_halfplane(points)
-    return cfg, halfplane, mosaic1d.build_1d(halfplane, cfg.window[0])
+    return cfg, sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=replicate))
 
 
-def close_pair_replicate():
-    """Replicate 3 of the criterion-6 configuration at the seed whose
-    generators 374 and 3668 lie 9.6e-5 apart near x = 1001."""
-    return criterion6_replicate(6896151219952633663, 3)
+def close_pair_interval():
+    """The config of replicate 3 of the criterion-6 configuration at the seed
+    whose generators 374 and 3668 lie 9.6e-5 apart near x = 1001, that
+    replicate's mosaic, and the interval whose upper bound is their edge."""
+    cfg, points = criterion6_replicate(6896151219952633663, 3)
+    mosaic = build(points, 1)
+    (iv,) = [iv for iv in mosaic.intervals if iv.upper == (374, 3668)]
+    return cfg, mosaic, iv
 
 
 class TestBuild1D:
@@ -95,18 +107,13 @@ class TestBuild1D:
 
 class TestRadiusAndIntervals:
     def test_lone_vertex(self):
-        mosaic = mosaic1d.radius_and_intervals_1d(
-            mosaic1d.build_1d(np.array([[0.0, 1.0]]), window=(-1, 1))
-        )
-        (iv,) = mosaic.intervals
+        (iv,) = build(np.array([[0.0, 1.0]]), 1).intervals
         assert iv.type == IntervalType(0, 0)
         assert iv.sphere.anchor[0] == pytest.approx(0.0)
         assert iv.sphere.radius == pytest.approx(1.0)
 
     def test_symmetric_pair_intervals(self):
-        mosaic = mosaic1d.radius_and_intervals_1d(
-            mosaic1d.build_1d(np.array([[-1.0, 1.0], [1.0, 1.0]]), window=(-5, 5))
-        )
+        mosaic = build(np.array([[-1.0, 1.0], [1.0, 1.0]]), 1)
         by_type = {}
         for iv in mosaic.intervals:
             by_type.setdefault((iv.type.ell, iv.type.m), []).append(iv)
@@ -118,26 +125,22 @@ class TestRadiusAndIntervals:
 
     def test_monotone_radius_along_incidences(self):
         rng = np.random.default_rng(23)
-        pts = np.column_stack([rng.uniform(0, 20, 80), rng.uniform(0, 2, 80)])
-        mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (0, 20)))
-        for e in range(len(mosaic.edge_radius)):
-            assert mosaic.edge_radius[e] >= mosaic.vertex_radius[e] - 1e-12
-            assert mosaic.edge_radius[e] >= mosaic.vertex_radius[e + 1] - 1e-12
+        pts = random_cloud(rng, 80, 1, 20, (0, 2))
+        assert interval_violations(build(pts, 1), pts, [(3, 17)]) == []
 
     def test_interval_partition_and_types(self):
         rng = np.random.default_rng(29)
-        pts = np.column_stack([rng.uniform(0, 20, 60), rng.uniform(0, 2, 60)])
-        mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (0, 20)))
-        members = [m for iv in mosaic.intervals for m in iv.members]
-        assert len(members) == len(set(members)) == len(mosaic.simplices)
+        pts = random_cloud(rng, 60, 1, 20, (0, 2))
+        mosaic = build(pts, 1)
+        assert interval_violations(mosaic, pts, [(3, 17)]) == []
         assert {(iv.type.ell, iv.type.m) for iv in mosaic.intervals} <= {
             (0, 0), (0, 1), (1, 1),
         }
 
     def test_against_brute_force_sphere_enumeration(self):
         rng = np.random.default_rng(31)
-        pts = np.column_stack([rng.uniform(0, 12, 50), rng.uniform(0, 1.5, 50)])
-        mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (2, 10)))
+        pts = random_cloud(rng, 50, 1, 12, (0, 1.5))
+        mosaic = build(pts, 1)
         brute = brute_force_intervals(pts)
         # compare the multisets restricted to anchors well inside the sample
         def key(entry):
@@ -157,8 +160,8 @@ class TestRadiusAndIntervals:
         # scanning by anchor, the interior follows the strict repetition:
         # critical vertex, edge-vertex pairs, critical edge, vertex-edge pairs
         rng = np.random.default_rng(seed)
-        pts = np.column_stack([rng.uniform(0, 30, 120), rng.uniform(0, 2, 120)])
-        mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (0, 30)))
+        pts = random_cloud(rng, 120, 1, 30, (0, 2))
+        mosaic = build(pts, 1)
         ordered = sorted(mosaic.intervals, key=lambda iv: iv.sphere.anchor[0])
         sequence = []
         for iv in ordered:
@@ -184,34 +187,24 @@ class TestRadiusAndIntervals:
 
     def test_emptiness_of_interior_spheres(self):
         rng = np.random.default_rng(41)
-        pts = np.column_stack([rng.uniform(0, 15, 70), rng.uniform(0, 1.5, 70)])
-        mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (3, 12)))
-        for iv in mosaic.intervals:
-            if not 3 <= iv.sphere.anchor[0] < 12:
-                continue
-            assert geomcore.sphere_is_empty(iv.sphere, pts, exclude=iv.upper)
+        pts = random_cloud(rng, 70, 1, 15, (0, 1.5))
+        assert interval_violations(build(pts, 1), pts, [(3, 12)]) == []
 
     def test_types_match_visibility_oracle(self):
         # the facet-visibility classification, which types a simplex from a
         # least-squares solve for the anchor's barycentric coordinates, agrees
-        # with the sign rule on every interval
+        # with the sign rule on every interval, and every sphere is the
+        # smallest anchored circumsphere of its upper bound's points
         rng = np.random.default_rng(47)
-        pts = np.column_stack([rng.uniform(0, 30, 120), rng.uniform(0, 2, 120)])
-        mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(pts, (0, 30)))
-        for iv in mosaic.intervals:
-            upper = [
-                WeightedPoint(y=pts[v, :1], w=-float(pts[v, 1]) ** 2) for v in iv.upper
-            ]
-            assert visibility_type(iv.sphere, upper) == iv.type
+        pts = random_cloud(rng, 120, 1, 30, (0, 2))
+        assert oracle_disagreements(build(pts, 1), pts) == []
 
     def test_close_pair_with_far_anchor(self):
         # criterion-6 configuration; replicate 3 holds generators 374 and 3668,
         # 9.6e-5 apart near x = 1001, whose edge is anchored at x = 6212.7 with
         # a barycentric coordinate of about -5.4e7: a (0, 1) pair
-        cfg, _, hull = close_pair_replicate()
+        cfg, _, iv = close_pair_interval()
         experiments.run_replicate(cfg, 3)
-        mosaic = mosaic1d.radius_and_intervals_1d(hull)
-        (iv,) = [iv for iv in mosaic.intervals if iv.upper == (374, 3668)]
         assert iv.type == IntervalType(0, 1)
         assert iv.lower == (374,)
         assert iv.sphere.anchor[0] == pytest.approx(6212.7, abs=0.1)
@@ -220,12 +213,8 @@ class TestRadiusAndIntervals:
         # the oracle's least-squares system, in coordinates centred at the
         # first projection, types the same (0, 1) interval; uncentred, its
         # residual (5.2e-6) crossed the affine-hull bound
-        _, pts, hull = close_pair_replicate()
-        mosaic = mosaic1d.radius_and_intervals_1d(hull)
-        (iv,) = [iv for iv in mosaic.intervals if iv.upper == (374, 3668)]
-        upper = [
-            WeightedPoint(y=pts[v, :1], w=-float(pts[v, 1]) ** 2) for v in iv.upper
-        ]
+        _, mosaic, iv = close_pair_interval()
+        upper = [WeightedPoint(y=mosaic.y[v], w=float(mosaic.w[v])) for v in iv.upper]
         assert visibility_type(iv.sphere, upper) == IntervalType(0, 1)
 
 
@@ -233,10 +222,10 @@ def test_adapter_matches_geomcore():
     # replicate 0 of the criterion-6 configuration: the adapters give the
     # mosaic of slice_cloud, lower_hull and radius_and_intervals, with its
     # vertices and edges listed left to right
-    cfg, halfplane, hull = criterion6_replicate(2025, 0)
-    mosaic = mosaic1d.radius_and_intervals_1d(hull)
-    y, w = geomcore.slice_cloud(sampler.sample_poisson_box(cfg), 1)
-    direct = geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
+    cfg, points = criterion6_replicate(2025, 0)
+    halfplane = mosaic1d.rotate_to_halfplane(points)
+    mosaic = mosaic1d.radius_and_intervals_1d(mosaic1d.build_1d(halfplane, cfg.window[0]))
+    direct = build(points, 1)
     row = {s: r for r, s in enumerate(direct.simplices)}
     rows = [row[s] for s in mosaic.simplices]
     assert sorted(rows) == list(range(len(direct.simplices)))

@@ -1,4 +1,6 @@
-"""Tests for the planar adapters: regular triangulation, power diagram, and intervals."""
+"""Tests for the planar decomposition, built through ``geomcore``, and for the
+planar adapters, a benchmark shim: regular triangulation, power diagram, and
+their agreement with ``geomcore``."""
 
 import dataclasses
 import math
@@ -11,20 +13,7 @@ from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError
 from anchormosaic.sampler import SamplingConfig
 
-from oracles import WeightedPoint, smallest_anchored_circumsphere, visibility_type
-
-
-def build(cloud: np.ndarray):
-    y, w = geomcore.slice_cloud(cloud, 2)
-    tri = mosaic2d.regular_triangulation(y, w, preimages=cloud)
-    dia = mosaic2d.power_dual(tri)
-    return tri, dia, mosaic2d.radius_and_intervals_2d(tri, dia)
-
-
-def random_cloud(rng, count, side, height):
-    return np.column_stack(
-        [rng.uniform(0, side, (count, 2)), rng.uniform(-height, height, (count, 1))]
-    )
+from oracles import build, interval_violations, oracle_disagreements, random_cloud
 
 
 class TestRegularTriangulation:
@@ -38,7 +27,7 @@ class TestRegularTriangulation:
     def test_edges_match_row_unique(self, size):
         # the integer-keyed edge list against a row-wise unique of the pairs
         rng = np.random.default_rng(size)
-        cloud = random_cloud(rng, size, math.sqrt(size / 1.46), 1.5)
+        cloud = random_cloud(rng, size, 2, math.sqrt(size / 1.46), (-1.5, 1.5))
         y, w = geomcore.slice_cloud(cloud, 2)
         tri = mosaic2d.regular_triangulation(y, w)
         t = tri.triangles
@@ -61,9 +50,7 @@ class TestRegularTriangulation:
 class TestPowerDual:
     def test_unweighted_circumcenter(self):
         theta = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
-        y = np.column_stack([np.cos(theta), np.sin(theta)])
-        tri = mosaic2d.regular_triangulation(y, np.zeros(3))
-        mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri))
+        mosaic = build(np.column_stack([np.cos(theta), np.sin(theta), np.zeros(3)]), 2)
         # the power diagram's vertex is the anchor of the top row
         assert mosaic.anchors[mosaic.dims == 2][0] == pytest.approx([0.0, 0.0], abs=1e-12)
 
@@ -76,21 +63,11 @@ class TestPowerDual:
         boundary = (h1 - h0) / 4.0
         assert boundary > 1.0  # heavier generator claims more than half
 
-    def test_equal_power_at_dual_vertices(self):
-        rng = np.random.default_rng(8)
-        cloud = random_cloud(rng, 30, 5.0, 1.2)
-        tri, _, mosaic = build(cloud)
-        for (a, b, c), z in zip(tri.triangles, mosaic.anchors[mosaic.dims == 2]):
-            powers = [np.sum((z - tri.y[i]) ** 2) - tri.w[i] for i in (a, b, c)]
-            assert powers[0] == pytest.approx(powers[1], rel=1e-9)
-            assert powers[0] == pytest.approx(powers[2], rel=1e-9)
-
 
 class TestRadiusAndIntervals:
     def test_symmetric_triangle(self):
         theta = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
-        cloud = np.column_stack([np.cos(theta), np.sin(theta), np.ones(3)])
-        _, _, mosaic = build(cloud)
+        mosaic = build(np.column_stack([np.cos(theta), np.sin(theta), np.ones(3)]), 2)
         triangle = [iv for iv in mosaic.intervals if iv.type.m == 2]
         assert len(triangle) == 1
         assert triangle[0].type == IntervalType(2, 2)
@@ -99,77 +76,55 @@ class TestRadiusAndIntervals:
 
     def test_simplices_built_on_first_use(self):
         rng = np.random.default_rng(11)
-        tri, dia, mosaic = build(random_cloud(rng, 90, 8.0, 1.2))
+        y, w = geomcore.slice_cloud(random_cloud(rng, 90, 2, 8.0, (-1.2, 1.2)), 2)
+        vertices, edges, triangles = geomcore.lower_hull(y, w)
+        mosaic = geomcore.radius_and_intervals(y, w, [vertices, edges, triangles])
         assert "simplices" not in vars(mosaic)
-        eager = [(v,) for v in tri.vertices.tolist()]
-        eager += [tuple(e) for e in np.sort(dia.edges, axis=1).tolist()]
-        eager += [tuple(t) for t in np.sort(tri.triangles, axis=1).tolist()]
+        eager = [(v,) for v in vertices[:, 0].tolist()]
+        eager += [tuple(e) for e in edges.tolist()]
+        eager += [tuple(t) for t in triangles.tolist()]
         assert mosaic.simplices == eager
         assert "simplices" in vars(mosaic)
 
     def test_critical_vertex_radius_is_height(self):
         rng = np.random.default_rng(10)
-        cloud = random_cloud(rng, 40, 5.0, 1.0)
-        tri, dia, mosaic = build(cloud)
+        cloud = random_cloud(rng, 40, 2, 5.0, (-1.0, 1.0))
+        mosaic = build(cloud, 2)
         for iv in mosaic.intervals:
             if iv.type != IntervalType(0, 0):
                 continue
             v = iv.lower[0]
-            assert iv.sphere.anchor == pytest.approx(tri.y[v], abs=1e-9)
+            assert iv.sphere.anchor == pytest.approx(mosaic.y[v], abs=1e-9)
             assert iv.sphere.radius == pytest.approx(abs(cloud[v, 2]), rel=1e-9)
 
     def test_interval_member_counts(self):
         rng = np.random.default_rng(12)
-        cloud = random_cloud(rng, 200, 12.0, 1.4)
-        _, _, mosaic = build(cloud)
-        seen = set()
-        for iv in mosaic.intervals:
-            assert len(iv.members) == 2 ** (iv.type.m - iv.type.ell)
-            assert set(iv.lower) <= set(iv.upper)
-            for member in iv.members:
-                assert set(iv.lower) <= set(member) <= set(iv.upper)
-                assert member not in seen
-                seen.add(member)
-        assert len(seen) == len(mosaic.simplices)
+        cloud = random_cloud(rng, 200, 2, 12.0, (-1.4, 1.4))
+        mosaic = build(cloud, 2)
+        assert interval_violations(mosaic, cloud, [(2.4, 9.6)] * 2) == []
         types = {(iv.type.ell, iv.type.m) for iv in mosaic.intervals}
         assert types <= {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
 
     def test_radius_monotone_under_inclusion(self):
         rng = np.random.default_rng(13)
-        cloud = random_cloud(rng, 120, 9.0, 1.2)
-        _, _, mosaic = build(cloud)
-        index = {s: i for i, s in enumerate(mosaic.simplices)}
-        for s, row in index.items():
-            if len(s) == 1:
-                continue
-            for drop in range(len(s)):
-                face = tuple(v for i, v in enumerate(s) if i != drop)
-                if face in index:
-                    assert mosaic.radii[index[face]] <= mosaic.radii[row] + 1e-9
+        cloud = random_cloud(rng, 120, 2, 9.0, (-1.2, 1.2))
+        assert interval_violations(build(cloud, 2), cloud, [(1.8, 7.2)] * 2) == []
 
     def test_interior_spheres_empty(self):
         rng = np.random.default_rng(14)
-        cloud = random_cloud(rng, 150, 10.0, 1.3)
-        _, _, mosaic = build(cloud)
-        checked = 0
-        for iv in mosaic.intervals:
-            a = iv.sphere.anchor
-            if not (2.0 <= a[0] < 8.0 and 2.0 <= a[1] < 8.0):
-                continue
-            checked += 1
-            assert geomcore.sphere_is_empty(iv.sphere, cloud, exclude=iv.upper)
-        assert checked > 20
+        cloud = random_cloud(rng, 150, 2, 10.0, (-1.3, 1.3))
+        mosaic = build(cloud, 2)
+        assert interval_violations(mosaic, cloud, [(2.0, 8.0)] * 2) == []
+        anchors = mosaic.anchors[mosaic.upper]
+        assert np.count_nonzero(np.all((2.0 <= anchors) & (anchors < 8.0), axis=1)) > 20
 
     def test_sphere_matches_direct_circumsphere(self):
         # the canonical sphere of each interval equals the smallest anchored
-        # circumsphere of the upper bound's preimages
+        # circumsphere of the upper bound's preimages, and its type the
+        # facet-visibility classification
         rng = np.random.default_rng(15)
-        cloud = random_cloud(rng, 80, 7.0, 1.1)
-        _, _, mosaic = build(cloud)
-        for iv in mosaic.intervals:
-            direct = smallest_anchored_circumsphere(cloud[list(iv.upper)], 2)
-            assert iv.sphere.anchor == pytest.approx(direct.anchor, abs=1e-7)
-            assert iv.sphere.radius == pytest.approx(direct.radius, rel=1e-7)
+        cloud = random_cloud(rng, 80, 2, 7.0, (-1.1, 1.1))
+        assert oracle_disagreements(build(cloud, 2), cloud) == []
 
     @pytest.mark.parametrize(
         "delta", [1e-2, -1e-2, 1e-7, -1e-7, 1e-8, -1e-8, 1e-10, -1e-10, 1e-12, -1e-12]
@@ -185,8 +140,7 @@ class TestRadiusAndIntervals:
         heights = np.sqrt(2.0 - np.einsum("ij,ij->i", y, y))
         cloud = np.column_stack([y, heights])
         cloud[2, 2] *= 1.0 + delta
-        cloud = np.vstack([cloud, [5.0, 5.0, 0.3]])
-        _, _, mosaic = build(cloud)
+        mosaic = build(np.vstack([cloud, [5.0, 5.0, 0.3]]), 2)
         total = sum(len(iv.members) for iv in mosaic.intervals)
         assert total == len(mosaic.simplices)
         census = sorted((iv.type.ell, iv.type.m) for iv in mosaic.intervals)
@@ -198,13 +152,11 @@ class TestRadiusAndIntervals:
     def test_types_match_visibility_oracle(self):
         # the facet-visibility classification, which types a simplex from a
         # least-squares solve for the anchor's barycentric coordinates, agrees
-        # with the sign rule on every interval
+        # with the sign rule on every interval, and every sphere is the
+        # smallest anchored circumsphere of its upper bound's points
         rng = np.random.default_rng(17)
-        cloud = random_cloud(rng, 150, 10.0, 1.3)
-        tri, _, mosaic = build(cloud)
-        for iv in mosaic.intervals:
-            upper = [WeightedPoint(y=tri.y[v], w=float(tri.w[v])) for v in iv.upper]
-            assert visibility_type(iv.sphere, upper) == iv.type
+        cloud = random_cloud(rng, 150, 2, 10.0, (-1.3, 1.3))
+        assert oracle_disagreements(build(cloud, 2), cloud) == []
 
     def test_sliver_triangle_claims_its_long_edge(self):
         # criterion-7 configuration; replicate 0 holds a sliver triangle of
@@ -218,8 +170,7 @@ class TestRadiusAndIntervals:
         )
         cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
         experiments.run_replicate(cfg, 0)
-        cloud = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=0))
-        _, _, mosaic = build(cloud)
+        mosaic = build(sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=0)), 2)
         iv = mosaic.intervals[mosaic.interval_id[mosaic.simplices.index((848, 867))]]
         assert iv.type == IntervalType(1, 2)
         assert iv.lower == (848, 867)
