@@ -63,6 +63,18 @@ class TestPowerDual:
         boundary = (h1 - h0) / 4.0
         assert boundary > 1.0  # heavier generator claims more than half
 
+    def test_equal_power_at_dual_vertices(self):
+        # through the adapters: each top-row anchor has equal power at the
+        # three generators of its triangle in tri.triangles
+        rng = np.random.default_rng(8)
+        y, w = geomcore.slice_cloud(random_cloud(rng, 30, 2, 5.0, (-1.2, 1.2)), 2)
+        tri = mosaic2d.regular_triangulation(y, w)
+        mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri))
+        for (a, b, c), z in zip(tri.triangles, mosaic.anchors[mosaic.dims == 2]):
+            powers = [np.sum((z - tri.y[i]) ** 2) - tri.w[i] for i in (a, b, c)]
+            assert powers[0] == pytest.approx(powers[1], rel=1e-9)
+            assert powers[0] == pytest.approx(powers[2], rel=1e-9)
+
 
 class TestRadiusAndIntervals:
     def test_symmetric_triangle(self):
