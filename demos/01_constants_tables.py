@@ -46,9 +46,8 @@ ver = c[(0, 0)] + c[(0, 1)] + c[(0, 2)]
 print(f"  planar 2:1: triangles / vertices = {tri / ver:.12f}")
 
 print("\nRadius-thresholded expectation, k=2, n=3, rho=1, area=400:")
-cfg = constants.DimensionConfig(n=3, k=2, rho=1.0)
 for r0 in (0.2, 0.5, 1.0, math.inf):
-    counts = [constants.expected_interval_count(t, cfg, 400.0, r0)
+    counts = [constants.expected_interval_count(t, 2, 3, 1.0, 400.0, r0)
               for t in [(0, 0), (1, 1), (2, 2)]]
     label = "inf" if math.isinf(r0) else f"{r0:.1f}"
     print(f"  r0 = {label:>4}: criticals " + ", ".join(f"{v:8.2f}" for v in counts))

@@ -36,7 +36,7 @@ in_window = [
 census = Counter((iv.type.ell, iv.type.m) for iv in in_window)
 print("\ninterval census in the window vs closed-form expectation:")
 for t in constants.valid_interval_types(2):
-    expected = constants.expected_interval_count(t, constants.DimensionConfig(3, 2), area)
+    expected = constants.expected_interval_count(t, 2, 3, cfg.rho, area)
     print(f"  type ({t.ell},{t.m}): observed {census.get((t.ell, t.m), 0):>4} "
           f"expected {expected:8.1f}")
 

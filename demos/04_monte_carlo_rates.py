@@ -18,8 +18,10 @@ def run(cfg, replicates, label):
     print(f"\n{label} (buffer {cfg.buffer:.2f}, {replicates} replicates, "
           f"runtime {report.runtime:.1f}s)")
     print(f"  {'type':>14} {'rate':>8} {'se':>8} {'predicted':>10} {'z':>6}")
-    for rate in report.interval_rates + report.simplex_rates:
-        print(f"  {rate.label:>14} {rate.rate:>8.4f} {rate.se:>8.4f} "
+    rows = [(f"interval({r.ell},{r.m})", r) for r in report.interval_rates]
+    rows += [(f"simplex-{r.ell}", r) for r in report.simplex_rates]
+    for name, rate in rows:
+        print(f"  {name:>14} {rate.rate:>8.4f} {rate.se:>8.4f} "
               f"{rate.predicted:>10.4f} {rate.z:>+6.2f}")
     audit = experiments.reconcile_simplex_counts(report)
     print(f"  simplex/interval reconciliation exact: {audit.ok}")

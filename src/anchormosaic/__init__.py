@@ -10,7 +10,6 @@ predictions by seeded Monte Carlo simulation.
 """
 
 from .constants import (
-    DimensionConfig,
     IntervalType,
     asymptotic_limits_1d,
     expected_interval_count,
@@ -32,7 +31,6 @@ from .sampler import SamplingConfig, choose_buffer, sample_poisson_box
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimensionConfig",
     "IntervalType",
     "AnchoredSphere",
     "Interval",

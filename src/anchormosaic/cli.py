@@ -17,7 +17,7 @@ import math
 import sys
 
 from . import constants, experiments, sampler
-from .constants import SCHEMA_VERSION, DimensionConfig
+from .constants import SCHEMA_VERSION
 from .errors import ConvergenceError, DegeneracyError, IterationLimitError, MosaicError
 
 __all__ = ["main"]
@@ -148,7 +148,6 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     table: dict[str, dict[str, float]] = {}
     rows: list[dict] = []
     for n in args.n:
-        cfg = DimensionConfig(n=n, k=args.k, rho=args.rho)
         norm = args.rho ** (args.k / n)  # expectations per unit rho^(k/n) |R|
         entry: dict[str, float] = {}
         for t in types:
@@ -156,13 +155,13 @@ def _cmd_constants(args: argparse.Namespace) -> int:
             entry[f"C[{t.ell},{t.m}]"] = value
             if args.r0 is not None:
                 entry[f"E[c({t.ell},{t.m})](r0)"] = (
-                    constants.expected_interval_count(t, cfg, area=1.0, r0=args.r0) / norm
+                    constants.expected_interval_count(t, args.k, n, args.rho, 1.0, args.r0) / norm
                 )
         for j in range(args.k + 1):
             entry[f"D[{j}]"] = constants.simplex_constant(j, args.k, n)
             if args.r0 is not None:
                 entry[f"E[d({j})](r0)"] = (
-                    constants.expected_simplex_count(j, cfg, area=1.0, r0=args.r0) / norm
+                    constants.expected_simplex_count(j, args.k, n, args.rho, 1.0, args.r0) / norm
                 )
         table[str(n)] = entry
         for t in types:

@@ -13,6 +13,13 @@ k <= 2), the simplex-count constants D_j obtained from them by a binomial
 relation, the top-dimensional constant D_k (closed form for every k < n),
 and the n -> infinity limits of the one-dimensional constants.
 
+Every function of a slice takes its dimensions as ``(..., k, n)``. The two
+expectations, ``expected_interval_count(t, k, n, rho, area, r0)`` and
+``expected_simplex_count(j, k, n, rho, area, r0)``, take the rest of the
+formula as plain arguments: the density ``rho`` (finite and above 0), the
+region's k-volume ``area`` (above 0) and the radius threshold ``r0`` (at
+least 0, infinite by default).
+
 All evaluation is done in log-Gamma space so that very large ambient
 dimensions (n up to ~1e5, used by the limit checks) stay finite.
 """
@@ -29,7 +36,6 @@ from . import specfun
 
 __all__ = [
     "SCHEMA_VERSION",
-    "DimensionConfig",
     "IntervalType",
     "sphere_surface",
     "ball_volume",
@@ -52,23 +58,6 @@ __all__ = [
 
 # version of every JSON document the package writes: reports, tables, dumps
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class DimensionConfig:
-    """Ambient dimension n, slice dimension k, and process density rho."""
-
-    n: int
-    k: int
-    rho: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and isinstance(self.k, int)):
-            raise TypeError("dimensions must be integers")
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError(f"density must be positive, got rho={self.rho}")
 
 
 @dataclass(frozen=True, order=True)
@@ -131,6 +120,12 @@ def _check_dims(k: int, n: int) -> None:
         raise ValueError(f"slice dimension must be >= 1, got k={k}")
     if n <= k:
         raise ValueError(f"ambient dimension must exceed k, got n={n}, k={k}")
+
+
+def _check_simplex_dims(j: int, k: int, n: int) -> None:
+    _check_dims(k, n)
+    if not 0 <= j <= k:
+        raise ValueError(f"need 0 <= j <= k, got j={j}, k={k}")
 
 
 @lru_cache(maxsize=None)
@@ -300,9 +295,7 @@ def interval_constant(t: IntervalType | tuple[int, int], k: int, n: int) -> floa
 
 def simplex_constant(j: int, k: int, n: int) -> float:
     """Constant D_j[k,n] = sum_{m=j..k} sum_{ell=0..j} binom(m-ell, m-j) C[ell,m;k,n]."""
-    _check_dims(k, n)
-    if not 0 <= j <= k:
-        raise ValueError(f"need 0 <= j <= k, got j={j}, k={k}")
+    _check_simplex_dims(j, k, n)
     total = 0.0
     for m in range(j, k + 1):
         for ell in range(j + 1):
@@ -312,15 +305,19 @@ def simplex_constant(j: int, k: int, n: int) -> float:
     return total
 
 
-def _gamma_fraction(shape: float, cfg: DimensionConfig, r0: float) -> float:
+def _gamma_fraction(shape: float, n: int, rho: float, r0: float) -> float:
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"density must be positive, got rho={rho}")
     if not r0 >= 0:
         raise ValueError(f"radius threshold must be non-negative, got {r0}")
-    return float(special.gammainc(shape, cfg.rho * ball_volume(cfg.n) * r0**cfg.n))
+    return float(special.gammainc(shape, rho * ball_volume(n) * r0**n))
 
 
 def expected_interval_count(
     t: IntervalType | tuple[int, int],
-    cfg: DimensionConfig,
+    k: int,
+    n: int,
+    rho: float,
     area: float,
     r0: float = math.inf,
 ) -> float:
@@ -330,33 +327,33 @@ def expected_interval_count(
         t = IntervalType(*t)
     if not area > 0:
         raise ValueError(f"area must be positive, got {area}")
-    shape = t.m + 1.0 - cfg.k / cfg.n
+    shape = t.m + 1.0 - k / n
     return (
-        interval_constant(t, cfg.k, cfg.n)
-        * _gamma_fraction(shape, cfg, r0)
-        * cfg.rho ** (cfg.k / cfg.n)
+        interval_constant(t, k, n)
+        * _gamma_fraction(shape, n, rho, r0)
+        * rho ** (k / n)
         * area
     )
 
 
 def expected_simplex_count(
-    j: int, cfg: DimensionConfig, area: float, r0: float = math.inf
+    j: int, k: int, n: int, rho: float, area: float, r0: float = math.inf
 ) -> float:
     """Expected number of j-simplices with anchor in a region of k-volume
     ``area`` and radius at most ``r0`` (a Gamma mixture across upper-bound
     dimensions m)."""
+    _check_simplex_dims(j, k, n)
     if not area > 0:
         raise ValueError(f"area must be positive, got {area}")
     total = 0.0
-    for m in range(j, cfg.k + 1):
-        shape = m + 1.0 - cfg.k / cfg.n
+    for m in range(j, k + 1):
+        shape = m + 1.0 - k / n
         inner = sum(
-            math.comb(m - ell, m - j)
-            * interval_constant(IntervalType(ell, m), cfg.k, cfg.n)
+            math.comb(m - ell, m - j) * interval_constant(IntervalType(ell, m), k, n)
             for ell in range(j + 1)
         )
-        total += _gamma_fraction(shape, cfg, r0) * inner
-    return total * cfg.rho ** (cfg.k / cfg.n) * area
+        total += _gamma_fraction(shape, n, rho, r0) * inner
+    return total * rho ** (k / n) * area
 
 
 @dataclass(frozen=True)

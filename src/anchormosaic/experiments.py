@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from . import constants, sampler, specfun
-from .constants import SCHEMA_VERSION, DimensionConfig
+from .constants import SCHEMA_VERSION
 from .errors import InsufficientSampleError
 from .geomcore import lower_hull, radius_and_intervals, slice_cloud
 
@@ -95,7 +95,6 @@ class ReplicateRecord:
 class RateEstimate:
     """Empirical rate per unit rho^(k/n) * |R| against its prediction."""
 
-    label: str
     ell: int
     m: int
     count_mean: float
@@ -133,11 +132,11 @@ def run_replicate(cfg: sampler.SamplingConfig, replicate: int) -> ReplicateRecor
     their lifted lower hull, and its interval decomposition. Only an empty
     sample gives an empty record.
     """
-    points = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=replicate))
+    points = sampler.sample_poisson_box(cfg, replicate)
     if len(points) == 0:
-        return _empty_record(replicate, 0)
+        return _empty_record(replicate)
     y, w = slice_cloud(points, cfg.k)
-    mosaic = radius_and_intervals(y, w, lower_hull(y, w), window=cfg.window)
+    mosaic = radius_and_intervals(y, w, lower_hull(y, w))
     simplex_in_window = _window_mask(mosaic.anchors, cfg.window)
     return ReplicateRecord(
         replicate=replicate,
@@ -151,10 +150,10 @@ def run_replicate(cfg: sampler.SamplingConfig, replicate: int) -> ReplicateRecor
     )
 
 
-def _empty_record(replicate: int, num_points: int) -> ReplicateRecord:
+def _empty_record(replicate: int) -> ReplicateRecord:
     return ReplicateRecord(
         replicate=replicate,
-        num_points=num_points,
+        num_points=0,
         interval_types=np.empty((0, 2), dtype=int),
         interval_radii=np.empty(0),
         interval_in_window=np.empty(0, dtype=bool),
@@ -187,17 +186,17 @@ def estimate_interval_rates(
             "window counts may be biased by the truncated sample",
             stacklevel=2,
         )
-    dim_cfg = DimensionConfig(n=cfg.n, k=cfg.k, rho=cfg.rho)
     area = cfg.window_volume
     norm = cfg.rho ** (cfg.k / cfg.n) * area
     # the predictions first, so that dimensions with no constants fail
     # before any replicate is sampled
     types = constants.valid_interval_types(cfg.k)
     interval_predicted = [
-        constants.expected_interval_count(t, dim_cfg, area, threshold) / norm for t in types
+        constants.expected_interval_count(t, cfg.k, cfg.n, cfg.rho, area, threshold) / norm
+        for t in types
     ]
     simplex_predicted = [
-        constants.expected_simplex_count(j, dim_cfg, area, threshold) / norm
+        constants.expected_simplex_count(j, cfg.k, cfg.n, cfg.rho, area, threshold) / norm
         for j in range(cfg.k + 1)
     ]
 
@@ -208,11 +207,11 @@ def estimate_interval_rates(
     interval_rates = []
     for t, predicted in zip(types, interval_predicted):
         counts = np.array([c.get((t.ell, t.m), 0) for c in interval_counts], dtype=float)
-        interval_rates.append(_rate_estimate(f"interval({t.ell},{t.m})", t.ell, t.m, counts, norm, predicted))
+        interval_rates.append(_rate_estimate(t.ell, t.m, counts, norm, predicted))
     simplex_rates = []
     for j, predicted in enumerate(simplex_predicted):
         counts = np.array([c.get(j, 0) for c in simplex_counts], dtype=float)
-        simplex_rates.append(_rate_estimate(f"simplex-{j}", j, j, counts, norm, predicted))
+        simplex_rates.append(_rate_estimate(j, j, counts, norm, predicted))
 
     radii_by_type: dict[tuple[int, int], np.ndarray] = {}
     if collect_radii:
@@ -246,10 +245,7 @@ def report_to_json(report: ExperimentReport) -> str:
     (volatile fields such as the runtime are omitted)."""
 
     def row(rate: RateEstimate) -> dict:
-        fields = dataclasses.asdict(rate)
-        del fields["label"]
-        fields["z"] = rate.z if math.isfinite(rate.z) else None
-        return fields
+        return dict(dataclasses.asdict(rate), z=rate.z if math.isfinite(rate.z) else None)
 
     cfg = report.cfg
     payload = {
@@ -293,7 +289,7 @@ def report_to_csv(report: ExperimentReport) -> str:
 
 
 def _rate_estimate(
-    label: str, ell: int, m: int, counts: np.ndarray, norm: float, predicted: float
+    ell: int, m: int, counts: np.ndarray, norm: float, predicted: float
 ) -> RateEstimate:
     mean = float(np.mean(counts))
     se = float(np.std(counts, ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0
@@ -301,8 +297,7 @@ def _rate_estimate(
     se_rate = se / norm
     z = (rate - predicted) / se_rate if se_rate > 0 else math.nan
     return RateEstimate(
-        label=label, ell=ell, m=m, count_mean=mean, rate=rate, se=se_rate,
-        predicted=predicted, z=z,
+        ell=ell, m=m, count_mean=mean, rate=rate, se=se_rate, predicted=predicted, z=z
     )
 
 

@@ -354,8 +354,8 @@ def radius_and_intervals(
     its corners (``2 |e_c . u - b_c|`` within 1e-6 of the power); no simplex
     is claimed twice, or claimed but absent from ``faces``; a vertex is
     claimed exactly when an incident edge puts its projection outside its
-    power cell; no squared radius is negative beyond round-off. Interval i
-    is the one whose upper bound is the i-th upper-bound row.
+    power cell; no squared radius is negative. Interval i is the one whose
+    upper bound is the i-th upper-bound row.
     """
     n_pts, k = y.shape
     sizes = [len(face) for face in faces]
@@ -406,7 +406,8 @@ def radius_and_intervals(
 
     rows = np.flatnonzero(upper[: first[1]] < 0)
     upper[rows] = rows
-    anchors[rows], powers[rows] = y[vertices[rows]], -w[vertices[rows]]
+    # 0 - w rather than -w, so that a zero weight gives radius +0.0
+    anchors[rows], powers[rows] = y[vertices[rows]], 0.0 - w[vertices[rows]]
 
     if np.any(np.bincount(np.concatenate(claims), minlength=count) > 1):
         raise MosaicError("a simplex is claimed by two upper bounds")
@@ -419,9 +420,11 @@ def radius_and_intervals(
         raise MosaicError("vertex claims disagree with the vertices outside their cells")
 
     anchors, powers = anchors[upper], powers[upper]
-    if np.min(powers) < -1e-9 * scale * scale:
+    # a power is |u|^2 - w at a corner or -w at a vertex: never negative in
+    # floating point when every weight is at most 0, as a slice's -|tail|^2 is
+    if np.min(powers) < 0.0:
         raise MosaicError("negative squared radius; weights are not slice-induced")
-    radii = np.sqrt(np.maximum(powers, 0.0))
+    radii = np.sqrt(powers)
 
     # interval i is the i-th upper bound in row order; its lower bound is its first row
     bound = upper == np.arange(count)

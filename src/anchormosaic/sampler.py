@@ -2,9 +2,10 @@
 
 Counting happens in a window of the slice plane; sampling enlarges it by a
 buffer in every coordinate so that the mosaic near the window is unaffected
-by the truncation, up to spheres larger than the buffer. The replicate
-streams use a counter-based generator keyed by (seed, replicate_index), so
-parallel replicates are reproducible regardless of scheduling.
+by the truncation, up to spheres larger than the buffer. A sample is drawn
+by (cfg, replicate) from a counter-based generator keyed by (seed,
+replicate), so parallel replicates are reproducible regardless of
+scheduling.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class SamplingConfig:
     window: tuple[tuple[float, float], ...]
     buffer: float
     seed: int = 0
-    replicate_index: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -79,16 +79,11 @@ class SamplingConfig:
         return np.asarray(lows), np.asarray(highs)
 
 
-def _rng(cfg: SamplingConfig) -> np.random.Generator:
-    key = (int(cfg.seed) % 2**64) + ((int(cfg.replicate_index) % 2**64) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_poisson_box(cfg: SamplingConfig) -> np.ndarray:
+def sample_poisson_box(cfg: SamplingConfig, replicate: int = 0) -> np.ndarray:
     """Draw one Poisson(rho * vol) sample of uniform points in the buffered box.
 
-    Deterministic given (seed, replicate_index); distinct replicate indices
-    give independent streams.
+    Deterministic given (cfg.seed, replicate); distinct replicates give
+    independent streams.
     """
     lows, highs = cfg.box_bounds()
     volume = float(np.prod(highs - lows))
@@ -97,7 +92,8 @@ def sample_poisson_box(cfg: SamplingConfig) -> np.ndarray:
         raise ValueError(
             f"expected point count {mean:.3g} exceeds the cap {MAX_EXPECTED_POINTS:.3g}"
         )
-    rng = _rng(cfg)
+    key = (int(cfg.seed) % 2**64) + ((int(replicate) % 2**64) << 64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     count = int(rng.poisson(mean))
     return rng.uniform(lows, highs, size=(count, cfg.n))
 

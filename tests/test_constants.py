@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from anchormosaic import constants
-from anchormosaic.constants import DimensionConfig, IntervalType
+from anchormosaic.constants import IntervalType
 
 # published 2-decimal reference tables for the constants
 TABLE_1D = {
@@ -70,12 +70,6 @@ class TestGeometryConstants:
 
 
 class TestTypes:
-    def test_dimension_config_validation(self):
-        with pytest.raises(ValueError):
-            DimensionConfig(n=2, k=3)
-        with pytest.raises(ValueError):
-            DimensionConfig(n=2, k=1, rho=0.0)
-
     def test_interval_type_validation(self):
         with pytest.raises(ValueError):
             IntervalType(2, 1)
@@ -229,21 +223,33 @@ class TestOneDimSpecialization:
 
 
 class TestExpectedCounts:
+    def test_input_validation(self):
+        # n <= k, and a density that is not finite and above 0
+        for k, n, rho in [(2, 2, 1.0), (3, 2, 1.0), (1, 2, 0.0), (1, 2, math.nan)]:
+            with pytest.raises(ValueError):
+                constants.expected_interval_count((0, 0), k, n, rho, 1.0)
+            with pytest.raises(ValueError):
+                constants.expected_simplex_count(0, k, n, rho, 1.0)
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_simplex_dimension_range(self, j):
+        with pytest.raises(ValueError, match="need 0 <= j <= k"):
+            constants.simplex_constant(j, 2, 3)
+        with pytest.raises(ValueError, match="need 0 <= j <= k"):
+            constants.expected_simplex_count(j, 2, 3, 1.0, 1.0)
+
     def test_zero_threshold(self):
-        cfg = DimensionConfig(n=3, k=2, rho=2.0)
         for t in TYPES_2D:
-            assert constants.expected_interval_count(t, cfg, 10.0, 0.0) == 0.0
+            assert constants.expected_interval_count(t, 2, 3, 2.0, 10.0, 0.0) == 0.0
         for j in range(3):
-            assert constants.expected_simplex_count(j, cfg, 10.0, 0.0) == 0.0
+            assert constants.expected_simplex_count(j, 2, 3, 2.0, 10.0, 0.0) == 0.0
 
     def test_infinite_threshold_reduces_to_constant(self):
-        cfg = DimensionConfig(n=2, k=1, rho=1.0)
-        assert constants.expected_interval_count((0, 0), cfg, 1000.0) == pytest.approx(
+        assert constants.expected_interval_count((0, 0), 1, 2, 1.0, 1000.0) == pytest.approx(
             1000.0 * constants.interval_constant((0, 0), 1, 2), rel=1e-12
         )
-        cfg4 = DimensionConfig(n=3, k=2, rho=2.0)
         for j in range(3):
-            assert constants.expected_simplex_count(j, cfg4, 7.0) == pytest.approx(
+            assert constants.expected_simplex_count(j, 2, 3, 2.0, 7.0) == pytest.approx(
                 constants.simplex_constant(j, 2, 3) * 2.0 ** (2 / 3) * 7.0, rel=1e-12
             )
 
@@ -256,29 +262,26 @@ class TestExpectedCounts:
         )
         oracle = (4 - math.pi) / math.pi * val / math.gamma(1.5) * 2.0 * 10.0
         assert oracle == pytest.approx(4.9258711482185, rel=1e-12)
-        cfg = DimensionConfig(n=2, k=1, rho=4.0)
-        assert constants.expected_interval_count((0, 1), cfg, 10.0, 0.5) == pytest.approx(
+        assert constants.expected_interval_count((0, 1), 1, 2, 4.0, 10.0, 0.5) == pytest.approx(
             oracle, rel=1e-10
         )
 
     def test_top_dim_simplex_count_matches_interval_sum(self):
         # j = k: a single m = k term with binom(k - ell, 0) = 1
-        cfg = DimensionConfig(n=3, k=2, rho=1.3)
-        direct = constants.expected_simplex_count(2, cfg, 5.0, 0.8)
+        direct = constants.expected_simplex_count(2, 2, 3, 1.3, 5.0, 0.8)
         summed = sum(
-            constants.expected_interval_count((ell, 2), cfg, 5.0, 0.8) for ell in range(3)
+            constants.expected_interval_count((ell, 2), 2, 3, 1.3, 5.0, 0.8) for ell in range(3)
         )
         assert direct == pytest.approx(summed, rel=1e-12)
 
     def test_monotone_in_threshold_and_area(self):
-        cfg = DimensionConfig(n=3, k=2, rho=1.0)
         values = [
-            constants.expected_interval_count((1, 1), cfg, 3.0, r0)
+            constants.expected_interval_count((1, 1), 2, 3, 1.0, 3.0, r0)
             for r0 in [0.0, 0.2, 0.5, 1.0, 2.0, math.inf]
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
-        assert constants.expected_interval_count((1, 1), cfg, 6.0, 0.5) == pytest.approx(
-            2.0 * constants.expected_interval_count((1, 1), cfg, 3.0, 0.5), rel=1e-12
+        assert constants.expected_interval_count((1, 1), 2, 3, 1.0, 6.0, 0.5) == pytest.approx(
+            2.0 * constants.expected_interval_count((1, 1), 2, 3, 1.0, 3.0, 0.5), rel=1e-12
         )
 
     def test_unsupported_k(self):

@@ -143,7 +143,7 @@ class TestEstimateRates:
         assert all(type(ell) is int and type(m) is int for ell, m in record.interval_counts(r0))
 
     def test_counts_of_empty_record(self):
-        record = experiments._empty_record(0, 2)
+        record = experiments._empty_record(0)
         assert record.interval_counts() == {}
         assert record.simplex_counts() == {}
 

@@ -13,7 +13,7 @@ from scipy.spatial import Delaunay
 
 from anchormosaic import experiments, geomcore, sampler
 from anchormosaic.constants import SCHEMA_VERSION, IntervalType
-from anchormosaic.errors import DegeneracyError
+from anchormosaic.errors import DegeneracyError, MosaicError
 from anchormosaic.geomcore import AnchoredSphere
 from anchormosaic.sampler import SamplingConfig
 
@@ -34,7 +34,7 @@ from oracles import (
 def replicate_points(cfg: SamplingConfig, replicate: int) -> np.ndarray:
     """The sample of ``replicate`` at ``cfg`` with the census's default buffer."""
     cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
-    return sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=replicate))
+    return sampler.sample_poisson_box(cfg, replicate)
 
 
 # (5, 3), 6^3 window: replicate 69 at seed 7 holds a sliver tetrahedron at the
@@ -468,6 +468,18 @@ class TestMosaic:
             powers = [np.sum((z - y[i]) ** 2) - w[i] for i in (a, b, c)]
             assert powers[0] == pytest.approx(powers[1], rel=1e-9)
             assert powers[0] == pytest.approx(powers[2], rel=1e-9)
+
+    def test_positive_weight_is_refused(self):
+        # a slice's weights -|tail|^2 are at most 0; raised to +1e-12, the
+        # heaviest generator is a critical vertex of power -1e-12, which no
+        # rounding can explain
+        rng = np.random.default_rng(3)
+        y, w = geomcore.slice_cloud(random_cloud(rng, 30, 2, 5.0, (-1.2, 1.2)), 2)
+        w[np.argmax(w)] = 1e-12
+        faces = geomcore.lower_hull(y, w)
+        assert np.argmax(w) in faces[0]
+        with pytest.raises(MosaicError, match="negative squared radius"):
+            geomcore.radius_and_intervals(y, w, faces)
 
 
 class TestIntervalViolations:

@@ -67,7 +67,7 @@ def criterion6_replicate(seed: int, replicate: int):
     and the sample."""
     cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=seed)
     cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
-    return cfg, sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=replicate))
+    return cfg, sampler.sample_poisson_box(cfg, replicate)
 
 
 def close_pair_interval():

@@ -55,13 +55,15 @@ class TestPowerDual:
         assert mosaic.anchors[mosaic.dims == 2][0] == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_radical_line_shifts_toward_lighter_point(self):
-        # two generators embedded in a triangle; check the halfplane boundary
+        # the edge's anchor is the equal-power point |z|^2 + 0.5 = |z - 2|^2 + 2
+        # on the radical line x = 1.375: past the midpoint, so the heavier
+        # generator (larger w) claims more than half of the edge
         y = np.array([[0.0, 0.0], [2.0, 0.0]])
-        heavy, light = -0.5, -2.0  # weights; first point is heavier (larger w)
-        # radical line: 2(y1-y0) z = h1 - h0 with h = |y|^2 - w
-        h0, h1 = 0.0 - heavy, 4.0 - light
-        boundary = (h1 - h0) / 4.0
-        assert boundary > 1.0  # heavier generator claims more than half
+        w = np.array([-0.5, -2.0])
+        faces = geomcore.lower_hull(y, w)
+        mosaic = geomcore.radius_and_intervals(y, w, faces)
+        np.testing.assert_array_equal(faces[1], [[0, 1]])
+        assert mosaic.anchors[mosaic.dims == 1].tolist() == [[1.375, 0.0]]
 
     def test_equal_power_at_dual_vertices(self):
         # through the adapters: each top-row anchor has equal power at the
@@ -182,7 +184,7 @@ class TestRadiusAndIntervals:
         )
         cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
         experiments.run_replicate(cfg, 0)
-        mosaic = build(sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=0)), 2)
+        mosaic = build(sampler.sample_poisson_box(cfg, 0), 2)
         iv = mosaic.intervals[mosaic.interval_id[mosaic.simplices.index((848, 867))]]
         assert iv.type == IntervalType(1, 2)
         assert iv.lower == (848, 867)

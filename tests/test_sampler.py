@@ -15,9 +15,7 @@ from oracles import regularized_lower_gamma
 
 
 def make_cfg(**overrides):
-    base = dict(
-        n=2, rho=1.0, window=((0.0, 10.0),), buffer=2.0, seed=42, replicate_index=0
-    )
+    base = dict(n=2, rho=1.0, window=((0.0, 10.0),), buffer=2.0, seed=42)
     base.update(overrides)
     return SamplingConfig(**base)
 
@@ -32,7 +30,7 @@ class TestSamplePoissonBox:
 
     def test_replicates_differ(self):
         cfg = make_cfg()
-        other = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=1))
+        other = sampler.sample_poisson_box(cfg, 1)
         assert other.shape != sampler.sample_poisson_box(cfg).shape or not np.array_equal(
             other, sampler.sample_poisson_box(cfg)
         )
@@ -48,12 +46,7 @@ class TestSamplePoissonBox:
         cfg = make_cfg(rho=2.0, window=((0.0, 4.0),), buffer=0.5, n=2)
         lows, highs = cfg.box_bounds()
         mean = cfg.rho * float(np.prod(highs - lows))
-        counts = np.array(
-            [
-                len(sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=r)))
-                for r in range(400)
-            ]
-        )
+        counts = np.array([len(sampler.sample_poisson_box(cfg, r)) for r in range(400)])
         assert counts.mean() == pytest.approx(mean, abs=4 * math.sqrt(mean / 400))
         assert counts.var() == pytest.approx(mean, rel=0.25)
 
@@ -64,7 +57,7 @@ class TestSamplePoissonBox:
         sub_mean = cfg.rho * (highs[0] - lows[0]) / 4.0 * (highs[1] - lows[1])
         draws = []
         for r in range(2500):
-            pts = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=r))
+            pts = sampler.sample_poisson_box(cfg, r)
             edges = np.linspace(lows[0], highs[0], 5)
             draws.extend(np.histogram(pts[:, 0], bins=edges)[0].tolist())
         draws = np.asarray(draws)
@@ -86,7 +79,7 @@ class TestSamplePoissonBox:
     def test_replicate_streams_uncorrelated(self):
         cfg = make_cfg(window=((0.0, 50.0),), buffer=1.0)
         a = sampler.sample_poisson_box(cfg)
-        b = sampler.sample_poisson_box(dataclasses.replace(cfg, replicate_index=1))
+        b = sampler.sample_poisson_box(cfg, 1)
         size = min(len(a), len(b))
         corr = np.corrcoef(a[:size, 0], b[:size, 0])[0, 1]
         assert abs(corr) < 0.25
