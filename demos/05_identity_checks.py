@@ -1,10 +1,10 @@
 """Numerical verification of the analytic identities behind the constants.
 
-Checks, per run: the sphere-parametrization integral identity from both
-sides (Monte Carlo), the two-angle integral against its closed form
-(quadrature), the power-exponential integral closed form on random draws,
-the Gamma law of critical-vertex radii (Kolmogorov-Smirnov), and the Beta
-law of projected sphere points.
+Checks, per run: the sphere-parametrization integral identity (a Monte
+Carlo right side against the closed-form left side), the two-angle integral
+against its closed form (quadrature), the power-exponential integral closed
+form on random draws, the Gamma law of critical-vertex radii
+(Kolmogorov-Smirnov), and the Beta law of projected sphere points.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ for n, k, m in [(2, 1, 1), (3, 2, 1), (3, 2, 2), (2, 2, 2)]:
     check = experiments.verify_bp_identity(n, k, m, samples=10**6, seed=0)
     print(f"  (n,k,m)=({n},{k},{m}): left={check.left:10.4f}  "
           f"right={check.right:10.4f} +- {(check.right_ci[1] - check.right):7.4f}  "
-          f"analytic={check.analytic:10.4f}  CI overlap: {check.overlap}")
+          f"analytic={check.analytic:10.4f}  CI overlap: {check.passed}")
 
 print("\ntwo-angle integral vs closed form:")
 for n in (2, 3, 6, 10):

@@ -105,7 +105,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--rho", type=_positive, default=1.0)
     p_sim.add_argument("--window", type=_positive, required=True, help="k-volume of the counting window")
     p_sim.add_argument("--buffer", type=_non_negative, default=None, help="sampling margin (default: radius quantile 1-1e-6)")
-    p_sim.add_argument("--r0", type=_non_negative, default=None)
+    p_sim.add_argument("--r0", type=_non_negative, default=math.inf)
     p_sim.add_argument("--reps", type=_count, default=10)
     p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--out", type=str, default=None)
@@ -224,11 +224,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         check = experiments.verify_beta_projection_law(
             args.n, args.k, seed=args.seed, **_given(samples=args.samples)
         )
-    verdict, ok = ("ci_overlap", check.overlap) if args.kind == "bp" else ("pass", check.passed)
-    payload = {"schema_version": SCHEMA_VERSION, "kind": f"verify-{args.kind}", verdict: ok}
+    verdict = "ci_overlap" if args.kind == "bp" else "pass"
+    payload = {
+        "schema_version": SCHEMA_VERSION, "kind": f"verify-{args.kind}", verdict: check.passed,
+    }
     payload.update(dataclasses.asdict(check))
     _write(experiments.json_text(payload), args.out)
-    return EXIT_OK if ok else EXIT_STATISTICAL
+    return EXIT_OK if check.passed else EXIT_STATISTICAL
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,11 +2,11 @@
 
 Covers: empirical interval/simplex rates against their closed-form
 predictions, the Gamma law of interval radii (Kolmogorov-Smirnov), the
-sphere-parametrization integral identity checked from both sides, the
-two-angle integral against its closed form, the power-exponential integral
-identity on random parameter draws, the Beta law of projected sphere points,
-and the exact per-replicate reconciliation of simplex counts with interval
-counts.
+sphere-parametrization integral identity (a Monte Carlo right side against
+the closed-form left side), the two-angle integral against its closed form,
+the power-exponential integral identity on random parameter draws, the Beta
+law of projected sphere points, and the exact per-replicate reconciliation
+of simplex counts with interval counts.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def _empty_record(replicate: int) -> ReplicateRecord:
 def estimate_interval_rates(
     cfg: sampler.SamplingConfig,
     replicates: int,
-    r0: float | None = None,
+    r0: float = math.inf,
     collect_radii: bool = False,
 ) -> ExperimentReport:
     """Empirical interval and simplex rates over independent replicates.
@@ -178,7 +178,7 @@ def estimate_interval_rates(
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    threshold = math.inf if r0 is None else float(r0)
+    threshold = float(r0)
     recommended = sampler.choose_buffer(cfg, sampler.DEFAULT_BUFFER_QUANTILE)
     if cfg.buffer < recommended:
         warnings.warn(
@@ -336,13 +336,14 @@ def _analytic_integral(kind: str, n: int, m: int) -> float:
     if kind == "gaussian":
         return math.pi ** (n * (m + 1) / 2.0)
     # int_{|x|<1} (1-|x|^2)^2 dx = sigma_n * B(n/2, 3) / 2, per point
-    single = constants.sphere_surface(n) * special.beta(n / 2.0, 3.0) / 2.0
+    single = constants.sphere_surface(n) * float(special.beta(n / 2.0, 3.0)) / 2.0
     return single ** (m + 1)
 
 
 @dataclass
 class BPCheck:
-    """Two-sided estimate of the sphere-parametrization identity."""
+    """Monte Carlo right side of the sphere-parametrization identity against
+    its closed-form left side."""
 
     n: int
     k: int
@@ -359,14 +360,8 @@ class BPCheck:
     right_max_share: float  # the largest right-side weight over the sum of them
 
     @property
-    def overlap(self) -> bool:
-        lo = max(self.left_ci[0], self.right_ci[0])
-        hi = min(self.left_ci[1], self.right_ci[1])
-        return lo <= hi
-
-    @property
-    def right_covers_analytic(self) -> bool:
-        return self.right_ci[0] <= self.analytic <= self.right_ci[1]
+    def passed(self) -> bool:
+        return bool(self.right_ci[0] <= self.analytic <= self.right_ci[1])
 
 
 # (count, mean, M2), with M2 the sum of squared deviations from the mean
@@ -538,25 +533,24 @@ def verify_bp_identity(
     seed: int = 0,
     chunk: int = 200_000,
 ) -> BPCheck:
-    """Estimate both sides of the sphere-parametrization identity.
+    """Estimate the right side of the sphere-parametrization identity.
 
-    Left: Monte Carlo over (R^n)^(m+1), importance-sampled by the product
-    Gaussian. For the Gaussian test function f/q is the constant
-    pi^(n(m+1)/2), so that side is the exact value and draws nothing.
+    Left: the integral of f over (R^n)^(m+1), a product of one-point
+    integrals that ``_analytic_integral`` gives in closed form for both test
+    functions, so that side is exact and draws nothing.
     Right: Monte Carlo over (y, P, r, u) with the Jacobian
     r^alpha [m! Vol_m(u')]^(k-m+1); y and r are drawn from the exact Gaussian
     and generalized-Gamma conditionals given u (which keeps the weights
     bounded), P from the invariant Grassmannian measure, and u from a
     defensive sphere mixture. For m = k the Grassmannian integral is dropped.
 
-    Each side's CI is a 95% normal interval whose variance comes from
+    The right CI is a 95% normal interval whose variance comes from
     per-chunk two-pass moments merged with the Chan-Golub-LeVeque update, so
-    it does not cancel when the weights are nearly constant. A side with
-    constant weights (the Gaussian left side, the m = 0 right side) reports a
-    zero-width CI; then ``BPCheck.overlap`` reduces to "the right CI covers
-    the exact left value". The right side's weight health is its Kish
-    effective sample size, its count of non-finite weights and the largest
-    weight's share of the weights' sum.
+    it does not cancel when the weights are nearly constant (the m = 0
+    Gaussian weights are constant and give a zero-width CI). The verdict
+    ``BPCheck.passed`` is "the right CI covers the exact left value". The
+    right side's weight health is its Kish effective sample size, its count
+    of non-finite weights and the largest weight's share of the weights' sum.
     """
     if not 0 <= m <= k <= n:
         raise ValueError(f"need 0 <= m <= k <= n, got ({n}, {k}, {m})")
@@ -577,9 +571,6 @@ def verify_bp_identity(
 
     analytic = _analytic_integral(test_function, n, m)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # the Gaussian's left-side weight f/q is the constant pi^(n(m+1)/2), so
-    # that side is exact and draws nothing
-    left_mom = (0, 0.0, 0.0) if bump else (samples, analytic, 0.0)
     right_mom = (0, 0.0, 0.0)
     right_nonfinite = 0
     right_max = 0.0
@@ -588,14 +579,6 @@ def verify_bp_identity(
         size = min(chunk, samples - done)
         done += size
 
-        if bump:
-            # left side: x ~ product Gaussian with density exp(-|x|^2) / pi^(n/2)
-            x = rng.standard_normal((size, m + 1, n))
-            x /= math.sqrt(2.0)
-            log_q = -np.einsum("cij,cij->c", x, x) - (n * (m + 1) / 2.0) * math.log(math.pi)
-            left_mom = _merge_moments(left_mom, _moments(_bump_f(x) * np.exp(-log_q)))
-
-        # right side
         u_small, log_qu = _sphere_mixture(rng, size, m, d)
         if m < k:
             # an orthonormal k x m frame of a uniform m-plane in R^k
@@ -651,7 +634,6 @@ def verify_bp_identity(
         right_max = max(right_max, float(np.max(w)))
         right_mom = _merge_moments(right_mom, _moments(w))
 
-    left, left_ci = _mean_ci(left_mom)
     right, right_ci = _mean_ci(right_mom)
     # Kish effective sample size (sum w)^2 / sum w^2 = n mean^2 / (mean^2 + M2 / n)
     _, _, right_m2 = right_mom
@@ -665,8 +647,8 @@ def verify_bp_identity(
         m=m,
         test_function=test_function,
         samples=samples,
-        left=left,
-        left_ci=left_ci,
+        left=analytic,
+        left_ci=(analytic, analytic),
         right=right,
         right_ci=right_ci,
         analytic=analytic,
@@ -767,10 +749,16 @@ def verify_beta_projection_law(
 
     Writing r^2 = X / (X + Y) with chi-square X, Y of k and n-k degrees of
     freedom gives Beta(k/2, (n-k)/2); the sampling test confirms those
-    parameters and rejects the Beta(k/n, (n-k)/n) alternative.
+    parameters and rejects the Beta(k/n, (n-k)/n) alternative. At n = 2 the
+    two laws coincide, so no sample can tell them apart and n = 2 is refused.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if n == 2:
+        raise ValueError(
+            "n = 2 cannot be checked: Beta(k/2, (n-k)/2) and the alternative "
+            "Beta(k/n, (n-k)/n) are the same Beta(1/2, 1/2)"
+        )
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -204,18 +204,17 @@ def test_criterion_09_bp_identities():
         check = experiments.verify_bp_identity(
             n, k, m, test_function="gaussian", samples=10**7, seed=0, chunk=500_000
         )
-        ok &= check.overlap
+        ok &= check.passed
         lines.append(
             f"({n},{k},{m}) right={check.right:.4g} vs analytic={check.analytic:.4g} "
-            f"overlap={check.overlap}"
+            f"covered={check.passed}"
         )
     full = experiments.verify_bp_identity(
         2, 2, 2, test_function="gaussian", samples=10**7, seed=0, chunk=500_000
     )
-    ok &= full.right_covers_analytic
+    ok &= full.passed
     lines.append(
-        f"m=k=n=2 right={full.right:.5g} covers pi^3={full.analytic:.5g}: "
-        f"{full.right_covers_analytic}"
+        f"m=k=n=2 right={full.right:.5g} covers pi^3={full.analytic:.5g}: {full.passed}"
     )
     report(9, ok, "; ".join(lines))
 

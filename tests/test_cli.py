@@ -144,6 +144,13 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["p_half_dims"] > 0.01
 
+    def test_beta_law_default_plane_is_numerical_error(self, capsys):
+        # the default n = 2 cannot tell the law from its alternative
+        code, out, err = run(capsys, "verify", "beta-law")
+        assert code == cli.EXIT_NUMERICAL
+        assert out == ""
+        assert "Beta(1/2, 1/2)" in err
+
     def test_bp_small(self, capsys):
         code, out, _ = run(
             capsys, "verify", "bp", "--n", "2", "--k", "1", "--m", "1",

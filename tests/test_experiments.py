@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 from anchormosaic import constants, experiments, sampler
 from anchormosaic.errors import InsufficientSampleError
@@ -303,9 +303,21 @@ class TestBPIdentity:
         check = experiments.verify_bp_identity(
             2, 1, 1, test_function="bump", samples=400_000, seed=2
         )
-        assert check.left == pytest.approx(check.analytic, rel=0.02)
+        assert check.left == check.analytic
         assert check.right == pytest.approx(check.analytic, rel=0.03)
-        assert check.overlap
+        assert check.passed
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bump_left_side_is_a_product_of_radial_integrals(self, n, m):
+        # int_{R^n} max(0, 1 - |x|^2)^2 dx = sigma_n int_0^1 r^(n-1) (1 - r^2)^2 dr
+        radial, _ = integrate.quad(lambda r: r ** (n - 1) * (1.0 - r * r) ** 2, 0.0, 1.0,
+                                   epsabs=0.0, epsrel=1e-13)
+        sigma = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+        expected = (sigma * radial) ** (m + 1)
+        got = experiments._analytic_integral("bump", n, m)
+        assert type(got) is float
+        assert got == pytest.approx(expected, rel=1e-12)
 
     # float.hex of (left, left_ci, right, right_ci) at samples=30_000,
     # chunk=7_000, seed=3; the last chunk of 2_000 rows is uneven
@@ -327,8 +339,8 @@ class TestBPIdentity:
             "0x1.ee77940ba3471p+4", ("0x1.e4dbce3bc59c0p+4", "0x1.f81359db80f22p+4"),
         ),
         (2, 1, 1, "bump"): (
-            "0x1.1a6d3b25f2c6fp+0", ("0x1.145ca93a39e11p+0", "0x1.207dcd11abacdp+0"),
-            "0x1.1eda15c234248p+0", ("0x1.1493aaf1a10f5p+0", "0x1.29208092c739bp+0"),
+            "0x1.18bc4418cafdfp+0", ("0x1.18bc4418cafdfp+0", "0x1.18bc4418cafdfp+0"),
+            "0x1.19242e0551a68p+0", ("0x1.0f369be7dedcdp+0", "0x1.2311c022c4703p+0"),
         ),
         (3, 1, 0, "gaussian"): (
             "0x1.645f7c63f2c6bp+2", ("0x1.645f7c63f2c6bp+2", "0x1.645f7c63f2c6bp+2"),
@@ -665,6 +677,11 @@ class TestBetaLaw:
     def test_other_dimensions(self):
         check = experiments.verify_beta_projection_law(5, 1, samples=20_000, seed=1)
         assert check.p_half_dims > 0.01
+
+    def test_plane_is_refused(self):
+        # at n = 2 the law and its alternative are both Beta(1/2, 1/2)
+        with pytest.raises(ValueError, match=r"Beta\(1/2, 1/2\)"):
+            experiments.verify_beta_projection_law(2, 1)
 
 
 @pytest.mark.parametrize(
