@@ -11,11 +11,14 @@ of simplex counts with interval counts.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
+import os
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -455,8 +458,9 @@ def _log_vmf_norm(kappa: float, d: int) -> float:
 _NEGLIGIBLE_EXPONENT = -40.0
 
 
-def _log_mixture_density(cos_angle: np.ndarray, d: int) -> np.ndarray:
-    """log of the defensive vMF mixture density at cos(u_i, u_0), per row.
+def _log_mixture_density(cos_angle: np.ndarray, d: int, sigma_d: float) -> np.ndarray:
+    """log of the defensive vMF mixture density at cos(u_i, u_0), per row;
+    ``sigma_d`` is the surface area of S^(d-1).
 
     The sum starts at the uniform term and adds the 16 vMF terms in kappa
     order. A term whose exponent kappa (cos - 1) + log c_kappa lies below
@@ -466,7 +470,7 @@ def _log_mixture_density(cos_angle: np.ndarray, d: int) -> np.ndarray:
     """
     order = np.argsort(cos_angle)
     t = cos_angle[order] - 1.0
-    dens = np.full(t.shape, _MIX_PROBS[0] / constants.sphere_surface(d))
+    dens = np.full(t.shape, _MIX_PROBS[0] / sigma_d)
     for c, kappa in enumerate(_VMF_KAPPAS, start=1):
         log_norm = _log_vmf_norm(kappa, d)
         lo = np.searchsorted(t, (_NEGLIGIBLE_EXPONENT - log_norm) / kappa)
@@ -477,9 +481,10 @@ def _log_mixture_density(cos_angle: np.ndarray, d: int) -> np.ndarray:
 
 
 def _sphere_mixture(
-    rng: np.random.Generator, chunk: int, m: int, d: int
+    rng: np.random.Generator, chunk: int, m: int, d: int, sigma_d: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample m+1 sphere points per row and return them with log q(u).
+    """Sample m+1 sphere points per row and return them with log q(u);
+    ``sigma_d`` is the surface area of S^(d-1).
 
     u_0 is uniform; u_1..u_m come from a half-uniform, half-vMF(u_0) mixture
     over a ladder of concentrations, which keeps the weights bounded near the
@@ -492,12 +497,12 @@ def _sphere_mixture(
     u = np.empty((chunk, m + 1, d))
     raw = rng.standard_normal((chunk, d))
     u[:, 0] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    log_q = np.full(chunk, -math.log(constants.sphere_surface(d)))
+    log_q = np.full(chunk, -math.log(sigma_d))
     for i in range(1, m + 1):
         kappa = _KAPPA_LADDER[rng.choice(len(_KAPPA_LADDER), size=chunk, p=_MIX_PROBS)]
         draw = _sample_vmf(rng, u[:, 0], kappa)
         u[:, i] = draw
-        log_q += _log_mixture_density(np.einsum("cj,cj->c", draw, u[:, 0]), d)
+        log_q += _log_mixture_density(np.einsum("cj,cj->c", draw, u[:, 0]), d, sigma_d)
     return u, log_q
 
 
@@ -524,6 +529,93 @@ def _log_sphere_jacobian(r: np.ndarray, u: np.ndarray, k: int, n: int) -> np.nda
         return (n * (m + 1) - (k + 1)) * np.log(r) + (k - m + 1) * np.log(vol)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; all of them where the platform cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _bp_chunk(
+    seed: int,
+    index: int,
+    size: int,
+    n: int,
+    k: int,
+    m: int,
+    bump: bool,
+    sigma_d: float,
+    grass: float,
+) -> tuple[_Moments, int, float]:
+    """Right-side weights of chunk ``index``: ``size`` rows drawn from the
+    seed's Philox stream jumped ``index`` times. Returns their moments, the
+    count of non-finite weights (counted as 0) and the largest weight.
+
+    ``sigma_d`` is the surface area of S^(d-1) and ``grass`` the Grassmannian
+    volume (1 for m = k), both computed once by the caller, so that a worker
+    thread calls no public function of the package.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    d = m + n - k
+    alpha = n * (m + 1) - (k + 1)
+    a_r = (alpha + 1) / 2.0
+    sd_y = 1.0 / math.sqrt(2.0 * (m + 1))
+
+    u_small, log_qu = _sphere_mixture(rng, size, m, d, sigma_d)
+    if m < k:
+        # an orthonormal k x m frame of a uniform m-plane in R^k
+        frames = rng.standard_normal((size, k, m))
+        if m == 1:
+            frames /= np.linalg.norm(frames, axis=1, keepdims=True)
+        else:
+            frames, _ = np.linalg.qr(frames)
+        u_first_k = np.einsum("cij,ckj->cki", frames, u_small[:, :, :m])
+        u_full = np.concatenate([u_first_k, u_small[:, :, m:]], axis=2)
+    else:
+        u_full = u_small
+
+    # sum over the m + 1 points, added in order like a reduction over axis 1
+    s_k = u_full[:, 0, :k].copy()
+    for i in range(1, m + 1):
+        s_k += u_full[:, i, :k]
+    delta = np.maximum((m + 1) - np.einsum("cj,cj->c", s_k, s_k) / (m + 1), 1e-12)
+    g = rng.gamma(a_r, 1.0 / delta)
+    r = np.sqrt(g)
+    log_qr = (
+        math.log(2.0)
+        + a_r * np.log(delta)
+        + alpha * np.log(r)
+        - delta * g
+        - math.lgamma(a_r)
+    )
+    z = rng.standard_normal((size, k))
+    y = sd_y * z - (r / (m + 1))[:, None] * s_k
+    log_qy = -k / 2.0 * math.log(2.0 * math.pi * sd_y**2) - 0.5 * np.einsum("cj,cj->c", z, z)
+
+    with np.errstate(invalid="ignore"):
+        log_w = (
+            _log_sphere_jacobian(r, u_small, k, n)
+            - log_qu
+            - log_qr
+            - log_qy
+            + math.log(grass)
+        )
+        if bump:
+            x_right = r[:, None, None] * u_full
+            x_right[:, :, :k] += y[:, None, :]
+            fx = _bump_f(x_right)
+            w = np.where(fx > 0, fx * np.exp(log_w), 0.0)
+        else:
+            # sum_i |r u_i + (y, 0)|^2 with |u_i| = 1
+            yy = np.einsum("cj,cj->c", y, y)
+            ys = np.einsum("cj,cj->c", y, s_k)
+            w = np.exp(log_w - ((m + 1) * (r * r + yy) + 2.0 * r * ys))
+    finite = np.isfinite(w)
+    nonfinite = size - int(np.count_nonzero(finite))
+    w = np.where(finite, w, 0.0)
+    return _moments(w), nonfinite, float(np.max(w))
+
+
 def verify_bp_identity(
     n: int,
     k: int,
@@ -543,6 +635,14 @@ def verify_bp_identity(
     and generalized-Gamma conditionals given u (which keeps the weights
     bounded), P from the invariant Grassmannian measure, and u from a
     defensive sphere mixture. For m = k the Grassmannian integral is dropped.
+
+    The rows are drawn in chunks of ``chunk`` rows. Chunk i draws from its
+    own stream, ``Philox(key=seed).jumped(i)``, so chunk 0 draws the key's
+    own stream and a one-chunk run is the serial run. The chunks run on a
+    thread pool of ``min(chunks, usable CPUs)`` workers, with at most one
+    chunk per worker submitted ahead of the merge, and their results are
+    merged in chunk order: the output bits do not depend on the number of
+    workers.
 
     The right CI is a 95% normal interval whose variance comes from
     per-chunk two-pass moments merged with the Chan-Golub-LeVeque update, so
@@ -564,75 +664,29 @@ def verify_bp_identity(
     if test_function not in ("gaussian", "bump"):
         raise ValueError(f"unknown test function {test_function!r}")
     bump = test_function == "bump"
-    alpha = n * (m + 1) - (k + 1)
-    a_r = (alpha + 1) / 2.0
-    grass = constants.grassmannian_volume(m, k) if m < k else 1.0
-    sd_y = 1.0 / math.sqrt(2.0 * (m + 1))
-
     analytic = _analytic_integral(test_function, n, m)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    grass = constants.grassmannian_volume(m, k) if m < k else 1.0
+    sigma_d = constants.sphere_surface(d)
+
+    chunks = -(-samples // chunk)
+    workers = min(chunks, _usable_cpus())
     right_mom = (0, 0.0, 0.0)
     right_nonfinite = 0
     right_max = 0.0
-    done = 0
-    while done < samples:
-        size = min(chunk, samples - done)
-        done += size
+    with ThreadPoolExecutor(max_workers=workers) as pool:
 
-        u_small, log_qu = _sphere_mixture(rng, size, m, d)
-        if m < k:
-            # an orthonormal k x m frame of a uniform m-plane in R^k
-            frames = rng.standard_normal((size, k, m))
-            if m == 1:
-                frames /= np.linalg.norm(frames, axis=1, keepdims=True)
-            else:
-                frames, _ = np.linalg.qr(frames)
-            u_first_k = np.einsum("cij,ckj->cki", frames, u_small[:, :, :m])
-            u_full = np.concatenate([u_first_k, u_small[:, :, m:]], axis=2)
-        else:
-            u_full = u_small
+        def submit(index: int):
+            size = min(chunk, samples - index * chunk)
+            return pool.submit(_bp_chunk, seed, index, size, n, k, m, bump, sigma_d, grass)
 
-        # sum over the m + 1 points, added in order like a reduction over axis 1
-        s_k = u_full[:, 0, :k].copy()
-        for i in range(1, m + 1):
-            s_k += u_full[:, i, :k]
-        delta = np.maximum((m + 1) - np.einsum("cj,cj->c", s_k, s_k) / (m + 1), 1e-12)
-        g = rng.gamma(a_r, 1.0 / delta)
-        r = np.sqrt(g)
-        log_qr = (
-            math.log(2.0)
-            + a_r * np.log(delta)
-            + alpha * np.log(r)
-            - delta * g
-            - math.lgamma(a_r)
-        )
-        z = rng.standard_normal((size, k))
-        y = sd_y * z - (r / (m + 1))[:, None] * s_k
-        log_qy = -k / 2.0 * math.log(2.0 * math.pi * sd_y**2) - 0.5 * np.einsum("cj,cj->c", z, z)
-
-        with np.errstate(invalid="ignore"):
-            log_w = (
-                _log_sphere_jacobian(r, u_small, k, n)
-                - log_qu
-                - log_qr
-                - log_qy
-                + math.log(grass)
-            )
-            if bump:
-                x_right = r[:, None, None] * u_full
-                x_right[:, :, :k] += y[:, None, :]
-                fx = _bump_f(x_right)
-                w = np.where(fx > 0, fx * np.exp(log_w), 0.0)
-            else:
-                # sum_i |r u_i + (y, 0)|^2 with |u_i| = 1
-                yy = np.einsum("cj,cj->c", y, y)
-                ys = np.einsum("cj,cj->c", y, s_k)
-                w = np.exp(log_w - ((m + 1) * (r * r + yy) + 2.0 * r * ys))
-        finite = np.isfinite(w)
-        right_nonfinite += size - int(np.count_nonzero(finite))
-        w = np.where(finite, w, 0.0)
-        right_max = max(right_max, float(np.max(w)))
-        right_mom = _merge_moments(right_mom, _moments(w))
+        pending = collections.deque(submit(i) for i in range(workers))
+        for index in range(chunks):
+            mom, nonfinite, w_max = pending.popleft().result()
+            right_mom = _merge_moments(right_mom, mom)
+            right_nonfinite += nonfinite
+            right_max = max(right_max, w_max)
+            if index + workers < chunks:
+                pending.append(submit(index + workers))
 
     right, right_ci = _mean_ci(right_mom)
     # Kish effective sample size (sum w)^2 / sum w^2 = n mean^2 / (mean^2 + M2 / n)

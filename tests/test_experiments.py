@@ -3,8 +3,10 @@
 import dataclasses
 import json
 import math
+import os
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -262,6 +264,48 @@ class TestKSGammaTest:
         assert p > 0.01
 
 
+class _PoolLog:
+    """What a spied ``ThreadPoolExecutor`` did: its sizes, and its submits
+    and result reads in order."""
+
+    def __init__(self):
+        self.workers = []
+        self.events = []
+
+    def most_in_flight(self):
+        """The most futures submitted and not yet read at any one time."""
+        depth = most = 0
+        for event in self.events:
+            depth += 1 if event == "submit" else -1
+            most = max(most, depth)
+        return most
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    log = _PoolLog()
+
+    class SpyPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            log.workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def submit(self, fn, *args):
+            log.events.append("submit")
+            future = super().submit(fn, *args)
+            read = future.result
+
+            def result(timeout=None):
+                log.events.append("read")
+                return read(timeout)
+
+            future.result = result
+            return future
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", SpyPool)
+    return log
+
+
 class TestBPIdentity:
     @pytest.mark.parametrize("n,k,m", [(2, 1, 1), (3, 2, 1), (3, 2, 2), (2, 2, 2)])
     def test_gaussian_sides_agree(self, n, k, m):
@@ -277,10 +321,76 @@ class TestBPIdentity:
         assert check.left_ci[0] == pytest.approx(check.left_ci[1], abs=1e-9)
         assert check.analytic == pytest.approx(math.pi**2, rel=1e-12)
 
-    def test_gaussian_left_is_exact_across_chunks(self):
-        # chunks of 3000, 3000, 3000 and 1000 exercise the moment merge
-        check = experiments.verify_bp_identity(2, 1, 1, samples=10_000, seed=1, chunk=3_000)
-        assert check.left_ci[0] == pytest.approx(check.left_ci[1], abs=1e-9)
+    def test_pooled_chunks_match_serial_merge(self, monkeypatch):
+        # chunks of 3000, 3000, 3000 and 1000: the pool's result equals one
+        # worker's and a serial merge of the chunks in chunk order; at this
+        # triple and seed the reverse order gives other bits
+        def right_bits(right, right_ci):
+            return right.hex(), tuple(v.hex() for v in right_ci)
+
+        def run():
+            check = experiments.verify_bp_identity(3, 2, 1, samples=10_000, seed=1, chunk=3_000)
+            return right_bits(check.right, check.right_ci)
+
+        def merged(chunks):
+            moments = (0, 0.0, 0.0)
+            for chunk_moments in chunks:
+                moments = experiments._merge_moments(moments, chunk_moments)
+            return right_bits(*experiments._mean_ci(moments))
+
+        pooled = run()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_worker = run()
+        sigma, grass = constants.sphere_surface(2), constants.grassmannian_volume(1, 2)
+        chunks = [
+            experiments._bp_chunk(1, index, size, 3, 2, 1, False, sigma, grass)[0]
+            for index, size in enumerate([3_000, 3_000, 3_000, 1_000])
+        ]
+        assert pooled == one_worker == merged(chunks)
+        assert merged(chunks[::-1]) != pooled
+
+    def test_one_chunk_draws_the_keys_own_stream(self):
+        # chunk 0 draws from Philox(key=seed).jumped(0), the key's own stream,
+        # so a one-chunk run has the bits of the serial kernel
+        check = experiments.verify_bp_identity(
+            2, 1, 1, test_function="bump", samples=200_000, seed=0
+        )
+        assert check.right.hex() == "0x1.15152460c23b7p+0"
+
+    def test_one_row_chunks_keep_only_the_workers_in_flight(self, monkeypatch, pool_log):
+        def run():
+            check = experiments.verify_bp_identity(2, 1, 1, samples=50, seed=6, chunk=1)
+            return check.right.hex(), tuple(v.hex() for v in check.right_ci), check.right_ess
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pooled = run()
+        assert pool_log.workers == [3]
+        assert pool_log.events.count("submit") == 50
+        assert pool_log.most_in_flight() == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run() == pooled
+        assert pool_log.workers == [3, 1]
+
+    def test_pool_falls_back_to_cpu_count(self, monkeypatch, pool_log):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus in (3, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            experiments.verify_bp_identity(2, 1, 1, samples=5_000, seed=7, chunk=1_000)
+        assert pool_log.workers == [3, 1]
+
+    def test_chunk_error_reaches_caller(self, monkeypatch):
+        # only the last chunk, of 500 rows, fails; the others complete
+        jacobian = experiments._log_sphere_jacobian
+
+        def failing(r, u, k, n):
+            if r.size == 500:
+                raise FloatingPointError("chunk failed")
+            return jacobian(r, u, k, n)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(experiments, "_log_sphere_jacobian", failing)
+        with pytest.raises(FloatingPointError, match="chunk failed"):
+            experiments.verify_bp_identity(2, 1, 1, samples=3_500, seed=8, chunk=1_000)
 
     def test_merged_moments_match_two_pass(self):
         # a large offset with a unit spread: E[x^2] - mean^2 loses every digit
@@ -320,27 +430,28 @@ class TestBPIdentity:
         assert got == pytest.approx(expected, rel=1e-12)
 
     # float.hex of (left, left_ci, right, right_ci) at samples=30_000,
-    # chunk=7_000, seed=3; the last chunk of 2_000 rows is uneven
+    # chunk=7_000, seed=3: five chunks, each from its own jumped stream, the
+    # last one of 2_000 rows
     PINNED = {
         (2, 1, 1, "gaussian"): (
             "0x1.3bd3cc9be45dep+3", ("0x1.3bd3cc9be45dep+3", "0x1.3bd3cc9be45dep+3"),
-            "0x1.3b9b9380f8552p+3", ("0x1.37693db99e525p+3", "0x1.3fcde9485257fp+3"),
+            "0x1.3b6ac73b359f7p+3", ("0x1.373691e205a14p+3", "0x1.3f9efc94659dap+3"),
         ),
         (3, 2, 2, "gaussian"): (
             "0x1.594e658cd8e71p+7", ("0x1.594e658cd8e71p+7", "0x1.594e658cd8e71p+7"),
-            "0x1.5ea96991060fbp+7", ("0x1.4abf481622bf2p+7", "0x1.72938b0be9604p+7"),
+            "0x1.61d0194345fabp+7", ("0x1.4d90ec7114efbp+7", "0x1.760f46157705bp+7"),
         ),
         (3, 2, 1, "gaussian"): (
             "0x1.f019b59389d7bp+4", ("0x1.f019b59389d7bp+4", "0x1.f019b59389d7bp+4"),
-            "0x1.f0e3057e3d5b9p+4", ("0x1.e8348dea050e7p+4", "0x1.f9917d1275a8bp+4"),
+            "0x1.f03768095c44cp+4", ("0x1.e78a563f865a5p+4", "0x1.f8e479d3322f3p+4"),
         ),
         (2, 2, 2, "gaussian"): (
             "0x1.f019b59389d7bp+4", ("0x1.f019b59389d7bp+4", "0x1.f019b59389d7bp+4"),
-            "0x1.ee77940ba3471p+4", ("0x1.e4dbce3bc59c0p+4", "0x1.f81359db80f22p+4"),
+            "0x1.eecca002f6e02p+4", ("0x1.e53250cf8b0a9p+4", "0x1.f866ef3662b5bp+4"),
         ),
         (2, 1, 1, "bump"): (
             "0x1.18bc4418cafdfp+0", ("0x1.18bc4418cafdfp+0", "0x1.18bc4418cafdfp+0"),
-            "0x1.19242e0551a68p+0", ("0x1.0f369be7dedcdp+0", "0x1.2311c022c4703p+0"),
+            "0x1.12e141ba6a326p+0", ("0x1.0917175e40efbp+0", "0x1.1cab6c1693751p+0"),
         ),
         (3, 1, 0, "gaussian"): (
             "0x1.645f7c63f2c6bp+2", ("0x1.645f7c63f2c6bp+2", "0x1.645f7c63f2c6bp+2"),
@@ -547,7 +658,9 @@ class TestSampleVMF:
             return sample(rng, centers, kappa)
 
         monkeypatch.setattr(experiments, "_sample_vmf", spy)
-        experiments._sphere_mixture(np.random.Generator(np.random.Philox(key=13)), 100_000, 2, d)
+        experiments._sphere_mixture(
+            np.random.Generator(np.random.Philox(key=13)), 100_000, 2, d, constants.sphere_surface(d)
+        )
         kappa = np.concatenate(drawn)
         counts = [np.count_nonzero(kappa == k) for k in experiments._KAPPA_LADDER]
         assert sum(counts) == kappa.size == 200_000
@@ -580,7 +693,7 @@ class TestSphereMixture:
     @pytest.mark.parametrize("d,m", [(2, 1), (3, 1), (3, 2)])
     def test_log_density_matches_full_sum(self, d, m):
         rng = np.random.Generator(np.random.Philox(key=8))
-        u, log_q = experiments._sphere_mixture(rng, 200_000, m, d)
+        u, log_q = experiments._sphere_mixture(rng, 200_000, m, d, constants.sphere_surface(d))
         ref = np.full(u.shape[0], -math.log(constants.sphere_surface(d)))
         for i in range(1, m + 1):
             cos_angle = np.einsum("cj,cj->c", np.ascontiguousarray(u[:, i]), u[:, 0])
@@ -597,14 +710,15 @@ class TestSphereMixture:
             if cos_cut > -1.0:
                 rows += [np.nextafter(cos_cut, -2.0), cos_cut, np.nextafter(cos_cut, 2.0)]
         cos_angle = np.array(rows)
-        assert _same_bits(experiments._log_mixture_density(cos_angle, d),
+        sigma = constants.sphere_surface(d)
+        assert _same_bits(experiments._log_mixture_density(cos_angle, d, sigma),
                           _full_log_density(cos_angle, d))
 
     @pytest.mark.parametrize("d,m", [(2, 1), (3, 1), (3, 2)])
     def test_density_is_normalised(self, d, m):
         # E_q[1/q(u)] is the volume of (S^(d-1))^(m+1); 1/q <= (2 sigma_d)^(m+1)
         rng = np.random.Generator(np.random.Philox(key=9))
-        _, log_q = experiments._sphere_mixture(rng, 200_000, m, d)
+        _, log_q = experiments._sphere_mixture(rng, 200_000, m, d, constants.sphere_surface(d))
         inv_q = np.exp(-log_q)
         se = np.std(inv_q) / math.sqrt(inv_q.size)
         assert abs(np.mean(inv_q) - constants.sphere_surface(d) ** (m + 1)) < 4.0 * se
