@@ -3,11 +3,20 @@
 The slice plane is always the span of the first k coordinate axes; general
 positions are handled by rotating inputs before they get here. Provides
 projections with slice weights, emptiness tests, the weighted Delaunay
-mosaic as one Qhull lower hull of the lifted generators, listed face by
-face, and its interval decomposition into one columnar ``Mosaic``, all for
-any k. ``slice_cloud``, ``lower_hull`` and ``radius_and_intervals``, in that
+mosaic as the lower hull of the lifted generators, listed face by face, and
+its interval decomposition into one columnar ``Mosaic``, all for any k.
+``slice_cloud``, ``lower_hull`` and ``radius_and_intervals``, in that
 order, are the one path to a mosaic for every k; the anchors of the top
 simplices are the vertices of the power diagram.
+
+The hull is one Qhull call for k >= 2. For k = 1 it is an exact lower chain
+over the generators sorted by x: vectorized passes drop every point not
+strictly below the chord of its neighbours, by a float orientation filter
+with a proven error bound (after Shewchuk, "Adaptive precision
+floating-point arithmetic and fast robust geometric predicates", DCG 1997)
+whose undecided rows are recomputed in rational arithmetic; after a fixed
+number of passes, a sequential monotone-chain scan with the same predicate
+bounds the worst case at O(N) tests past the passes.
 
 The decomposition is combinatorial: a simplex's smallest anchored sphere is
 anchored in the relative interior of exactly one face of the power diagram,
@@ -24,6 +33,7 @@ gives both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from typing import Sequence
@@ -46,6 +56,11 @@ __all__ = [
 
 # relative radius band within which a point counts as on, not inside, a sphere
 _EMPTY_REL_TOL = 1e-9
+# the 1-D chain's float filter: relative and absolute error bound factors
+_CHAIN_FILTER = 2.0**-49
+_CHAIN_TINY = 2.0**-1073
+# vectorized passes of the 1-D chain before one sequential scan finishes it
+_CHAIN_PASSES = 16
 
 
 @dataclass(frozen=True)
@@ -232,21 +247,27 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     ``faces[k]`` are the cells, the downward facets, and ``faces[m]``, m < k,
     their distinct (m+1)-subsets: generator indices sorted within each row,
     the rows in lexicographic order. ``faces[0]`` holds the surviving
-    generators; those strictly above the lower hull have empty power cells
-    and are submerged. Fewer than k + 2 generators, too few for Qhull, span
-    one cell, a top simplex only when there are k + 1 of them.
+    generators; those on or above the lower hull without being its vertices
+    have empty power cells and are submerged.
 
-    Qhull runs with ``Qbb``, which scales the lift to [0, m], m the largest
-    absolute projected coordinate, before the hull is built: on a 1-D lift
-    near x = 1000, where the lift is about 1e6, plain ``Qt`` dropped a
-    generator whose exact cross product with its neighbours is +1.3e-6.
+    Fewer than k + 2 generators span one cell, a top simplex only when
+    there are k + 1 of them. From k + 2 on, the cells at k = 1 are the
+    consecutive vertices of the exact lower chain of :func:`_lower_chain`,
+    over the sort of the duplicate check: a generator is a vertex exactly
+    when the rational lift of the float y and w puts it strictly below the
+    chord of its neighbours, so a collinear lift keeps its two end
+    generators. At k >= 2 Qhull builds the hull with ``Qt Qbb``: ``Qbb``
+    first scales the lift to [0, m], m the largest absolute projected
+    coordinate, so that a lift far from the origin keeps vertices that
+    plain ``Qt`` drops.
 
     Raises DegeneracyError on duplicate projections (found by comparing
-    neighbours in lexicographic order), on affinely dependent or otherwise
-    degenerate configurations, and MosaicError when a ridge (in
-    ``faces[k-1]``) belongs to more than two cells. A face below the top is
-    keyed as its indices read as digits in base N, exact while N^k < 2^63; a
-    larger N raises ValueError before any key is formed.
+    neighbours in lexicographic order), on affinely dependent generators
+    below k + 2 and on degenerate configurations Qhull refuses; ValueError
+    on a non-finite projection or weight in the chain; MosaicError when a
+    ridge (in ``faces[k-1]``) belongs to more than two cells. A face below
+    the top is keyed as its indices read as digits in base N, exact while
+    N^k < 2^63; a larger N raises ValueError before any key is formed.
     """
     n_pts, k = y.shape
     if w.shape != (n_pts,):
@@ -255,11 +276,25 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
         raise ValueError(
             f"faces are keyed as k = {k} digits in base N = {n_pts}, exact only while N^k < 2^63"
         )
-    ordered = y[np.lexsort(y.T[::-1])]
+    # one key sorts faster alone; the order of equal keys does not matter,
+    # since they raise
+    order = np.argsort(y[:, 0]) if k == 1 else np.lexsort(y.T[::-1])
+    ordered = y[order]
     if np.any((ordered[1:] == ordered[:-1]).all(axis=1)):
         raise DegeneracyError("duplicate projected generators")
 
-    if n_pts > k + 1:
+    if n_pts <= k + 1:
+        scale = max(1.0, float(np.max(np.ptp(y, axis=0))))
+        volume = np.prod(np.linalg.svd(y[1:] - y[0], compute_uv=False))
+        if volume <= 1e-12 * scale ** (n_pts - 1):
+            raise DegeneracyError("the projections are affinely dependent")
+        cells = np.arange(n_pts)[None, :]
+    elif k == 1:
+        if not (np.isfinite(y).all() and np.isfinite(w).all()):
+            raise ValueError("projections and weights must be finite")
+        chain = _lower_chain(y[:, 0], w, order)
+        cells = np.column_stack([chain[:-1], chain[1:]])
+    else:
         try:
             hull = ConvexHull(
                 np.column_stack([y, np.einsum("ij,ij->i", y, y) - w]), qhull_options="Qt Qbb"
@@ -269,12 +304,6 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
         cells = np.asarray(hull.simplices[hull.equations[:, k] < 0.0], dtype=int)
         if cells.shape[0] == 0:
             raise DegeneracyError("no downward-facing hull facets")
-    else:
-        scale = max(1.0, float(np.max(np.ptp(y, axis=0))))
-        volume = np.prod(np.linalg.svd(y[1:] - y[0], compute_uv=False))
-        if volume <= 1e-12 * scale ** (n_pts - 1):
-            raise DegeneracyError("the projections are affinely dependent")
-        cells = np.arange(n_pts)[None, :]
     cells = np.sort(cells, axis=1)
 
     faces = []
@@ -289,6 +318,80 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     top = cells if cells.shape[1] == k + 1 else np.empty((0, k + 1), dtype=int)
     faces.append(top[np.lexsort(top.T[::-1])])
     return faces
+
+
+def _lower_chain(x: np.ndarray, w: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Indices of the vertices of the lower hull of the lift (x, x^2 - w),
+    left to right, from ``order``, the indices sorted by x with no two equal.
+
+    Up to ``_CHAIN_PASSES`` vectorized passes each drop every chain point
+    that is not strictly below the chord of its current neighbours, which no
+    hull vertex ever is; a pass that drops nothing leaves a strictly convex
+    chain, the hull. A cascade, where each pass drops only the points next
+    to a few hull vertices, would take O(N) passes, so after the last pass a
+    monotone-chain scan with the same predicate on Python floats finishes
+    the chain in O(N) tests.
+    """
+    chain, xs, ws = order, x[order], w[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_CHAIN_PASSES):
+            if len(chain) < 3:
+                return chain
+            cross, bound = _chord_cross(xs[:-2], xs[1:-1], xs[2:], ws[:-2], ws[1:-1], ws[2:])
+            keep = np.ones(len(chain), dtype=bool)
+            keep[1:-1] = cross > 0.0
+            for i in np.flatnonzero(~(np.abs(cross) > bound)).tolist():
+                keep[i + 1] = _exact_below_chord(*xs[i : i + 3], *ws[i : i + 3])
+            if keep.all():
+                return chain
+            chain, xs, ws = chain[keep], xs[keep], ws[keep]
+    xs, ws = xs.tolist(), ws.tolist()
+    hull: list[int] = []
+    for c in range(len(xs)):
+        while len(hull) > 1 and not _below_chord(
+            xs[hull[-2]], xs[hull[-1]], xs[c], ws[hull[-2]], ws[hull[-1]], ws[c]
+        ):
+            hull.pop()
+        hull.append(c)
+    return chain[hull]
+
+
+def _below_chord(xa: float, xb: float, xc: float, wa: float, wb: float, wc: float) -> bool:
+    """Whether lifted point b lies strictly below the chord of a and c: the
+    float filter's sign where its bound fixes it, else the exact sign."""
+    cross, bound = _chord_cross(xa, xb, xc, wa, wb, wc)
+    if abs(cross) > bound:
+        return cross > 0.0
+    return _exact_below_chord(xa, xb, xc, wa, wb, wc)
+
+
+def _chord_cross(xa, xb, xc, wa, wb, wc):
+    """Float ``cross`` of lifted point b against the chord of a and c,
+    x_a < x_b < x_c, positive exactly when b lies strictly below the chord,
+    and a bound on its rounding error; numpy arrays and Python floats alike.
+
+    With the lift z = x^2 - w, ``cross = (x_b - x_a)(z_c - z_a) - (z_b -
+    z_a)(x_c - x_a) = d_ab d_bc d_ac + d_ac w_b - d_ab w_c - d_bc w_a``, d_ab
+    = x_b - x_a and so on: differences of x and the weights themselves, so
+    nothing cancels the way the lift does far from the origin. Its float
+    value is within 8 eps (eps = 2^-53) of the sum of its four terms'
+    magnitudes, plus under 2^-1074 (d_ac + 4) from underflow; the bound is
+    twice both. An overflow makes the bound infinite or the cross NaN, and
+    ``abs(cross) > bound`` then fails, as it does for any sign the bound
+    cannot fix.
+    """
+    dab, dbc, dac = xb - xa, xc - xb, xc - xa
+    top = dab * dbc * dac
+    cross = top + dac * wb - dab * wc - dbc * wa
+    permanent = top + dac * abs(wb) + dab * abs(wc) + dbc * abs(wa)
+    return cross, _CHAIN_FILTER * permanent + _CHAIN_TINY * (dac + 4.0)
+
+
+def _exact_below_chord(xa, xb, xc, wa, wb, wc) -> bool:
+    """The sign of :func:`_chord_cross`'s ``cross``, in rational arithmetic on
+    the float inputs."""
+    xa, xb, xc, wa, wb, wc = map(Fraction, (xa, xb, xc, wa, wb, wc))
+    return (xb - xa) * (xc - xb) * (xc - xa) + (xc - xa) * wb - (xb - xa) * wc - (xc - xb) * wa > 0
 
 
 def _corner_system(y: np.ndarray, w: np.ndarray, simplices: np.ndarray):
@@ -354,8 +457,10 @@ def radius_and_intervals(
     its corners (``2 |e_c . u - b_c|`` within 1e-6 of the power); no simplex
     is claimed twice, or claimed but absent from ``faces``; a vertex is
     claimed exactly when an incident edge puts its projection outside its
-    power cell; no squared radius is negative. Interval i is the one whose
-    upper bound is the i-th upper-bound row.
+    power cell; no squared radius is negative. At k = 1 an edge power that
+    rounding puts below an endpoint's is recomputed exactly
+    (:func:`_order_edge_powers`). Interval i is the one whose upper bound is
+    the i-th upper-bound row.
     """
     n_pts, k = y.shape
     sizes = [len(face) for face in faces]
@@ -419,6 +524,8 @@ def radius_and_intervals(
     if np.any(outside[vertices] != (upper[: first[1]] != np.arange(first[1]))):
         raise MosaicError("vertex claims disagree with the vertices outside their cells")
 
+    if k == 1:
+        _order_edge_powers(y[:, 0], w, faces, upper, powers)
     anchors, powers = anchors[upper], powers[upper]
     # a power is |u|^2 - w at a corner or -w at a vertex: never negative in
     # floating point when every weight is at most 0, as a slice's -|tail|^2 is
@@ -443,3 +550,41 @@ def radius_and_intervals(
         upper=np.flatnonzero(bound),
         window=window,
     )
+
+
+def _order_edge_powers(
+    x: np.ndarray, w: np.ndarray, faces: Sequence[np.ndarray], upper: np.ndarray, powers: np.ndarray
+) -> None:
+    """Put every edge's power at or above its endpoints' in floating point, at
+    k = 1, in place in ``powers``, the powers of the upper-bound rows.
+
+    An exact chain keeps vertices whose power cells are narrower than the
+    floats resolve, and there two powers computed from different corners can
+    come out one rounding apart in the wrong order. Where an endpoint in
+    another interval has the larger float power, both intervals' powers are
+    recomputed in rational arithmetic and rounded once; rounding is
+    monotone, so it keeps their exact order. This repeats until no pair is
+    out of order or every such pair is already exact.
+    """
+    first = len(faces[0])
+    row = np.empty(len(x), dtype=int)
+    row[faces[0][:, 0]] = np.arange(first)
+    # edge e is row first + e and its own upper bound; ends[e] are the upper
+    # bounds of its endpoints' intervals
+    ends = upper[row[faces[1]]]
+    exact = np.zeros(len(powers), dtype=bool)
+    while True:
+        out = powers[ends] > powers[first:, None]
+        if not out.any():
+            return
+        todo = np.unique(np.concatenate([ends[out], first + np.nonzero(out)[0]]))
+        for r in todo[~exact[todo]].tolist():
+            if r >= first:
+                i, j = faces[1][r - first].tolist()
+                xi, xj, wi, wj = map(Fraction, (x[i], x[j], w[i], w[j]))
+                # the offset of the equal-power point from corner i, as in _corner_system
+                u = ((xj - xi) ** 2 - (wj - wi)) / (2 * (xj - xi))
+                powers[r] = float(u * u - wi)
+        if exact[todo].all():
+            return
+        exact[todo] = True

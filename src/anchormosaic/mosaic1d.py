@@ -4,8 +4,8 @@ A cloud in R^n is first rotated about the first coordinate axis into the
 upper half-plane, which preserves every distance to the axis and therefore
 the induced weighted tessellation on the line. The tessellation itself is
 the lower envelope of the power parabolas; since they share the leading
-coefficient it reduces to the lower convex hull of the lifted points, the
-same Qhull hull :func:`geomcore.lower_hull` builds for the plane. The
+coefficient it reduces to the lower convex hull of the lifted points, which
+:func:`geomcore.lower_hull` builds at k = 1 as an exact lower chain. The
 interval decomposition is the dimension-generic one of :mod:`geomcore` on
 the chain of consecutive vertices.
 

@@ -155,13 +155,14 @@ def exact_barycentric(y: np.ndarray, w: np.ndarray) -> list[Fraction]:
     return [1 - sum(lam, Fraction(0)), *lam]
 
 
-def exact_lower_hull_1d(points: np.ndarray) -> list[int]:
-    """Indices of the half-plane points (x, h) on the lower convex hull of the
-    lift (x, x^2 + h^2), left to right: a monotone chain whose cross products
-    are exact in rational arithmetic on the float inputs. A point exactly on
-    the chord of its neighbours is dropped."""
-    x = [Fraction(float(v)) for v in points[:, 0]]
-    lift = [xi * xi + Fraction(float(h)) ** 2 for xi, h in zip(x, points[:, 1])]
+def exact_lower_chain(y: np.ndarray, w: np.ndarray) -> list[int]:
+    """Indices of the generators with projections ``y`` (N, 1) and weights
+    ``w`` on the lower convex hull of the lift (x, x^2 - w), left to right: a
+    monotone chain whose cross products are exact in rational arithmetic on
+    the float inputs. A point exactly on the chord of its neighbours is
+    dropped."""
+    x = [Fraction(float(v)) for v in np.asarray(y).reshape(-1)]
+    lift = [xi * xi - Fraction(float(wi)) for xi, wi in zip(x, w)]
     hull: list[int] = []
     for idx in sorted(range(len(x)), key=x.__getitem__):
         while len(hull) >= 2:
@@ -172,6 +173,12 @@ def exact_lower_hull_1d(points: np.ndarray) -> list[int]:
             hull.pop()
         hull.append(idx)
     return hull
+
+
+def exact_lower_hull_1d(points: np.ndarray) -> list[int]:
+    """:func:`exact_lower_chain` of the half-plane points (x, h) as
+    ``lower_hull`` sees them: their slice projections and weights."""
+    return exact_lower_chain(*geomcore.slice_cloud(points, 1))
 
 
 def intervals_per_row(mosaic: Mosaic) -> list[Interval]:

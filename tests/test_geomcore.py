@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 from scipy.spatial import Delaunay
 
@@ -22,6 +24,7 @@ from oracles import (
     build,
     exact_anchor,
     exact_barycentric,
+    exact_lower_chain,
     exact_lower_hull_1d,
     interval_violations,
     intervals_per_row,
@@ -370,6 +373,117 @@ class TestLowerHull:
         y[41] = y[6]
         with pytest.raises(DegeneracyError):
             geomcore.lower_hull(y, np.zeros(50))
+
+
+@st.composite
+def line_clouds(draw):
+    """A family name and a half-plane cloud (x, h) of 2 to 40 points, x on a
+    1/1024 grid of [0, 10]: heights uniform, lifting x near the line 10 x + c,
+    over 200 orders of magnitude, or with two equal projections; then
+    translated to x in 1e3..1e6, scaled by 2^-30..2^30, or left in place."""
+    count = draw(st.integers(2, 40))
+    grid = st.integers(0, 10_240).map(lambda i: i / 1024)
+    x = np.array(draw(st.lists(grid, min_size=count, max_size=count, unique=True)))
+    h = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=count, max_size=count)))
+    kind = draw(st.sampled_from(["uniform", "near-collinear", "extreme", "duplicate"]))
+    if kind == "near-collinear":
+        h = np.sqrt(x * (10.0 - x) + draw(st.floats(0.5, 100.0)))
+    elif kind == "extreme":
+        exponents = draw(st.lists(st.integers(-150, 50), min_size=count, max_size=count))
+        h = h * 10.0 ** np.array(exponents)
+    elif kind == "duplicate":
+        i, j = draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2, unique=True))
+        x[j] = x[i]
+    move = draw(st.sampled_from(["none", "translated", "scaled"]))
+    if move == "translated":
+        x = x + draw(st.floats(1e3, 1e6))
+    elif move == "scaled":
+        scale = 2.0 ** draw(st.integers(-30, 30))
+        x, h = x * scale, h * scale
+    return kind, np.column_stack([x, h])
+
+
+class TestLowerChain:
+    """``lower_hull`` at k = 1: the exact lower chain of the lift."""
+
+    def test_near_collinear_lifts_keep_their_exact_vertices(self):
+        # h = sqrt(5x - x^2 + 30) lifts every x onto the line 5x + 30, up to the
+        # rounding of h^2; an apex far above keeps the lift two-dimensional
+        rng = np.random.default_rng(60)
+        for _ in range(60):
+            x = rng.uniform(0.0, 5.0, 100)
+            cloud = np.vstack([np.column_stack([x, np.sqrt(5 * x - x * x + 30)]), [[2.5, 10.0]]])
+            y, w = geomcore.slice_cloud(cloud, 1)
+            assert geomcore.lower_hull(y, w)[0][:, 0].tolist() == sorted(exact_lower_chain(y, w))
+
+    def test_collinear_lift_keeps_its_ends(self):
+        # the lift x^2 - w = 5x + 30 is exactly a line
+        x = np.array([3.0, 0.0, 5.0, 1.0, 4.0, 2.0])
+        faces = geomcore.lower_hull(x[:, None], x * x - 5 * x - 30)
+        assert faces[0].tolist() == [[1], [2]]
+        assert faces[1].tolist() == [[1, 2]]
+
+    def test_non_finite_input_is_refused(self):
+        y = np.array([[0.0], [1.0], [2.0]])
+        for w in ([0.0, np.nan, 0.0], [0.0, -np.inf, 0.0]):
+            with pytest.raises(ValueError, match="finite"):
+                geomcore.lower_hull(y, np.array(w))
+
+    @staticmethod
+    def cascade(count: int) -> tuple[np.ndarray, np.ndarray]:
+        # two end generators at h = 0 and all others at one height, their
+        # lifts above the ends' chord and strictly convex among themselves:
+        # each pass drops only the two points next to the ends
+        w = np.full(count, -((count - 1) ** 2 / 4 + 1))
+        w[[0, -1]] = 0.0
+        return np.arange(float(count))[:, None], w
+
+    def test_cascade_finishes_in_the_sequential_scan(self, monkeypatch):
+        tests = []
+
+        def counted(*args):
+            tests.append(args)
+            return below_chord(*args)
+
+        below_chord = geomcore._below_chord
+        monkeypatch.setattr(geomcore, "_below_chord", counted)
+        faces = geomcore.lower_hull(*self.cascade(20_000))
+        assert faces[0].tolist() == [[0], [19_999]]
+        assert faces[1].tolist() == [[0, 19_999]]
+        assert len(tests) > 20_000
+
+    def test_cascade_against_exact_chain(self):
+        y, w = self.cascade(2_000)
+        assert exact_lower_chain(y, w) == [0, 1_999]
+        assert geomcore.lower_hull(y, w)[0][:, 0].tolist() == [0, 1_999]
+
+    def test_near_collinear_radii_stay_monotone(self):
+        # all five power functions nearly meet at x = 5, so the power cells of
+        # the middle vertices are narrower than the floats resolve; the radius
+        # of edge (3, 4) came out one rounding below that of vertex 4
+        x = np.array([0.0, 2.0, 4.0, 3.625, 0.5])
+        cloud = np.column_stack([x, np.sqrt(x * (10.0 - x) + 3.0)])
+        mosaic = build(cloud, 1)
+        assert mosaic.vertices.tolist() == [0, 2, 3, 4]
+        assert interval_violations(mosaic, cloud, [(0.0, 4.0)]) == []
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(line_clouds())
+    def test_line_clouds(self, family):
+        kind, cloud = family
+        y, w = geomcore.slice_cloud(cloud, 1)
+        if kind == "duplicate":
+            with pytest.raises(DegeneracyError):
+                geomcore.lower_hull(y, w)
+            return
+        faces = geomcore.lower_hull(y, w)
+        assert faces[0][:, 0].tolist() == sorted(exact_lower_chain(y, w))
+        if any(0 in exact_barycentric(y[e], w[e]) for e in faces[1]):
+            with pytest.raises(DegeneracyError):
+                geomcore.radius_and_intervals(y, w, faces)
+            return
+        interior = [(cloud[:, 0].min(), cloud[:, 0].max())]
+        assert interval_violations(build(cloud, 1), cloud, interior) == []
 
 
 class TestMosaic:
