@@ -2,8 +2,9 @@
 
 Checks, per run: the sphere-parametrization integral identity (a Monte
 Carlo right side against the closed-form left side), the two-angle integral
-against its closed form (quadrature), the power-exponential integral closed
-form on random draws, the Gamma law of critical-vertex radii
+against its closed form (quadrature), the expected interval and simplex
+counts against quadrature of the radius density on random draws (the Gamma
+lemma), the Gamma law of critical-vertex radii
 (Kolmogorov-Smirnov), and the Beta law of projected sphere points.
 """
 
@@ -27,7 +28,7 @@ for n in (2, 3, 6, 10):
     print(f"  n={n}: quadrature {check.quadrature:.10f}  "
           f"closed {check.closed_form:.10f}  err {check.abs_error:.1e}{note}")
 
-print("\npower-exponential integral identity on 100 random draws:")
+print("\nGamma lemma: expected counts vs radius-density quadrature, 100 random draws:")
 lemma = experiments.verify_gamma_lemma(draws=100, seed=1)
 print(f"  max relative error {lemma.max_rel_error:.2e} (tolerance {lemma.tolerance:.0e})")
 

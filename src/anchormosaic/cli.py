@@ -224,9 +224,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         check = experiments.verify_beta_projection_law(
             args.n, args.k, seed=args.seed, **_given(samples=args.samples)
         )
-    verdict = "ci_overlap" if args.kind == "bp" else "pass"
     payload = {
-        "schema_version": SCHEMA_VERSION, "kind": f"verify-{args.kind}", verdict: check.passed,
+        "schema_version": SCHEMA_VERSION, "kind": f"verify-{args.kind}", "passed": check.passed,
     }
     payload.update(dataclasses.asdict(check))
     _write(experiments.json_text(payload), args.out)

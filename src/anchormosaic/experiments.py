@@ -4,9 +4,10 @@ Covers: empirical interval/simplex rates against their closed-form
 predictions, the Gamma law of interval radii (Kolmogorov-Smirnov), the
 sphere-parametrization integral identity (a Monte Carlo right side against
 the closed-form left side), the two-angle integral against its closed form,
-the power-exponential integral identity on random parameter draws, the Beta
-law of projected sphere points, and the exact per-replicate reconciliation
-of simplex counts with interval counts.
+the expected interval and simplex counts as functions of the radius
+threshold against quadrature of the radius density (the Gamma lemma), on
+random parameter draws, the Beta law of projected sphere points, and the
+exact per-replicate reconciliation of simplex counts with interval counts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate, special, stats
 
-from . import constants, sampler, specfun
+from . import constants, sampler
 from .constants import SCHEMA_VERSION
 from .errors import InsufficientSampleError
 from .geomcore import lower_hull, radius_and_intervals, slice_cloud
@@ -760,26 +761,50 @@ class GammaLemmaCheck:
         return self.max_rel_error <= self.tolerance
 
 
+def _radius_share(shape: float, n: int, c: float, r0: float) -> float:
+    """Quadrature of the radius density n c^s/Gamma(s) exp(-c t^n) t^(ns-1) over [0, r0]."""
+    # QUADPACK's QAWS takes the endpoint factor t^(ns - 1) as its weight
+    integral, _ = integrate.quad(
+        lambda t: math.exp(-c * t**n), 0.0, r0, weight="alg", wvar=(n * shape - 1.0, 0.0),
+        epsabs=0.0, epsrel=1e-12, limit=200,
+    )
+    return n * math.exp(shape * math.log(c) - math.lgamma(shape)) * integral
+
+
 def verify_gamma_lemma(draws: int = 100, seed: int = 0) -> GammaLemmaCheck:
-    """Check the power-exponential integral closed form against adaptive
-    quadrature on random parameter draws, to 1e-9 relative."""
+    """Check the census's expectations against quadrature of the radius density.
+
+    Each draw takes n in 2..8, k in {1, 2} below n, an interval type, a
+    simplex dimension j, a density, an area and an r0 with rho nu_n r0^n up
+    to 3 s + 1 for the type's Gamma shape s. ``expected_interval_count`` and
+    ``expected_simplex_count``, whose Gamma fraction is the Gamma lemma, must
+    match their constants times the quadrature to 1e-9 relative.
+    """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = 0.0
     for _ in range(draws):
-        p = float(rng.uniform(0.3, 3.0))
-        shape = float(rng.uniform(0.3, 4.0))
-        j = shape * p
-        c = float(rng.uniform(0.2, 3.0))
-        t0 = float(rng.uniform(0.1, 2.5))
-        closed = specfun.power_exp_integral(j, p, c, t0)
-        # QUADPACK's QAWS takes the endpoint singularity t^(j-1) as its weight
-        direct, _ = integrate.quad(
-            lambda t: math.exp(-c * t**p), 0.0, t0, weight="alg", wvar=(j - 1.0, 0.0),
-            epsabs=1e-13, epsrel=1e-12, limit=200,
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, min(n - 1, 2) + 1))
+        types = constants.valid_interval_types(k)
+        t = types[int(rng.integers(len(types)))]
+        j = int(rng.integers(k + 1))
+        rho = float(rng.uniform(0.2, 3.0))
+        area = float(rng.uniform(0.5, 2.0))
+        c = rho * constants.ball_volume(n)
+        r0 = (float(rng.uniform(0.05, 3.0 * (t.m + 1.0 - k / n) + 1.0)) / c) ** (1.0 / n)
+        share = [_radius_share(m + 1.0 - k / n, n, c, r0) for m in range(k + 1)]
+        simplex = sum(
+            math.comb(m - ell, m - j) * constants.interval_constant((ell, m), k, n) * share[m]
+            for m in range(j, k + 1) for ell in range(j + 1)
         )
-        worst = max(worst, abs(closed - direct) / abs(direct))
+        for expected, direct in [
+            (constants.expected_interval_count(t, k, n, rho, area, r0),
+             constants.interval_constant(t, k, n) * share[t.m]),
+            (constants.expected_simplex_count(j, k, n, rho, area, r0), simplex),
+        ]:
+            worst = max(worst, abs(expected / (direct * rho ** (k / n) * area) - 1.0))
     return GammaLemmaCheck(draws=draws, max_rel_error=worst, tolerance=1e-9)
 
 

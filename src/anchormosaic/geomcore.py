@@ -405,13 +405,19 @@ def _corner_system(y: np.ndarray, w: np.ndarray, simplices: np.ndarray):
 
 def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``x`` with ``lhs x = rhs`` for (F, m, m) and (F, m) batches; a 1 x 1
-    system is one division. A singular system raises DegeneracyError."""
+    system is one division. A singular system, or one whose solution
+    overflows, raises DegeneracyError."""
     if lhs.shape[1:] == (1, 1) and np.all(lhs != 0.0):
-        return rhs / lhs[:, 0]
-    try:
-        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError("a simplex has affinely dependent generators") from exc
+        with np.errstate(over="ignore"):
+            x = rhs / lhs[:, 0]
+    else:
+        try:
+            x = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise DegeneracyError("a simplex has affinely dependent generators") from exc
+    if not np.isfinite(x).all():
+        raise DegeneracyError("a simplex's equal-power system has no finite solution")
+    return x
 
 
 def _find(keys: np.ndarray, order: np.ndarray, rows: np.ndarray, n_pts: int) -> np.ndarray:

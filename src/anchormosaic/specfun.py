@@ -1,27 +1,20 @@
 """Special functions that ``scipy.special`` lacks and the paper needs.
 
 Provides the generalized hypergeometric sum 3F2 at unit argument, behind
-the one-dimensional vertex-edge constant C01, and the closed form of the
-power-exponential integral (the paper's Gamma lemma)
-
-    int_0^{t0} t^(j-1) exp(-c t^p) dt.
-
-The regularized incomplete Gamma and Beta functions, their complements and
-inverses come from ``scipy.special`` wherever the package needs them. All
-functions are pure and safe for concurrent use.
+the vertex-edge constant C[0,1; k,n]. The regularized incomplete Gamma and
+Beta functions, their complements and inverses come from ``scipy.special``
+wherever the package needs them. All functions are pure and safe for
+concurrent use.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy import special
-
 from .errors import ConvergenceError, IterationLimitError
 
 __all__ = [
     "hyp3f2",
-    "power_exp_integral",
 ]
 
 _HYP3F2_MAX_TERMS = 1_000_000
@@ -90,29 +83,3 @@ def hyp3f2(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
         f"3F2 series hit the {_HYP3F2_MAX_TERMS}-term cap for parameters "
         f"({a1}, {a2}, {a3}; {b1}, {b2}; 1)"
     )
-
-
-def power_exp_integral(j: float, p: float, c: float, t0: float) -> float:
-    """Closed form of int_0^{t0} t^(j-1) exp(-c t^p) dt.
-
-    For p > 0 this equals gamma(j/p, c t0^p) / (p c^(j/p)); for p < 0 the
-    substitution reverses orientation and the upper incomplete Gamma function
-    appears instead. Requires j/p > 0 and c > 0; t0 may be ``math.inf``.
-    """
-    _require_finite(j=j, p=p, c=c)
-    if p == 0.0:
-        raise ValueError("exponent p must be nonzero")
-    if c <= 0.0:
-        raise ValueError(f"scale c must be positive, got c={c}")
-    if not t0 > 0.0:
-        raise ValueError(f"upper limit must be positive, got t0={t0}")
-    a = j / p
-    if a <= 0.0:
-        raise ValueError(f"j/p must be positive, got {a}")
-    try:
-        x = c * t0**p  # inf ** p is inf for p > 0 and 0 for p < 0
-    except OverflowError:
-        x = math.inf  # a finite t0 ** p past the float range, for either sign of p
-    # for p < 0 the upper tail directly: 1 - P(a, x) rounds to 0 once x is large
-    frac = float(special.gammainc(a, x) if p > 0 else special.gammaincc(a, x))
-    return frac * math.exp(math.lgamma(a) - a * math.log(c)) / abs(p)

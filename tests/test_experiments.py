@@ -757,15 +757,42 @@ class TestGammaLemma:
     def test_identity_holds(self):
         check = experiments.verify_gamma_lemma(draws=100, seed=0)
         assert check.passed
-        assert check.max_rel_error < 1e-9
+        assert check.max_rel_error < 1e-12
 
     def test_reference_quadrature_converges(self):
-        # the draws of seed 0 include near-singular t^(j-1) integrands
-        # (j about 0.1) on which a plain adaptive quadrature gives up
+        # a reference quadrature that gives up (IntegrationWarning) fails the
+        # test rather than leaving a loose reference value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             check = experiments.verify_gamma_lemma(draws=2000, seed=0)
         assert check.max_rel_error < 1e-9
+
+    def test_default_draws_reach_every_type_and_dimension(self, monkeypatch):
+        reached = set()
+
+        def spy(name, key):
+            real = getattr(constants, name)
+
+            def recorded(*args):
+                reached.add(key(*args))
+                return real(*args)
+
+            monkeypatch.setattr(constants, name, recorded)
+
+        spy("expected_interval_count", lambda t, k, *_: ("type", k, (t.ell, t.m)))
+        spy("expected_simplex_count", lambda j, k, *_: ("simplex", k, j))
+        experiments.verify_gamma_lemma()
+        assert reached == {
+            ("type", k, (t.ell, t.m)) for k in (1, 2) for t in constants.valid_interval_types(k)
+        } | {("simplex", k, j) for k in (1, 2) for j in range(k + 1)}
+
+    def test_fails_when_the_gamma_fraction_is_off(self, monkeypatch):
+        # every prediction of the census carries this factor
+        real = constants._gamma_fraction
+        monkeypatch.setattr(
+            constants, "_gamma_fraction", lambda *args: real(*args) * (1.0 + 1e-8)
+        )
+        assert not experiments.verify_gamma_lemma(draws=100, seed=0).passed
 
 
 class TestBetaLaw:

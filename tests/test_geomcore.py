@@ -467,6 +467,15 @@ class TestLowerChain:
         assert mosaic.vertices.tolist() == [0, 2, 3, 4]
         assert interval_violations(mosaic, cloud, [(0.0, 4.0)]) == []
 
+    def test_overflowing_anchor_is_refused(self):
+        # vertices 0 and 1 nearly share a projection but differ in weight, so
+        # the edge's barycentric solve overflows; off the grid of line_clouds
+        y, w = np.array([[0.0], [1e-300], [5.0]]), np.array([-2.0, -1.0, -1.0])
+        faces = geomcore.lower_hull(y, w)
+        assert faces[0][:, 0].tolist() == [0, 1, 2]
+        with pytest.raises(DegeneracyError, match="finite"):
+            geomcore.radius_and_intervals(y, w, faces)
+
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(line_clouds())
     def test_line_clouds(self, family):

@@ -165,90 +165,3 @@ class TestHyp3f2:
         with pytest.raises(ValueError):
             specfun.hyp3f2(1.0, 1.0, 1.0, -2.0, 2.0)
 
-
-class TestPowerExpIntegral:
-    def test_unit_exponential(self):
-        assert specfun.power_exp_integral(1.0, 1.0, 1.0, math.inf) == pytest.approx(
-            1.0, rel=1e-14
-        )
-
-    def test_cube_substitution(self):
-        # j = p = n with c = 1, t0 = 1 gives (1 - e^-1) / n
-        assert specfun.power_exp_integral(3.0, 3.0, 1.0, 1.0) == pytest.approx(
-            0.21070685294285255, rel=1e-13
-        )
-
-    def test_radial_integral_oracle(self):
-        # radial integral of the pair-count derivation at n = 2, rho = 1:
-        # the integrand is t^(2n-2) exp(-rho nu_n t^n), i.e. j = 2n - 1 = 3;
-        # frozen from quadrature of t^2 exp(-pi t^2) on [0, 0.8]
-        oracle = 0.05895259367683836
-        assert specfun.power_exp_integral(3.0, 2.0, math.pi, 0.8) == pytest.approx(
-            oracle, rel=1e-10
-        )
-
-    def test_identity_on_random_draws(self):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            p = float(rng.uniform(0.3, 3.0))
-            j = float(rng.uniform(0.3, 4.0)) * p
-            c = float(rng.uniform(0.2, 3.0))
-            t0 = float(rng.uniform(0.1, 2.5))
-            direct, _ = integrate.quad(
-                lambda t: t ** (j - 1.0) * math.exp(-c * t**p),
-                0.0,
-                t0,
-                epsabs=1e-14,
-                epsrel=1e-13,
-                limit=200,
-            )
-            assert specfun.power_exp_integral(j, p, c, t0) == pytest.approx(
-                direct, rel=1e-9
-            )
-
-    def test_negative_exponent_branch(self):
-        # p < 0 with j < 0 keeps j/p > 0; orientation flips to the upper tail
-        j, p, c, t0 = -2.0, -1.5, 1.2, 0.7
-        direct, _ = integrate.quad(
-            lambda t: t ** (j - 1.0) * math.exp(-c * t**p), 0.0, t0, limit=200
-        )
-        assert specfun.power_exp_integral(j, p, c, t0) == pytest.approx(direct, rel=1e-9)
-
-    @pytest.mark.parametrize(
-        "j,p,c,t0", [(-2.0, -1.0, 1.0, 0.02), (-1.5, -2.0, 0.7, 0.1), (-2.0, -1.0, 1.0, 0.05)]
-    )
-    def test_negative_exponent_far_tail(self, j, p, c, t0):
-        # x = c t0^p is far out in the upper tail, where 1 - P(j/p, x) rounds
-        # to 0 or loses most of its digits; the integral is tiny but positive
-        direct, _ = integrate.quad(
-            lambda t: t ** (j - 1.0) * math.exp(-c * t**p),
-            0.0,
-            t0,
-            epsabs=0,
-            epsrel=1e-13,
-            limit=200,
-        )
-        # abs=0: pytest.approx would otherwise accept anything within 1e-12;
-        # rel=1e-11 also catches the 4.9e-10 cancellation of the last case
-        assert specfun.power_exp_integral(j, p, c, t0) == pytest.approx(direct, rel=1e-11, abs=0)
-
-    @pytest.mark.parametrize(
-        "j,p,c,t0,want",
-        [(2.0, 2.0, 1.0, 1e200, 0.5), (-2.0, -1.0, 1.0, 1e-310, 0.0), (-2.0, -2.0, 1.0, 1e-160, 0.0)],
-    )
-    def test_power_past_float_range(self, j, p, c, t0, want):
-        # t0 ** p overflows; the integral is then its value at t0 = inf for
-        # p > 0 and underflows to 0 for p < 0
-        assert specfun.power_exp_integral(j, p, c, t0) == want
-        if p > 0:
-            assert specfun.power_exp_integral(j, p, c, math.inf) == want
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            specfun.power_exp_integral(1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            specfun.power_exp_integral(-1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            specfun.power_exp_integral(1.0, 1.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            specfun.power_exp_integral(1.0, 1.0, 1.0, 0.0)
