@@ -134,19 +134,10 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit(payload: dict, rows: list[dict], out: str | None, fmt: str) -> None:
-    if fmt == "json":
-        text = experiments.json_text(payload)
-    else:
-        keys = experiments.CSV_HEADER.split(",")
-        text = experiments.csv_text([[row[key] for key in keys] for row in rows])
-    _write(text, out)
-
-
 def _cmd_constants(args: argparse.Namespace) -> int:
     types = constants.valid_interval_types(args.k)
     table: dict[str, dict[str, float]] = {}
-    rows: list[dict] = []
+    rows: list[tuple] = []
     for n in args.n:
         norm = args.rho ** (args.k / n)  # expectations per unit rho^(k/n) |R|
         entry: dict[str, float] = {}
@@ -164,14 +155,14 @@ def _cmd_constants(args: argparse.Namespace) -> int:
                     constants.expected_simplex_count(j, args.k, n, args.rho, 1.0, args.r0) / norm
                 )
         table[str(n)] = entry
-        for t in types:
-            rows.append(
-                {
-                    "type": "interval", "ell": t.ell, "m": t.m, "count": n,
-                    "rate": entry.get(f"E[c({t.ell},{t.m})](r0)", ""),
-                    "se": "", "predicted": entry[f"C[{t.ell},{t.m}]"], "z": "",
-                }
-            )
+        # CSV columns: count holds n, rate the expectation at r0 (empty
+        # without --r0), predicted the constant; a simplex row has ell = m = j
+        keys = [("interval", t.ell, t.m, f"C[{t.ell},{t.m}]", f"E[c({t.ell},{t.m})](r0)") for t in types]
+        keys += [("simplex", j, j, f"D[{j}]", f"E[d({j})](r0)") for j in range(args.k + 1)]
+        rows += [
+            (kind, ell, m, n, entry.get(rate, ""), "", entry[value], "")
+            for kind, ell, m, value, rate in keys
+        ]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "constants",
@@ -180,7 +171,8 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         "r0": args.r0,
         "table": table,
     }
-    _emit(payload, rows, args.out, args.format)
+    text = experiments.json_text(payload) if args.format == "json" else experiments.csv_text(rows)
+    _write(text, args.out)
     return EXIT_OK
 
 

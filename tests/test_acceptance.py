@@ -127,12 +127,12 @@ def test_criterion_04_exact_identities():
     )
 
 
-def test_criterion_05_power_exp_integral_identity():
+def test_criterion_05_gamma_lemma():
     check = experiments.verify_gamma_lemma(draws=100, seed=2024)
     report(
         5,
         check.passed,
-        f"power-exponential integral vs quadrature on {check.draws} draws, "
+        f"expected counts vs radius-density quadrature on {check.draws} draws, "
         f"max rel err {check.max_rel_error:.2e} (<= 1e-9)",
     )
 
