@@ -168,7 +168,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         "kind": "constants",
         "k": args.k,
         "rho": args.rho,
-        "r0": args.r0,
+        "r0": None if args.r0 == math.inf else args.r0,
         "table": table,
     }
     text = experiments.json_text(payload) if args.format == "json" else experiments.csv_text(rows)

@@ -293,16 +293,18 @@ def interval_constant(t: IntervalType | tuple[int, int], k: int, n: int) -> floa
     return c00 + c01 - c22 + 0.5 * d2
 
 
+def _simplex_share(j: int, m: int, k: int, n: int) -> float:
+    """sum_{ell=0..j} binom(m-ell, m-j) C[ell,m;k,n], the m-th term of D_j[k,n]."""
+    return sum(
+        math.comb(m - ell, m - j) * interval_constant(IntervalType(ell, m), k, n)
+        for ell in range(j + 1)
+    )
+
+
 def simplex_constant(j: int, k: int, n: int) -> float:
     """Constant D_j[k,n] = sum_{m=j..k} sum_{ell=0..j} binom(m-ell, m-j) C[ell,m;k,n]."""
     _check_simplex_dims(j, k, n)
-    total = 0.0
-    for m in range(j, k + 1):
-        for ell in range(j + 1):
-            total += math.comb(m - ell, m - j) * interval_constant(
-                IntervalType(ell, m), k, n
-            )
-    return total
+    return sum(_simplex_share(j, m, k, n) for m in range(j, k + 1))
 
 
 def _gamma_fraction(shape: float, n: int, rho: float, r0: float) -> float:
@@ -345,14 +347,10 @@ def expected_simplex_count(
     _check_simplex_dims(j, k, n)
     if not area > 0:
         raise ValueError(f"area must be positive, got {area}")
-    total = 0.0
-    for m in range(j, k + 1):
-        shape = m + 1.0 - k / n
-        inner = sum(
-            math.comb(m - ell, m - j) * interval_constant(IntervalType(ell, m), k, n)
-            for ell in range(j + 1)
-        )
-        total += _gamma_fraction(shape, n, rho, r0) * inner
+    total = sum(
+        _gamma_fraction(m + 1.0 - k / n, n, rho, r0) * _simplex_share(j, m, k, n)
+        for m in range(j, k + 1)
+    )
     return total * rho ** (k / n) * area
 
 

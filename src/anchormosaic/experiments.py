@@ -240,8 +240,9 @@ CSV_HEADER = "type,ell,m,count,rate,se,predicted,z"
 
 
 def json_text(payload: dict) -> str:
-    """A JSON document with sorted keys and two-space indent, newline-terminated."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """A JSON document with sorted keys and two-space indent, newline-terminated;
+    a NaN or infinite value raises ``ValueError``, since JSON has none."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def report_to_json(report: ExperimentReport) -> str:
@@ -355,7 +356,6 @@ class BPCheck:
     test_function: str
     samples: int
     left: float
-    left_ci: tuple[float, float]
     right: float
     right_ci: tuple[float, float]
     analytic: float
@@ -541,6 +541,27 @@ def _log_simplex_volume(u: np.ndarray) -> np.ndarray:
         return np.log(vol)
 
 
+def _centroid_spread(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = sum_i u_i[:m] and delta = sum_i |u_i - (s / (m + 1), 0)|^2 per
+    row of ``u`` (N, m+1, d), each row's m + 1 unit vectors.
+
+    delta = (m + 1) - |s|^2 / (m + 1) cancels as the points close up. Its
+    error is at most (m + 1)(3m + 17) u, u the unit roundoff: (3m + 1)(m + 1) u
+    from rounding s, |s|^2 <= (m + 1)^2 and the division, and 16 u per point
+    for the sampler's |u_i|^2 - 1. A row where that bound exceeds sqrt(u)
+    delta, half of delta's digits, is recomputed without cancellation. At
+    m = 0, delta is 1 exactly.
+    """
+    m = u.shape[1] - 1
+    s = u[:, :, :m].sum(axis=1)
+    delta = (m + 1) - np.einsum("cj,cj->c", s, s) / (m + 1)
+    low = np.flatnonzero(delta < (m + 1) * (3 * m + 17) * math.sqrt(np.finfo(float).eps / 2))
+    dev = u[low]
+    dev[:, :, :m] -= s[low, None, :] / (m + 1)
+    delta[low] = np.einsum("cij,cij->c", dev, dev)
+    return s, delta
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on; all of them where the platform cannot say."""
     if hasattr(os, "sched_getaffinity"):
@@ -561,7 +582,9 @@ def _bp_chunk(
 ) -> tuple[_Moments, int, float]:
     """Right-side weights of chunk ``index``: ``size`` rows drawn from the
     seed's Philox stream jumped ``index`` times. Returns their moments, the
-    count of non-finite weights (counted as 0) and the largest weight.
+    count of non-finite weights (counted as 0) and the largest weight. Each
+    row's m-plane is the span of the first m slice axes, so point i sits at
+    r (u_i[:m], 0, u_i[m:]) + (y, 0).
 
     ``sigma_d`` is the surface area of S^(d-1) and ``grass`` the Grassmannian
     volume (1 for m = k), both computed once by the caller, so that a worker
@@ -570,50 +593,37 @@ def _bp_chunk(
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
     d = m + n - k
     a_r = (n * (m + 1) - k) / 2.0
-
-    u_small, log_qu = _sphere_mixture(rng, size, m, d, sigma_d)
-    if m < k:
-        # an orthonormal k x m frame of a uniform m-plane in R^k
-        frames = rng.standard_normal((size, k, m))
-        if m == 1:
-            frames /= np.linalg.norm(frames, axis=1, keepdims=True)
-        else:
-            frames, _ = np.linalg.qr(frames)
-        u_first_k = np.einsum("cij,ckj->cki", frames, u_small[:, :, :m])
-        u_full = np.concatenate([u_first_k, u_small[:, :, m:]], axis=2)
-    else:
-        u_full = u_small
-
-    # sum over the m + 1 points, added in order like a reduction over axis 1
-    s_k = u_full[:, 0, :k].copy()
-    for i in range(1, m + 1):
-        s_k += u_full[:, i, :k]
-    delta = np.maximum((m + 1) - np.einsum("cj,cj->c", s_k, s_k) / (m + 1), 1e-12)
-    # sum_i |x_i|^2 = delta r^2 + (m + 1) |y + r s_k / (m + 1)|^2, so the
+    u, log_qu = _sphere_mixture(rng, size, m, d, sigma_d)
+    s, delta = _centroid_spread(u)
+    # sum_i |x_i|^2 = delta r^2 + (m + 1) |y + r s / (m + 1)|^2, so the
     # Gaussian's r and y integrals are int r^alpha e^(-delta r^2) dr =
-    # Gamma(a_r) / (2 delta^a_r) and (pi / (m + 1))^(k/2)
-    log_w = (
-        (k - m + 1) * _log_simplex_volume(u_small)
-        - log_qu
-        + math.log(grass)
-        + (math.lgamma(a_r) - math.log(2.0) - a_r * np.log(delta))
-        + k / 2.0 * math.log(math.pi / (m + 1))
-    )
-    if bump:
-        # r and y drawn from those two conditionals; exp(delta g + |z|^2 / 2)
-        # is exp(sum_i |x_i|^2), which turns the Gaussian's weight into f's
-        g = rng.gamma(a_r, 1.0 / delta)
-        r = np.sqrt(g)
-        z = rng.standard_normal((size, k))
-        y = z / math.sqrt(2.0 * (m + 1)) - (r / (m + 1))[:, None] * s_k
-        x_right = r[:, None, None] * u_full
-        x_right[:, :, :k] += y[:, None, :]
-        fx = _bump_f(x_right)
-        log_w = log_w + delta * g + 0.5 * np.einsum("cj,cj->c", z, z)
-        with np.errstate(invalid="ignore"):
+    # Gamma(a_r) / (2 delta^a_r) and (pi / (m + 1))^(k/2); a row with
+    # delta = 0 has coincident points and gets a non-finite weight or 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = (
+            (k - m + 1) * _log_simplex_volume(u)
+            - log_qu
+            + math.log(grass)
+            + (math.lgamma(a_r) - math.log(2.0) - a_r * np.log(delta))
+            + k / 2.0 * math.log(math.pi / (m + 1))
+        )
+        if bump:
+            # r and y drawn from those two conditionals; exp(delta g + |z|^2 / 2)
+            # is exp(sum_i |x_i|^2), which turns the Gaussian's weight into f's
+            g = rng.gamma(a_r, 1.0 / delta)
+            r = np.sqrt(g)
+            z = rng.standard_normal((size, k))
+            y = z / math.sqrt(2.0 * (m + 1))
+            y[:, :m] -= (r / (m + 1))[:, None] * s
+            x_right = np.zeros((size, m + 1, n))
+            x_right[:, :, :m] = r[:, None, None] * u[:, :, :m]
+            x_right[:, :, k:] = r[:, None, None] * u[:, :, m:]
+            x_right[:, :, :k] += y[:, None, :]
+            fx = _bump_f(x_right)
+            log_w = log_w + delta * g + 0.5 * np.einsum("cj,cj->c", z, z)
             w = np.where(fx > 0, fx * np.exp(log_w), 0.0)
-    else:
-        w = np.exp(log_w)
+        else:
+            w = np.exp(log_w)
     finite = np.isfinite(w)
     nonfinite = size - int(np.count_nonzero(finite))
     w = np.where(finite, w, 0.0)
@@ -636,10 +646,12 @@ def verify_bp_identity(
     functions, so that side is exact and draws nothing.
     Right: an integral over (y, P, r, u) with the Jacobian
     r^alpha [m! Vol_m(u')]^(k-m+1), u drawn from a defensive sphere mixture
-    (which keeps the weights bounded) and P from the invariant Grassmannian
-    measure (dropped for m = k). The Gaussian integrates r and y in closed
-    form and draws nothing more; only the bump draws them, from the
-    generalized-Gamma and Gaussian conditionals given u and P.
+    (which keeps the weights bounded). The slice's rotations leave the
+    weight's law unchanged, so P is the fixed span of the first m slice
+    axes and the Grassmannian enters only as its volume ``grass`` (1 for
+    m = k). The Gaussian integrates r and y in closed form and draws nothing
+    more; only the bump draws them, from the generalized-Gamma and Gaussian
+    conditionals given u.
 
     The rows are drawn in chunks of ``chunk`` rows. Chunk i draws from its
     own stream, ``Philox(key=seed).jumped(i)``, so chunk 0 draws the key's
@@ -671,7 +683,7 @@ def verify_bp_identity(
         raise ValueError(f"unknown test function {test_function!r}")
     bump = test_function == "bump"
     analytic = _analytic_integral(test_function, n, m)
-    grass = constants.grassmannian_volume(m, k) if m < k else 1.0
+    grass = constants.grassmannian_volume(m, k)
     sigma_d = constants.sphere_surface(d)
 
     chunks = -(-samples // chunk)
@@ -702,19 +714,9 @@ def verify_bp_identity(
     right_sum = right * samples
     right_max_share = right_max / right_sum if right_sum > 0.0 else 0.0
     return BPCheck(
-        n=n,
-        k=k,
-        m=m,
-        test_function=test_function,
-        samples=samples,
-        left=analytic,
-        left_ci=(analytic, analytic),
-        right=right,
-        right_ci=right_ci,
-        analytic=analytic,
-        right_ess=right_ess,
-        right_nonfinite=right_nonfinite,
-        right_max_share=right_max_share,
+        n=n, k=k, m=m, test_function=test_function, samples=samples, left=analytic,
+        right=right, right_ci=right_ci, analytic=analytic, right_ess=right_ess,
+        right_nonfinite=right_nonfinite, right_max_share=right_max_share,
     )
 
 

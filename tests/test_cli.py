@@ -285,7 +285,13 @@ class TestErrorPaths:
         # r0 = inf is the default threshold: every radius counts
         code, out, _ = run(capsys, "constants", "--k", "1", "--n", "2", "--r0", "inf")
         assert code == cli.EXIT_OK
-        table = json.loads(out)["table"]["2"]
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["r0"] is None
+        table = doc["table"]["2"]
         assert table["E[c(0,0)](r0)"] == pytest.approx(table["C[0,0]"], rel=1e-12)
 
     def test_zero_buffer_with_n_above_k_is_numerical_error(self, capsys):

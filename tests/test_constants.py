@@ -244,6 +244,16 @@ class TestExpectedCounts:
         for j in range(3):
             assert constants.expected_simplex_count(j, 2, 3, 2.0, 10.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_simplex_constant_is_the_unit_expectation(self, k):
+        # one sum for both: D_j[k,n] is the expected count at rho = area = 1,
+        # r0 = inf, bit for bit
+        for j in range(k + 1):
+            for n in range(k + 1, 41):
+                assert constants.simplex_constant(j, k, n) == constants.expected_simplex_count(
+                    j, k, n, 1.0, 1.0
+                ), (j, n)
+
     def test_infinite_threshold_reduces_to_constant(self):
         assert constants.expected_interval_count((0, 0), 1, 2, 1.0, 1000.0) == pytest.approx(
             1000.0 * constants.interval_constant((0, 0), 1, 2), rel=1e-12
