@@ -155,13 +155,12 @@ def _cmd_constants(args: argparse.Namespace) -> int:
                     constants.expected_simplex_count(j, args.k, n, args.rho, 1.0, args.r0) / norm
                 )
         table[str(n)] = entry
-        # CSV columns: count holds n, rate the expectation at r0 (empty
-        # without --r0), predicted the constant; a simplex row has ell = m = j
+        # a simplex row has ell = m = j; expected is empty without --r0
         keys = [("interval", t.ell, t.m, f"C[{t.ell},{t.m}]", f"E[c({t.ell},{t.m})](r0)") for t in types]
         keys += [("simplex", j, j, f"D[{j}]", f"E[d({j})](r0)") for j in range(args.k + 1)]
         rows += [
-            (kind, ell, m, n, entry.get(rate, ""), "", entry[value], "")
-            for kind, ell, m, value, rate in keys
+            (kind, ell, m, n, entry[value], entry.get(expected, ""))
+            for kind, ell, m, value, expected in keys
         ]
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -171,8 +170,8 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         "r0": None if args.r0 == math.inf else args.r0,
         "table": table,
     }
-    text = experiments.json_text(payload) if args.format == "json" else experiments.csv_text(rows)
-    _write(text, args.out)
+    csv = experiments.csv_text("type,ell,m,n,constant,expected", rows)
+    _write(experiments.json_text(payload) if args.format == "json" else csv, args.out)
     return EXIT_OK
 
 

@@ -272,10 +272,10 @@ def report_to_json(report: ExperimentReport) -> str:
     return json_text(payload)
 
 
-def csv_text(rows: Sequence[Sequence]) -> str:
-    """CSV_HEADER and one line per row of cells: floats by ``repr`` (round-trip
+def csv_text(header: str, rows: Sequence[Sequence]) -> str:
+    """``header`` and one line per row of cells: floats by ``repr`` (round-trip
     exact), ``""`` as an empty cell, anything else by ``str``."""
-    lines = [CSV_HEADER]
+    lines = [header]
     for cells in rows:
         lines.append(",".join(
             "" if cell == "" else repr(cell) if isinstance(cell, float) else str(cell)
@@ -286,7 +286,7 @@ def csv_text(rows: Sequence[Sequence]) -> str:
 
 def report_to_csv(report: ExperimentReport) -> str:
     """One row per interval type and simplex dimension, fixed column order."""
-    return csv_text([
+    return csv_text(CSV_HEADER, [
         (kind, r.ell, r.m, r.count_mean, r.rate, r.se, r.predicted, r.z)
         for kind, rates in (("interval", report.interval_rates), ("simplex", report.simplex_rates))
         for r in rates
@@ -608,19 +608,22 @@ def _bp_chunk(
             + k / 2.0 * math.log(math.pi / (m + 1))
         )
         if bump:
-            # r and y drawn from those two conditionals; exp(delta g + |z|^2 / 2)
-            # is exp(sum_i |x_i|^2), which turns the Gaussian's weight into f's
-            g = rng.gamma(a_r, 1.0 / delta)
+            # r and y from the conditionals of exp(-lam sum_i |x_i|^2), whose
+            # second moment per point, n / (2 lam), is the bump's n / (n + 6);
+            # exp(lam delta g + |z|^2 / 2) is exp(lam sum_i |x_i|^2)
+            lam = (n + 6) / 2.0
+            g = rng.gamma(a_r, 1.0 / (lam * delta))
             r = np.sqrt(g)
             z = rng.standard_normal((size, k))
-            y = z / math.sqrt(2.0 * (m + 1))
+            y = z / math.sqrt(2.0 * lam * (m + 1))
             y[:, :m] -= (r / (m + 1))[:, None] * s
             x_right = np.zeros((size, m + 1, n))
             x_right[:, :, :m] = r[:, None, None] * u[:, :, :m]
             x_right[:, :, k:] = r[:, None, None] * u[:, :, m:]
             x_right[:, :, :k] += y[:, None, :]
             fx = _bump_f(x_right)
-            log_w = log_w + delta * g + 0.5 * np.einsum("cj,cj->c", z, z)
+            log_w = log_w - (a_r + k / 2.0) * math.log(lam) + lam * delta * g
+            log_w = log_w + 0.5 * np.einsum("cj,cj->c", z, z)
             w = np.where(fx > 0, fx * np.exp(log_w), 0.0)
         else:
             w = np.exp(log_w)

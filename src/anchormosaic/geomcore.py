@@ -24,10 +24,8 @@ the simplex dual to that face is the interval's upper bound, and the signs
 of the anchor's barycentric coordinates on the upper bound give the lower
 bound and the type (Bauer & Edelsbrunner, "The Morse theory of Cech and
 Delaunay complexes", Trans. AMS 2017). One loop applies that rule from the
-top dimension down, with one equal-power corner system per level. At the
-top level its square solve gives the anchor offset and a second square solve
-on the transposed system its barycentric coordinates; below, the Gram system
-gives both.
+top dimension down to the vertices, with one equal-power corner system per
+level, solved through a twice-orthogonalised Gram-Schmidt QR.
 """
 
 from __future__ import annotations
@@ -104,12 +102,8 @@ class Mosaic:
     is i. ``simplices``, the rows as tuples, and ``intervals`` are built on
     first use, so a census that reads only the columns never builds them.
 
-    ``intervals`` is built in one columnar pass: each column is read with one
-    ``tolist()``, the intervals of one type share one ``IntervalType``, the
-    sphere anchors are the rows of one copy ``anchors[upper]`` (so no
-    interval shares memory with ``anchors`` or with another interval), and
-    the members are slices of one list of the simplices in interval-id order.
-    ``to_dict`` likewise reads each column once.
+    ``intervals`` is built in one columnar pass; its sphere anchors are rows
+    of one copy ``anchors[upper]``, so none shares memory with ``anchors``.
     """
 
     y: np.ndarray
@@ -403,21 +397,39 @@ def _corner_system(y: np.ndarray, w: np.ndarray, simplices: np.ndarray):
     return e, 0.5 * (np.einsum("fck,fck->fc", e, e) - dw)
 
 
-def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``x`` with ``lhs x = rhs`` for (F, m, m) and (F, m) batches; a 1 x 1
-    system is one division. A singular system, or one whose solution
-    overflows, raises DegeneracyError."""
-    if lhs.shape[1:] == (1, 1) and np.all(lhs != 0.0):
-        with np.errstate(over="ignore"):
-            x = rhs / lhs[:, 0]
-    else:
-        try:
-            x = np.linalg.solve(lhs, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise DegeneracyError("a simplex has affinely dependent generators") from exc
-    if not np.isfinite(x).all():
+def _equal_power(e: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offset ``u`` (F, k) in the span of the rows of ``e`` (F, m, k) with
+    ``e u = b`` (F, m), and its coefficients ``lam`` (F, m) on those rows:
+    ``e^T = Q R`` by classical Gram-Schmidt, each row projected out twice
+    (Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005), so the error
+    follows cond(e), not its square; then ``R^T z = b``, ``R lam = z`` and
+    ``u = Q z``. At m = 1, ``u = b / e`` and ``lam = u / e`` to the bit; at
+    m = 0, u = 0. A non-finite u or lam (dependent rows, overflow) raises
+    DegeneracyError."""
+    f, m, k = e.shape
+    q, r = np.empty((f, m, k)), np.zeros((f, m, m))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(m):
+            v = e[:, j]
+            # twice is enough; row 0 has nothing to be projected out of
+            for _ in range(2 if j else 0):
+                c = np.einsum("fik,fk->fi", q[:, :j], v)
+                v = v - np.einsum("fik,fi->fk", q[:, :j], c)
+                r[:, :j, j] += c
+            r[:, j, j] = np.sqrt(np.einsum("fk,fk->f", v, v))
+            q[:, j] = v / r[:, j, j, None]
+        z = b.copy()
+        for j in range(m):
+            z[:, j] /= r[:, j, j]
+            z[:, j + 1 :] -= r[:, j, j + 1 :] * z[:, j, None]
+        lam = z.copy()
+        for j in range(m - 1, -1, -1):
+            lam[:, j] /= r[:, j, j]
+            lam[:, :j] -= r[:, :j, j] * lam[:, j, None]
+        u = np.einsum("fik,fi->fk", q, z)
+    if not (np.isfinite(u).all() and np.isfinite(lam).all()):
         raise DegeneracyError("a simplex's equal-power system has no finite solution")
-    return x
+    return u, lam
 
 
 def _find(keys: np.ndarray, order: np.ndarray, rows: np.ndarray, n_pts: int) -> np.ndarray:
@@ -442,22 +454,18 @@ def radius_and_intervals(
     ``y`` (N, k) and ``w`` (N,) are all generators and ``faces[m]`` the
     m-simplices with indices sorted within each row, as :func:`lower_hull`
     gives them (a level's rows may come in any order). One rule (Bauer &
-    Edelsbrunner) runs for m = k, ..., 1, with no tolerance: an m-simplex
+    Edelsbrunner) runs for m = k, ..., 0, with no tolerance: an m-simplex
     no higher upper bound claims is an upper bound, anchored at the
-    equal-power point in its corners' affine hull. Each level builds the
-    equations ``e_c . u = b_c``, ``e_c = y_c - y_0``, once. m = k anchors at
-    ``y_0 + u``, u from their square solve, a vertex of the power diagram;
-    relative to a corner and with differences of weights, nothing cancels
-    the way differences of the lift ``|y|^2 - w`` do far from the origin.
-    Its lambda solves ``e^T lambda = u``, so the signs never pass through
-    the Gram matrix, whose condition number is the square of e's. m < k
-    anchors at ``y_0 + sum lambda_c e_c``, lambda from the Gram system
-    ``(e_i . e_j) lambda = b``. The barycentric coordinates are
+    equal-power point ``y_0 + u`` in its corners' affine hull, with
+    ``e_c . u = b_c``, ``e_c = y_c - y_0``, and ``u = sum lambda_c e_c``
+    from :func:`_equal_power`; relative to a corner and with differences of
+    weights, nothing cancels the way differences of the lift ``|y|^2 - w``
+    do far from the origin. The barycentric coordinates are
     ``(1 - sum lambda, lambda)``; the simplex claims every face left when a
     non-empty set of its negative corners is dropped, down to its lower
-    bound, the face of its positive corners.
-    A vertex nothing claims is a critical (0, 0) interval anchored at its
-    own projection. An exact zero coordinate raises DegeneracyError.
+    bound, the face of its positive corners. A vertex nothing claims is a
+    critical (0, 0) interval at its own projection, of power ``0 - w``. An
+    exact zero coordinate raises DegeneracyError.
 
     Certificates, each raising MosaicError: every anchor has equal power at
     its corners (``2 |e_c . u - b_c|`` within 1e-6 of the power); no simplex
@@ -480,19 +488,14 @@ def radius_and_intervals(
     keys = [face @ n_pts ** np.arange(face.shape[1] - 1, -1, -1) for face in faces[:k]]
     orders = [np.argsort(key, kind="stable") for key in keys]
 
-    for m in range(k, 0, -1):
+    for m in range(k, -1, -1):
         rows = first[m] + np.flatnonzero(upper[first[m] : first[m + 1]] < 0)
         upper[rows] = rows
         simplices = faces[m][rows - first[m]]
         e, b = _corner_system(y, w, simplices)
+        offset, lam = _equal_power(e, b)
         origin = y[simplices[:, 0]]
-        if m == k:
-            offset = _solve(e, b)
-            lam = _solve(np.swapaxes(e, 1, 2), offset)
-            anchor = origin + offset
-        else:
-            lam = _solve(np.einsum("fck,fdk->fcd", e, e), b)
-            anchor = origin + np.einsum("fc,fck->fk", lam, e)
+        anchor = origin + offset
         u = anchor - origin
         power = np.einsum("fk,fk->f", u, u) - w[simplices[:, 0]]
         # corner c's power minus corner 0's is 2 (e_c . u - b_c)
@@ -514,11 +517,6 @@ def radius_and_intervals(
             claimed = first[level] + found
             upper[claimed] = rows[hit]
             claims.append(claimed)
-
-    rows = np.flatnonzero(upper[: first[1]] < 0)
-    upper[rows] = rows
-    # 0 - w rather than -w, so that a zero weight gives radius +0.0
-    anchors[rows], powers[rows] = y[vertices[rows]], 0.0 - w[vertices[rows]]
 
     if np.any(np.bincount(np.concatenate(claims), minlength=count) > 1):
         raise MosaicError("a simplex is claimed by two upper bounds")

@@ -45,9 +45,9 @@ class TestConstantsCommand:
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "constants", "--k", "1", "--n", "2", "--format", "csv")
         lines = out.strip().splitlines()
-        assert lines[0] == "type,ell,m,count,rate,se,predicted,z"
+        assert lines[0] == "type,ell,m,n,constant,expected"
         assert len(lines) == 6  # three interval types, two simplex dimensions
-        assert all(line.split(",")[4] == "" for line in lines[1:])  # no --r0
+        assert all(line.split(",")[5] == "" for line in lines[1:])  # no --r0
         # every value of the JSON table is a CSV cell
         flags = ("constants", "--k", "2", "--n", "3..4", "--r0", "0.5")
         _, text, _ = run(capsys, *flags)
@@ -55,15 +55,14 @@ class TestConstantsCommand:
         _, out, _ = run(capsys, *flags, "--format", "csv")
         from_csv = {}
         for line in out.strip().splitlines()[1:]:
-            kind, ell, m, n, rate, se, predicted, z = line.split(",")
-            assert se == z == ""
+            kind, ell, m, n, constant, expected = line.split(",")
             if kind == "interval":
                 keys = (f"C[{ell},{m}]", f"E[c({ell},{m})](r0)")
             else:
                 assert kind == "simplex" and ell == m
                 keys = (f"D[{m}]", f"E[d({m})](r0)")
             entry = from_csv.setdefault(n, {})
-            entry[keys[0]], entry[keys[1]] = float(predicted), float(rate)
+            entry[keys[0]], entry[keys[1]] = float(constant), float(expected)
         assert from_csv == table
 
 

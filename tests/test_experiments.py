@@ -177,7 +177,8 @@ class TestEstimateRates:
 class TestOneCensusPath:
     @pytest.mark.parametrize("k", [1, 2])
     def test_one_corner_system_per_level(self, k, monkeypatch):
-        # the decomposition forms each level's equal-power equations once
+        # the decomposition forms each level's equal-power equations once,
+        # the vertices' included
         from anchormosaic import geomcore
 
         calls = []
@@ -191,9 +192,9 @@ class TestOneCensusPath:
         faces = geomcore.lower_hull(y, w)
         monkeypatch.setattr(geomcore, "_corner_system", counted)
         geomcore.radius_and_intervals(y, w, faces)
-        assert len(calls) == k
+        assert len(calls) == k + 1
 
-    @pytest.mark.parametrize("seed,points,rows", [(3, 1, 1), (14, 2, 3)])
+    @pytest.mark.parametrize("seed,points,rows", [(0, 0, 0), (3, 1, 1), (14, 2, 3)])
     def test_sparse_planar_sample_is_recorded(self, seed, points, rows):
         # one or two generators span one simplex; only an empty sample gives
         # an empty record
@@ -218,6 +219,24 @@ class TestOneCensusPath:
             cfg=cfg, r0=math.inf, interval_rates=[], simplex_rates=[], records=[record]
         )
         assert experiments.reconcile_simplex_counts(report).failures == []
+
+    def test_missing_simplex_fails_reconciliation(self):
+        cfg = cfg_1d()
+        records = [experiments.run_replicate(cfg, rep) for rep in range(3)]
+        rec = records[2]
+        records[2] = dataclasses.replace(
+            rec,
+            simplex_dims=rec.simplex_dims[1:],
+            simplex_radii=rec.simplex_radii[1:],
+            simplex_in_window=rec.simplex_in_window[1:],
+        )
+        report = experiments.ExperimentReport(
+            cfg=cfg, r0=math.inf, interval_rates=[], simplex_rates=[], records=records
+        )
+        failures = experiments.reconcile_simplex_counts(report).failures
+        assert failures
+        assert all(f.startswith("replicate 2, r0=") for f in failures)
+        assert "r0=inf: dimension 0 has" in "".join(failures)
 
 
 class TestKSGammaTest:
@@ -361,7 +380,15 @@ class TestBPIdentity:
         check = experiments.verify_bp_identity(
             2, 1, 1, test_function="bump", samples=200_000, seed=0
         )
-        assert check.right.hex() == "0x1.15152460c34c7p+0"
+        assert check.right.hex() == "0x1.18a8a02da0a1bp+0"
+
+    def test_bump_proposal_keeps_effective_samples(self):
+        # r and y from the conditionals of exp(-(n + 6)/2 sum_i |x_i|^2): the
+        # Gaussian's own conditionals kept 9% of the samples here
+        check = experiments.verify_bp_identity(
+            2, 1, 1, test_function="bump", samples=200_000, seed=0
+        )
+        assert check.right_ess >= 0.3 * check.samples
 
     def test_one_row_chunks_keep_only_the_workers_in_flight(self, monkeypatch, pool_log):
         def run():
@@ -459,7 +486,7 @@ class TestBPIdentity:
         ),
         (2, 1, 1, "bump"): (
             "0x1.18bc4418cafdfp+0",
-            "0x1.12e141ba6b04ep+0", ("0x1.0917175e41c00p+0", "0x1.1cab6c169449cp+0"),
+            "0x1.19b33f51bd49ep+0", ("0x1.15a9dee24fbe3p+0", "0x1.1dbc9fc12ad59p+0"),
         ),
         (3, 1, 0, "gaussian"): (
             "0x1.645f7c63f2c6bp+2",

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -605,6 +606,86 @@ class TestMosaic:
             geomcore.radius_and_intervals(y, w, faces)
 
 
+class TestCertificates:
+    """Every refusal of ``lower_hull`` and ``radius_and_intervals``, each from
+    an input that trips it, or with Qhull or the solve replaced where no
+    input can."""
+
+    @staticmethod
+    def _planar():
+        cloud = random_cloud(np.random.default_rng(8), 30, 2, 5.0, (-1.2, 1.2))
+        y, w = geomcore.slice_cloud(cloud, 2)
+        return y, w, geomcore.lower_hull(y, w)
+
+    def test_anchor_on_a_generator(self):
+        # the edge's equal-power point is generator 1 itself
+        y, w = np.array([[0.0], [1.0]]), np.array([0.0, -1.0])
+        with pytest.raises(DegeneracyError, match="on a facet hyperplane"):
+            geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
+
+    def test_cell_listed_twice(self):
+        y, w, faces = self._planar()
+        mosaic = geomcore.radius_and_intervals(y, w, faces)
+        top = np.flatnonzero(mosaic.dims == 2)
+        claiming = top[mosaic.lower[mosaic.interval_id[top]] != top][0]
+        faces[2] = np.concatenate([faces[2], faces[2][[claiming - top[0]]]])
+        with pytest.raises(MosaicError, match="claimed by two upper bounds"):
+            geomcore.radius_and_intervals(y, w, faces)
+
+    def test_claimed_edge_missing(self):
+        y, w, faces = self._planar()
+        mosaic = geomcore.radius_and_intervals(y, w, faces)
+        edges = np.flatnonzero(mosaic.dims == 1)
+        claimed = edges[mosaic.dims[mosaic.upper[mosaic.interval_id[edges]]] == 2][0]
+        faces[1] = np.delete(faces[1], claimed - edges[0], axis=0)
+        with pytest.raises(MosaicError, match="claimed face is not in the mosaic"):
+            geomcore.radius_and_intervals(y, w, faces)
+
+    def test_vertex_claims_of_a_tie(self):
+        # edge (0, 2)'s equal-power point is exactly generator 2; the solve's
+        # rounding of sqrt(2) leaves that coordinate just off 0, and the
+        # vertex certificate refuses the claims that follow
+        y, w = np.array([[1.0, -1.0], [1.0, 2.0], [2.0, -2.0]]), np.array([-2.0, -2.0, -4.0])
+        assert exact_barycentric(y[[0, 2]], w[[0, 2]]) == [0, 1]
+        with pytest.raises(MosaicError, match="vertex claims disagree"):
+            geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
+
+    def test_equal_power_certificate(self, monkeypatch):
+        # a correct solve meets it to rounding, so the solve is skewed
+        solve = geomcore._equal_power
+
+        def skewed(e, b):
+            u, lam = solve(e, b)
+            return 1.01 * u, lam
+
+        monkeypatch.setattr(geomcore, "_equal_power", skewed)
+        with pytest.raises(MosaicError, match="equal-power certificate"):
+            geomcore.radius_and_intervals(*self._planar())
+
+    def test_flat_lift(self):
+        y = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        with pytest.raises(DegeneracyError, match="degenerate lifted configuration") as raised:
+            geomcore.lower_hull(y, np.zeros(4))
+        assert "Initial simplex is flat" in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "facets,normal,message",
+        [
+            ([[0, 1, 2], [0, 1, 3], [0, 1, 4]], -1.0, "a ridge belongs to more than two facets"),
+            ([[0, 1, 2], [1, 2, 3]], 1.0, "no downward-facing hull facets"),
+        ],
+    )
+    def test_qhull_facets_refused(self, monkeypatch, facets, normal, message):
+        # a hull Qhull builds has neither: replaced by these facets
+        equations = np.zeros((len(facets), 4))
+        equations[:, 2] = normal
+        hull = types.SimpleNamespace(simplices=np.array(facets), equations=equations)
+        monkeypatch.setattr(geomcore, "ConvexHull", lambda *args, **kwargs: hull)
+        y = np.random.default_rng(0).uniform(0.0, 1.0, (5, 2))
+        with pytest.raises((DegeneracyError, MosaicError), match=message):
+            geomcore.lower_hull(y, np.zeros(5))
+
+
 class TestIntervalViolations:
     """The shared audit reports each fault injected into a copy of a real
     mosaic's columns or intervals."""
@@ -669,21 +750,25 @@ class TestIntervalViolations:
 class TestAnchorAccuracy:
     """Anchors against exact rational solves, in window units."""
 
-    def _worst_error(self, cfg, replicate, dim):
-        mosaic = build(replicate_points(cfg, replicate), cfg.k)
-        y, w = mosaic.y, mosaic.w
-        top = mosaic.faces[dim]
-        assert dim == cfg.k and len(top) > 1000  # top simplices anchor themselves
-        anchors = mosaic.anchors[mosaic.dims == dim]
+    @staticmethod
+    def _error(mosaic, bounds):
+        """Largest coordinate error of the anchors of the upper-bound rows ``bounds``."""
+        rows = [list(mosaic.simplices[r]) for r in bounds.tolist()]
         return max(
             abs(float(Fraction(float(a)) - b))
-            for row, anchor in zip(top, anchors)
-            for a, b in zip(anchor, exact_anchor(y[row], w[row]))
+            for row, anchor in zip(rows, mosaic.anchors[bounds])
+            for a, b in zip(anchor, exact_anchor(mosaic.y[row], mosaic.w[row]))
         )
 
+    def _worst_error(self, cfg, replicate, dim):
+        mosaic = build(replicate_points(cfg, replicate), cfg.k)
+        top = np.flatnonzero(mosaic.dims == dim)
+        assert dim == cfg.k and len(top) > 1000  # top simplices anchor themselves
+        return self._error(mosaic, top)
+
     def test_triangle_anchors(self):
-        # criterion-7 replicate 0, sliver triangles included; normal
-        # equations in place of the square solve err by about 2e-6 here
+        # criterion-7 replicate 0, sliver triangles included; the normal
+        # equations, the Gram system, err by about 2e-6 here
         cfg = SamplingConfig(n=3, rho=1.0, window=((0.0, 20.0),) * 2, buffer=1.0, seed=2025)
         assert self._worst_error(cfg, 0, 2) <= 1e-9
 
@@ -692,6 +777,17 @@ class TestAnchorAccuracy:
         # on differences of the lift |y|^2 - w errs by about 1e-9 here
         cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=201)
         assert self._worst_error(cfg, 6, 1) <= 1e-10
+
+    def test_sliver_sample_face_anchors(self):
+        # the 40 triangle upper bounds of the sliver sample with the largest
+        # cond(e e^T): the Gram system, whose condition number that is,
+        # erred by 2.6e-13 here
+        mosaic = sliver_mosaic()
+        bounds = mosaic.upper[mosaic.dims[mosaic.upper] == 2]
+        cells = np.array([mosaic.simplices[r] for r in bounds.tolist()])
+        e = mosaic.y[cells[:, 1:]] - mosaic.y[cells[:, :1]]
+        worst = bounds[np.argsort(np.linalg.cond(e @ np.swapaxes(e, 1, 2)))[-40:]]
+        assert self._error(mosaic, worst) <= 1e-13
 
     @pytest.mark.parametrize(
         "n,window",
@@ -720,8 +816,8 @@ class TestAnchorAccuracy:
         assert positive == (mosaic.dims[mosaic.lower[mosaic.interval_id[bounds]]] + 1).tolist()
 
     def test_sliver_sample_decomposes(self):
-        # the top level's signs come from the square system, not from the
-        # Gram matrix, which is singular in floating point at the sliver
+        # the signs come from a QR of e, not from the Gram matrix, which is
+        # singular in floating point at the sliver
         cfg = dataclasses.replace(SLIVER_CFG, buffer=sampler.choose_buffer(SLIVER_CFG, 1 - 1e-6))
         record = experiments.run_replicate(cfg, 69)
         assert record.num_points == 4439
