@@ -389,10 +389,16 @@ _Moments = tuple[int, float, float]
 
 
 def _moments(vals: np.ndarray) -> _Moments:
-    """Two-pass moments of one chunk; no sum of squares, so no cancellation."""
+    """Two-pass moments of one chunk; no sum of squares, so no cancellation.
+
+    M2 is an einsum, which never calls BLAS: a threaded BLAS dot splits the
+    sum by thread count, and its idle threads spin on the bp pool's cores.
+    The bits depend neither on the number of workers nor on the number of
+    BLAS threads.
+    """
     mean = float(np.mean(vals))
     dev = vals - mean
-    return vals.size, mean, float(np.dot(dev, dev))
+    return vals.size, mean, float(np.einsum("i,i->", dev, dev))
 
 
 def _merge_moments(a: _Moments, b: _Moments) -> _Moments:
@@ -662,7 +668,8 @@ def verify_bp_identity(
     thread pool of ``min(chunks, usable CPUs)`` workers, with at most one
     chunk per worker submitted ahead of the merge, and their results are
     merged in chunk order: the output bits do not depend on the number of
-    workers.
+    workers. Up to m = 2 no chunk calls BLAS, so they do not depend on the
+    number of BLAS threads either.
 
     The right CI is a 95% normal interval whose variance comes from
     per-chunk two-pass moments merged with the Chan-Golub-LeVeque update, so

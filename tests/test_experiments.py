@@ -4,9 +4,12 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from anchormosaic.errors import InsufficientSampleError
 from anchormosaic.sampler import SamplingConfig
 
 from oracles import beta_fn, beta_inc, regularized_lower_gamma
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def cfg_1d(**overrides):
@@ -503,6 +508,33 @@ class TestBPIdentity:
         )
         got = (check.left.hex(), check.right.hex(), tuple(v.hex() for v in check.right_ci))
         assert got == self.PINNED[case]
+
+    def test_bits_pinned_above_blas_threading(self):
+        # chunks of 100_000 rows, above the 10_000 elements at which OpenBLAS
+        # splits a dot over its threads; right_ess reads the merged M2
+        check = experiments.verify_bp_identity(3, 2, 1, samples=200_000, chunk=100_000, seed=3)
+        assert check.right.hex() == "0x1.f0225d26f32acp+4"
+        assert tuple(v.hex() for v in check.right_ci) == (
+            "0x1.ecc9616dd597ep+4", "0x1.f37b58e010bdap+4",
+        )
+        assert check.right_ess.hex() == "0x1.cf9f7662beb3bp+15"
+
+    def test_moments_bits_do_not_depend_on_blas_threads(self):
+        # one 200_000-row chunk's M2, in interpreters with 1 and 2 BLAS threads
+        code = (
+            "import numpy as np; from anchormosaic import experiments; "
+            "x = np.random.Generator(np.random.Philox(key=0)).standard_normal(200_000); "
+            "print(experiments._moments(x)[2].hex())"
+        )
+        got = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            got.append(done.stdout.strip())
+        assert got[0] == got[1]
 
     def test_point_case_has_full_effective_sample_size(self):
         # m = 0: every right-side weight is the same constant
