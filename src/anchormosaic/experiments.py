@@ -428,16 +428,27 @@ _MIX_PROBS = np.array([0.5] + [0.5 / len(_VMF_KAPPAS)] * len(_VMF_KAPPAS))
 _KAPPA_LADDER = np.array((0.0,) + _VMF_KAPPAS)
 
 
-def _sample_vmf(rng: np.random.Generator, centers: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """von Mises-Fisher draws on S^(d-1), d in {2, 3}: one per row, around the
-    row's unit center with the row's own kappa; kappa = 0 draws uniformly."""
+def _draw_vmf(rng: np.random.Generator, comp: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
+    """The variates of one von Mises-Fisher draw on S^(d-1) per row, d in
+    {2, 3}, with the row's kappa ``_KAPPA_LADDER[comp]``: the angle from the
+    center at d = 2; the cosine's uniform xi and the azimuth phi at d = 3."""
+    if d == 2:
+        # numpy's vonmises returns a uniform angle for kappa < 1e-8
+        return (rng.vonmises(0.0, _KAPPA_LADDER[comp]),)
+    return rng.random(comp.size), rng.uniform(0.0, 2.0 * math.pi, comp.size)
+
+
+def _place_vmf(
+    centers: np.ndarray, comp: np.ndarray, variates: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """The vMF draws of ``_draw_vmf``'s variates on S^(d-1): one per row,
+    around the row's unit center with kappa ``_KAPPA_LADDER[comp]``;
+    kappa = 0 is uniform."""
     count, d = centers.shape
     draws = np.empty((count, d))
     c0, c1 = centers[:, 0], centers[:, 1]
     if d == 2:
-        # the angle from the center; numpy's vonmises returns a uniform angle
-        # for kappa < 1e-8
-        angle = rng.vonmises(0.0, kappa)
+        (angle,) = variates
         cos_a, sin_a = np.cos(angle), np.sin(angle)
         draws[:, 0] = cos_a * c0 - sin_a * c1
         draws[:, 1] = sin_a * c0 + cos_a * c1
@@ -445,7 +456,8 @@ def _sample_vmf(rng: np.random.Generator, centers: np.ndarray, kappa: np.ndarray
     # inverse CDF in the cosine, whose kappa -> 0 limit is 2 xi - 1, and a
     # uniform azimuth in the frame t1 = c x a / |c x a|, t2 = c x t1, where
     # the axis a is e_0 unless |c_0| >= 0.9, then e_1
-    xi = rng.random(count)
+    xi, phi = variates
+    kappa = _KAPPA_LADDER[comp]
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_t = np.where(
             kappa > 0.0,
@@ -454,7 +466,6 @@ def _sample_vmf(rng: np.random.Generator, centers: np.ndarray, kappa: np.ndarray
         )
     cos_t = np.clip(cos_t, -1.0, 1.0)
     sin_t = np.sqrt(1.0 - cos_t * cos_t)
-    phi = rng.uniform(0.0, 2.0 * math.pi, count)
     p, q = sin_t * np.cos(phi), sin_t * np.sin(phi)
     c2 = centers[:, 2]
     first = np.abs(c0) < 0.9
@@ -481,6 +492,19 @@ def _log_vmf_norm(kappa: float, d: int) -> float:
 _NEGLIGIBLE_EXPONENT = -40.0
 
 
+def _vmf_terms(d: int) -> tuple[tuple[float, float, float], ...]:
+    """(kappa, log c_kappa, cut) per kappa in ``_VMF_KAPPAS``: below the cut
+    in cos - 1, the kappa's exponent lies under ``_NEGLIGIBLE_EXPONENT``."""
+    terms = []
+    for kappa in _VMF_KAPPAS:
+        log_norm = _log_vmf_norm(kappa, d)
+        terms.append((kappa, log_norm, (_NEGLIGIBLE_EXPONENT - log_norm) / kappa))
+    return tuple(terms)
+
+
+_VMF_TERMS = {d: _vmf_terms(d) for d in (2, 3)}
+
+
 def _log_mixture_density(cos_angle: np.ndarray, d: int, sigma_d: float) -> np.ndarray:
     """log of the defensive vMF mixture density at cos(u_i, u_0), per row;
     ``sigma_d`` is the surface area of S^(d-1).
@@ -489,44 +513,69 @@ def _log_mixture_density(cos_angle: np.ndarray, d: int, sigma_d: float) -> np.nd
     order. A term whose exponent kappa (cos - 1) + log c_kappa lies below
     ``_NEGLIGIBLE_EXPONENT`` is under half an ulp of the sum, so leaving it
     out changes no bit; each kappa is evaluated only on the rows above its
-    cut. With the rows sorted by cosine once, those rows are a suffix.
+    cut, from ``_VMF_TERMS``. With the rows sorted by cosine once, those
+    rows are a suffix. Each row's value does not depend on the other rows.
     """
     order = np.argsort(cos_angle)
     t = cos_angle[order] - 1.0
     dens = np.full(t.shape, _MIX_PROBS[0] / sigma_d)
-    for c, kappa in enumerate(_VMF_KAPPAS, start=1):
-        log_norm = _log_vmf_norm(kappa, d)
-        lo = np.searchsorted(t, (_NEGLIGIBLE_EXPONENT - log_norm) / kappa)
+    for c, (kappa, log_norm, cut) in enumerate(_VMF_TERMS[d], start=1):
+        lo = np.searchsorted(t, cut)
         dens[lo:] += _MIX_PROBS[c] * np.exp(kappa * t[lo:] + log_norm)
     log_dens = np.empty_like(dens)
     log_dens[order] = np.log(dens)
     return log_dens
 
 
-def _sphere_mixture(
-    rng: np.random.Generator, chunk: int, m: int, d: int, sigma_d: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample m+1 sphere points per row and return them with log q(u);
-    ``sigma_d`` is the surface area of S^(d-1).
+# a sphere point u_1..u_m of every row of a chunk: its component index, then
+# its vMF variates from _draw_vmf
+_SpherePoint = tuple[np.ndarray, ...]
+
+
+def _draw_sphere(
+    rng: np.random.Generator, size: int, m: int, d: int
+) -> tuple[np.ndarray, list[_SpherePoint]]:
+    """The draw step: every variate of ``size`` rows' m + 1 sphere points,
+    in stream order. First the (size, d) normals whose directions are u_0,
+    then per sphere point u_1..u_m each row's mixture component, stored as
+    ``uint8`` and drawn from ``_MIX_PROBS``, and its ``_draw_vmf`` variates.
 
     u_0 is uniform; u_1..u_m come from a half-uniform, half-vMF(u_0) mixture
     over a ladder of concentrations, which keeps the weights bounded near the
     aligned configurations where the parameter-space integrand blows up.
-
-    Each sphere point is one pass: every row draws its component, then one
-    vMF draw with that component's kappa from ``_KAPPA_LADDER``, where
-    kappa = 0 is the uniform component.
+    Component 0 is the uniform one, kappa = 0 in ``_KAPPA_LADDER``.
     """
-    u = np.empty((chunk, m + 1, d))
-    raw = rng.standard_normal((chunk, d))
-    u[:, 0] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    log_q = np.full(chunk, -math.log(sigma_d))
-    for i in range(1, m + 1):
-        kappa = _KAPPA_LADDER[rng.choice(len(_KAPPA_LADDER), size=chunk, p=_MIX_PROBS)]
-        draw = _sample_vmf(rng, u[:, 0], kappa)
+    raw = rng.standard_normal((size, d))
+    points = []
+    for _ in range(m):
+        comp = rng.choice(len(_KAPPA_LADDER), size=size, p=_MIX_PROBS).astype(np.uint8)
+        points.append((comp, *_draw_vmf(rng, comp, d)))
+    return raw, points
+
+
+def _sphere_rows(
+    raw: np.ndarray, points: list[_SpherePoint], rows: slice
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sphere points of ``rows`` from ``_draw_sphere``'s variates: u
+    (rows, m+1, d) and, per u_1..u_m, each row's cos(u_i, u_0)."""
+    centers = raw[rows]
+    u = np.empty((len(centers), len(points) + 1, centers.shape[1]))
+    u[:, 0] = centers / np.linalg.norm(centers, axis=1, keepdims=True)
+    cosines = []
+    for i, (comp, *variates) in enumerate(points, start=1):
+        draw = _place_vmf(u[:, 0], comp[rows], tuple(v[rows] for v in variates))
         u[:, i] = draw
-        log_q += _log_mixture_density(np.einsum("cj,cj->c", draw, u[:, 0]), d, sigma_d)
-    return u, log_q
+        cosines.append(np.einsum("cj,cj->c", draw, u[:, 0]))
+    return u, cosines
+
+
+def _log_proposal(count: int, cosines: list[np.ndarray], d: int, sigma_d: float) -> np.ndarray:
+    """log q(u) of ``count`` rows from ``_sphere_rows``' cosines: u_0's
+    uniform density 1 / sigma_d times each u_i's mixture density."""
+    log_q = np.full(count, -math.log(sigma_d))
+    for cos_angle in cosines:
+        log_q += _log_mixture_density(cos_angle, d, sigma_d)
+    return log_q
 
 
 def _log_simplex_volume(u: np.ndarray) -> np.ndarray:
@@ -568,6 +617,82 @@ def _centroid_spread(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, delta
 
 
+# rows per block of a bp chunk's row step: a block's temporaries, up to
+# about 280 bytes a row, stay within a few MB
+_BLOCK_ROWS = 2**15
+
+
+def _gaussian_rows(
+    raw: np.ndarray,
+    points: list[_SpherePoint],
+    rows: slice,
+    n: int,
+    k: int,
+    sigma_d: float,
+    grass: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row step: log of the Gaussian's weight at ``rows`` of
+    ``_draw_sphere``'s variates, with r and y integrated out, and delta.
+
+    sum_i |x_i|^2 = delta r^2 + (m + 1) |y + r s / (m + 1)|^2, so the
+    Gaussian's r and y integrals are int r^alpha e^(-delta r^2) dr =
+    Gamma(a_r) / (2 delta^a_r) and (pi / (m + 1))^(k/2); a row with
+    delta = 0 has coincident points and gets a non-finite weight.
+    """
+    m, d = len(points), raw.shape[1]
+    a_r = (n * (m + 1) - k) / 2.0
+    u, cosines = _sphere_rows(raw, points, rows)
+    _, delta = _centroid_spread(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = (
+            (k - m + 1) * _log_simplex_volume(u)
+            - _log_proposal(len(u), cosines, d, sigma_d)
+            + math.log(grass)
+            + (math.lgamma(a_r) - math.log(2.0) - a_r * np.log(delta))
+            + k / 2.0 * math.log(math.pi / (m + 1))
+        )
+    return log_w, delta
+
+
+def _bump_lambda(n: int) -> float:
+    """lam of the bump's proposal exp(-lam sum_i |x_i|^2) for r and y."""
+    return (n + 6) / 2.0
+
+
+def _bump_rows(
+    raw: np.ndarray,
+    points: list[_SpherePoint],
+    rows: slice,
+    n: int,
+    k: int,
+    log_w: np.ndarray,
+    delta: np.ndarray,
+    g: np.ndarray,
+    z: np.ndarray,
+) -> np.ndarray:
+    """The bump's weights at ``rows``, from the rows' Gaussian ``log_w`` and
+    ``delta`` of ``_gaussian_rows`` and their r^2 = g and normals z, which
+    give y; exp(lam delta g + |z|^2 / 2) is exp(lam sum_i |x_i|^2)."""
+    m = len(points)
+    a_r = (n * (m + 1) - k) / 2.0
+    lam = _bump_lambda(n)
+    u, _ = _sphere_rows(raw, points, rows)
+    s, _ = _centroid_spread(u)
+    # a row with delta = 0 has g = inf and u_i = u_0, so r u_i[m:] may be nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(g)
+        y = z / math.sqrt(2.0 * lam * (m + 1))
+        y[:, :m] -= (r / (m + 1))[:, None] * s
+        x_right = np.zeros((len(u), m + 1, n))
+        x_right[:, :, :m] = r[:, None, None] * u[:, :, :m]
+        x_right[:, :, k:] = r[:, None, None] * u[:, :, m:]
+        x_right[:, :, :k] += y[:, None, :]
+        fx = _bump_f(x_right)
+        log_w = log_w - (a_r + k / 2.0) * math.log(lam) + lam * delta * g
+        log_w = log_w + 0.5 * np.einsum("cj,cj->c", z, z)
+        return np.where(fx > 0, fx * np.exp(log_w), 0.0)
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on; all of them where the platform cannot say."""
     if hasattr(os, "sched_getaffinity"):
@@ -592,51 +717,42 @@ def _bp_chunk(
     row's m-plane is the span of the first m slice axes, so point i sits at
     r (u_i[:m], 0, u_i[m:]) + (y, 0).
 
+    The chunk takes every sphere variate from its stream at once
+    (``_draw_sphere``), then turns its rows into u, log q(u) and weights in
+    blocks of ``_BLOCK_ROWS``, written into one weight array; the bump's r
+    and y, which need every row's delta, are drawn for the whole chunk after
+    the first pass over the blocks, and its x is formed in a second pass.
+    Each row's arithmetic does not depend on the other rows of its block, so
+    the bits do not depend on the block size.
+
     ``sigma_d`` is the surface area of S^(d-1) and ``grass`` the Grassmannian
     volume (1 for m = k), both computed once by the caller, so that a worker
     thread calls no public function of the package.
     """
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
-    d = m + n - k
-    a_r = (n * (m + 1) - k) / 2.0
-    u, log_qu = _sphere_mixture(rng, size, m, d, sigma_d)
-    s, delta = _centroid_spread(u)
-    # sum_i |x_i|^2 = delta r^2 + (m + 1) |y + r s / (m + 1)|^2, so the
-    # Gaussian's r and y integrals are int r^alpha e^(-delta r^2) dr =
-    # Gamma(a_r) / (2 delta^a_r) and (pi / (m + 1))^(k/2); a row with
-    # delta = 0 has coincident points and gets a non-finite weight or 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_w = (
-            (k - m + 1) * _log_simplex_volume(u)
-            - log_qu
-            + math.log(grass)
-            + (math.lgamma(a_r) - math.log(2.0) - a_r * np.log(delta))
-            + k / 2.0 * math.log(math.pi / (m + 1))
-        )
-        if bump:
-            # r and y from the conditionals of exp(-lam sum_i |x_i|^2), whose
-            # second moment per point, n / (2 lam), is the bump's n / (n + 6);
-            # exp(lam delta g + |z|^2 / 2) is exp(lam sum_i |x_i|^2)
-            lam = (n + 6) / 2.0
-            g = rng.gamma(a_r, 1.0 / (lam * delta))
-            r = np.sqrt(g)
-            z = rng.standard_normal((size, k))
-            y = z / math.sqrt(2.0 * lam * (m + 1))
-            y[:, :m] -= (r / (m + 1))[:, None] * s
-            x_right = np.zeros((size, m + 1, n))
-            x_right[:, :, :m] = r[:, None, None] * u[:, :, :m]
-            x_right[:, :, k:] = r[:, None, None] * u[:, :, m:]
-            x_right[:, :, :k] += y[:, None, :]
-            fx = _bump_f(x_right)
-            log_w = log_w - (a_r + k / 2.0) * math.log(lam) + lam * delta * g
-            log_w = log_w + 0.5 * np.einsum("cj,cj->c", z, z)
-            w = np.where(fx > 0, fx * np.exp(log_w), 0.0)
-        else:
-            w = np.exp(log_w)
-    finite = np.isfinite(w)
-    nonfinite = size - int(np.count_nonzero(finite))
-    w = np.where(finite, w, 0.0)
-    return _moments(w), nonfinite, float(np.max(w))
+    raw, points = _draw_sphere(rng, size, m, m + n - k)
+    blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, size, _BLOCK_ROWS)]
+    w = np.empty(size)
+    if bump:
+        # first the log weights before r and y, then the weights
+        delta = np.empty(size)
+        for rows in blocks:
+            w[rows], delta[rows] = _gaussian_rows(raw, points, rows, n, k, sigma_d, grass)
+        # r and y from the conditionals of exp(-lam sum_i |x_i|^2), whose
+        # second moment per point, n / (2 lam), is the bump's n / (n + 6)
+        with np.errstate(divide="ignore"):
+            g = rng.gamma((n * (m + 1) - k) / 2.0, 1.0 / (_bump_lambda(n) * delta))
+        z = rng.standard_normal((size, k))
+        for rows in blocks:
+            w[rows] = _bump_rows(raw, points, rows, n, k, w[rows], delta[rows], g[rows], z[rows])
+    else:
+        for rows in blocks:
+            log_w, _ = _gaussian_rows(raw, points, rows, n, k, sigma_d, grass)
+            with np.errstate(invalid="ignore"):
+                w[rows] = np.exp(log_w)
+    nonfinite = ~np.isfinite(w)
+    w[nonfinite] = 0.0
+    return _moments(w), int(np.count_nonzero(nonfinite)), float(np.max(w))
 
 
 def verify_bp_identity(
@@ -669,7 +785,9 @@ def verify_bp_identity(
     chunk per worker submitted ahead of the merge, and their results are
     merged in chunk order: the output bits do not depend on the number of
     workers. Up to m = 2 no chunk calls BLAS, so they do not depend on the
-    number of BLAS threads either.
+    number of BLAS threads either. Each chunk keeps only its draws and its
+    weights per row, and weighs its rows in blocks of ``_BLOCK_ROWS`` (see
+    ``_bp_chunk``).
 
     The right CI is a 95% normal interval whose variance comes from
     per-chunk two-pass moments merged with the Chan-Golub-LeVeque update, so

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -417,11 +418,13 @@ class TestBPIdentity:
         assert pool_log.workers == [3, 1]
 
     def test_chunk_error_reaches_caller(self, monkeypatch):
-        # only the last chunk, of 500 rows, fails; the others complete
+        # only the last chunk, of 500 rows, fails; the others complete. Then
+        # chunks of 40_000 rows, blocks of 32_768 and 7_232 rows, fail in
+        # their second block
         volume = experiments._log_simplex_volume
 
         def failing(u):
-            if len(u) == 500:
+            if len(u) in (500, 7_232):
                 raise FloatingPointError("chunk failed")
             return volume(u)
 
@@ -429,6 +432,8 @@ class TestBPIdentity:
         monkeypatch.setattr(experiments, "_log_simplex_volume", failing)
         with pytest.raises(FloatingPointError, match="chunk failed"):
             experiments.verify_bp_identity(2, 1, 1, samples=3_500, seed=8, chunk=1_000)
+        with pytest.raises(FloatingPointError, match="chunk failed"):
+            experiments.verify_bp_identity(2, 1, 1, samples=100_000, seed=8, chunk=40_000)
 
     def test_merged_moments_match_two_pass(self):
         # a large offset with a unit spread: E[x^2] - mean^2 loses every digit
@@ -518,6 +523,78 @@ class TestBPIdentity:
             "0x1.ecc9616dd597ep+4", "0x1.f37b58e010bdap+4",
         )
         assert check.right_ess.hex() == "0x1.cf9f7662beb3bp+15"
+
+    # float.hex of (right, right_ci, right_ess) at samples=150_000,
+    # chunk=70_000, seed=3: chunks of 70_000, 70_000 and 10_000 rows, each
+    # ending in a partial block of the row step
+    MULTI_BLOCK_PINNED = {
+        (2, 1, 1, "gaussian"): (
+            "0x1.3b60723b4e240p+3", ("0x1.3980dea4a5319p+3", "0x1.3d4005d1f7167p+3"),
+            "0x1.ecdc2e0a434fcp+15",
+        ),
+        (3, 2, 2, "gaussian"): (
+            "0x1.5fc568bf1a6fbp+7", ("0x1.5539002dc8305p+7", "0x1.6a51d1506caf1p+7"),
+            "0x1.039e8ed901153p+12",
+        ),
+        (3, 2, 1, "gaussian"): (
+            "0x1.efc795f34e0d9p+4", ("0x1.ebea97700c099p+4", "0x1.f3a4947690119p+4"),
+            "0x1.5ba5920570053p+15",
+        ),
+        (2, 2, 2, "gaussian"): (
+            "0x1.efe88ef170b0bp+4", ("0x1.eb9c4b22a209ap+4", "0x1.f434d2c03f57cp+4"),
+            "0x1.29f872ee68d25p+15",
+        ),
+        (2, 1, 1, "bump"): (
+            "0x1.183b19b16c1a1p+0", ("0x1.16706c36c0704p+0", "0x1.1a05c72c17c3ep+0"),
+            "0x1.c3624ca7742f6p+15",
+        ),
+        (3, 2, 1, "bump"): (
+            "0x1.d56eb1af3cba7p-1", ("0x1.d147cde6faba7p-1", "0x1.d99595777eba7p-1"),
+            "0x1.210938e066a67p+15",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "case", list(MULTI_BLOCK_PINNED), ids=lambda c: "{}-{}-{}-{}".format(*c)
+    )
+    def test_multi_block_bits_pinned(self, case):
+        # the bits of the kernel that drew and weighed each chunk whole
+        n, k, m, kind = case
+        check = experiments.verify_bp_identity(
+            n, k, m, test_function=kind, samples=150_000, chunk=70_000, seed=3
+        )
+        got = (check.right.hex(), tuple(v.hex() for v in check.right_ci), check.right_ess.hex())
+        assert got == self.MULTI_BLOCK_PINNED[case]
+
+    def test_bits_pinned_with_a_block_boundary_at_the_chunk_end(self):
+        # chunks of 65_536 rows, two whole blocks each: a block boundary falls
+        # at the chunk's end
+        check = experiments.verify_bp_identity(3, 2, 2, samples=131_072, chunk=65_536, seed=3)
+        assert check.right.hex() == "0x1.58088873cc7fcp+7"
+        assert tuple(v.hex() for v in check.right_ci) == (
+            "0x1.4d0f4242e24bcp+7", "0x1.6301cea4b6b3cp+7",
+        )
+        assert check.right_ess.hex() == "0x1.cac15839a975cp+11"
+
+    # tracemalloc peak of one 200_000-row chunk, in bytes per row, of the
+    # kernel that held each chunk's temporaries whole
+    WHOLE_CHUNK_BYTES_PER_ROW = {(2, 1, 1): 128, (3, 2, 2): 281, (3, 2, 1): 128, (2, 2, 2): 152}
+
+    @pytest.mark.parametrize("n,k,m", list(WHOLE_CHUNK_BYTES_PER_ROW))
+    def test_chunk_memory_is_at_most_half_of_whole_chunk(self, n, k, m):
+        # only the draws and the weights are held per row; each block's
+        # temporaries are freed before the next block
+        size = 200_000
+        d = m + n - k
+        args = (n, k, m, False, constants.sphere_surface(d), constants.grassmannian_volume(m, k))
+        experiments._bp_chunk(0, 0, 1_000, *args)
+        tracemalloc.start()
+        try:
+            experiments._bp_chunk(0, 0, size, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / size <= 0.5 * self.WHOLE_CHUNK_BYTES_PER_ROW[(n, k, m)]
 
     def test_moments_bits_do_not_depend_on_blas_threads(self):
         # one 200_000-row chunk's M2, in interpreters with 1 and 2 BLAS threads
@@ -701,8 +778,9 @@ class TestSampleVMF:
     PER_KAPPA = 20_000
 
     def _draw(self, rng, centers):
-        kappa = np.repeat(experiments._KAPPA_LADDER, self.PER_KAPPA)
-        draws = experiments._sample_vmf(rng, centers, kappa)
+        comp = np.repeat(np.arange(len(experiments._KAPPA_LADDER), dtype=np.uint8), self.PER_KAPPA)
+        d = centers.shape[1]
+        draws = experiments._place_vmf(centers, comp, experiments._draw_vmf(rng, comp, d))
         np.testing.assert_allclose(np.linalg.norm(draws, axis=1), 1.0, rtol=1e-14)
         return draws.reshape(len(experiments._KAPPA_LADDER), self.PER_KAPPA, -1)
 
@@ -733,23 +811,15 @@ class TestSampleVMF:
             assert np.all(np.abs(np.mean(x, axis=0) - expected) < 4.0 * se), kappa
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_component_frequencies(self, d, monkeypatch):
-        # the per-row kappas that _sphere_mixture asks for follow _MIX_PROBS
-        drawn = []
-        sample = experiments._sample_vmf
-
-        def spy(rng, centers, kappa):
-            drawn.append(kappa)
-            return sample(rng, centers, kappa)
-
-        monkeypatch.setattr(experiments, "_sample_vmf", spy)
-        experiments._sphere_mixture(
-            np.random.Generator(np.random.Philox(key=13)), 100_000, 2, d, constants.sphere_surface(d)
+    def test_component_frequencies(self, d):
+        # the per-row components that _draw_sphere draws follow _MIX_PROBS
+        _, points = experiments._draw_sphere(
+            np.random.Generator(np.random.Philox(key=13)), 100_000, 2, d
         )
-        kappa = np.concatenate(drawn)
-        counts = [np.count_nonzero(kappa == k) for k in experiments._KAPPA_LADDER]
-        assert sum(counts) == kappa.size == 200_000
-        assert stats.chisquare(counts, experiments._MIX_PROBS * kappa.size).pvalue > 1e-3
+        comp = np.concatenate([point[0] for point in points])
+        counts = [np.count_nonzero(comp == c) for c in range(len(experiments._KAPPA_LADDER))]
+        assert sum(counts) == comp.size == 200_000
+        assert stats.chisquare(counts, experiments._MIX_PROBS * comp.size).pvalue > 1e-3
 
 
 def _log_vmf_pdf(cos_angle, kappa, d):
@@ -770,6 +840,14 @@ def _full_log_density(cos_angle, d):
     return np.log(dens)
 
 
+def _sphere_sample(rng, size, m, d):
+    # u and log q(u) of `size` rows: the bp kernel's draw step, then its row
+    # step over all rows at once
+    raw, points = experiments._draw_sphere(rng, size, m, d)
+    u, cosines = experiments._sphere_rows(raw, points, slice(None))
+    return u, experiments._log_proposal(size, cosines, d, constants.sphere_surface(d))
+
+
 def _same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
@@ -778,7 +856,7 @@ class TestSphereMixture:
     @pytest.mark.parametrize("d,m", [(2, 1), (3, 1), (3, 2)])
     def test_log_density_matches_full_sum(self, d, m):
         rng = np.random.Generator(np.random.Philox(key=8))
-        u, log_q = experiments._sphere_mixture(rng, 200_000, m, d, constants.sphere_surface(d))
+        u, log_q = _sphere_sample(rng, 200_000, m, d)
         ref = np.full(u.shape[0], -math.log(constants.sphere_surface(d)))
         for i in range(1, m + 1):
             cos_angle = np.einsum("cj,cj->c", np.ascontiguousarray(u[:, i]), u[:, 0])
@@ -803,7 +881,7 @@ class TestSphereMixture:
     def test_density_is_normalised(self, d, m):
         # E_q[1/q(u)] is the volume of (S^(d-1))^(m+1); 1/q <= (2 sigma_d)^(m+1)
         rng = np.random.Generator(np.random.Philox(key=9))
-        _, log_q = experiments._sphere_mixture(rng, 200_000, m, d, constants.sphere_surface(d))
+        _, log_q = _sphere_sample(rng, 200_000, m, d)
         inv_q = np.exp(-log_q)
         se = np.std(inv_q) / math.sqrt(inv_q.size)
         assert abs(np.mean(inv_q) - constants.sphere_surface(d) ** (m + 1)) < 4.0 * se
@@ -822,7 +900,7 @@ class TestCentroidSpread:
     def test_sampler_norms_are_within_the_bound(self, d, m):
         # _centroid_spread's error bound takes |u_i|^2 within 16 u of 1
         rng = np.random.Generator(np.random.Philox(key=10))
-        u, _ = experiments._sphere_mixture(rng, 200_000, m, d, constants.sphere_surface(d))
+        u, _ = _sphere_sample(rng, 200_000, m, d)
         unit = np.finfo(float).eps / 2.0
         assert np.max(np.abs(np.einsum("cij,cij->ci", u, u) - 1.0)) <= 16.0 * unit
 
@@ -831,7 +909,7 @@ class TestCentroidSpread:
         # (2,2) draws thousands of rows whose cancelling form loses over half
         # of delta's digits; each row keeps them here
         rng = np.random.Generator(np.random.Philox(key=11))
-        u, _ = experiments._sphere_mixture(rng, 200_000, m, d, constants.sphere_surface(d))
+        u, _ = _sphere_sample(rng, 200_000, m, d)
         _, delta = experiments._centroid_spread(u)
         ref = _spread_without_cancellation(u)
         assert np.all(np.abs(delta - ref) <= math.sqrt(np.finfo(float).eps / 2.0) * ref)
@@ -846,7 +924,7 @@ class TestCentroidSpread:
 
     def test_point_case_is_one(self):
         rng = np.random.Generator(np.random.Philox(key=12))
-        u, _ = experiments._sphere_mixture(rng, 1_000, 0, 3, constants.sphere_surface(3))
+        u, _ = _sphere_sample(rng, 1_000, 0, 3)
         s, delta = experiments._centroid_spread(u)
         assert s.shape == (1_000, 0)
         assert np.all(delta == 1.0)
@@ -858,12 +936,12 @@ class TestCentroidSpread:
         # RuntimeWarning (an error under this suite's settings) is raised
         d = m + n - k
 
-        def coincident(rng, chunk, m, d, sigma_d):
-            u = np.zeros((chunk, m + 1, d))
+        def coincident(raw, points, rows):
+            u = np.zeros((len(raw[rows]), m + 1, d))
             u[:, :, 0] = 1.0
-            return u, np.zeros(chunk)
+            return u, [np.ones(len(u))] * m
 
-        monkeypatch.setattr(experiments, "_sphere_mixture", coincident)
+        monkeypatch.setattr(experiments, "_sphere_rows", coincident)
         grass = constants.grassmannian_volume(m, k) if m < k else 1.0
         (count, mean, _), nonfinite, w_max = experiments._bp_chunk(
             0, 0, 100, n, k, m, bump, constants.sphere_surface(d), grass
