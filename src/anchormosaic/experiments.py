@@ -539,6 +539,7 @@ def _draw_sphere(
     in stream order. First the (size, d) normals whose directions are u_0,
     then per sphere point u_1..u_m each row's mixture component, stored as
     ``uint8`` and drawn from ``_MIX_PROBS``, and its ``_draw_vmf`` variates.
+    The bump's r and y variates follow these in the stream (``_bp_chunk``).
 
     u_0 is uniform; u_1..u_m come from a half-uniform, half-vMF(u_0) mixture
     over a ladder of concentrations, which keeps the weights bounded near the
@@ -622,7 +623,7 @@ def _centroid_spread(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK_ROWS = 2**15
 
 
-def _gaussian_rows(
+def _row_weights(
     raw: np.ndarray,
     points: list[_SpherePoint],
     rows: slice,
@@ -630,19 +631,28 @@ def _gaussian_rows(
     k: int,
     sigma_d: float,
     grass: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The row step: log of the Gaussian's weight at ``rows`` of
-    ``_draw_sphere``'s variates, with r and y integrated out, and delta.
+    bump_draws: tuple[np.ndarray, np.ndarray] | None,
+) -> np.ndarray:
+    """The row step: the weights at ``rows`` of ``_draw_sphere``'s variates,
+    the Gaussian's if ``bump_draws`` is None, else the bump's.
 
     sum_i |x_i|^2 = delta r^2 + (m + 1) |y + r s / (m + 1)|^2, so the
     Gaussian's r and y integrals are int r^alpha e^(-delta r^2) dr =
     Gamma(a_r) / (2 delta^a_r) and (pi / (m + 1))^(k/2); a row with
     delta = 0 has coincident points and gets a non-finite weight.
+
+    The bump draws r and y from the conditionals of exp(-lam sum_i |x_i|^2),
+    whose second moment per point, n / (2 lam), is the bump's n / (n + 6):
+    ``bump_draws`` holds every row's standard-Gamma(a_r) variate, which
+    divided by lam delta is r^2 = g, and the k normals z that give y. Its
+    weight is the Gaussian one times lam^-(a_r + k/2) f(x) exp(lam sum_i
+    |x_i|^2), and exp(lam delta g + |z|^2 / 2) is exp(lam sum_i |x_i|^2).
     """
     m, d = len(points), raw.shape[1]
     a_r = (n * (m + 1) - k) / 2.0
     u, cosines = _sphere_rows(raw, points, rows)
-    _, delta = _centroid_spread(u)
+    s, delta = _centroid_spread(u)
+    # a bump row with delta = 0 has g = inf and u_i = u_0, so r u_i[m:] may be nan
     with np.errstate(divide="ignore", invalid="ignore"):
         log_w = (
             (k - m + 1) * _log_simplex_volume(u)
@@ -651,43 +661,20 @@ def _gaussian_rows(
             + (math.lgamma(a_r) - math.log(2.0) - a_r * np.log(delta))
             + k / 2.0 * math.log(math.pi / (m + 1))
         )
-    return log_w, delta
-
-
-def _bump_lambda(n: int) -> float:
-    """lam of the bump's proposal exp(-lam sum_i |x_i|^2) for r and y."""
-    return (n + 6) / 2.0
-
-
-def _bump_rows(
-    raw: np.ndarray,
-    points: list[_SpherePoint],
-    rows: slice,
-    n: int,
-    k: int,
-    log_w: np.ndarray,
-    delta: np.ndarray,
-    g: np.ndarray,
-    z: np.ndarray,
-) -> np.ndarray:
-    """The bump's weights at ``rows``, from the rows' Gaussian ``log_w`` and
-    ``delta`` of ``_gaussian_rows`` and their r^2 = g and normals z, which
-    give y; exp(lam delta g + |z|^2 / 2) is exp(lam sum_i |x_i|^2)."""
-    m = len(points)
-    a_r = (n * (m + 1) - k) / 2.0
-    lam = _bump_lambda(n)
-    u, _ = _sphere_rows(raw, points, rows)
-    s, _ = _centroid_spread(u)
-    # a row with delta = 0 has g = inf and u_i = u_0, so r u_i[m:] may be nan
-    with np.errstate(divide="ignore", invalid="ignore"):
+        if bump_draws is None:
+            return np.exp(log_w)
+        lam = (n + 6) / 2.0
+        gam, z = (v[rows] for v in bump_draws)
+        # numpy's gamma(a_r, scale) is scale * standard_gamma(a_r), row by row
+        g = gam * (1.0 / (lam * delta))
         r = np.sqrt(g)
         y = z / math.sqrt(2.0 * lam * (m + 1))
         y[:, :m] -= (r / (m + 1))[:, None] * s
-        x_right = np.zeros((len(u), m + 1, n))
-        x_right[:, :, :m] = r[:, None, None] * u[:, :, :m]
-        x_right[:, :, k:] = r[:, None, None] * u[:, :, m:]
-        x_right[:, :, :k] += y[:, None, :]
-        fx = _bump_f(x_right)
+        x = np.zeros((len(u), m + 1, n))
+        x[:, :, :m] = r[:, None, None] * u[:, :, :m]
+        x[:, :, k:] = r[:, None, None] * u[:, :, m:]
+        x[:, :, :k] += y[:, None, :]
+        fx = _bump_f(x)
         log_w = log_w - (a_r + k / 2.0) * math.log(lam) + lam * delta * g
         log_w = log_w + 0.5 * np.einsum("cj,cj->c", z, z)
         return np.where(fx > 0, fx * np.exp(log_w), 0.0)
@@ -717,13 +704,12 @@ def _bp_chunk(
     row's m-plane is the span of the first m slice axes, so point i sits at
     r (u_i[:m], 0, u_i[m:]) + (y, 0).
 
-    The chunk takes every sphere variate from its stream at once
-    (``_draw_sphere``), then turns its rows into u, log q(u) and weights in
-    blocks of ``_BLOCK_ROWS``, written into one weight array; the bump's r
-    and y, which need every row's delta, are drawn for the whole chunk after
-    the first pass over the blocks, and its x is formed in a second pass.
-    Each row's arithmetic does not depend on the other rows of its block, so
-    the bits do not depend on the block size.
+    The chunk takes every variate from its stream at once: the sphere's
+    (``_draw_sphere``), then for the bump each row's standard-Gamma variate
+    and k normals. It then weighs its rows in one pass over blocks of
+    ``_BLOCK_ROWS`` (``_row_weights``), written into one weight array. Each
+    row's arithmetic does not depend on the other rows of its block, so the
+    bits do not depend on the block size.
 
     ``sigma_d`` is the surface area of S^(d-1) and ``grass`` the Grassmannian
     volume (1 for m = k), both computed once by the caller, so that a worker
@@ -731,25 +717,14 @@ def _bp_chunk(
     """
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
     raw, points = _draw_sphere(rng, size, m, m + n - k)
-    blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, size, _BLOCK_ROWS)]
-    w = np.empty(size)
+    bump_draws = None
     if bump:
-        # first the log weights before r and y, then the weights
-        delta = np.empty(size)
-        for rows in blocks:
-            w[rows], delta[rows] = _gaussian_rows(raw, points, rows, n, k, sigma_d, grass)
-        # r and y from the conditionals of exp(-lam sum_i |x_i|^2), whose
-        # second moment per point, n / (2 lam), is the bump's n / (n + 6)
-        with np.errstate(divide="ignore"):
-            g = rng.gamma((n * (m + 1) - k) / 2.0, 1.0 / (_bump_lambda(n) * delta))
-        z = rng.standard_normal((size, k))
-        for rows in blocks:
-            w[rows] = _bump_rows(raw, points, rows, n, k, w[rows], delta[rows], g[rows], z[rows])
-    else:
-        for rows in blocks:
-            log_w, _ = _gaussian_rows(raw, points, rows, n, k, sigma_d, grass)
-            with np.errstate(invalid="ignore"):
-                w[rows] = np.exp(log_w)
+        a_r = (n * (m + 1) - k) / 2.0
+        bump_draws = rng.standard_gamma(a_r, size), rng.standard_normal((size, k))
+    w = np.empty(size)
+    for lo in range(0, size, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        w[rows] = _row_weights(raw, points, rows, n, k, sigma_d, grass, bump_draws)
     nonfinite = ~np.isfinite(w)
     w[nonfinite] = 0.0
     return _moments(w), int(np.count_nonzero(nonfinite)), float(np.max(w))
@@ -776,7 +751,8 @@ def verify_bp_identity(
     axes and the Grassmannian enters only as its volume ``grass`` (1 for
     m = k). The Gaussian integrates r and y in closed form and draws nothing
     more; only the bump draws them, from the generalized-Gamma and Gaussian
-    conditionals given u.
+    conditionals given u, as standard-Gamma and normal variates drawn after
+    the sphere's and scaled in the row step.
 
     The rows are drawn in chunks of ``chunk`` rows. Chunk i draws from its
     own stream, ``Philox(key=seed).jumped(i)``, so chunk 0 draws the key's
@@ -786,8 +762,8 @@ def verify_bp_identity(
     merged in chunk order: the output bits do not depend on the number of
     workers. Up to m = 2 no chunk calls BLAS, so they do not depend on the
     number of BLAS threads either. Each chunk keeps only its draws and its
-    weights per row, and weighs its rows in blocks of ``_BLOCK_ROWS`` (see
-    ``_bp_chunk``).
+    weights per row, and weighs its rows in one pass over blocks of
+    ``_BLOCK_ROWS``, for both test functions (see ``_bp_chunk``).
 
     The right CI is a 95% normal interval whose variance comes from
     per-chunk two-pass moments merged with the Chan-Golub-LeVeque update, so

@@ -552,6 +552,14 @@ class TestBPIdentity:
             "0x1.d56eb1af3cba7p-1", ("0x1.d147cde6faba7p-1", "0x1.d99595777eba7p-1"),
             "0x1.210938e066a67p+15",
         ),
+        (3, 2, 2, "bump"): (
+            "0x1.cba31e8d0af38p-1", ("0x1.bcd40245fefb0p-1", "0x1.da723ad416ec0p-1"),
+            "0x1.c374918aa185fp+11",
+        ),
+        (4, 3, 2, "bump"): (
+            "0x1.1eb69e3a7089ap-1", ("0x1.19e0c4bde83f7p-1", "0x1.238c77b6f8d3dp-1"),
+            "0x1.83384b1de1012p+13",
+        ),
     }
 
     @pytest.mark.parametrize(
@@ -575,6 +583,26 @@ class TestBPIdentity:
             "0x1.4d0f4242e24bcp+7", "0x1.6301cea4b6b3cp+7",
         )
         assert check.right_ess.hex() == "0x1.cac15839a975cp+11"
+
+    def test_bump_places_u_once_per_block(self, monkeypatch):
+        # a 70_000-row chunk has blocks of 32_768, 32_768 and 4_464 rows; each
+        # block places u and takes its centroid spread once for both weights
+        calls = Counter()
+
+        def spy(name):
+            real = getattr(experiments, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(experiments, name, wrapped)
+
+        spy("_sphere_rows")
+        spy("_centroid_spread")
+        sigma, grass = constants.sphere_surface(2), constants.grassmannian_volume(1, 2)
+        experiments._bp_chunk(0, 0, 70_000, 3, 2, 1, True, sigma, grass)
+        assert calls == {"_sphere_rows": 3, "_centroid_spread": 3}
 
     # tracemalloc peak of one 200_000-row chunk, in bytes per row, of the
     # kernel that held each chunk's temporaries whole
