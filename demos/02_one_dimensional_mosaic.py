@@ -20,7 +20,7 @@ faces = geomcore.lower_hull(y, w)
 print(f"surviving generators: {len(faces[0])} of {len(points)} "
       f"({len(points) - len(faces[0])} submerged)")
 
-mosaic = geomcore.radius_and_intervals(y, w, faces, window=cfg.window)
+mosaic = geomcore.radius_and_intervals(y, w, faces)
 
 names = {
     IntervalType(0, 0): "critical vertex",

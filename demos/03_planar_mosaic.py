@@ -21,7 +21,7 @@ print(f"sampled {len(cloud)} points in the buffered slab")
 
 y, w = geomcore.slice_cloud(cloud, 2)
 faces = geomcore.lower_hull(y, w)
-mosaic = geomcore.radius_and_intervals(y, w, faces, window=cfg.window)
+mosaic = geomcore.radius_and_intervals(y, w, faces)
 vertices, edges, triangles = faces
 
 print(f"triangulation: {len(vertices)} vertices, {len(edges)} edges, "
@@ -48,6 +48,6 @@ violations = sum(
 )
 print(f"\nempty-circumsphere check: {violations} violations in {len(in_window)} intervals")
 
-dump = mosaic.to_dict()
+dump = mosaic.to_dict(window=cfg.window)
 print(f"\nJSON dump: {len(dump['simplices'])} simplices, {len(dump['intervals'])} intervals")
 print(json.dumps(dump["intervals"][0], indent=2))

@@ -384,41 +384,43 @@ class BPCheck:
         return bool(self.right_ci[0] - slack <= self.analytic <= self.right_ci[1] + slack)
 
 
-# (count, mean, M2), with M2 the sum of squared deviations from the mean
-_Moments = tuple[int, float, float]
+# a bp chunk's record: (count, mean, M2, non-finite count, largest weight),
+# with M2 the sum of squared deviations from the mean
+_Record = tuple[int, float, float, int, float]
 
 
-def _moments(vals: np.ndarray) -> _Moments:
-    """Two-pass moments of one chunk; no sum of squares, so no cancellation.
+def _moments(w: np.ndarray) -> _Record:
+    """The record of one chunk's weights ``w``, whose non-finite entries it
+    sets to 0 in place and counts; two-pass moments, no sum of squares, so
+    no cancellation.
 
     M2 is an einsum, which never calls BLAS: a threaded BLAS dot splits the
     sum by thread count, and its idle threads spin on the bp pool's cores.
     The bits depend neither on the number of workers nor on the number of
     BLAS threads.
     """
-    mean = float(np.mean(vals))
-    dev = vals - mean
-    return vals.size, mean, float(np.einsum("i,i->", dev, dev))
+    nonfinite = ~np.isfinite(w)
+    w[nonfinite] = 0.0
+    mean = float(np.mean(w))
+    dev = w - mean
+    m2 = float(np.einsum("i,i->", dev, dev))
+    return w.size, mean, m2, int(np.count_nonzero(nonfinite)), float(np.max(w))
 
 
-def _merge_moments(a: _Moments, b: _Moments) -> _Moments:
-    """Chan-Golub-LeVeque pairwise update of two chunks' moments."""
-    n_a, mean_a, m2_a = a
-    n_b, mean_b, m2_b = b
+def _merge_moments(a: _Record, b: _Record) -> _Record:
+    """Two chunks' records as one: the Chan-Golub-LeVeque pairwise update of
+    the moments, the sum of the non-finite counts and the larger weight."""
+    n_a, mean_a, m2_a, nonfinite_a, max_a = a
+    n_b, mean_b, m2_b, nonfinite_b, max_b = b
     count = n_a + n_b
     delta = mean_b - mean_a
     return (
         count,
         mean_a + delta * (n_b / count),
         m2_a + m2_b + delta * delta * (n_a * n_b / count),
+        nonfinite_a + nonfinite_b,
+        max(max_a, max_b),
     )
-
-
-def _mean_ci(moments: _Moments) -> tuple[float, tuple[float, float]]:
-    """Mean and 95% normal interval from merged moments."""
-    count, mean, m2 = moments
-    half = 1.96 * math.sqrt(m2 / count / count)
-    return mean, (mean - half, mean + half)
 
 
 _VMF_KAPPAS = tuple(4.0**j for j in range(1, 17))
@@ -442,39 +444,43 @@ def _place_vmf(
     centers: np.ndarray, comp: np.ndarray, variates: tuple[np.ndarray, ...]
 ) -> np.ndarray:
     """The vMF draws of ``_draw_vmf``'s variates on S^(d-1): one per row,
-    around the row's unit center with kappa ``_KAPPA_LADDER[comp]``;
-    kappa = 0 is uniform."""
-    count, d = centers.shape
-    draws = np.empty((count, d))
+    around the row's unit center c with kappa ``_KAPPA_LADDER[comp]``;
+    kappa = 0 is uniform. Each d gives the cosine cos_t from c and terms
+    (a_i, t_i) with unit tangents t_i at c, and every draw is placed in one
+    step, a column at a time, as cos_t c + sum_i a_i t_i, summed left to
+    right."""
     c0, c1 = centers[:, 0], centers[:, 1]
-    if d == 2:
+    if centers.shape[1] == 2:
+        # the angle from c, in the one tangent (-c_1, c_0)
         (angle,) = variates
-        cos_a, sin_a = np.cos(angle), np.sin(angle)
-        draws[:, 0] = cos_a * c0 - sin_a * c1
-        draws[:, 1] = sin_a * c0 + cos_a * c1
-        return draws
-    # inverse CDF in the cosine, whose kappa -> 0 limit is 2 xi - 1, and a
-    # uniform azimuth in the frame t1 = c x a / |c x a|, t2 = c x t1, where
-    # the axis a is e_0 unless |c_0| >= 0.9, then e_1
-    xi, phi = variates
-    kappa = _KAPPA_LADDER[comp]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos_t = np.where(
-            kappa > 0.0,
-            1.0 + np.log(xi + (1.0 - xi) * np.exp(-2.0 * kappa)) / kappa,
-            2.0 * xi - 1.0,
-        )
-    cos_t = np.clip(cos_t, -1.0, 1.0)
-    sin_t = np.sqrt(1.0 - cos_t * cos_t)
-    p, q = sin_t * np.cos(phi), sin_t * np.sin(phi)
-    c2 = centers[:, 2]
-    first = np.abs(c0) < 0.9
-    t1 = (np.where(first, 0.0, -c2), np.where(first, c2, 0.0), np.where(first, -c1, c0))
-    norm = np.sqrt(t1[0] * t1[0] + t1[1] * t1[1] + t1[2] * t1[2])
-    t1 = tuple(v / norm for v in t1)
-    t2 = (c1 * t1[2] - c2 * t1[1], c2 * t1[0] - c0 * t1[2], c0 * t1[1] - c1 * t1[0])
-    for j, c in enumerate((c0, c1, c2)):
-        draws[:, j] = cos_t * c + p * t1[j] + q * t2[j]
+        cos_t = np.cos(angle)
+        terms = [(np.sin(angle), (-c1, c0))]
+    else:
+        # inverse CDF in the cosine, whose kappa -> 0 limit is 2 xi - 1, and a
+        # uniform azimuth in the frame t1 = c x a / |c x a|, t2 = c x t1, where
+        # the axis a is e_0 unless |c_0| >= 0.9, then e_1
+        xi, phi = variates
+        kappa = _KAPPA_LADDER[comp]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos_t = np.where(
+                kappa > 0.0,
+                1.0 + np.log(xi + (1.0 - xi) * np.exp(-2.0 * kappa)) / kappa,
+                2.0 * xi - 1.0,
+            )
+        cos_t = np.clip(cos_t, -1.0, 1.0)
+        sin_t = np.sqrt(1.0 - cos_t * cos_t)
+        c2 = centers[:, 2]
+        first = np.abs(c0) < 0.9
+        t1 = (np.where(first, 0.0, -c2), np.where(first, c2, 0.0), np.where(first, -c1, c0))
+        norm = np.sqrt(t1[0] * t1[0] + t1[1] * t1[1] + t1[2] * t1[2])
+        t1 = tuple(v / norm for v in t1)
+        t2 = (c1 * t1[2] - c2 * t1[1], c2 * t1[0] - c0 * t1[2], c0 * t1[1] - c1 * t1[0])
+        terms = [(sin_t * np.cos(phi), t1), (sin_t * np.sin(phi), t2)]
+    draws = np.empty(centers.shape)
+    for j in range(centers.shape[1]):
+        draws[:, j] = cos_t * centers[:, j]
+        for a, t in terms:
+            draws[:, j] += a * t[j]
     return draws
 
 
@@ -491,18 +497,8 @@ def _log_vmf_norm(kappa: float, d: int) -> float:
 # starts from; a vMF term whose exponent lies below this rounds away
 _NEGLIGIBLE_EXPONENT = -40.0
 
-
-def _vmf_terms(d: int) -> tuple[tuple[float, float, float], ...]:
-    """(kappa, log c_kappa, cut) per kappa in ``_VMF_KAPPAS``: below the cut
-    in cos - 1, the kappa's exponent lies under ``_NEGLIGIBLE_EXPONENT``."""
-    terms = []
-    for kappa in _VMF_KAPPAS:
-        log_norm = _log_vmf_norm(kappa, d)
-        terms.append((kappa, log_norm, (_NEGLIGIBLE_EXPONENT - log_norm) / kappa))
-    return tuple(terms)
-
-
-_VMF_TERMS = {d: _vmf_terms(d) for d in (2, 3)}
+# (kappa, log c_kappa) per kappa in _VMF_KAPPAS, for each d in {2, 3}
+_VMF_TERMS = {d: tuple((kappa, _log_vmf_norm(kappa, d)) for kappa in _VMF_KAPPAS) for d in (2, 3)}
 
 
 def _log_mixture_density(cos_angle: np.ndarray, d: int, sigma_d: float) -> np.ndarray:
@@ -513,14 +509,15 @@ def _log_mixture_density(cos_angle: np.ndarray, d: int, sigma_d: float) -> np.nd
     order. A term whose exponent kappa (cos - 1) + log c_kappa lies below
     ``_NEGLIGIBLE_EXPONENT`` is under half an ulp of the sum, so leaving it
     out changes no bit; each kappa is evaluated only on the rows above its
-    cut, from ``_VMF_TERMS``. With the rows sorted by cosine once, those
-    rows are a suffix. Each row's value does not depend on the other rows.
+    cut in cos - 1, where its exponent reaches ``_NEGLIGIBLE_EXPONENT``. With
+    the rows sorted by cosine once, those rows are a suffix. Each row's
+    value does not depend on the other rows.
     """
     order = np.argsort(cos_angle)
     t = cos_angle[order] - 1.0
     dens = np.full(t.shape, _MIX_PROBS[0] / sigma_d)
-    for c, (kappa, log_norm, cut) in enumerate(_VMF_TERMS[d], start=1):
-        lo = np.searchsorted(t, cut)
+    for c, (kappa, log_norm) in enumerate(_VMF_TERMS[d], start=1):
+        lo = np.searchsorted(t, (_NEGLIGIBLE_EXPONENT - log_norm) / kappa)
         dens[lo:] += _MIX_PROBS[c] * np.exp(kappa * t[lo:] + log_norm)
     log_dens = np.empty_like(dens)
     log_dens[order] = np.log(dens)
@@ -555,28 +552,21 @@ def _draw_sphere(
 
 
 def _sphere_rows(
-    raw: np.ndarray, points: list[_SpherePoint], rows: slice
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The sphere points of ``rows`` from ``_draw_sphere``'s variates: u
-    (rows, m+1, d) and, per u_1..u_m, each row's cos(u_i, u_0)."""
+    raw: np.ndarray, points: list[_SpherePoint], rows: slice, sigma_d: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sphere points of ``rows`` from ``_draw_sphere``'s variates, u
+    (rows, m+1, d), and their log proposal density log q(u): u_0's uniform
+    density 1 / sigma_d times each u_i's mixture density at cos(u_i, u_0)."""
     centers = raw[rows]
-    u = np.empty((len(centers), len(points) + 1, centers.shape[1]))
+    count, d = centers.shape
+    u = np.empty((count, len(points) + 1, d))
     u[:, 0] = centers / np.linalg.norm(centers, axis=1, keepdims=True)
-    cosines = []
+    log_q = np.full(count, -math.log(sigma_d))
     for i, (comp, *variates) in enumerate(points, start=1):
         draw = _place_vmf(u[:, 0], comp[rows], tuple(v[rows] for v in variates))
         u[:, i] = draw
-        cosines.append(np.einsum("cj,cj->c", draw, u[:, 0]))
-    return u, cosines
-
-
-def _log_proposal(count: int, cosines: list[np.ndarray], d: int, sigma_d: float) -> np.ndarray:
-    """log q(u) of ``count`` rows from ``_sphere_rows``' cosines: u_0's
-    uniform density 1 / sigma_d times each u_i's mixture density."""
-    log_q = np.full(count, -math.log(sigma_d))
-    for cos_angle in cosines:
-        log_q += _log_mixture_density(cos_angle, d, sigma_d)
-    return log_q
+        log_q += _log_mixture_density(np.einsum("cj,cj->c", draw, u[:, 0]), d, sigma_d)
+    return u, log_q
 
 
 def _log_simplex_volume(u: np.ndarray) -> np.ndarray:
@@ -648,15 +638,15 @@ def _row_weights(
     weight is the Gaussian one times lam^-(a_r + k/2) f(x) exp(lam sum_i
     |x_i|^2), and exp(lam delta g + |z|^2 / 2) is exp(lam sum_i |x_i|^2).
     """
-    m, d = len(points), raw.shape[1]
+    m = len(points)
     a_r = (n * (m + 1) - k) / 2.0
-    u, cosines = _sphere_rows(raw, points, rows)
+    u, log_q = _sphere_rows(raw, points, rows, sigma_d)
     s, delta = _centroid_spread(u)
     # a bump row with delta = 0 has g = inf and u_i = u_0, so r u_i[m:] may be nan
     with np.errstate(divide="ignore", invalid="ignore"):
         log_w = (
             (k - m + 1) * _log_simplex_volume(u)
-            - _log_proposal(len(u), cosines, d, sigma_d)
+            - log_q
             + math.log(grass)
             + (math.lgamma(a_r) - math.log(2.0) - a_r * np.log(delta))
             + k / 2.0 * math.log(math.pi / (m + 1))
@@ -697,11 +687,11 @@ def _bp_chunk(
     bump: bool,
     sigma_d: float,
     grass: float,
-) -> tuple[_Moments, int, float]:
+) -> _Record:
     """Right-side weights of chunk ``index``: ``size`` rows drawn from the
-    seed's Philox stream jumped ``index`` times. Returns their moments, the
-    count of non-finite weights (counted as 0) and the largest weight. Each
-    row's m-plane is the span of the first m slice axes, so point i sits at
+    seed's Philox stream jumped ``index`` times. Returns their record
+    (``_moments``), in which a non-finite weight counts as 0. Each row's
+    m-plane is the span of the first m slice axes, so point i sits at
     r (u_i[:m], 0, u_i[m:]) + (y, 0).
 
     The chunk takes every variate from its stream at once: the sphere's
@@ -725,9 +715,7 @@ def _bp_chunk(
     for lo in range(0, size, _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
         w[rows] = _row_weights(raw, points, rows, n, k, sigma_d, grass, bump_draws)
-    nonfinite = ~np.isfinite(w)
-    w[nonfinite] = 0.0
-    return _moments(w), int(np.count_nonzero(nonfinite)), float(np.max(w))
+    return _moments(w)
 
 
 def verify_bp_identity(
@@ -758,10 +746,11 @@ def verify_bp_identity(
     own stream, ``Philox(key=seed).jumped(i)``, so chunk 0 draws the key's
     own stream and a one-chunk run is the serial run. The chunks run on a
     thread pool of ``min(chunks, usable CPUs)`` workers, with at most one
-    chunk per worker submitted ahead of the merge, and their results are
-    merged in chunk order: the output bits do not depend on the number of
-    workers. Up to m = 2 no chunk calls BLAS, so they do not depend on the
-    number of BLAS threads either. Each chunk keeps only its draws and its
+    chunk per worker submitted ahead of the merge. Each chunk returns one
+    record, its weights' moments, non-finite count and largest weight, and
+    the records are merged in chunk order: the output bits do not depend on
+    the number of workers. Up to m = 2 no chunk calls BLAS, so they do not
+    depend on the number of BLAS threads either. Each chunk keeps only its draws and its
     weights per row, and weighs its rows in one pass over blocks of
     ``_BLOCK_ROWS``, for both test functions (see ``_bp_chunk``).
 
@@ -792,9 +781,7 @@ def verify_bp_identity(
 
     chunks = -(-samples // chunk)
     workers = min(chunks, _usable_cpus())
-    right_mom = (0, 0.0, 0.0)
-    right_nonfinite = 0
-    right_max = 0.0
+    record = (0, 0.0, 0.0, 0, 0.0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
 
         def submit(index: int):
@@ -803,16 +790,14 @@ def verify_bp_identity(
 
         pending = collections.deque(submit(i) for i in range(workers))
         for index in range(chunks):
-            mom, nonfinite, w_max = pending.popleft().result()
-            right_mom = _merge_moments(right_mom, mom)
-            right_nonfinite += nonfinite
-            right_max = max(right_max, w_max)
+            record = _merge_moments(record, pending.popleft().result())
             if index + workers < chunks:
                 pending.append(submit(index + workers))
 
-    right, right_ci = _mean_ci(right_mom)
+    _, right, right_m2, right_nonfinite, right_max = record
+    half = 1.96 * math.sqrt(right_m2 / samples / samples)
+    right_ci = (right - half, right + half)
     # Kish effective sample size (sum w)^2 / sum w^2 = n mean^2 / (mean^2 + M2 / n)
-    _, _, right_m2 = right_mom
     mean_sq = right * right
     right_ess = samples / (1.0 + right_m2 / samples / mean_sq) if mean_sq > 0.0 else 0.0
     right_sum = right * samples

@@ -115,7 +115,6 @@ class Mosaic:
     interval_id: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    window: tuple[tuple[float, float], ...] | None = None
 
     @property
     def vertices(self) -> np.ndarray:
@@ -158,8 +157,9 @@ class Mosaic:
             )
         )
 
-    def to_dict(self) -> dict:
-        """JSON-ready dump: vertices, simplices with radii/anchors, interval ids."""
+    def to_dict(self, window: tuple[tuple[float, float], ...] | None = None) -> dict:
+        """JSON-ready dump: the counting ``window``, one (lo, hi) pair per axis
+        or None, vertices, simplices with radii/anchors, interval ids."""
         y, w = self.y.tolist(), self.w.tolist()
         columns = zip(
             self.simplices,
@@ -172,8 +172,8 @@ class Mosaic:
             "schema_version": SCHEMA_VERSION,
             "k": int(self.y.shape[1]),
             "window": None
-            if self.window is None
-            else [[float(b) for b in side] for side in self.window],
+            if window is None
+            else [[float(b) for b in side] for side in window],
             "vertices": [{"id": v, "y": y[v], "w": w[v]} for v in self.vertices.tolist()],
             "simplices": [
                 {"vertices": list(s), "dim": dim, "radius": r, "anchor": a, "interval": iid}
@@ -258,7 +258,7 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     Raises DegeneracyError on duplicate projections (found by comparing
     neighbours in lexicographic order), on affinely dependent generators
     below k + 2 and on degenerate configurations Qhull refuses; ValueError
-    on a non-finite projection or weight in the chain; MosaicError when a
+    on a non-finite projection or weight; MosaicError when a
     ridge (in ``faces[k-1]``) belongs to more than two cells. A face below
     the top is keyed as its indices read as digits in base N, exact while
     N^k < 2^63; a larger N raises ValueError before any key is formed.
@@ -266,6 +266,8 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     n_pts, k = y.shape
     if w.shape != (n_pts,):
         raise ValueError("weights must be a vector matching the projections")
+    if not (np.isfinite(y).all() and np.isfinite(w).all()):
+        raise ValueError("projections and weights must be finite")
     if n_pts**k >= 2**63:
         raise ValueError(
             f"faces are keyed as k = {k} digits in base N = {n_pts}, exact only while N^k < 2^63"
@@ -284,8 +286,6 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
             raise DegeneracyError("the projections are affinely dependent")
         cells = np.arange(n_pts)[None, :]
     elif k == 1:
-        if not (np.isfinite(y).all() and np.isfinite(w).all()):
-            raise ValueError("projections and weights must be finite")
         chain = _lower_chain(y[:, 0], w, order)
         cells = np.column_stack([chain[:-1], chain[1:]])
     else:
@@ -446,7 +446,6 @@ def radius_and_intervals(
     y: np.ndarray,
     w: np.ndarray,
     faces: Sequence[np.ndarray],
-    window: tuple[tuple[float, float], ...] | None = None,
 ) -> Mosaic:
     """Anchored radius function and interval decomposition of a weighted
     Delaunay mosaic in R^k, for any k.
@@ -552,7 +551,6 @@ def radius_and_intervals(
         interval_id=interval_id,
         lower=lower,
         upper=np.flatnonzero(bound),
-        window=window,
     )
 
 

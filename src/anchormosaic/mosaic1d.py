@@ -91,6 +91,4 @@ def radius_and_intervals_1d(mosaic: Mosaic1D) -> Mosaic:
     """
     v = mosaic.vertices
     faces = [v[:, None], np.sort(np.column_stack([v[:-1], v[1:]]), axis=1)]
-    return radius_and_intervals(
-        mosaic.points[:, :1], -mosaic.points[:, 1] ** 2, faces, window=(mosaic.window,)
-    )
+    return radius_and_intervals(mosaic.points[:, :1], -mosaic.points[:, 1] ** 2, faces)

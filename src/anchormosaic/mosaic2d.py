@@ -85,11 +85,7 @@ def power_dual(tri: RegularTriangulation) -> PowerDiagram:
     return PowerDiagram(tri=tri)
 
 
-def radius_and_intervals_2d(
-    tri: RegularTriangulation,
-    dia: PowerDiagram,
-    window: tuple[tuple[float, float], tuple[float, float]] | None = None,
-) -> Mosaic:
+def radius_and_intervals_2d(tri: RegularTriangulation, dia: PowerDiagram) -> Mosaic:
     """Anchored radius function and interval decomposition of a planar mosaic.
 
     The dimension-generic :func:`geomcore.radius_and_intervals` on the
@@ -98,4 +94,4 @@ def radius_and_intervals_2d(
     the order of ``tri.vertices``, ``dia.edges`` and ``tri.triangles``.
     """
     faces = [tri.vertices[:, None], dia.edges, tri.triangles]
-    return radius_and_intervals(tri.y, tri.w, faces, window)
+    return radius_and_intervals(tri.y, tri.w, faces)

@@ -222,11 +222,11 @@ def random_cloud(
     )
 
 
-def build(cloud: np.ndarray, k: int, window=None) -> Mosaic:
+def build(cloud: np.ndarray, k: int) -> Mosaic:
     """The mosaic of the k-plane slice of ``cloud``: ``slice_cloud``,
     ``lower_hull`` and ``radius_and_intervals``."""
     y, w = geomcore.slice_cloud(cloud, k)
-    return geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w), window)
+    return geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
 
 
 def interval_violations(

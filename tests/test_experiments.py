@@ -364,17 +364,19 @@ class TestBPIdentity:
             return right_bits(check.right, check.right_ci)
 
         def merged(chunks):
-            moments = (0, 0.0, 0.0)
-            for chunk_moments in chunks:
-                moments = experiments._merge_moments(moments, chunk_moments)
-            return right_bits(*experiments._mean_ci(moments))
+            record = (0, 0.0, 0.0, 0, 0.0)
+            for chunk_record in chunks:
+                record = experiments._merge_moments(record, chunk_record)
+            count, mean, m2, _, _ = record
+            half = 1.96 * math.sqrt(m2 / count / count)
+            return right_bits(mean, (mean - half, mean + half))
 
         pooled = run()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         one_worker = run()
         sigma, grass = constants.sphere_surface(2), constants.grassmannian_volume(1, 2)
         chunks = [
-            experiments._bp_chunk(2, index, size, 3, 2, 1, False, sigma, grass)[0]
+            experiments._bp_chunk(2, index, size, 3, 2, 1, False, sigma, grass)
             for index, size in enumerate([3_000, 3_000, 3_000, 1_000])
         ]
         assert pooled == one_worker == merged(chunks)
@@ -439,10 +441,10 @@ class TestBPIdentity:
         # a large offset with a unit spread: E[x^2] - mean^2 loses every digit
         # of the variance here, a two-pass reference keeps them
         x = 1e8 + np.random.default_rng(5).standard_normal(10_001)
-        moments = (0, 0.0, 0.0)
+        moments = (0, 0.0, 0.0, 0, 0.0)
         for part in np.split(x, [1, 2_500, 2_501, 7_777]):
             moments = experiments._merge_moments(moments, experiments._moments(part))
-        count, mean, m2 = moments
+        count, mean, m2, _, _ = moments
         assert count == x.size
         assert mean == pytest.approx(np.mean(x), rel=1e-15)
         assert m2 / count == pytest.approx(np.var(x, ddof=0), rel=1e-9)
@@ -573,6 +575,53 @@ class TestBPIdentity:
         )
         got = (check.right.hex(), tuple(v.hex() for v in check.right_ci), check.right_ess.hex())
         assert got == self.MULTI_BLOCK_PINNED[case]
+
+    # (right_nonfinite, float.hex of right_max_share) of the MULTI_BLOCK_PINNED
+    # runs: the merge keeps every chunk's count and its largest weight
+    MULTI_BLOCK_HEALTH_PINNED = {
+        (2, 1, 1, "gaussian"): (0, "0x1.dc4531473325cp-15"),
+        (3, 2, 2, "gaussian"): (0, "0x1.ee27eacbb2607p-9"),
+        (3, 2, 1, "gaussian"): (0, "0x1.5f909f42c9ea3p-15"),
+        (2, 2, 2, "gaussian"): (0, "0x1.afb1dad4365b6p-15"),
+        (2, 1, 1, "bump"): (0, "0x1.5dac4b894687ap-14"),
+        (3, 2, 1, "bump"): (0, "0x1.77eb1b532b62fp-14"),
+        (3, 2, 2, "bump"): (0, "0x1.444bc14a13760p-8"),
+        (4, 3, 2, "bump"): (0, "0x1.6e8774b5f1cc5p-10"),
+    }
+
+    @pytest.mark.parametrize(
+        "case", list(MULTI_BLOCK_HEALTH_PINNED), ids=lambda c: "{}-{}-{}-{}".format(*c)
+    )
+    def test_multi_block_health_pinned(self, case):
+        n, k, m, kind = case
+        check = experiments.verify_bp_identity(
+            n, k, m, test_function=kind, samples=150_000, chunk=70_000, seed=3
+        )
+        got = (check.right_nonfinite, check.right_max_share.hex())
+        assert got == self.MULTI_BLOCK_HEALTH_PINNED[case]
+
+    def test_non_finite_weights_are_counted_across_chunks(self, monkeypatch):
+        # chunks of 1_000, 1_000, 1_000 and 500 rows on two workers; the row
+        # step makes 2 weights nan in each full chunk and 5 infinite in the
+        # last one, and each counts as 0 in the merged record
+        row_weights = experiments._row_weights
+
+        def patched(raw, *args):
+            w = row_weights(raw, *args)
+            if len(raw) == 500:
+                w[:5] = np.inf
+            else:
+                w[:2] = np.nan
+            return w
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        clean = experiments.verify_bp_identity(2, 1, 1, samples=3_500, seed=8, chunk=1_000)
+        monkeypatch.setattr(experiments, "_row_weights", patched)
+        check = experiments.verify_bp_identity(2, 1, 1, samples=3_500, seed=8, chunk=1_000)
+        assert clean.right_nonfinite == 0
+        assert check.right_nonfinite == 3 * 2 + 5
+        assert 0.0 < check.right < clean.right
+        assert 0.0 < check.right_max_share < 1.0
 
     def test_bits_pinned_with_a_block_boundary_at_the_chunk_end(self):
         # chunks of 65_536 rows, two whole blocks each: a block boundary falls
@@ -872,8 +921,7 @@ def _sphere_sample(rng, size, m, d):
     # u and log q(u) of `size` rows: the bp kernel's draw step, then its row
     # step over all rows at once
     raw, points = experiments._draw_sphere(rng, size, m, d)
-    u, cosines = experiments._sphere_rows(raw, points, slice(None))
-    return u, experiments._log_proposal(size, cosines, d, constants.sphere_surface(d))
+    return experiments._sphere_rows(raw, points, slice(None), constants.sphere_surface(d))
 
 
 def _same_bits(a, b):
@@ -964,14 +1012,15 @@ class TestCentroidSpread:
         # RuntimeWarning (an error under this suite's settings) is raised
         d = m + n - k
 
-        def coincident(raw, points, rows):
+        def coincident(raw, points, rows, sigma_d):
             u = np.zeros((len(raw[rows]), m + 1, d))
             u[:, :, 0] = 1.0
-            return u, [np.ones(len(u))] * m
+            at_one = experiments._log_mixture_density(np.ones(len(u)), d, sigma_d)
+            return u, -math.log(sigma_d) + m * at_one
 
         monkeypatch.setattr(experiments, "_sphere_rows", coincident)
         grass = constants.grassmannian_volume(m, k) if m < k else 1.0
-        (count, mean, _), nonfinite, w_max = experiments._bp_chunk(
+        count, mean, _, nonfinite, w_max = experiments._bp_chunk(
             0, 0, 100, n, k, m, bump, constants.sphere_surface(d), grass
         )
         assert count == 100

@@ -429,6 +429,19 @@ class TestLowerChain:
         for w in ([0.0, np.nan, 0.0], [0.0, -np.inf, 0.0]):
             with pytest.raises(ValueError, match="finite"):
                 geomcore.lower_hull(y, np.array(w))
+        # one check for every k and every sample size: k = 1 with N = 2, and
+        # k = 2 with one cell (N = 3) and with Qhull's hull (N = 40)
+        rng = np.random.default_rng(3)
+        planar = rng.uniform(0.0, 5.0, (40, 2))
+        cases = [
+            (np.array([[0.0], [np.nan]]), np.array([0.0, -1.0])),
+            (planar[:3], np.array([0.0, np.inf, 0.0])),
+            (planar, np.where(np.arange(40) == 7, np.inf, -rng.uniform(0.0, 1.0, 40))),
+            (np.where(np.arange(80).reshape(40, 2) == 11, np.nan, planar), np.zeros(40)),
+        ]
+        for y, w in cases:
+            with pytest.raises(ValueError, match="finite"):
+                geomcore.lower_hull(y, w)
 
     @staticmethod
     def cascade(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -501,13 +514,14 @@ class TestMosaic:
     def test_dump_schema(self, k):
         rng = np.random.default_rng(42 + k)
         if k == 1:
-            mosaic = build(random_cloud(rng, 12, 1, 6, (0, 1.0)), 1, ((0, 6),))
+            mosaic, window = build(random_cloud(rng, 12, 1, 6, (0, 1.0)), 1), ((0, 6),)
         else:
-            mosaic = build(random_cloud(rng, 30, 2, 4, (-1, 1)), 2, ((0, 4),) * 2)
-        dump = json.loads(json.dumps(mosaic.to_dict()))
+            mosaic, window = build(random_cloud(rng, 30, 2, 4, (-1, 1)), 2), ((0, 4),) * 2
+        dump = json.loads(json.dumps(mosaic.to_dict(window)))
         assert dump["schema_version"] == SCHEMA_VERSION == 1
         assert dump["k"] == k
         assert len(dump["window"]) == k
+        assert mosaic.to_dict()["window"] is None
         assert [v["id"] for v in dump["vertices"]] == mosaic.vertices.tolist()
         assert len(dump["simplices"]) == len(mosaic.simplices)
         for s, iid in zip(dump["simplices"], mosaic.interval_id.tolist()):

@@ -199,9 +199,9 @@ def test_adapter_matches_geomcore():
     cloud = sampler.sample_poisson_box(cfg)
     y, w = geomcore.slice_cloud(cloud, 2)
     tri = mosaic2d.regular_triangulation(y, w, preimages=cloud)
-    mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri), cfg.window)
+    mosaic = mosaic2d.radius_and_intervals_2d(tri, mosaic2d.power_dual(tri))
     faces = geomcore.lower_hull(y, w)
-    direct = geomcore.radius_and_intervals(y, w, faces, cfg.window)
+    direct = geomcore.radius_and_intervals(y, w, faces)
     assert tri.preimages is cloud
     for got, expected in zip([tri.vertices[:, None], tri.edges, tri.triangles], faces):
         np.testing.assert_array_equal(got, expected)
