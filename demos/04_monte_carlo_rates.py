@@ -7,6 +7,7 @@ reconciliation between simplex counts and interval counts.
 """
 
 import dataclasses
+import sys
 
 from anchormosaic import experiments, sampler
 from anchormosaic.sampler import SamplingConfig
@@ -15,8 +16,9 @@ from anchormosaic.sampler import SamplingConfig
 def run(cfg, replicates, label):
     cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
     report = experiments.estimate_interval_rates(cfg, replicates=replicates)
-    print(f"\n{label} (buffer {cfg.buffer:.2f}, {replicates} replicates, "
-          f"runtime {report.runtime:.1f}s)")
+    print(f"\n{label} (buffer {cfg.buffer:.2f}, {replicates} replicates)")
+    # the wall-clock time differs from run to run, so it stays off stdout
+    print(f"{label}: runtime {report.runtime:.1f}s", file=sys.stderr)
     print(f"  {'type':>14} {'rate':>8} {'se':>8} {'predicted':>10} {'z':>6}")
     rows = [(f"interval({r.ell},{r.m})", r) for r in report.interval_rates]
     rows += [(f"simplex-{r.ell}", r) for r in report.simplex_rates]

@@ -12,7 +12,6 @@ exact per-replicate reconciliation of simplex counts with interval counts.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import json
 import math
@@ -21,7 +20,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -536,7 +535,7 @@ def _draw_sphere(
     in stream order. First the (size, d) normals whose directions are u_0,
     then per sphere point u_1..u_m each row's mixture component, stored as
     ``uint8`` and drawn from ``_MIX_PROBS``, and its ``_draw_vmf`` variates.
-    The bump's r and y variates follow these in the stream (``_bp_chunk``).
+    The bump's r and y variates follow these in the stream (``_bp_draws``).
 
     u_0 is uniform; u_1..u_m come from a half-uniform, half-vMF(u_0) mixture
     over a ladder of concentrations, which keeps the weights bounded near the
@@ -560,7 +559,11 @@ def _sphere_rows(
     centers = raw[rows]
     count, d = centers.shape
     u = np.empty((count, len(points) + 1, d))
-    u[:, 0] = centers / np.linalg.norm(centers, axis=1, keepdims=True)
+    # |raw_i|^2 from d products summed left to right, an order the bit pins hold
+    norm_sq = centers[:, 0] * centers[:, 0]
+    for j in range(1, d):
+        norm_sq += centers[:, j] * centers[:, j]
+    u[:, 0] = centers / np.sqrt(norm_sq)[:, None]
     log_q = np.full(count, -math.log(sigma_d))
     for i, (comp, *variates) in enumerate(points, start=1):
         draw = _place_vmf(u[:, 0], comp[rows], tuple(v[rows] for v in variates))
@@ -576,13 +579,14 @@ def _log_simplex_volume(u: np.ndarray) -> np.ndarray:
     degenerate u' gives -inf.
     """
     m = u.shape[1] - 1
-    e = u[:, 1:, :m] - u[:, :1, :m]
     if m == 1:
-        vol = np.abs(e[:, 0, 0])
+        vol = np.abs(u[:, 1, 0] - u[:, 0, 0])
     elif m == 2:
-        vol = np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
+        a, b = u[:, 1, 0] - u[:, 0, 0], u[:, 1, 1] - u[:, 0, 1]
+        c, d = u[:, 2, 0] - u[:, 0, 0], u[:, 2, 1] - u[:, 0, 1]
+        vol = np.abs(a * d - b * c)
     else:
-        vol = np.abs(np.linalg.det(e))
+        vol = np.abs(np.linalg.det(u[:, 1:, :m] - u[:, :1, :m]))
     with np.errstate(divide="ignore"):
         return np.log(vol)
 
@@ -599,7 +603,10 @@ def _centroid_spread(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = 0, delta is 1 exactly.
     """
     m = u.shape[1] - 1
-    s = u[:, :, :m].sum(axis=1)
+    # summed in point order, an order the bit pins hold
+    s = u[:, 0, :m].copy()
+    for i in range(1, m + 1):
+        s += u[:, i, :m]
     delta = (m + 1) - np.einsum("cj,cj->c", s, s) / (m + 1)
     low = np.flatnonzero(delta < (m + 1) * (3 * m + 17) * math.sqrt(np.finfo(float).eps / 2))
     dev = u[low]
@@ -637,6 +644,8 @@ def _row_weights(
     divided by lam delta is r^2 = g, and the k normals z that give y. Its
     weight is the Gaussian one times lam^-(a_r + k/2) f(x) exp(lam sum_i
     |x_i|^2), and exp(lam delta g + |z|^2 / 2) is exp(lam sum_i |x_i|^2).
+    Each row's m-plane is the span of the first m slice axes, so point i
+    sits at r (u_i[:m], 0, u_i[m:]) + (y, 0).
     """
     m = len(points)
     a_r = (n * (m + 1) - k) / 2.0
@@ -677,6 +686,36 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# a bp chunk's variates, in stream order: _draw_sphere's, then the bump's
+# standard-Gamma variate and k normals per row, or None for the Gaussian
+_BPDraws = tuple[np.ndarray, list[_SpherePoint], tuple[np.ndarray, np.ndarray] | None]
+
+
+def _bp_draws(rng: np.random.Generator, size: int, n: int, k: int, m: int, bump: bool) -> _BPDraws:
+    """The draw step of a bp chunk: every variate of its ``size`` rows, in
+    stream order, the sphere's (``_draw_sphere``) and then, for the bump,
+    each row's standard-Gamma(a_r) variate and k normals."""
+    raw, points = _draw_sphere(rng, size, m, m + n - k)
+    bump_draws = None
+    if bump:
+        a_r = (n * (m + 1) - k) / 2.0
+        bump_draws = rng.standard_gamma(a_r, size), rng.standard_normal((size, k))
+    return raw, points, bump_draws
+
+
+def _blocks(size: int) -> list[slice]:
+    """The row step's blocks of a chunk of ``size`` rows, ``_BLOCK_ROWS``
+    rows each but the last."""
+    return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, size, _BLOCK_ROWS)]
+
+
+def _chunk_stream(seed: int, index: int) -> np.random.Generator:
+    """Chunk ``index``'s own stream: the seed's Philox stream jumped ``index``
+    times, so chunk 0 draws the key's own stream. Philox is counter-based,
+    so the streams do not overlap."""
+    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+
+
 def _bp_chunk(
     seed: int,
     index: int,
@@ -688,34 +727,58 @@ def _bp_chunk(
     sigma_d: float,
     grass: float,
 ) -> _Record:
-    """Right-side weights of chunk ``index``: ``size`` rows drawn from the
-    seed's Philox stream jumped ``index`` times. Returns their record
-    (``_moments``), in which a non-finite weight counts as 0. Each row's
-    m-plane is the span of the first m slice axes, so point i sits at
-    r (u_i[:m], 0, u_i[m:]) + (y, 0).
-
-    The chunk takes every variate from its stream at once: the sphere's
-    (``_draw_sphere``), then for the bump each row's standard-Gamma variate
-    and k normals. It then weighs its rows in one pass over blocks of
-    ``_BLOCK_ROWS`` (``_row_weights``), written into one weight array. Each
-    row's arithmetic does not depend on the other rows of its block, so the
-    bits do not depend on the block size.
-
-    ``sigma_d`` is the surface area of S^(d-1) and ``grass`` the Grassmannian
-    volume (1 for m = k), both computed once by the caller, so that a worker
-    thread calls no public function of the package.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
-    raw, points = _draw_sphere(rng, size, m, m + n - k)
-    bump_draws = None
-    if bump:
-        a_r = (n * (m + 1) - k) / 2.0
-        bump_draws = rng.standard_gamma(a_r, size), rng.standard_normal((size, k))
+    """The serial reference of one bp chunk: the record (``_moments``) of
+    the right-side weights of chunk ``index``'s ``size`` rows, drawn whole
+    from its stream (``_bp_draws``) and weighed block by block
+    (``_row_weights``) into one weight array. ``verify_bp_identity`` runs
+    the same two steps, the row step on a thread pool."""
+    raw, points, bump_draws = _bp_draws(_chunk_stream(seed, index), size, n, k, m, bump)
     w = np.empty(size)
-    for lo in range(0, size, _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
+    for rows in _blocks(size):
         w[rows] = _row_weights(raw, points, rows, n, k, sigma_d, grass, bump_draws)
     return _moments(w)
+
+
+def _chunked_record(
+    seed: int,
+    samples: int,
+    chunk: int,
+    draw: Callable[[np.random.Generator, int], object],
+    weigh: Callable[[object, slice], np.ndarray],
+) -> _Record:
+    """The merged record of ``samples`` weights drawn in chunks of
+    ``chunk`` rows: ``draw(rng, size)`` draws a chunk's variates from the
+    chunk's own stream (``_chunk_stream``), and ``weigh(draws, rows)``
+    returns the weights of a block of rows of those variates.
+
+    The calling thread draws every chunk, in chunk order. While it draws
+    chunk i + 1, a pool of ``min(blocks, usable CPUs)`` workers weighs
+    chunk i's blocks into that chunk's one weight array; the caller then
+    waits for them, takes the chunk's record (``_moments``) and folds it in
+    chunk order (``_merge_moments``). At most two chunks' variates are
+    alive at once. Each row's weight depends only on its own variates and
+    the records are merged in chunk order, so the bits do not depend on
+    the number of workers. ``weigh`` runs on the workers, so it must call
+    no public function of the package.
+    """
+    sizes = [min(chunk, samples - lo) for lo in range(0, samples, chunk)]
+    workers = min(sum(len(_blocks(size)) for size in sizes), _usable_cpus())
+
+    def weigh_into(w: np.ndarray, draws: object, rows: slice) -> None:
+        w[rows] = weigh(draws, rows)
+
+    record = (0, 0.0, 0.0, 0, 0.0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        draws = draw(_chunk_stream(seed, 0), sizes[0])
+        for index, size in enumerate(sizes):
+            w = np.empty(size)
+            blocks = [pool.submit(weigh_into, w, draws, rows) for rows in _blocks(size)]
+            if index + 1 < len(sizes):
+                draws = draw(_chunk_stream(seed, index + 1), sizes[index + 1])
+            for block in blocks:
+                block.result()
+            record = _merge_moments(record, _moments(w))
+    return record
 
 
 def verify_bp_identity(
@@ -744,15 +807,19 @@ def verify_bp_identity(
 
     The rows are drawn in chunks of ``chunk`` rows. Chunk i draws from its
     own stream, ``Philox(key=seed).jumped(i)``, so chunk 0 draws the key's
-    own stream and a one-chunk run is the serial run. The chunks run on a
-    thread pool of ``min(chunks, usable CPUs)`` workers, with at most one
-    chunk per worker submitted ahead of the merge. Each chunk returns one
-    record, its weights' moments, non-finite count and largest weight, and
-    the records are merged in chunk order: the output bits do not depend on
-    the number of workers. Up to m = 2 no chunk calls BLAS, so they do not
-    depend on the number of BLAS threads either. Each chunk keeps only its draws and its
-    weights per row, and weighs its rows in one pass over blocks of
-    ``_BLOCK_ROWS``, for both test functions (see ``_bp_chunk``).
+    own stream and a one-chunk run is the serial run. The calling thread
+    draws each chunk whole, in stream order (``_bp_draws``). While it draws
+    chunk i + 1, a thread pool of ``min(blocks, usable CPUs)`` workers
+    weighs chunk i's blocks of ``_BLOCK_ROWS`` rows (``_row_weights``, the
+    one row step of both test functions) into the chunk's one weight
+    array, so at most two chunks' variates are alive at once. The caller
+    then takes the chunk's record, its weights' moments, non-finite count
+    and largest weight, and merges the records in chunk order
+    (``_chunked_record``): the output bits do not depend on the number of
+    workers. Up to m = 2 the row step calls no BLAS, so they do not depend
+    on the number of BLAS threads either. ``sigma_d`` and ``grass`` are
+    computed here once, so that a worker calls no public function of the
+    package.
 
     The right CI is a 95% normal interval whose variance comes from
     per-chunk two-pass moments merged with the Chan-Golub-LeVeque update, so
@@ -779,21 +846,14 @@ def verify_bp_identity(
     grass = constants.grassmannian_volume(m, k)
     sigma_d = constants.sphere_surface(d)
 
-    chunks = -(-samples // chunk)
-    workers = min(chunks, _usable_cpus())
-    record = (0, 0.0, 0.0, 0, 0.0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    def draw(rng: np.random.Generator, size: int) -> _BPDraws:
+        return _bp_draws(rng, size, n, k, m, bump)
 
-        def submit(index: int):
-            size = min(chunk, samples - index * chunk)
-            return pool.submit(_bp_chunk, seed, index, size, n, k, m, bump, sigma_d, grass)
+    def weigh(draws: _BPDraws, rows: slice) -> np.ndarray:
+        raw, points, bump_draws = draws
+        return _row_weights(raw, points, rows, n, k, sigma_d, grass, bump_draws)
 
-        pending = collections.deque(submit(i) for i in range(workers))
-        for index in range(chunks):
-            record = _merge_moments(record, pending.popleft().result())
-            if index + workers < chunks:
-                pending.append(submit(index + workers))
-
+    record = _chunked_record(seed, samples, chunk, draw, weigh)
     _, right, right_m2, right_nonfinite, right_max = record
     half = 1.96 * math.sqrt(right_m2 / samples / samples)
     right_ci = (right - half, right + half)

@@ -21,10 +21,19 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_demo_runs(demo, expected):
+    assert expected in run_demo(demo)
+
+
+def test_monte_carlo_demo_stdout_repeats():
+    # its wall-clock runtime goes to stderr, so two runs print the same stdout
+    assert run_demo("04_monte_carlo_rates.py") == run_demo("04_monte_carlo_rates.py")
+
+
+def run_demo(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert expected in done.stdout
+    return done.stdout

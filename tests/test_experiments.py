@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -398,19 +399,49 @@ class TestBPIdentity:
         )
         assert check.right_ess >= 0.3 * check.samples
 
-    def test_one_row_chunks_keep_only_the_workers_in_flight(self, monkeypatch, pool_log):
-        def run():
-            check = experiments.verify_bp_identity(2, 1, 1, samples=50, seed=6, chunk=1)
-            return check.right.hex(), tuple(v.hex() for v in check.right_ci), check.right_ess
+    def test_caller_draws_at_most_one_chunk_ahead(self, monkeypatch, pool_log):
+        # five chunks of 40_000 rows, each of two blocks, on three usable
+        # CPUs: one submit per block, and the caller draws chunk i + 1 while
+        # the pool weighs chunk i's blocks, so at most two chunks' draws are
+        # alive at once and only one chunk's blocks are in flight
+        bp_draws = experiments._bp_draws
+        drawn = []
+        most_alive = 0
+
+        def spy(*args):
+            nonlocal most_alive
+            draws = bp_draws(*args)
+            drawn.append(weakref.ref(draws[0]))
+            most_alive = max(most_alive, sum(ref() is not None for ref in drawn))
+            return draws
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        pooled = run()
+        monkeypatch.setattr(experiments, "_bp_draws", spy)
+        experiments.verify_bp_identity(2, 1, 1, samples=200_000, seed=6, chunk=40_000)
+        assert len(drawn) == 5 and most_alive == 2
         assert pool_log.workers == [3]
-        assert pool_log.events.count("submit") == 50
-        assert pool_log.most_in_flight() == 3
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert run() == pooled
+        assert pool_log.events.count("submit") == 10
+        assert pool_log.most_in_flight() == 2
+        # one block: one worker, whatever the CPUs
+        experiments.verify_bp_identity(2, 1, 1, samples=1_000, seed=6)
         assert pool_log.workers == [3, 1]
+
+    # chunks of 70_000 rows, not a multiple of the 32_768-row block, and one
+    # chunk of four blocks
+    @pytest.mark.parametrize(
+        "kind,samples,chunk", [("gaussian", 150_000, 70_000), ("bump", 120_000, 200_000)]
+    )
+    def test_bits_do_not_depend_on_usable_cpus(self, monkeypatch, pool_log, kind, samples, chunk):
+        got = set()
+        for cpus in ({0}, {0, 1}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            check = experiments.verify_bp_identity(
+                3, 2, 1, test_function=kind, samples=samples, chunk=chunk, seed=4
+            )
+            got.add((check.right.hex(), tuple(v.hex() for v in check.right_ci),
+                     check.right_ess.hex()))
+        assert pool_log.workers == [1, 2, 3]
+        assert len(got) == 1
 
     def test_pool_falls_back_to_cpu_count(self, monkeypatch, pool_log):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
