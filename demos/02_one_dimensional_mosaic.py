@@ -28,10 +28,9 @@ names = {
     IntervalType(0, 1): "regular pair   ",
 }
 print("\nintervals by anchor position (window only):")
-for iv in sorted(mosaic.intervals, key=lambda iv: iv.sphere.anchor[0]):
+in_window = [iv for iv in mosaic.intervals if cfg.in_window(iv.sphere.anchor)[0]]
+for iv in sorted(in_window, key=lambda iv: iv.sphere.anchor[0]):
     a = iv.sphere.anchor[0]
-    if not cfg.window[0][0] <= a < cfg.window[0][1]:
-        continue
     print(f"  anchor {a:7.3f}  radius {iv.sphere.radius:6.3f}  "
           f"{names[iv.type]}  members {list(iv.members)}")
 

@@ -29,10 +29,7 @@ print(f"triangulation: {len(vertices)} vertices, {len(edges)} edges, "
       f"({len(cloud) - len(vertices)} generators submerged)")
 
 area = cfg.window_volume
-in_window = [
-    iv for iv in mosaic.intervals
-    if 0 <= iv.sphere.anchor[0] < 12 and 0 <= iv.sphere.anchor[1] < 12
-]
+in_window = [iv for iv in mosaic.intervals if cfg.in_window(iv.sphere.anchor)[0]]
 census = Counter((iv.type.ell, iv.type.m) for iv in in_window)
 print("\ninterval census in the window vs closed-form expectation:")
 for t in constants.valid_interval_types(2):

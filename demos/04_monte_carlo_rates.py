@@ -6,15 +6,13 @@ z-scores against the predictions, and audits the exact per-replicate
 reconciliation between simplex counts and interval counts.
 """
 
-import dataclasses
 import sys
 
-from anchormosaic import experiments, sampler
+from anchormosaic import experiments
 from anchormosaic.sampler import SamplingConfig
 
 
 def run(cfg, replicates, label):
-    cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
     report = experiments.estimate_interval_rates(cfg, replicates=replicates)
     print(f"\n{label} (buffer {cfg.buffer:.2f}, {replicates} replicates)")
     # the wall-clock time differs from run to run, so it stays off stdout
@@ -30,17 +28,17 @@ def run(cfg, replicates, label):
 
 
 run(
-    SamplingConfig(n=2, rho=1.0, window=((0.0, 500.0),), buffer=1.0, seed=7),
+    SamplingConfig(n=2, rho=1.0, window=((0.0, 500.0),), seed=7),
     replicates=10,
     label="k=1 slice of a planar Poisson process",
 )
 run(
-    SamplingConfig(n=3, rho=1.0, window=((0.0, 15.0), (0.0, 15.0)), buffer=1.0, seed=7),
+    SamplingConfig(n=3, rho=1.0, window=((0.0, 15.0), (0.0, 15.0)), seed=7),
     replicates=10,
     label="k=2 slice of a spatial Poisson process",
 )
 run(
-    SamplingConfig(n=5, rho=1.0, window=((0.0, 300.0),), buffer=1.0, seed=7),
+    SamplingConfig(n=5, rho=1.0, window=((0.0, 300.0),), seed=7),
     replicates=10,
     label="k=1 slice of a 5-dimensional Poisson process",
 )

@@ -33,7 +33,7 @@ lemma = experiments.verify_gamma_lemma(draws=100, seed=1)
 print(f"  max relative error {lemma.max_rel_error:.2e} (tolerance {lemma.tolerance:.0e})")
 
 print("\nGamma law of critical-vertex radii (KS test):")
-cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 3000.0),), buffer=1.0, seed=5)
+cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 3000.0),), seed=5)
 cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-8))
 report = experiments.estimate_interval_rates(cfg, replicates=4, collect_radii=True)
 radii = report.radii_by_type[(0, 0)]

@@ -9,42 +9,8 @@ constants behind the expected interval and simplex counts, and verifies the
 predictions by seeded Monte Carlo simulation.
 """
 
-from .constants import (
-    IntervalType,
-    asymptotic_limits_1d,
-    expected_interval_count,
-    expected_simplex_count,
-    interval_constant,
-    simplex_constant,
-    top_simplex_constant,
-)
-from .geomcore import (
-    AnchoredSphere,
-    Interval,
-    Mosaic,
-    lower_hull,
-    radius_and_intervals,
-    sphere_is_empty,
-)
-from .sampler import SamplingConfig, choose_buffer, sample_poisson_box
+from .geomcore import sphere_is_empty
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "IntervalType",
-    "AnchoredSphere",
-    "Interval",
-    "Mosaic",
-    "SamplingConfig",
-    "asymptotic_limits_1d",
-    "choose_buffer",
-    "expected_interval_count",
-    "expected_simplex_count",
-    "interval_constant",
-    "lower_hull",
-    "radius_and_intervals",
-    "sample_poisson_box",
-    "simplex_constant",
-    "sphere_is_empty",
-    "top_simplex_constant",
-]
+__all__ = ["sphere_is_empty"]

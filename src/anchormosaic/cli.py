@@ -179,13 +179,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     side = args.window ** (1.0 / args.k)
     window = tuple((0.0, side) for _ in range(args.k))
     cfg = sampler.SamplingConfig(
-        n=args.n, rho=args.rho, window=window,
-        buffer=1.0 if args.buffer is None else args.buffer, seed=args.seed,
+        n=args.n, rho=args.rho, window=window, buffer=args.buffer, seed=args.seed
     )
-    if args.buffer is None:
-        cfg = dataclasses.replace(
-            cfg, buffer=sampler.choose_buffer(cfg, sampler.DEFAULT_BUFFER_QUANTILE)
-        )
     report = experiments.estimate_interval_rates(cfg, replicates=args.reps, r0=args.r0)
     text = (
         experiments.report_to_json(report)

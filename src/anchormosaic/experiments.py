@@ -120,14 +120,6 @@ class ExperimentReport:
     runtime: float = 0.0
 
 
-def _window_mask(anchors: np.ndarray, window: tuple[tuple[float, float], ...]) -> np.ndarray:
-    anchors = np.atleast_2d(anchors)
-    mask = np.ones(anchors.shape[0], dtype=bool)
-    for axis, (lo, hi) in enumerate(window):
-        mask &= (anchors[:, axis] >= lo) & (anchors[:, axis] < hi)
-    return mask
-
-
 def run_replicate(cfg: sampler.SamplingConfig, replicate: int) -> ReplicateRecord:
     """Sample, slice, build the mosaic, and record every interval and simplex.
 
@@ -140,7 +132,7 @@ def run_replicate(cfg: sampler.SamplingConfig, replicate: int) -> ReplicateRecor
         return _empty_record(replicate)
     y, w = slice_cloud(points, cfg.k)
     mosaic = radius_and_intervals(y, w, lower_hull(y, w))
-    simplex_in_window = _window_mask(mosaic.anchors, cfg.window)
+    simplex_in_window = cfg.in_window(mosaic.anchors)
     return ReplicateRecord(
         replicate=replicate,
         num_points=len(points),

@@ -256,8 +256,8 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     plain ``Qt`` drops.
 
     Raises DegeneracyError on duplicate projections (found by comparing
-    neighbours in lexicographic order), on affinely dependent generators
-    below k + 2 and on degenerate configurations Qhull refuses; ValueError
+    neighbours in lexicographic order), on three to k + 1 affinely
+    dependent generators and on degenerate configurations Qhull refuses; ValueError
     on a non-finite projection or weight; MosaicError when a
     ridge (in ``faces[k-1]``) belongs to more than two cells. A face below
     the top is keyed as its indices read as digits in base N, exact while
@@ -280,10 +280,12 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
         raise DegeneracyError("duplicate projected generators")
 
     if n_pts <= k + 1:
-        scale = max(1.0, float(np.max(np.ptp(y, axis=0))))
-        volume = np.prod(np.linalg.svd(y[1:] - y[0], compute_uv=False))
-        if volume <= 1e-12 * scale ** (n_pts - 1):
-            raise DegeneracyError("the projections are affinely dependent")
+        # two distinct generators are never affinely dependent, however close
+        if n_pts > 2:
+            scale = max(1.0, float(np.max(np.ptp(y, axis=0))))
+            volume = np.prod(np.linalg.svd(y[1:] - y[0], compute_uv=False))
+            if volume <= 1e-12 * scale ** (n_pts - 1):
+                raise DegeneracyError("the projections are affinely dependent")
         cells = np.arange(n_pts)[None, :]
     elif k == 1:
         chain = _lower_chain(y[:, 0], w, order)

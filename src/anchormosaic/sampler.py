@@ -37,13 +37,16 @@ class SamplingConfig:
     ``window`` is the counting region: an axis-aligned box in the slice plane
     given as k (low, high) pairs; ``buffer`` is the margin added to every
     coordinate of the sampled box, including the n - k coordinates orthogonal
-    to the slice, which are sampled in [-buffer, buffer].
+    to the slice, which are sampled in [-buffer, buffer]. An omitted buffer
+    is resolved once, at construction, to the DEFAULT_BUFFER_QUANTILE radius
+    quantile of ``choose_buffer``; a ``dataclasses.replace`` that changes n,
+    rho or the window and wants the default again passes ``buffer=None``.
     """
 
     n: int
     rho: float
     window: tuple[tuple[float, float], ...]
-    buffer: float
+    buffer: float | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -53,6 +56,8 @@ class SamplingConfig:
             raise ValueError(f"window defines k={self.k}, need 1 <= k <= n={self.n}")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError(f"density must be positive, got {self.rho}")
+        if self.buffer is None:
+            object.__setattr__(self, "buffer", choose_buffer(self, DEFAULT_BUFFER_QUANTILE))
         if not self.buffer >= 0:
             raise ValueError(f"buffer must be non-negative, got {self.buffer}")
         for lo, hi in self.window:
@@ -68,6 +73,14 @@ class SamplingConfig:
     @property
     def window_volume(self) -> float:
         return float(np.prod([hi - lo for lo, hi in self.window]))
+
+    def in_window(self, anchors: np.ndarray) -> np.ndarray:
+        """Mask of the anchors (rows of k coordinates) in the half-open window."""
+        anchors = np.atleast_2d(anchors)
+        mask = np.ones(anchors.shape[0], dtype=bool)
+        for axis, (lo, hi) in enumerate(self.window):
+            mask &= (anchors[:, axis] >= lo) & (anchors[:, axis] < hi)
+        return mask
 
     def box_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lows = [lo - self.buffer for lo, _ in self.window] + [-self.buffer] * (

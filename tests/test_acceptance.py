@@ -139,8 +139,7 @@ def test_criterion_05_gamma_lemma():
 
 def test_criterion_06_monte_carlo_1d():
     start = time.perf_counter()
-    cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=2025)
-    cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+    cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 1000.0),), seed=2025)
     rep = experiments.estimate_interval_rates(cfg, replicates=20)
     lines = []
     ok = True
@@ -156,10 +155,7 @@ def test_criterion_06_monte_carlo_1d():
 
 def test_criterion_07_monte_carlo_2d():
     start = time.perf_counter()
-    cfg = SamplingConfig(
-        n=3, rho=1.0, window=((0.0, 20.0), (0.0, 20.0)), buffer=1.0, seed=2025
-    )
-    cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+    cfg = SamplingConfig(n=3, rho=1.0, window=((0.0, 20.0), (0.0, 20.0)), seed=2025)
     rep = experiments.estimate_interval_rates(cfg, replicates=20)
     lines = []
     ok = True
@@ -180,7 +176,7 @@ def test_criterion_08_gamma_law_of_radii():
         (2, 1, ((0.0, 11000.0),), 808),
         (3, 2, ((0.0, 52.0), (0.0, 52.0)), 2025),
     ]:
-        cfg = SamplingConfig(n=n, rho=1.0, window=window, buffer=1.0, seed=seed)
+        cfg = SamplingConfig(n=n, rho=1.0, window=window, seed=seed)
         cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-9))
         reps = 1 if k == 1 else 4
         rep = experiments.estimate_interval_rates(cfg, replicates=reps, collect_radii=True)

@@ -57,8 +57,7 @@ class TestEstimateRates:
     def test_density_invariance_of_rates(self):
         reports = []
         for rho in (0.5, 1.0, 2.0):
-            cfg = cfg_1d(rho=rho, seed=9)
-            cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+            cfg = cfg_1d(rho=rho, seed=9, buffer=None)
             reports.append(experiments.estimate_interval_rates(cfg, replicates=6))
         for idx in range(3):
             rates = [r.interval_rates[idx] for r in reports]
@@ -127,8 +126,7 @@ class TestEstimateRates:
     def test_census_pinned_at_acceptance_seeds(self, n, window, intervals, simplices):
         # replicate 0 of the criterion-6 and criterion-7 configurations; the
         # in-window census must not move under refactors of the decomposition
-        cfg = SamplingConfig(n=n, rho=1.0, window=window, buffer=1.0, seed=2025)
-        cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+        cfg = SamplingConfig(n=n, rho=1.0, window=window, seed=2025)
         record = experiments.run_replicate(cfg, 0)
         assert record.interval_counts() == intervals
         assert record.simplex_counts() == simplices
@@ -137,10 +135,7 @@ class TestEstimateRates:
     def test_counts_match_counter_over_rows(self, r0):
         # the bincount census against a Counter over the same rows, on
         # replicate 0 of the criterion-7 configuration
-        cfg = SamplingConfig(
-            n=3, rho=1.0, window=((0.0, 20.0), (0.0, 20.0)), buffer=1.0, seed=2025
-        )
-        cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+        cfg = SamplingConfig(n=3, rho=1.0, window=((0.0, 20.0), (0.0, 20.0)), seed=2025)
         record = experiments.run_replicate(cfg, 0)
         r0 = float(np.median(record.interval_radii)) if r0 == "median" else math.inf
         iv = record.interval_in_window & (record.interval_radii <= r0)

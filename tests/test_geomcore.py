@@ -35,21 +35,15 @@ from oracles import (
 )
 
 
-def replicate_points(cfg: SamplingConfig, replicate: int) -> np.ndarray:
-    """The sample of ``replicate`` at ``cfg`` with the census's default buffer."""
-    cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
-    return sampler.sample_poisson_box(cfg, replicate)
-
-
 # (5, 3), 6^3 window: replicate 69 at seed 7 holds a sliver tetrahedron at the
 # boundary of the sampled box, volume 9.3e-8 and cond(e) 2.7e8, whose Gram
 # matrix e e^T is singular in floating point
-SLIVER_CFG = SamplingConfig(n=5, rho=1.0, window=((0.0, 6.0),) * 3, buffer=1.0, seed=7)
+SLIVER_CFG = SamplingConfig(n=5, rho=1.0, window=((0.0, 6.0),) * 3, seed=7)
 
 
 @functools.cache
 def sliver_mosaic() -> geomcore.Mosaic:
-    return build(replicate_points(SLIVER_CFG, 69), 3)
+    return build(sampler.sample_poisson_box(SLIVER_CFG, 69), 3)
 
 
 def power_grid_winners(y: np.ndarray, w: np.ndarray, grid: np.ndarray) -> set[int]:
@@ -284,8 +278,10 @@ class TestLowerHull:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_fewer_than_k_plus_two_generators(self, k):
-        for count in range(1, k + 2):
-            y = np.eye(count, k)
+        # two distinct generators span an edge however close they lie
+        close_pair = 1e-13 * np.eye(2, k)
+        for y in [np.eye(count, k) for count in range(1, k + 2)] + [close_pair]:
+            count = len(y)
             faces = geomcore.lower_hull(y, np.zeros(count))
             vertices, edges, facets = faces[0][:, 0], faces[1], faces[k]
             assert vertices.tolist() == list(range(count))
@@ -320,8 +316,8 @@ class TestLowerHull:
         # lift is about 1e6 and generator 83 lies below the chord of its
         # neighbours by an exact cross product of only +1.3e-6; Qhull without
         # the Qbb lift scaling drops it
-        cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=201)
-        points = replicate_points(cfg, 6)
+        cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 1000.0),), seed=201)
+        points = sampler.sample_poisson_box(cfg, 6)
         vertices = geomcore.lower_hull(*geomcore.slice_cloud(points, 1))[0][:, 0]
         assert 83 in vertices
         assert len(vertices) == 1274
@@ -775,7 +771,7 @@ class TestAnchorAccuracy:
         )
 
     def _worst_error(self, cfg, replicate, dim):
-        mosaic = build(replicate_points(cfg, replicate), cfg.k)
+        mosaic = build(sampler.sample_poisson_box(cfg, replicate), cfg.k)
         top = np.flatnonzero(mosaic.dims == dim)
         assert dim == cfg.k and len(top) > 1000  # top simplices anchor themselves
         return self._error(mosaic, top)
@@ -783,13 +779,13 @@ class TestAnchorAccuracy:
     def test_triangle_anchors(self):
         # criterion-7 replicate 0, sliver triangles included; the normal
         # equations, the Gram system, err by about 2e-6 here
-        cfg = SamplingConfig(n=3, rho=1.0, window=((0.0, 20.0),) * 2, buffer=1.0, seed=2025)
+        cfg = SamplingConfig(n=3, rho=1.0, window=((0.0, 20.0),) * 2, seed=2025)
         assert self._worst_error(cfg, 0, 2) <= 1e-9
 
     def test_edge_anchors_far_from_the_origin(self):
         # criterion-6 at seed 201, replicate 6, where x is about 1000: a solve
         # on differences of the lift |y|^2 - w errs by about 1e-9 here
-        cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 1000.0),), buffer=1.0, seed=201)
+        cfg = SamplingConfig(n=2, rho=1.0, window=((0.0, 1000.0),), seed=201)
         assert self._worst_error(cfg, 6, 1) <= 1e-10
 
     def test_sliver_sample_face_anchors(self):
@@ -819,8 +815,8 @@ class TestAnchorAccuracy:
             cond = np.linalg.cond(mosaic.y[cells[:, 1:]] - mosaic.y[cells[:, :1]])
             bounds = top[np.argsort(cond)[-40:]]
         else:
-            cfg = SamplingConfig(n=n, rho=1.0, window=window, buffer=1.0, seed=2025)
-            mosaic = build(replicate_points(cfg, 0), cfg.k)
+            cfg = SamplingConfig(n=n, rho=1.0, window=window, seed=2025)
+            mosaic = build(sampler.sample_poisson_box(cfg, 0), cfg.k)
             bounds = mosaic.upper[mosaic.dims[mosaic.upper] > 0]
             assert len(bounds) > 1000
         rows = [list(mosaic.simplices[r]) for r in bounds.tolist()]
@@ -832,11 +828,10 @@ class TestAnchorAccuracy:
     def test_sliver_sample_decomposes(self):
         # the signs come from a QR of e, not from the Gram matrix, which is
         # singular in floating point at the sliver
-        cfg = dataclasses.replace(SLIVER_CFG, buffer=sampler.choose_buffer(SLIVER_CFG, 1 - 1e-6))
-        record = experiments.run_replicate(cfg, 69)
+        record = experiments.run_replicate(SLIVER_CFG, 69)
         assert record.num_points == 4439
         report = experiments.ExperimentReport(
-            cfg=cfg, r0=math.inf, interval_rates=[], simplex_rates=[], records=[record]
+            cfg=SLIVER_CFG, r0=math.inf, interval_rates=[], simplex_rates=[], records=[record]
         )
         assert experiments.reconcile_simplex_counts(report).failures == []
         mosaic = sliver_mosaic()

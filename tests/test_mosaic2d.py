@@ -2,7 +2,6 @@
 planar adapters, a benchmark shim: regular triangulation, power diagram, and
 their agreement with ``geomcore``."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -179,10 +178,8 @@ class TestRadiusAndIntervals:
         # (6.5e10, 1.7e10, -8.2e10): the edge opposite the negative corner
         # pairs with the triangle
         cfg = SamplingConfig(
-            n=3, rho=1.0, window=((0.0, 20.0), (0.0, 20.0)), buffer=1.0,
-            seed=6462167774629543367,
+            n=3, rho=1.0, window=((0.0, 20.0), (0.0, 20.0)), seed=6462167774629543367
         )
-        cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
         experiments.run_replicate(cfg, 0)
         mosaic = build(sampler.sample_poisson_box(cfg, 0), 2)
         iv = mosaic.intervals[mosaic.interval_id[mosaic.simplices.index((848, 867))]]
@@ -194,8 +191,7 @@ class TestRadiusAndIntervals:
 def test_adapter_matches_geomcore():
     # replicate 0 of the criterion-7 configuration: the adapters give the
     # mosaic of slice_cloud, lower_hull and radius_and_intervals row for row
-    cfg = SamplingConfig(n=3, rho=1.0, window=((0.0, 20.0),) * 2, buffer=1.0, seed=2025)
-    cfg = dataclasses.replace(cfg, buffer=sampler.choose_buffer(cfg, 1 - 1e-6))
+    cfg = SamplingConfig(n=3, rho=1.0, window=((0.0, 20.0),) * 2, seed=2025)
     cloud = sampler.sample_poisson_box(cfg)
     y, w = geomcore.slice_cloud(cloud, 2)
     tri = mosaic2d.regular_triangulation(y, w, preimages=cloud)

@@ -95,7 +95,7 @@ class TestSamplePoissonBox:
             make_cfg(window=((3.0, 1.0),))
         with pytest.raises(ValueError):
             make_cfg(rho=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive buffer"):
             make_cfg(n=2, buffer=0.0)
         for buffer in (-1.0, math.nan):
             with pytest.raises(ValueError, match="buffer must be non-negative"):
@@ -137,3 +137,44 @@ class TestChooseBuffer:
         b1 = sampler.choose_buffer(cfg1, 0.999)
         b2 = sampler.choose_buffer(cfg2, 0.999)
         assert b2 == pytest.approx(b1 * 2.0 ** (-1.0 / 3.0), rel=1e-9)
+
+
+class TestDefaultBuffer:
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (5, 3), (2, 2)])
+    def test_omitted_buffer_is_the_default_quantile(self, n, k):
+        cfg = make_cfg(n=n, window=((0.0, 3.0),) * k, buffer=None)
+        expected = sampler.choose_buffer(cfg, sampler.DEFAULT_BUFFER_QUANTILE)
+        assert cfg.buffer.hex() == expected.hex()
+
+    def test_explicit_buffer_is_kept(self):
+        # 0 as well, at n = k; at n > k it raises (test_validation)
+        assert make_cfg(buffer=0.75).buffer == 0.75
+        assert make_cfg(n=1, buffer=0.0).buffer == 0.0
+
+    def test_replace_keeps_or_resolves_the_default(self):
+        cfg = make_cfg(buffer=None)
+        assert dataclasses.replace(cfg, seed=9).buffer == cfg.buffer
+        moved = dataclasses.replace(cfg, rho=2.0, buffer=None)
+        assert moved.buffer == sampler.choose_buffer(moved, sampler.DEFAULT_BUFFER_QUANTILE)
+        assert moved.buffer < cfg.buffer
+
+
+class TestInWindow:
+    def test_half_open_on_every_axis(self):
+        cfg = make_cfg(n=3, window=((0.0, 2.0), (-1.0, 1.0)))
+        anchors = np.array(
+            [
+                [0.0, -1.0],  # on both low edges: in
+                [np.nextafter(2.0, 0.0), np.nextafter(1.0, 0.0)],  # below both high edges: in
+                [2.0, 0.0],  # on the high edge of axis 0: out
+                [1.0, 1.0],  # on the high edge of axis 1: out
+                [np.nextafter(0.0, -1.0), 0.0],  # below the low edge of axis 0: out
+                [1.0, np.nextafter(-1.0, -2.0)],  # below the low edge of axis 1: out
+            ]
+        )
+        assert cfg.in_window(anchors).tolist() == [True, True, False, False, False, False]
+
+    def test_one_anchor(self):
+        cfg = make_cfg(window=((0.0, 10.0),))
+        assert cfg.in_window(np.array([0.0])).tolist() == [True]
+        assert cfg.in_window(np.array([10.0])).tolist() == [False]
