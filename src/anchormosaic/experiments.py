@@ -13,6 +13,7 @@ exact per-replicate reconciliation of simplex counts with interval counts.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -28,7 +29,8 @@ from scipy import integrate, special, stats
 from . import constants, sampler
 from .constants import SCHEMA_VERSION
 from .errors import InsufficientSampleError
-from .geomcore import lower_hull, radius_and_intervals, slice_cloud
+from .geomcore import _lower_hull, _radius_and_intervals, _slice_cloud
+from .geomcore import slice_cloud  # noqa: F401  (perfbench/selftest.py looks it up here)
 
 __all__ = [
     "ReplicateRecord",
@@ -127,11 +129,15 @@ def run_replicate(cfg: sampler.SamplingConfig, replicate: int) -> ReplicateRecor
     their lifted lower hull, and its interval decomposition. Only an empty
     sample gives an empty record.
     """
-    points = sampler.sample_poisson_box(cfg, replicate)
+    return _replicate_record(cfg, replicate)
+
+
+def _replicate_record(cfg: sampler.SamplingConfig, replicate: int) -> ReplicateRecord:
+    points = sampler._sample_poisson_box(cfg, replicate)
     if len(points) == 0:
         return _empty_record(replicate)
-    y, w = slice_cloud(points, cfg.k)
-    mosaic = radius_and_intervals(y, w, lower_hull(y, w))
+    y, w = _slice_cloud(points, cfg.k)
+    mosaic = _radius_and_intervals(y, w, _lower_hull(y, w))
     simplex_in_window = cfg.in_window(mosaic.anchors)
     return ReplicateRecord(
         replicate=replicate,
@@ -143,6 +149,29 @@ def run_replicate(cfg: sampler.SamplingConfig, replicate: int) -> ReplicateRecor
         simplex_radii=mosaic.radii,
         simplex_in_window=simplex_in_window,
     )
+
+
+def _census_records(cfg: sampler.SamplingConfig, replicates: int) -> list[ReplicateRecord]:
+    """``run_replicate(cfg, r)`` for r = 0 .. replicates - 1, in replicate order.
+
+    At k >= 2 the replicates run on a pool of ``min(replicates, usable
+    CPUs)`` threads: most of a planar or higher replicate is the Qhull
+    call, which releases the GIL. At k = 1 they run in turn on the calling
+    thread, since the exact chain and the decomposition hold the GIL and a
+    pool only adds its handoffs. Each replicate draws from its own stream
+    and the records come back in replicate order, so the bits do not depend
+    on the number of workers. An error raised by a replicate reaches the
+    caller as it would from a serial loop. The workers call only private
+    bodies (``_replicate_record`` and what it calls), never a public
+    function of the package, so that a wrapper on a public function sees
+    calls from the calling thread only: the benchmark's tracer keeps one
+    span stack for the whole process.
+    """
+    record = functools.partial(_replicate_record, cfg)
+    if cfg.k == 1:
+        return list(map(record, range(replicates)))
+    with ThreadPoolExecutor(max_workers=min(replicates, _usable_cpus())) as pool:
+        return list(pool.map(record, range(replicates)))
 
 
 def _empty_record(replicate: int) -> ReplicateRecord:
@@ -177,7 +206,7 @@ def estimate_interval_rates(
     recommended = sampler.choose_buffer(cfg, sampler.DEFAULT_BUFFER_QUANTILE)
     if cfg.buffer < recommended:
         warnings.warn(
-            f"buffer {cfg.buffer:.3g} is below the recommended {recommended:.3g}; "
+            f"buffer {cfg.buffer:.6g} is below the recommended {recommended:.6g}; "
             "window counts may be biased by the truncated sample",
             stacklevel=2,
         )
@@ -196,7 +225,7 @@ def estimate_interval_rates(
     ]
 
     start = time.perf_counter()
-    records = [run_replicate(cfg, rep) for rep in range(replicates)]
+    records = _census_records(cfg, replicates)
     interval_counts = [rec.interval_counts(threshold) for rec in records]
     simplex_counts = [rec.simplex_counts(threshold) for rec in records]
     interval_rates = []

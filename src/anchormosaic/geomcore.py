@@ -7,7 +7,9 @@ mosaic as the lower hull of the lifted generators, listed face by face, and
 its interval decomposition into one columnar ``Mosaic``, all for any k.
 ``slice_cloud``, ``lower_hull`` and ``radius_and_intervals``, in that
 order, are the one path to a mosaic for every k; the anchors of the top
-simplices are the vertices of the power diagram.
+simplices are the vertices of the power diagram. Each of the three calls
+its private body (``_slice_cloud`` and so on) in one line, and code that
+runs on worker threads calls the bodies.
 
 The hull is one Qhull call for k >= 2. For k = 1 it is an exact lower chain
 over the generators sorted by x: vectorized passes drop every point not
@@ -24,8 +26,9 @@ the simplex dual to that face is the interval's upper bound, and the signs
 of the anchor's barycentric coordinates on the upper bound give the lower
 bound and the type (Bauer & Edelsbrunner, "The Morse theory of Cech and
 Delaunay complexes", Trans. AMS 2017). One loop applies that rule from the
-top dimension down to the vertices, with one equal-power corner system per
-level, solved through a twice-orthogonalised Gram-Schmidt QR.
+top dimension down to the edges, with one equal-power corner system per
+level, solved through a twice-orthogonalised Gram-Schmidt QR; a vertex is
+its own anchor.
 """
 
 from __future__ import annotations
@@ -197,6 +200,10 @@ class Mosaic:
 
 def slice_cloud(cloud: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized projection of an (N, n) cloud: returns (projections, weights)."""
+    return _slice_cloud(cloud, k)
+
+
+def _slice_cloud(cloud: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
     if not 1 <= k <= cloud.shape[1]:
         raise ValueError(f"need 1 <= k <= {cloud.shape[1]}, got k={k}")
@@ -263,6 +270,10 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     the top is keyed as its indices read as digits in base N, exact while
     N^k < 2^63; a larger N raises ValueError before any key is formed.
     """
+    return _lower_hull(y, w)
+
+
+def _lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     n_pts, k = y.shape
     if w.shape != (n_pts,):
         raise ValueError("weights must be a vector matching the projections")
@@ -455,7 +466,7 @@ def radius_and_intervals(
     ``y`` (N, k) and ``w`` (N,) are all generators and ``faces[m]`` the
     m-simplices with indices sorted within each row, as :func:`lower_hull`
     gives them (a level's rows may come in any order). One rule (Bauer &
-    Edelsbrunner) runs for m = k, ..., 0, with no tolerance: an m-simplex
+    Edelsbrunner) runs for m = k, ..., 1, with no tolerance: an m-simplex
     no higher upper bound claims is an upper bound, anchored at the
     equal-power point ``y_0 + u`` in its corners' affine hull, with
     ``e_c . u = b_c``, ``e_c = y_c - y_0``, and ``u = sum lambda_c e_c``
@@ -477,6 +488,10 @@ def radius_and_intervals(
     (:func:`_order_edge_powers`). Interval i is the one whose upper bound is
     the i-th upper-bound row.
     """
+    return _radius_and_intervals(y, w, faces)
+
+
+def _radius_and_intervals(y: np.ndarray, w: np.ndarray, faces: Sequence[np.ndarray]) -> Mosaic:
     n_pts, k = y.shape
     sizes = [len(face) for face in faces]
     first = np.cumsum([0, *sizes])
@@ -489,7 +504,7 @@ def radius_and_intervals(
     keys = [face @ n_pts ** np.arange(face.shape[1] - 1, -1, -1) for face in faces[:k]]
     orders = [np.argsort(key, kind="stable") for key in keys]
 
-    for m in range(k, -1, -1):
+    for m in range(k, 0, -1):
         rows = first[m] + np.flatnonzero(upper[first[m] : first[m + 1]] < 0)
         upper[rows] = rows
         simplices = faces[m][rows - first[m]]
@@ -518,6 +533,10 @@ def radius_and_intervals(
             claimed = first[level] + found
             upper[claimed] = rows[hit]
             claims.append(claimed)
+    # a vertex is its own anchor: the m = 0 rule with an empty corner system
+    rows = np.flatnonzero(upper[: first[1]] < 0)
+    upper[rows] = rows
+    anchors[rows], powers[rows] = y[vertices[rows]] + 0.0, 0.0 - w[vertices[rows]]
 
     if np.any(np.bincount(np.concatenate(claims), minlength=count) > 1):
         raise MosaicError("a simplex is claimed by two upper bounds")

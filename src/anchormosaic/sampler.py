@@ -98,6 +98,10 @@ def sample_poisson_box(cfg: SamplingConfig, replicate: int = 0) -> np.ndarray:
     Deterministic given (cfg.seed, replicate); distinct replicates give
     independent streams.
     """
+    return _sample_poisson_box(cfg, replicate)
+
+
+def _sample_poisson_box(cfg: SamplingConfig, replicate: int) -> np.ndarray:
     lows, highs = cfg.box_bounds()
     volume = float(np.prod(highs - lows))
     mean = cfg.rho * volume

@@ -102,7 +102,7 @@ class TestSimulateCommand:
         def never(*args, **kwargs):
             raise AssertionError("sampled although n <= k has no constants")
 
-        monkeypatch.setattr(sampler, "sample_poisson_box", never)
+        monkeypatch.setattr(sampler, "_sample_poisson_box", never)
         code, out, err = run(
             capsys, "simulate", "--n", "2", "--k", "2", "--window", "2500", "--reps", "40"
         )

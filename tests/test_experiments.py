@@ -1,11 +1,13 @@
 """Tests for the Monte Carlo experiments and identity checks."""
 
 import dataclasses
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -18,7 +20,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from anchormosaic import constants, experiments, sampler
-from anchormosaic.errors import InsufficientSampleError
+from anchormosaic.errors import DegeneracyError, InsufficientSampleError
 from anchormosaic.sampler import SamplingConfig
 
 from oracles import beta_fn, beta_inc, regularized_lower_gamma
@@ -69,6 +71,17 @@ class TestEstimateRates:
     def test_small_buffer_warns(self):
         with pytest.warns(UserWarning):
             experiments.estimate_interval_rates(cfg_1d(buffer=0.5), replicates=1)
+
+    def test_small_buffer_warning_tells_the_buffers_apart(self):
+        # the recommended buffer here is 1.6116..., which three digits print
+        # as 1.61, the given buffer
+        cfg = cfg_2d(window=((0.0, 4.0), (0.0, 4.0)), buffer=1.61)
+        with pytest.warns(UserWarning) as caught:
+            experiments.estimate_interval_rates(cfg, replicates=1)
+        assert str(caught[0].message) == (
+            "buffer 1.61 is below the recommended 1.61164; "
+            "window counts may be biased by the truncated sample"
+        )
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_scale_equivariance_per_sample(self, k):
@@ -180,7 +193,7 @@ class TestOneCensusPath:
     @pytest.mark.parametrize("k", [1, 2])
     def test_one_corner_system_per_level(self, k, monkeypatch):
         # the decomposition forms each level's equal-power equations once,
-        # the vertices' included
+        # and none for the vertices, each its own anchor
         from anchormosaic import geomcore
 
         calls = []
@@ -194,7 +207,7 @@ class TestOneCensusPath:
         faces = geomcore.lower_hull(y, w)
         monkeypatch.setattr(geomcore, "_corner_system", counted)
         geomcore.radius_and_intervals(y, w, faces)
-        assert len(calls) == k + 1
+        assert len(calls) == k
 
     @pytest.mark.parametrize("seed,points,rows", [(0, 0, 0), (3, 1, 1), (14, 2, 3)])
     def test_sparse_planar_sample_is_recorded(self, seed, points, rows):
@@ -330,6 +343,86 @@ def pool_log(monkeypatch):
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", SpyPool)
     return log
+
+
+def _record_bits(records):
+    """Every field of every record, as dtype and bytes."""
+    values = [np.asarray(getattr(rec, f.name)) for rec in records for f in dataclasses.fields(rec)]
+    return [(value.dtype.str, value.tobytes()) for value in values]
+
+
+class TestCensusPool:
+    @pytest.mark.parametrize(
+        "cfg",
+        [cfg_2d(seed=6), SamplingConfig(n=4, rho=1.0, window=((0.0, 4.0),) * 3, seed=2)],
+        ids=["3-2", "4-3"],
+    )
+    def test_records_do_not_depend_on_usable_cpus(self, monkeypatch, pool_log, cfg):
+        serial = _record_bits([experiments.run_replicate(cfg, rep) for rep in range(3)])
+        for cpus in ({0}, {0, 1}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            assert _record_bits(experiments._census_records(cfg, 3)) == serial
+        assert pool_log.workers == [1, 2, 3]
+
+    def test_no_pool_at_k1(self, monkeypatch, pool_log):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = cfg_1d(seed=4)
+        report = experiments.estimate_interval_rates(cfg, replicates=3)
+        assert pool_log.workers == []
+        assert _record_bits(report.records) == _record_bits(
+            [experiments.run_replicate(cfg, rep) for rep in range(3)]
+        )
+
+    def test_public_functions_run_on_the_calling_thread(self, monkeypatch, pool_log):
+        # the workers call private bodies only, so a wrapper on a public
+        # function, as the benchmark's tracer puts there, sees no other thread
+        threads = []
+
+        def spy(fn):
+            def spied(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return spied
+
+        owners = [module for name, module in sys.modules.items() if name.startswith("anchormosaic")]
+        for layer in ("constants", "experiments", "geomcore", "mosaic1d", "mosaic2d", "sampler",
+                      "specfun"):
+            module = importlib.import_module(f"anchormosaic.{layer}")
+            for name in module.__all__:
+                fn = getattr(module, name)
+                if isinstance(fn, type) or getattr(fn, "__module__", None) != module.__name__:
+                    continue
+                for owner in owners:
+                    for key in [key for key, value in vars(owner).items() if value is fn]:
+                        monkeypatch.setattr(owner, key, spy(fn))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = cfg_2d(seed=4)
+        report = experiments.estimate_interval_rates(cfg, replicates=4)
+        assert pool_log.workers == [2]
+        assert threads and set(threads) == {threading.get_ident()}
+        assert _record_bits(report.records) == _record_bits(
+            [experiments._replicate_record(cfg, rep) for rep in range(4)]
+        )
+
+    def test_replicate_error_reaches_caller(self, monkeypatch, pool_log):
+        # replicate 1 of 3 fails: the pooled census raises what the serial
+        # loop raises
+        record = experiments._replicate_record
+
+        def failing(cfg, replicate):
+            if replicate == 1:
+                raise DegeneracyError("replicate 1 is degenerate")
+            return record(cfg, replicate)
+
+        monkeypatch.setattr(experiments, "_replicate_record", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = cfg_2d(seed=5)
+        with pytest.raises(DegeneracyError, match="replicate 1 is degenerate"):
+            [experiments.run_replicate(cfg, rep) for rep in range(3)]
+        with pytest.raises(DegeneracyError, match="replicate 1 is degenerate"):
+            experiments.estimate_interval_rates(cfg, replicates=3)
+        assert pool_log.workers == [2]
 
 
 class TestBPIdentity:
