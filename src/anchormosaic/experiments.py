@@ -154,24 +154,30 @@ def _replicate_record(cfg: sampler.SamplingConfig, replicate: int) -> ReplicateR
 def _census_records(cfg: sampler.SamplingConfig, replicates: int) -> list[ReplicateRecord]:
     """``run_replicate(cfg, r)`` for r = 0 .. replicates - 1, in replicate order.
 
-    At k >= 2 the replicates run on a pool of ``min(replicates, usable
-    CPUs)`` threads: most of a planar or higher replicate is the Qhull
-    call, which releases the GIL. At k = 1 they run in turn on the calling
-    thread, since the exact chain and the decomposition hold the GIL and a
-    pool only adds its handoffs. Each replicate draws from its own stream
-    and the records come back in replicate order, so the bits do not depend
-    on the number of workers. An error raised by a replicate reaches the
-    caller as it would from a serial loop. The workers call only private
-    bodies (``_replicate_record`` and what it calls), never a public
-    function of the package, so that a wrapper on a public function sees
-    calls from the calling thread only: the benchmark's tracer keeps one
-    span stack for the whole process.
+    At k >= 2 the replicates run on the thread pool (``_pool_map``): most of
+    a planar or higher replicate is the Qhull call, which releases the GIL.
+    At k = 1 they run in turn on the calling thread, since the exact chain
+    and the decomposition hold the GIL and a pool only adds its handoffs.
+    Each replicate draws from its own stream, so the bits do not depend on
+    the number of workers.
     """
     record = functools.partial(_replicate_record, cfg)
     if cfg.k == 1:
         return list(map(record, range(replicates)))
-    with ThreadPoolExecutor(max_workers=min(replicates, _usable_cpus())) as pool:
-        return list(pool.map(record, range(replicates)))
+    return _pool_map(record, range(replicates))
+
+
+def _pool_map(fn: Callable, *args: Sequence) -> list:
+    """``list(map(fn, *args))`` on a pool of ``min(len(args[0]), usable
+    CPUs)`` threads, the results in argument order. An error raised by a
+    call reaches the caller as it would from ``map``. ``fn`` runs on the
+    workers, so it must call only private bodies, never a public function
+    of the package: a wrapper on a public function then sees calls from the
+    calling thread only, and the benchmark's tracer keeps one span stack
+    for the whole process.
+    """
+    with ThreadPoolExecutor(max_workers=min(len(args[0]), _usable_cpus())) as pool:
+        return list(pool.map(fn, *args))
 
 
 def _empty_record(replicate: int) -> ReplicateRecord:
@@ -748,11 +754,9 @@ def _bp_chunk(
     sigma_d: float,
     grass: float,
 ) -> _Record:
-    """The serial reference of one bp chunk: the record (``_moments``) of
-    the right-side weights of chunk ``index``'s ``size`` rows, drawn whole
-    from its stream (``_bp_draws``) and weighed block by block
-    (``_row_weights``) into one weight array. ``verify_bp_identity`` runs
-    the same two steps, the row step on a thread pool."""
+    """The record (``_moments``) of the right-side weights of bp chunk
+    ``index``'s ``size`` rows, drawn whole from its stream (``_bp_draws``)
+    and weighed block by block (``_row_weights``) into one weight array."""
     raw, points, bump_draws = _bp_draws(_chunk_stream(seed, index), size, n, k, m, bump)
     w = np.empty(size)
     for rows in _blocks(size):
@@ -760,46 +764,17 @@ def _bp_chunk(
     return _moments(w)
 
 
-def _chunked_record(
-    seed: int,
-    samples: int,
-    chunk: int,
-    draw: Callable[[np.random.Generator, int], object],
-    weigh: Callable[[object, slice], np.ndarray],
-) -> _Record:
-    """The merged record of ``samples`` weights drawn in chunks of
-    ``chunk`` rows: ``draw(rng, size)`` draws a chunk's variates from the
-    chunk's own stream (``_chunk_stream``), and ``weigh(draws, rows)``
-    returns the weights of a block of rows of those variates.
-
-    The calling thread draws every chunk, in chunk order. While it draws
-    chunk i + 1, a pool of ``min(blocks, usable CPUs)`` workers weighs
-    chunk i's blocks into that chunk's one weight array; the caller then
-    waits for them, takes the chunk's record (``_moments``) and folds it in
-    chunk order (``_merge_moments``). At most two chunks' variates are
-    alive at once. Each row's weight depends only on its own variates and
-    the records are merged in chunk order, so the bits do not depend on
-    the number of workers. ``weigh`` runs on the workers, so it must call
-    no public function of the package.
+def _chunked_record(samples: int, chunk: int, record: Callable[[int, int], _Record]) -> _Record:
+    """The merged record of ``samples`` rows in chunks of ``chunk`` rows:
+    ``record(index, size)`` gives chunk ``index``'s record, drawn from the
+    chunk's own stream (``_chunk_stream``). The chunks run on the thread
+    pool (``_pool_map``), one task each, and their records are folded in
+    chunk order (``_merge_moments``), so the bits do not depend on the
+    number of workers.
     """
     sizes = [min(chunk, samples - lo) for lo in range(0, samples, chunk)]
-    workers = min(sum(len(_blocks(size)) for size in sizes), _usable_cpus())
-
-    def weigh_into(w: np.ndarray, draws: object, rows: slice) -> None:
-        w[rows] = weigh(draws, rows)
-
-    record = (0, 0.0, 0.0, 0, 0.0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        draws = draw(_chunk_stream(seed, 0), sizes[0])
-        for index, size in enumerate(sizes):
-            w = np.empty(size)
-            blocks = [pool.submit(weigh_into, w, draws, rows) for rows in _blocks(size)]
-            if index + 1 < len(sizes):
-                draws = draw(_chunk_stream(seed, index + 1), sizes[index + 1])
-            for block in blocks:
-                block.result()
-            record = _merge_moments(record, _moments(w))
-    return record
+    records = _pool_map(record, range(len(sizes)), sizes)
+    return functools.reduce(_merge_moments, records, (0, 0.0, 0.0, 0, 0.0))
 
 
 def verify_bp_identity(
@@ -828,19 +803,16 @@ def verify_bp_identity(
 
     The rows are drawn in chunks of ``chunk`` rows. Chunk i draws from its
     own stream, ``Philox(key=seed).jumped(i)``, so chunk 0 draws the key's
-    own stream and a one-chunk run is the serial run. The calling thread
-    draws each chunk whole, in stream order (``_bp_draws``). While it draws
-    chunk i + 1, a thread pool of ``min(blocks, usable CPUs)`` workers
-    weighs chunk i's blocks of ``_BLOCK_ROWS`` rows (``_row_weights``, the
-    one row step of both test functions) into the chunk's one weight
-    array, so at most two chunks' variates are alive at once. The caller
-    then takes the chunk's record, its weights' moments, non-finite count
-    and largest weight, and merges the records in chunk order
-    (``_chunked_record``): the output bits do not depend on the number of
-    workers. Up to m = 2 the row step calls no BLAS, so they do not depend
-    on the number of BLAS threads either. ``sigma_d`` and ``grass`` are
-    computed here once, so that a worker calls no public function of the
-    package.
+    own stream and a one-chunk run is the serial run. Each chunk is one
+    task on a thread pool of ``min(chunks, usable CPUs)`` workers
+    (``_bp_chunk``: its draws whole, in stream order, then the one row step
+    of both test functions in blocks of ``_BLOCK_ROWS`` rows), which gives
+    the chunk's record, its weights' moments, non-finite count and largest
+    weight. The records are merged in chunk order (``_chunked_record``), so
+    the output bits do not depend on the number of workers. Up to m = 2 the
+    row step calls no BLAS, so they do not depend on the number of BLAS
+    threads either. ``sigma_d`` and ``grass`` are computed here once, so
+    that a worker calls no public function of the package.
 
     The right CI is a 95% normal interval whose variance comes from
     per-chunk two-pass moments merged with the Chan-Golub-LeVeque update, so
@@ -867,15 +839,9 @@ def verify_bp_identity(
     grass = constants.grassmannian_volume(m, k)
     sigma_d = constants.sphere_surface(d)
 
-    def draw(rng: np.random.Generator, size: int) -> _BPDraws:
-        return _bp_draws(rng, size, n, k, m, bump)
-
-    def weigh(draws: _BPDraws, rows: slice) -> np.ndarray:
-        raw, points, bump_draws = draws
-        return _row_weights(raw, points, rows, n, k, sigma_d, grass, bump_draws)
-
-    record = _chunked_record(seed, samples, chunk, draw, weigh)
-    _, right, right_m2, right_nonfinite, right_max = record
+    chunk_record = functools.partial(_bp_chunk, seed, n=n, k=k, m=m, bump=bump,
+                                     sigma_d=sigma_d, grass=grass)
+    _, right, right_m2, right_nonfinite, right_max = _chunked_record(samples, chunk, chunk_record)
     half = 1.96 * math.sqrt(right_m2 / samples / samples)
     right_ci = (right - half, right + half)
     # Kish effective sample size (sum w)^2 / sum w^2 = n mean^2 / (mean^2 + M2 / n)
