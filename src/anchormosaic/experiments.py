@@ -82,11 +82,13 @@ class ReplicateRecord:
 
     def interval_counts(self, r0: float = math.inf) -> dict[tuple[int, int], int]:
         """In-window intervals of radius at most r0, per type present."""
-        types = self.interval_types[self.interval_in_window & (self.interval_radii <= r0)]
+        types = self.interval_types
         if len(types) == 0:
             return {}
+        # one type code per row, with a base above every row's m
         base = int(types.max()) + 1
-        counts = np.bincount(types[:, 0] * base + types[:, 1])
+        codes = types[:, 0] * base + types[:, 1]
+        counts = np.bincount(codes[self.interval_in_window & (self.interval_radii <= r0)])
         return {divmod(code, base): int(counts[code]) for code in np.flatnonzero(counts).tolist()}
 
     def simplex_counts(self, r0: float = math.inf) -> dict[int, int]:
@@ -337,9 +339,10 @@ def ks_gamma_test(radii: np.ndarray, shape: float, rate_scale: float, n: int) ->
 
     Transforms each radius r to P(shape, rate_scale * r^n), which is uniform
     on [0, 1] under the hypothesis that rate_scale * r^n is
-    Gamma(shape)-distributed, then applies a one-sample KS test. The
-    regularized lower incomplete Gamma function P is evaluated for all radii
-    in one ``scipy.special.gammainc`` call.
+    Gamma(shape)-distributed, then takes the one-sample KS p-value of
+    :func:`_ks_uniform_pvalue`. The regularized lower incomplete Gamma
+    function P is evaluated for all radii in one ``scipy.special.gammainc``
+    call.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size < 100:
@@ -349,8 +352,24 @@ def ks_gamma_test(radii: np.ndarray, shape: float, rate_scale: float, n: int) ->
     scaled = rate_scale * radii**n
     if not np.all(np.isfinite(scaled) & (scaled >= 0.0)):
         raise ValueError("rate_scale * r^n must be finite and non-negative for every radius")
-    transformed = special.gammainc(shape, scaled)
-    return float(stats.kstest(transformed, "uniform").pvalue)
+    return _ks_uniform_pvalue(special.gammainc(shape, scaled))
+
+
+def _ks_uniform_pvalue(u: np.ndarray) -> float:
+    """Two-sided one-sample KS p-value of ``u``, values in [0, 1], against
+    Uniform(0, 1): ``stats.kstest(u, "uniform").pvalue`` to the bit.
+
+    With ``x`` the sorted sample of size n, ``D = max(D+, D-)``, ``D+ =
+    max(i/n - x_i)`` and ``D- = max(x_i - (i-1)/n)``, i = 1..n, and the
+    p-value is ``kstwo.sf(D, n)`` clipped to [0, 1], the exact distribution
+    that ``kstest`` selects in its default mode. The uniform CDF is the
+    identity on [0, 1], so nothing else is evaluated.
+    """
+    x = np.sort(u)
+    n = len(x)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - x)
+    d_minus = np.max(x - np.arange(0.0, n) / n)
+    return float(np.clip(stats.kstwo.sf(max(d_plus, d_minus), n), 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -988,15 +1007,12 @@ def verify_beta_projection_law(
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     r2 = np.einsum("ij,ij->i", x[:, :k], x[:, :k])
 
-    def ks_pvalue(a: float, b: float) -> float:
-        return float(stats.kstest(special.betainc(a, b, r2), "uniform").pvalue)
-
     return BetaLawCheck(
         n=n,
         k=k,
         samples=samples,
-        p_half_dims=ks_pvalue(k / 2.0, (n - k) / 2.0),
-        p_fraction_dims=ks_pvalue(k / n, (n - k) / n),
+        p_half_dims=_ks_uniform_pvalue(special.betainc(k / 2.0, (n - k) / 2.0, r2)),
+        p_fraction_dims=_ks_uniform_pvalue(special.betainc(k / n, (n - k) / n, r2)),
     )
 
 

@@ -267,8 +267,10 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     dependent generators and on degenerate configurations Qhull refuses; ValueError
     on a non-finite projection or weight; MosaicError when a
     ridge (in ``faces[k-1]``) belongs to more than two cells. A face below
-    the top is keyed as its indices read as digits in base N, exact while
-    N^k < 2^63; a larger N raises ValueError before any key is formed.
+    the top is keyed as its indices read as digits in base N, and a cell as
+    its first k indices, a ridge, so every key is exact while N^k < 2^63; a
+    larger N raises ValueError before any key is formed. The cells are put
+    in order by one sort of their ridge keys, ties broken by the last index.
     """
     return _lower_hull(y, w)
 
@@ -323,7 +325,15 @@ def _lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
         keys = keys[np.diff(keys, prepend=-1) != 0]
         faces.append(keys[:, None] // digits % n_pts)
     top = cells if cells.shape[1] == k + 1 else np.empty((0, k + 1), dtype=int)
-    faces.append(top[np.lexsort(top.T[::-1])])
+    # a cell's first k indices are one of its ridges, and no ridge is in
+    # three cells: sorted by that key, only neighbour pairs can tie, and
+    # swapping a pair whose last indices descend gives lexicographic order
+    ridge = top[:, :k] @ n_pts ** np.arange(k - 1, -1, -1)
+    order = np.argsort(ridge)
+    ridge, last = ridge[order], top[order, k]
+    swap = np.flatnonzero((ridge[1:] == ridge[:-1]) & (last[1:] < last[:-1]))
+    order[swap], order[swap + 1] = order[swap + 1], order[swap]
+    faces.append(top[order])
     return faces
 
 
@@ -560,7 +570,8 @@ def _radius_and_intervals(y: np.ndarray, w: np.ndarray, faces: Sequence[np.ndarr
     # interval i is the i-th upper bound in row order; its lower bound is its first row
     bound = upper == np.arange(count)
     interval_id = np.cumsum(bound)[upper] - 1
-    lower = np.unique(interval_id, return_index=True)[1]
+    lower = np.full(np.count_nonzero(bound), count)
+    np.minimum.at(lower, interval_id, np.arange(count))
 
     return Mosaic(
         y=y,

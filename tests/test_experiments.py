@@ -144,13 +144,18 @@ class TestEstimateRates:
         assert record.interval_counts() == intervals
         assert record.simplex_counts() == simplices
 
-    @pytest.mark.parametrize("r0", ["median", "inf"])
+    @pytest.mark.parametrize("r0", ["smallest", "median", "inf"])
     def test_counts_match_counter_over_rows(self, r0):
         # the bincount census against a Counter over the same rows, on
-        # replicate 0 of the criterion-7 configuration
+        # replicate 0 of the criterion-7 configuration; at the smallest
+        # in-window radius the selected rows hold (0, 0) types only
         cfg = SamplingConfig(n=3, rho=1.0, window=((0.0, 20.0), (0.0, 20.0)), seed=2025)
         record = experiments.run_replicate(cfg, 0)
-        r0 = float(np.median(record.interval_radii)) if r0 == "median" else math.inf
+        r0 = {
+            "smallest": float(np.min(record.interval_radii[record.interval_in_window])),
+            "median": float(np.median(record.interval_radii)),
+            "inf": math.inf,
+        }[r0]
         iv = record.interval_in_window & (record.interval_radii <= r0)
         sx = record.simplex_in_window & (record.simplex_radii <= r0)
         intervals = Counter((int(ell), int(m)) for ell, m in record.interval_types[iv])
@@ -285,6 +290,21 @@ class TestKSGammaTest:
         p_ref = float(stats.kstest(reference, "uniform").pvalue)
         p = experiments.ks_gamma_test(radii, shape, rate, n)
         assert p == pytest.approx(p_ref, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "sample", ["100", "4000", "12000", "60000", "ties", "zeros-and-ones"]
+    )
+    def test_pvalue_is_kstest_to_the_bit(self, sample):
+        # the direct statistic and kstwo against scipy's kstest in its
+        # default mode; a scipy that changes that mode fails here
+        rng = np.random.default_rng(11)
+        if sample == "ties":
+            u = np.round(rng.random(3000), 2)
+        elif sample == "zeros-and-ones":
+            u = np.concatenate([np.zeros(7), rng.random(500), np.ones(4)])
+        else:
+            u = rng.random(int(sample))
+        assert experiments._ks_uniform_pvalue(u) == stats.kstest(u, "uniform").pvalue
 
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     def test_invalid_radius_rejected(self, bad):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
-from scipy.spatial import Delaunay
+from scipy.spatial import ConvexHull, Delaunay
 
 from anchormosaic import experiments, geomcore, sampler
 from anchormosaic.constants import SCHEMA_VERSION, IntervalType
@@ -301,6 +301,26 @@ class TestLowerHull:
         with pytest.raises(ValueError, match=r"N\^k < 2\^63"):
             geomcore.lower_hull(np.eye(17, 16), np.zeros(17))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cells_in_lexsort_order(self, k):
+        # the cells against an independent hull, ordered by np.lexsort; the
+        # samples hold cells that share their first k indices, the ties the
+        # ridge-key sort leaves to the swap
+        ties = 0
+        for seed in range(8):
+            mosaic = TestMosaic._random_mosaic(k, 100 * k + seed)
+            y, w, faces = mosaic.y, mosaic.w, mosaic.faces
+            if k == 1:
+                v = faces[0][np.argsort(y[faces[0][:, 0], 0]), 0]
+                cells = np.column_stack([v[:-1], v[1:]])
+            else:
+                hull = ConvexHull(np.column_stack([y, np.einsum("ij,ij->i", y, y) - w]), "Qt Qbb")
+                cells = hull.simplices[hull.equations[:, k] < 0.0]
+            cells = np.sort(cells, axis=1)
+            np.testing.assert_array_equal(faces[k], cells[np.lexsort(cells.T[::-1])])
+            ties += np.count_nonzero((faces[k][1:, :k] == faces[k][:-1, :k]).all(axis=1))
+        assert ties > 0
+
     def test_line_against_grid_oracle(self):
         # the survivors are the generators whose power wins somewhere on a
         # fine grid of the line
@@ -550,6 +570,9 @@ class TestMosaic:
         smallest = np.full(len(mosaic.lower), len(rows))
         np.minimum.at(smallest, ids, rows)
         assert np.array_equal(mosaic.lower, smallest)
+        reference = np.unique(ids, return_index=True)[1]
+        assert np.array_equal(mosaic.lower, reference)
+        assert mosaic.lower.dtype == reference.dtype
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))

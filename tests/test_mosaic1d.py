@@ -233,3 +233,8 @@ def test_adapter_matches_geomcore():
         (iv.lower, iv.upper, iv.type) for iv in direct.intervals
     )
     assert np.all(np.diff(halfplane[mosaic.vertices, 0]) > 0)
+    # the lower bounds of the left-to-right rows against the sort of the ids
+    for built in (mosaic, direct):
+        reference = np.unique(built.interval_id, return_index=True)[1]
+        np.testing.assert_array_equal(built.lower, reference)
+        assert built.lower.dtype == reference.dtype
