@@ -139,18 +139,17 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     table: dict[str, dict[str, float]] = {}
     rows: list[tuple] = []
     for n in args.n:
-        norm = args.rho ** (args.k / n)  # expectations per unit rho^(k/n) |R|
-        entry: dict[str, float] = {}
-        for t in types:
-            value = constants.interval_constant(t, args.k, n)
-            entry[f"C[{t.ell},{t.m}]"] = value
-            if args.r0 is not None:
+        # the constants first: they refuse an n with none before n divides
+        entry = {f"C[{t.ell},{t.m}]": constants.interval_constant(t, args.k, n) for t in types}
+        for j in range(args.k + 1):
+            entry[f"D[{j}]"] = constants.simplex_constant(j, args.k, n)
+        if args.r0 is not None:
+            norm = args.rho ** (args.k / n)  # expectations per unit rho^(k/n) |R|
+            for t in types:
                 entry[f"E[c({t.ell},{t.m})](r0)"] = (
                     constants.expected_interval_count(t, args.k, n, args.rho, 1.0, args.r0) / norm
                 )
-        for j in range(args.k + 1):
-            entry[f"D[{j}]"] = constants.simplex_constant(j, args.k, n)
-            if args.r0 is not None:
+            for j in range(args.k + 1):
                 entry[f"E[d({j})](r0)"] = (
                     constants.expected_simplex_count(j, args.k, n, args.rho, 1.0, args.r0) / norm
                 )

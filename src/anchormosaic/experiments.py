@@ -127,17 +127,15 @@ class ExperimentReport:
 def run_replicate(cfg: sampler.SamplingConfig, replicate: int) -> ReplicateRecord:
     """Sample, slice, build the mosaic, and record every interval and simplex.
 
-    The same three steps for every k: the slice's projections and weights,
-    their lifted lower hull, and its interval decomposition. Only an empty
-    sample gives an empty record.
+    The same three steps for every sample, an empty one included: the
+    slice's projections and weights, their lifted lower hull, and its
+    interval decomposition. An empty sample gives a record with no rows.
     """
     return _replicate_record(cfg, replicate)
 
 
 def _replicate_record(cfg: sampler.SamplingConfig, replicate: int) -> ReplicateRecord:
     points = sampler._sample_poisson_box(cfg, replicate)
-    if len(points) == 0:
-        return _empty_record(replicate)
     y, w = _slice_cloud(points, cfg.k)
     mosaic = _radius_and_intervals(y, w, _lower_hull(y, w))
     simplex_in_window = cfg.in_window(mosaic.anchors)
@@ -180,19 +178,6 @@ def _pool_map(fn: Callable, *args: Sequence) -> list:
     """
     with ThreadPoolExecutor(max_workers=min(len(args[0]), _usable_cpus())) as pool:
         return list(pool.map(fn, *args))
-
-
-def _empty_record(replicate: int) -> ReplicateRecord:
-    return ReplicateRecord(
-        replicate=replicate,
-        num_points=0,
-        interval_types=np.empty((0, 2), dtype=int),
-        interval_radii=np.empty(0),
-        interval_in_window=np.empty(0, dtype=bool),
-        simplex_dims=np.empty(0, dtype=int),
-        simplex_radii=np.empty(0),
-        simplex_in_window=np.empty(0, dtype=bool),
-    )
 
 
 def estimate_interval_rates(
@@ -581,7 +566,7 @@ def _draw_sphere(
     in stream order. First the (size, d) normals whose directions are u_0,
     then per sphere point u_1..u_m each row's mixture component, stored as
     ``uint8`` and drawn from ``_MIX_PROBS``, and its ``_draw_vmf`` variates.
-    The bump's r and y variates follow these in the stream (``_bp_draws``).
+    The bump's r and y variates follow these in the stream (``_bp_chunk``).
 
     u_0 is uniform; u_1..u_m come from a half-uniform, half-vMF(u_0) mixture
     over a ladder of concentrations, which keeps the weights bounded near the
@@ -732,29 +717,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# a bp chunk's variates, in stream order: _draw_sphere's, then the bump's
-# standard-Gamma variate and k normals per row, or None for the Gaussian
-_BPDraws = tuple[np.ndarray, list[_SpherePoint], tuple[np.ndarray, np.ndarray] | None]
-
-
-def _bp_draws(rng: np.random.Generator, size: int, n: int, k: int, m: int, bump: bool) -> _BPDraws:
-    """The draw step of a bp chunk: every variate of its ``size`` rows, in
-    stream order, the sphere's (``_draw_sphere``) and then, for the bump,
-    each row's standard-Gamma(a_r) variate and k normals."""
-    raw, points = _draw_sphere(rng, size, m, m + n - k)
-    bump_draws = None
-    if bump:
-        a_r = (n * (m + 1) - k) / 2.0
-        bump_draws = rng.standard_gamma(a_r, size), rng.standard_normal((size, k))
-    return raw, points, bump_draws
-
-
-def _blocks(size: int) -> list[slice]:
-    """The row step's blocks of a chunk of ``size`` rows, ``_BLOCK_ROWS``
-    rows each but the last."""
-    return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, size, _BLOCK_ROWS)]
-
-
 def _chunk_stream(seed: int, index: int) -> np.random.Generator:
     """Chunk ``index``'s own stream: the seed's Philox stream jumped ``index``
     times, so chunk 0 draws the key's own stream. Philox is counter-based,
@@ -774,11 +736,18 @@ def _bp_chunk(
     grass: float,
 ) -> _Record:
     """The record (``_moments``) of the right-side weights of bp chunk
-    ``index``'s ``size`` rows, drawn whole from its stream (``_bp_draws``)
-    and weighed block by block (``_row_weights``) into one weight array."""
-    raw, points, bump_draws = _bp_draws(_chunk_stream(seed, index), size, n, k, m, bump)
+    ``index``'s ``size`` rows. Every variate is drawn whole from the chunk's
+    stream (``_chunk_stream``), in stream order: the sphere's
+    (``_draw_sphere``), then for the bump each row's standard-Gamma(a_r)
+    variate and k normals. The rows are then weighed in blocks of
+    ``_BLOCK_ROWS`` (``_row_weights``) into one weight array."""
+    rng = _chunk_stream(seed, index)
+    raw, points = _draw_sphere(rng, size, m, m + n - k)
+    a_r = (n * (m + 1) - k) / 2.0
+    bump_draws = (rng.standard_gamma(a_r, size), rng.standard_normal((size, k))) if bump else None
     w = np.empty(size)
-    for rows in _blocks(size):
+    for lo in range(0, size, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
         w[rows] = _row_weights(raw, points, rows, n, k, sigma_d, grass, bump_draws)
     return _moments(w)
 
@@ -823,15 +792,16 @@ def verify_bp_identity(
     The rows are drawn in chunks of ``chunk`` rows. Chunk i draws from its
     own stream, ``Philox(key=seed).jumped(i)``, so chunk 0 draws the key's
     own stream and a one-chunk run is the serial run. Each chunk is one
-    task on a thread pool of ``min(chunks, usable CPUs)`` workers
-    (``_bp_chunk``: its draws whole, in stream order, then the one row step
-    of both test functions in blocks of ``_BLOCK_ROWS`` rows), which gives
-    the chunk's record, its weights' moments, non-finite count and largest
-    weight. The records are merged in chunk order (``_chunked_record``), so
-    the output bits do not depend on the number of workers. Up to m = 2 the
-    row step calls no BLAS, so they do not depend on the number of BLAS
-    threads either. ``sigma_d`` and ``grass`` are computed here once, so
-    that a worker calls no public function of the package.
+    task, ``_bp_chunk``, on a thread pool of ``min(chunks, usable CPUs)``
+    workers: it draws the chunk's variates whole, in stream order, weighs
+    its rows in blocks of ``_BLOCK_ROWS`` with the one row step of both test
+    functions, and gives the chunk's record, its weights' moments,
+    non-finite count and largest weight. The records are merged in chunk
+    order (``_chunked_record``), so the output bits do not depend on the
+    number of workers. Up to m = 2 the row step calls no BLAS, so they do
+    not depend on the number of BLAS threads either. ``sigma_d`` and
+    ``grass`` are computed here once, so that a worker calls no public
+    function of the package.
 
     The right CI is a 95% normal interval whose variance comes from
     per-chunk two-pass moments merged with the Chan-Golub-LeVeque update, so

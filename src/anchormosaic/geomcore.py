@@ -496,7 +496,9 @@ def radius_and_intervals(
     power cell; no squared radius is negative. At k = 1 an edge power that
     rounding puts below an endpoint's is recomputed exactly
     (:func:`_order_edge_powers`). Interval i is the one whose upper bound is
-    the i-th upper-bound row.
+    the i-th upper-bound row. No generators, with the empty faces
+    :func:`lower_hull` gives them, give a ``Mosaic`` with no rows and no
+    intervals.
     """
     return _radius_and_intervals(y, w, faces)
 
@@ -507,7 +509,10 @@ def _radius_and_intervals(y: np.ndarray, w: np.ndarray, faces: Sequence[np.ndarr
     first = np.cumsum([0, *sizes])
     count = int(first[-1])
     vertices = faces[0][:, 0]
-    scale = max(1.0, float(np.max(np.ptp(y[vertices], axis=0))))
+    # the vertices' largest span on an axis, and 1 if that is less or there are none
+    ys = y[vertices]
+    span = np.max(ys, axis=0, initial=-np.inf) - np.min(ys, axis=0, initial=np.inf)
+    scale = float(np.max(span, initial=1.0))
     upper = np.full(count, -1)
     anchors, powers = np.empty((count, k)), np.empty(count)
     claims = [np.empty(0, dtype=int)]
@@ -563,7 +568,7 @@ def _radius_and_intervals(y: np.ndarray, w: np.ndarray, faces: Sequence[np.ndarr
     anchors, powers = anchors[upper], powers[upper]
     # a power is |u|^2 - w at a corner or -w at a vertex: never negative in
     # floating point when every weight is at most 0, as a slice's -|tail|^2 is
-    if np.min(powers) < 0.0:
+    if np.min(powers, initial=0.0) < 0.0:
         raise MosaicError("negative squared radius; weights are not slice-induced")
     radii = np.sqrt(powers)
 

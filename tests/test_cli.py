@@ -229,6 +229,13 @@ class TestErrorPaths:
         assert code == cli.EXIT_NUMERICAL
         assert "numerical error" in err
 
+    def test_zero_dimension_is_refused_before_use(self, capsys):
+        # n = 0 is refused by the constants, not by a division by n
+        code, out, err = run(capsys, "constants", "--k", "2", "--n", "0..3")
+        assert code == cli.EXIT_NUMERICAL
+        assert out == ""
+        assert err == "numerical error: ambient dimension must exceed k, got n=0, k=2\n"
+
     @pytest.mark.parametrize("text", ["x", "2..", "5..3"])
     def test_bad_dimension_range_is_usage_error(self, capsys, text):
         # unparsable text and an empty range; n <= k stays a numerical error

@@ -165,7 +165,18 @@ class TestEstimateRates:
         assert all(type(ell) is int and type(m) is int for ell, m in record.interval_counts(r0))
 
     def test_counts_of_empty_record(self):
-        record = experiments._empty_record(0)
+        # at this density the buffered box expects 0.00024 points: the empty
+        # sample takes the census path of every other sample
+        cfg = SamplingConfig(n=2, rho=0.001, window=((0.0, 1.0),), buffer=0.1)
+        record = experiments.run_replicate(cfg, 0)
+        assert record.num_points == 0
+        assert record.interval_types.shape == (0, 2)
+        assert record.interval_types.dtype.kind == "i" and record.simplex_dims.dtype.kind == "i"
+        assert record.interval_radii.dtype == record.simplex_radii.dtype == float
+        assert record.interval_in_window.dtype == record.simplex_in_window.dtype == bool
+        columns = (record.interval_radii, record.interval_in_window, record.simplex_dims,
+                   record.simplex_radii, record.simplex_in_window)
+        assert [column.shape for column in columns] == [(0,)] * 5
         assert record.interval_counts() == {}
         assert record.simplex_counts() == {}
 
@@ -498,21 +509,21 @@ class TestBPIdentity:
         # CPUs: one pool of three workers, one task per chunk, and each
         # worker holds one chunk's draws at a time, so at most three chunks'
         # draws are alive at once
-        bp_draws = experiments._bp_draws
+        draw_sphere = experiments._draw_sphere
         lock = threading.Lock()
         drawn = []
         most_alive = 0
 
         def spy(*args):
             nonlocal most_alive
-            draws = bp_draws(*args)
+            draws = draw_sphere(*args)
             with lock:
                 drawn.append(weakref.ref(draws[0]))
                 most_alive = max(most_alive, sum(ref() is not None for ref in drawn))
             return draws
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(experiments, "_bp_draws", spy)
+        monkeypatch.setattr(experiments, "_draw_sphere", spy)
         experiments.verify_bp_identity(2, 1, 1, samples=200_000, seed=6, chunk=40_000)
         assert len(drawn) == 5 and most_alive <= 3
         assert pool_log.workers == [3]

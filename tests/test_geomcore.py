@@ -482,6 +482,33 @@ class TestLowerChain:
         assert faces[1].tolist() == [[0, 19_999]]
         assert len(tests) > 20_000
 
+    def test_scan_decides_an_undecided_triple_exactly(self, monkeypatch):
+        # the cascade's ends at x = 0 and 64, both of weight 0, lift onto the
+        # line z = 64 x; a generator added at x = 64.2 with the float weight
+        # (x - 64) x lifts onto it too, up to the rounding of that weight,
+        # which is downward. Only the scan tests the end at 64 against the
+        # chord of 0 and 64.2: exactly it lies strictly below, and the float
+        # cross is 0
+        y, w = self.cascade(65)
+        xc = 64.2
+        wc = (xc - 64.0) * xc
+        assert Fraction(xc - 64.0) * Fraction(xc) > Fraction(wc)
+        y, w = np.append(y, xc)[:, None], np.append(w, wc)
+        scanned = []
+
+        def spy(*args):
+            scanned.append(args)
+            return below_chord(*args)
+
+        below_chord = geomcore._below_chord
+        monkeypatch.setattr(geomcore, "_below_chord", spy)
+        vertices = geomcore.lower_hull(y, w)[0][:, 0].tolist()
+        assert vertices == exact_lower_chain(y, w) == [0, 64, 65]
+        triple = (0.0, 64.0, xc, 0.0, 0.0, wc)
+        assert triple in scanned
+        cross, bound = geomcore._chord_cross(*triple)
+        assert cross == 0.0 < bound
+
     def test_cascade_against_exact_chain(self):
         y, w = self.cascade(2_000)
         assert exact_lower_chain(y, w) == [0, 1_999]
@@ -607,6 +634,22 @@ class TestMosaic:
         mosaic = self._random_mosaic(k, 5)
         assert np.shares_memory(mosaic.edge_radius, mosaic.radii)
         assert np.array_equal(mosaic.edge_radius, mosaic.radii[mosaic.dims == 1])
+        assert np.shares_memory(mosaic.vertex_radius, mosaic.radii)
+        assert np.array_equal(mosaic.vertex_radius, mosaic.radii[mosaic.dims == 0])
+        # the vertex rows come in the order of ``vertices``
+        vertex_rows = [s[0] for s, dim in zip(mosaic.simplices, mosaic.dims) if dim == 0]
+        assert vertex_rows == mosaic.vertices.tolist()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_no_generators_give_an_empty_mosaic(self, k):
+        y, w = np.empty((0, k)), np.empty(0)
+        mosaic = geomcore.radius_and_intervals(y, w, geomcore.lower_hull(y, w))
+        columns = [mosaic.dims, mosaic.anchors, mosaic.radii, mosaic.interval_id,
+                   mosaic.lower, mosaic.upper, mosaic.vertices]
+        assert [len(column) for column in columns] == [0] * len(columns)
+        assert mosaic.anchors.shape == (0, k)
+        assert [face.shape for face in mosaic.faces] == [(0, m + 1) for m in range(k + 1)]
+        assert mosaic.simplices == [] and mosaic.intervals == []
 
     def test_intervals_built_on_first_use(self):
         mosaic = self._random_mosaic(2, 3)

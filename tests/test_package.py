@@ -4,12 +4,15 @@ import ast
 import functools
 import importlib
 import pkgutil
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anchormosaic
+from anchormosaic import constants, experiments, geomcore, sampler, specfun
 
 MODULES = sorted(
     f"{anchormosaic.__name__}.{info.name}" for info in pkgutil.iter_modules(anchormosaic.__path__)
@@ -119,3 +122,39 @@ def test_every_public_name_has_a_caller(layer):
         if not any(use.search(line) and not declaration.match(line) for line in _caller_lines()):
             unused.append(name)
     assert unused == []
+
+
+def _cfg(**changes) -> sampler.SamplingConfig:
+    return sampler.SamplingConfig(**{"n": 2, "rho": 1.0, "window": ((0.0, 10.0),), **changes})
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: constants.log_sphere_surface(0), "need n >= 1"),
+        (lambda: constants.grassmannian_volume(3, 2), "need 0 <= m <= k"),
+        (lambda: constants.critical_vertex_constant(0, 3), "slice dimension must be >= 1"),
+        (lambda: constants.interval_constant((0, 2), 1, 3), "cannot occur in a 1-dimensional"),
+        (lambda: constants.expected_interval_count((0, 0), 1, 2, 1.0, 1.0, r0=-1.0),
+         "radius threshold must be non-negative"),
+        (lambda: constants.expected_interval_count((0, 0), 1, 2, 1.0, 0.0), "area must be positive"),
+        (lambda: constants.expected_simplex_count(0, 1, 2, 1.0, 0.0), "area must be positive"),
+        (lambda: experiments.estimate_interval_rates(_cfg(), 0), "need at least one replicate"),
+        (lambda: experiments.ks_gamma_test(np.ones(100), 0.0, 1.0, 2),
+         "shape parameter must be positive and finite"),
+        (lambda: experiments.ks_gamma_test(np.ones(100), math.nan, 1.0, 2),
+         "shape parameter must be positive and finite"),
+        (lambda: experiments.verify_angle_integral(1), "need n >= 2"),
+        (lambda: experiments.verify_beta_projection_law(3, 3), "need 1 <= k < n"),
+        (lambda: geomcore.slice_cloud(np.zeros((4, 3)), 0), "need 1 <= k <= 3"),
+        (lambda: _cfg(n=0), "need n >= 1"),
+        (lambda: _cfg(n=1, window=((0.0, 1.0), (0.0, 1.0))), "window defines k=2"),
+        (lambda: sampler.choose_buffer(_cfg(), 1.0), "quantile must lie in (0, 1)"),
+        (lambda: specfun.hyp3f2(1.0, math.nan, 1.0, 3.0, 3.0), "a2 must be finite"),
+    ],
+)
+def test_out_of_domain_arguments_raise_value_error(call, message):
+    # each refusal is a plain ValueError, no subclass, that says what is wrong
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        call()
+    assert info.type is ValueError
