@@ -2,12 +2,11 @@
 
 Builds the regular triangulation via the lifted lower hull, computes the
 anchored radius function, whose triangle anchors are the vertices of the
-dual power diagram, and summarizes the interval census against its
-closed-form prediction. Also dumps the mosaic to JSON to demonstrate the
-export schema.
+dual power diagram, summarizes the interval census against its closed-form
+prediction and spot-checks that the spheres of the window intervals are
+empty.
 """
 
-import json
 from collections import Counter
 
 from anchormosaic import constants, geomcore, sampler
@@ -44,7 +43,3 @@ violations = sum(
     for iv in in_window
 )
 print(f"\nempty-circumsphere check: {violations} violations in {len(in_window)} intervals")
-
-dump = mosaic.to_dict(window=cfg.window)
-print(f"\nJSON dump: {len(dump['simplices'])} simplices, {len(dump['intervals'])} intervals")
-print(json.dumps(dump["intervals"][0], indent=2))

@@ -4,9 +4,10 @@ Subcommands: ``constants`` prints the closed-form tables, ``simulate`` runs
 the Monte Carlo rate estimation, ``verify`` runs one of the identity checks.
 Exit codes: 0 success, 1 usage error, 2 numerical or degeneracy error,
 3 statistical-check failure. ``--seed`` must be a whole number in
-[0, 2^64); anything else is a usage error. JSON reports are byte-stable for
-fixed flags (volatile fields such as runtimes are omitted); a ``verify``
-report holds every field of its check.
+[0, 2^64); anything else is a usage error, as is an ``--out`` that cannot
+be written. JSON reports are byte-stable for fixed flags (volatile fields
+such as runtimes are omitted); a ``verify`` report holds every field of its
+check.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import math
 import sys
 
 from . import constants, experiments, sampler
-from .constants import SCHEMA_VERSION
 from .errors import ConvergenceError, DegeneracyError, IterationLimitError, MosaicError
+from .experiments import SCHEMA_VERSION
 
 __all__ = ["main"]
 
@@ -127,11 +128,14 @@ def _build_parser() -> _Parser:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out: {exc}") from None
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
@@ -218,18 +222,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         if args.command == "constants":
             return _cmd_constants(args)
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_verify(args)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (DegeneracyError, ConvergenceError, IterationLimitError, MosaicError,
             ValueError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -35,7 +35,6 @@ from scipy import special
 from . import specfun
 
 __all__ = [
-    "SCHEMA_VERSION",
     "IntervalType",
     "sphere_surface",
     "ball_volume",
@@ -55,9 +54,6 @@ __all__ = [
     "asymptotic_limits_1d",
     "AsymptoticLimits1D",
 ]
-
-# version of every JSON document the package writes: reports, tables, dumps
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True, order=True)
@@ -312,7 +308,12 @@ def _gamma_fraction(shape: float, n: int, rho: float, r0: float) -> float:
         raise ValueError(f"density must be positive, got rho={rho}")
     if not r0 >= 0:
         raise ValueError(f"radius threshold must be non-negative, got {r0}")
-    return float(special.gammainc(shape, rho * ball_volume(n) * r0**n))
+    scale = rho * ball_volume(n)
+    try:
+        x = scale * r0**n
+    except OverflowError:  # r0^n past the float range: the product in logs, capped where P is 1
+        x = math.exp(min(math.log(scale) + n * math.log(r0), 709.0))
+    return float(special.gammainc(shape, x))
 
 
 def expected_interval_count(

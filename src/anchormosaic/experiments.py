@@ -27,7 +27,6 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from . import constants, sampler
-from .constants import SCHEMA_VERSION
 from .errors import InsufficientSampleError
 from .geomcore import _lower_hull, _radius_and_intervals, _slice_cloud
 from .geomcore import slice_cloud  # noqa: F401  (perfbench/selftest.py looks it up here)
@@ -38,6 +37,7 @@ __all__ = [
     "ExperimentReport",
     "run_replicate",
     "estimate_interval_rates",
+    "SCHEMA_VERSION",
     "json_text",
     "report_to_json",
     "report_to_csv",
@@ -83,10 +83,8 @@ class ReplicateRecord:
     def interval_counts(self, r0: float = math.inf) -> dict[tuple[int, int], int]:
         """In-window intervals of radius at most r0, per type present."""
         types = self.interval_types
-        if len(types) == 0:
-            return {}
         # one type code per row, with a base above every row's m
-        base = int(types.max()) + 1
+        base = int(types.max(initial=0)) + 1
         codes = types[:, 0] * base + types[:, 1]
         counts = np.bincount(codes[self.interval_in_window & (self.interval_radii <= r0)])
         return {divmod(code, base): int(counts[code]) for code in np.flatnonzero(counts).tolist()}
@@ -250,6 +248,8 @@ def estimate_interval_rates(
 
 
 CSV_HEADER = "type,ell,m,count,rate,se,predicted,z"
+# version of every JSON document the package writes: reports, tables, checks
+SCHEMA_VERSION = 1
 
 
 def json_text(payload: dict) -> str:

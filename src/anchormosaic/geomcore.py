@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .constants import SCHEMA_VERSION, IntervalType
+from .constants import IntervalType
 from .errors import DegeneracyError, MosaicError
 
 __all__ = [
@@ -107,6 +107,7 @@ class Mosaic:
 
     ``intervals`` is built in one columnar pass; its sphere anchors are rows
     of one copy ``anchors[upper]``, so none shares memory with ``anchors``.
+    The mosaic formats no document: ``experiments`` writes every report.
     """
 
     y: np.ndarray
@@ -160,43 +161,6 @@ class Mosaic:
             )
         )
 
-    def to_dict(self, window: tuple[tuple[float, float], ...] | None = None) -> dict:
-        """JSON-ready dump: the counting ``window``, one (lo, hi) pair per axis
-        or None, vertices, simplices with radii/anchors, interval ids."""
-        y, w = self.y.tolist(), self.w.tolist()
-        columns = zip(
-            self.simplices,
-            self.dims.tolist(),
-            self.radii.tolist(),
-            self.anchors.tolist(),
-            self.interval_id.tolist(),
-        )
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "k": int(self.y.shape[1]),
-            "window": None
-            if window is None
-            else [[float(b) for b in side] for side in window],
-            "vertices": [{"id": v, "y": y[v], "w": w[v]} for v in self.vertices.tolist()],
-            "simplices": [
-                {"vertices": list(s), "dim": dim, "radius": r, "anchor": a, "interval": iid}
-                for s, dim, r, a, iid in columns
-            ],
-            "intervals": [
-                {
-                    "id": iid,
-                    "ell": iv.type.ell,
-                    "m": iv.type.m,
-                    "radius": iv.sphere.radius,
-                    "anchor": iv.sphere.anchor.tolist(),
-                    "lower": list(iv.lower),
-                    "upper": list(iv.upper),
-                    "members": [list(mm) for mm in iv.members],
-                }
-                for iid, iv in enumerate(self.intervals)
-            ],
-        }
-
 
 def slice_cloud(cloud: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized projection of an (N, n) cloud: returns (projections, weights)."""
@@ -229,16 +193,13 @@ def sphere_is_empty(
     nearest point is compared with the threshold.
     """
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
-    if cloud.shape[0] == 0:
-        return True
     diff = cloud.T.copy()
     diff[: sphere.anchor.size] -= sphere.anchor[:, None]
     np.multiply(diff, diff, out=diff)
     d2 = np.add.reduce(diff, axis=0)
-    if len(exclude):
-        d2[np.asarray(list(exclude), dtype=int)] = np.inf
+    d2[np.asarray(list(exclude), dtype=int)] = np.inf
     threshold = (sphere.radius * (1.0 - _EMPTY_REL_TOL)) ** 2
-    return bool(d2.min() >= threshold)
+    return bool(d2.min(initial=np.inf) >= threshold)
 
 
 def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:

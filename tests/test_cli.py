@@ -223,6 +223,19 @@ class TestErrorPaths:
     def test_missing_command(self, capsys):
         assert run(capsys)[0] == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("constants", "--k", "1", "--n", "2"),
+            ("simulate", "--n", "2", "--k", "1", "--window", "10", "--reps", "1"),
+        ],
+    )
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x.json"))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error") and "Traceback" not in err
+
     def test_numerical_error(self, capsys):
         # n <= k has no constants
         code, _, err = run(capsys, "constants", "--k", "2", "--n", "2")

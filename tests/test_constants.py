@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from anchormosaic import constants
 from anchormosaic.constants import IntervalType
@@ -287,11 +287,22 @@ class TestExpectedCounts:
     def test_monotone_in_threshold_and_area(self):
         values = [
             constants.expected_interval_count((1, 1), 2, 3, 1.0, 3.0, r0)
-            for r0 in [0.0, 0.2, 0.5, 1.0, 2.0, math.inf]
+            for r0 in [0.0, 0.2, 0.5, 1.0, 2.0, 1e200, math.inf]
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
+        # 1e200^3 is past the float range: the r0 = inf value, exactly
+        assert values[-2] == values[-1]
         assert constants.expected_interval_count((1, 1), 2, 3, 1.0, 6.0, 0.5) == pytest.approx(
             2.0 * constants.expected_interval_count((1, 1), 2, 3, 1.0, 3.0, 0.5), rel=1e-12
+        )
+
+    def test_threshold_past_the_float_range_at_a_tiny_density(self):
+        # r0^2 overflows at r0 = 1e155, but rho nu_2 r0^2 = pi at rho = 1e-310
+        got = constants.expected_interval_count((0, 0), 1, 2, 1e-310, 1.0, 1e155)
+        fraction = special.gammainc(0.5, math.pi)
+        assert fraction < 0.99
+        assert got == pytest.approx(
+            constants.interval_constant((0, 0), 1, 2) * fraction * 1e-155, rel=1e-12
         )
 
     def test_unsupported_k(self):

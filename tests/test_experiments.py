@@ -192,6 +192,18 @@ class TestEstimateRates:
         assert config["replicates"] == len(report.records)
         assert report.cfg is cfg
 
+    def test_json_beyond_the_float_range_of_r0_is_the_infinite_one(self):
+        # r0^n overflows a float at r0 = 1e200, n = 3: the report is the
+        # r0 = inf report, its "r0" field aside
+        huge, inf = (
+            json.loads(experiments.report_to_json(
+                experiments.estimate_interval_rates(cfg_2d(seed=5), replicates=2, r0=r0)
+            ))
+            for r0 in (1e200, math.inf)
+        )
+        assert huge["config"].pop("r0") == 1e200 and inf["config"].pop("r0") is None
+        assert huge == inf
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_json_text_refuses_non_finite_values(self, value):
         with pytest.raises(ValueError):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import json
 import math
 import types
 from fractions import Fraction
@@ -15,7 +14,7 @@ from scipy import optimize
 from scipy.spatial import ConvexHull, Delaunay
 
 from anchormosaic import experiments, geomcore, sampler
-from anchormosaic.constants import SCHEMA_VERSION, IntervalType
+from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError, MosaicError
 from anchormosaic.geomcore import AnchoredSphere
 from anchormosaic.sampler import SamplingConfig
@@ -553,27 +552,6 @@ class TestLowerChain:
 
 
 class TestMosaic:
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_dump_schema(self, k):
-        rng = np.random.default_rng(42 + k)
-        if k == 1:
-            mosaic, window = build(random_cloud(rng, 12, 1, 6, (0, 1.0)), 1), ((0, 6),)
-        else:
-            mosaic, window = build(random_cloud(rng, 30, 2, 4, (-1, 1)), 2), ((0, 4),) * 2
-        dump = json.loads(json.dumps(mosaic.to_dict(window)))
-        assert dump["schema_version"] == SCHEMA_VERSION == 1
-        assert dump["k"] == k
-        assert len(dump["window"]) == k
-        assert mosaic.to_dict()["window"] is None
-        assert [v["id"] for v in dump["vertices"]] == mosaic.vertices.tolist()
-        assert len(dump["simplices"]) == len(mosaic.simplices)
-        for s, iid in zip(dump["simplices"], mosaic.interval_id.tolist()):
-            assert s["interval"] == iid
-            iv = dump["intervals"][iid]
-            assert iv["id"] == iid
-            assert s["vertices"] in iv["members"]
-            assert s["radius"] == pytest.approx(iv["radius"], rel=1e-12)
-
     @staticmethod
     def _random_mosaic(k, seed):
         rng = np.random.default_rng(seed)
