@@ -5,17 +5,21 @@ the Monte Carlo rate estimation, ``verify`` runs one of the identity checks.
 Exit codes: 0 success, 1 usage error, 2 numerical or degeneracy error,
 3 statistical-check failure. ``--seed`` must be a whole number in
 [0, 2^64); anything else is a usage error, as is an ``--out`` that cannot
-be written. JSON reports are byte-stable for fixed flags (volatile fields
-such as runtimes are omitted); a ``verify`` report holds every field of its
-check.
+be opened. ``--out`` is opened, created or emptied, before the command
+runs, and the report is written to it at the end, so a command that exits
+2 leaves it empty. JSON reports are byte-stable for fixed flags (volatile
+fields such as runtimes are omitted); a ``verify`` report holds every field
+of its check.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
+from typing import TextIO
 
 from . import constants, experiments, sampler
 from .errors import ConvergenceError, DegeneracyError, IterationLimitError, MosaicError
@@ -127,18 +131,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write(text: str, out: str | None) -> None:
+def _open_out(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
+    """``--out``, opened before the work like a shell redirection, or stdout."""
     if not out:
-        sys.stdout.write(text)
-        return
+        return contextlib.nullcontext(sys.stdout)
     try:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return open(out, "w", encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot write --out: {exc}") from None
 
 
-def _cmd_constants(args: argparse.Namespace) -> int:
+def _cmd_constants(args: argparse.Namespace) -> tuple[str, int]:
     types = constants.valid_interval_types(args.k)
     table: dict[str, dict[str, float]] = {}
     rows: list[tuple] = []
@@ -174,11 +177,10 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         "table": table,
     }
     csv = experiments.csv_text("type,ell,m,n,constant,expected", rows)
-    _write(experiments.json_text(payload) if args.format == "json" else csv, args.out)
-    return EXIT_OK
+    return (experiments.json_text(payload) if args.format == "json" else csv), EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
     side = args.window ** (1.0 / args.k)
     window = tuple((0.0, side) for _ in range(args.k))
     cfg = sampler.SamplingConfig(
@@ -190,8 +192,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.format == "json"
         else experiments.report_to_csv(report)
     )
-    _write(text, args.out)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
 def _given(**counts: int | None) -> dict[str, int]:
@@ -199,7 +200,7 @@ def _given(**counts: int | None) -> dict[str, int]:
     return {name: value for name, value in counts.items() if value is not None}
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.kind == "bp":
         check = experiments.verify_bp_identity(
             args.n, args.k, args.m, test_function=args.test_function,
@@ -217,18 +218,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "schema_version": SCHEMA_VERSION, "kind": f"verify-{args.kind}", "passed": check.passed,
     }
     payload.update(dataclasses.asdict(check))
-    _write(experiments.json_text(payload), args.out)
-    return EXIT_OK if check.passed else EXIT_STATISTICAL
+    return experiments.json_text(payload), EXIT_OK if check.passed else EXIT_STATISTICAL
+
+
+_COMMANDS = {"constants": _cmd_constants, "simulate": _cmd_simulate, "verify": _cmd_verify}
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "constants":
-            return _cmd_constants(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_verify(args)
+        with _open_out(args.out) as out:
+            text, code = _COMMANDS[args.command](args)
+            out.write(text)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,8 +20,8 @@ formula as plain arguments: the density ``rho`` (finite and above 0), the
 region's k-volume ``area`` (above 0) and the radius threshold ``r0`` (at
 least 0, infinite by default).
 
-All evaluation is done in log-Gamma space so that very large ambient
-dimensions (n up to ~1e5, used by the limit checks) stay finite.
+All evaluation is done in log-Gamma space, rho nu_n r0^n included, so that
+ambient dimensions past n = 453, where nu_n underflows, stay finite.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 from scipy import special
 
 from . import specfun
@@ -308,11 +309,9 @@ def _gamma_fraction(shape: float, n: int, rho: float, r0: float) -> float:
         raise ValueError(f"density must be positive, got rho={rho}")
     if not r0 >= 0:
         raise ValueError(f"radius threshold must be non-negative, got {r0}")
-    scale = rho * ball_volume(n)
-    try:
-        x = scale * r0**n
-    except OverflowError:  # r0^n past the float range: the product in logs, capped where P is 1
-        x = math.exp(min(math.log(scale) + n * math.log(r0), 709.0))
+    # rho nu_n r0^n in logs: r0 = 0 gives P = 0, r0 = inf or an overflow P = 1
+    with np.errstate(divide="ignore", over="ignore"):
+        x = np.exp(math.log(rho) + log_ball_volume(n) + n * np.log(r0))
     return float(special.gammainc(shape, x))
 
 

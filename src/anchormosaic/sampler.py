@@ -11,12 +11,13 @@ scheduling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .constants import ball_volume
+from .constants import ball_volume, log_ball_volume
 
 __all__ = [
     "SamplingConfig",
@@ -127,4 +128,11 @@ def choose_buffer(cfg: SamplingConfig, r_quantile: float) -> float:
     if not 0.0 < r_quantile < 1.0:
         raise ValueError(f"quantile must lie in (0, 1), got {r_quantile}")
     x = special.gammaincinv(cfg.k + 1.0 - cfg.k / cfg.n, r_quantile)
-    return float((x / (cfg.rho * ball_volume(cfg.n))) ** (1.0 / cfg.n))
+    scale = cfg.rho * ball_volume(cfg.n)
+    if scale >= sys.float_info.min:
+        with np.errstate(over="ignore"):
+            quotient = x / scale
+        if np.isfinite(quotient):
+            return float(quotient ** (1.0 / cfg.n))
+    # rho nu_n subnormal, or x / (rho nu_n) past the float range: the same quantile in logs
+    return math.exp((math.log(x) - math.log(cfg.rho) - log_ball_volume(cfg.n)) / cfg.n)

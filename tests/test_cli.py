@@ -2,10 +2,11 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
-from anchormosaic import cli, experiments, sampler
+from anchormosaic import cli, constants, experiments, sampler, specfun
 
 
 def run(capsys, *argv):
@@ -228,13 +229,30 @@ class TestErrorPaths:
         [
             ("constants", "--k", "1", "--n", "2"),
             ("simulate", "--n", "2", "--k", "1", "--window", "10", "--reps", "1"),
+            ("simulate", "--n", "3", "--k", "2", "--window", "400", "--reps", "5"),
+            ("verify", "bp", "--samples", "400000"),
         ],
     )
-    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+    def test_unwritable_out_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        # refused before any replicate is sampled or any bp chunk is weighed
+        def never(*args, **kwargs):
+            raise AssertionError("worked although --out cannot be opened")
+
+        monkeypatch.setattr(sampler, "_sample_poisson_box", never)
+        monkeypatch.setattr(experiments, "_bp_chunk", never)
         code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x.json"))
         assert code == cli.EXIT_USAGE
         assert out == ""
         assert err.startswith("usage error") and "Traceback" not in err
+
+    def test_out_is_left_empty_by_a_numerical_error(self, capsys, tmp_path):
+        # --out is opened, like a shell redirection, before the command fails
+        path = tmp_path / "x.json"
+        path.write_text("old report", encoding="utf-8")
+        code, out, _ = run(capsys, "constants", "--k", "2", "--n", "2", "--out", str(path))
+        assert code == cli.EXIT_NUMERICAL
+        assert out == ""
+        assert path.read_text(encoding="utf-8") == ""
 
     def test_numerical_error(self, capsys):
         # n <= k has no constants
@@ -312,6 +330,39 @@ class TestErrorPaths:
         assert doc["r0"] is None
         table = doc["table"]["2"]
         assert table["E[c(0,0)](r0)"] == pytest.approx(table["C[0,0]"], rel=1e-12)
+
+    @pytest.mark.parametrize("k,n,r0", [("1", "453", "inf"), ("2", "700", "3")])
+    def test_threshold_past_the_ball_volume_underflow(self, capsys, k, n, r0):
+        # nu_n underflows to 0 from n = 453; the expectations stay finite
+        code, out, _ = run(capsys, "constants", "--k", k, "--n", n, "--r0", r0)
+        assert code == cli.EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        table = json.loads(out, parse_constant=reject)["table"][n]
+        assert all(math.isfinite(value) for value in table.values())
+
+    @pytest.mark.parametrize(
+        "target,value,message",
+        [
+            ("_HYP3F2_MAX_TERMS", 3, "3F2 series hit the 3-term cap"),
+            ("hyp3f2", lambda *args: 0.0, "3F2 sum must be positive, got 0.0"),
+            ("angle_bracket", lambda n: 0.0, "angle-integral bracket must be positive, got 0.0"),
+        ],
+    )
+    def test_refused_constant_is_numerical_error(self, capsys, monkeypatch, target, value, message):
+        # the typed refusals of the constants layer, each forced at n = 5
+        module = constants if target == "angle_bracket" else specfun
+        monkeypatch.setattr(module, target, value)
+        # a refusal is never cached, so only the values cached before need to go
+        constants.vertex_edge_pair_constant.cache_clear()
+        constants._pair_constant_1d.cache_clear()
+        k = "1" if target == "angle_bracket" else "2"
+        code, out, err = run(capsys, "constants", "--k", k, "--n", "5")
+        assert code == cli.EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("numerical error: " + message)
 
     def test_zero_buffer_with_n_above_k_is_numerical_error(self, capsys):
         # a valid buffer on its own; SamplingConfig needs a positive one when n > k

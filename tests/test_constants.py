@@ -305,6 +305,44 @@ class TestExpectedCounts:
             constants.interval_constant((0, 0), 1, 2) * fraction * 1e-155, rel=1e-12
         )
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [453, 700, 10000])
+    def test_infinite_threshold_past_the_ball_volume_underflow(self, k, n):
+        # nu_n is 0 in floating point from n = 453; at r0 = inf the Gamma
+        # factor is still 1, bit for bit
+        for t in constants.valid_interval_types(k):
+            assert constants.expected_interval_count(t, k, n, 2.0, 7.0) == (
+                constants.interval_constant(t, k, n) * 2.0 ** (k / n) * 7.0
+            ), t
+        for j in range(k + 1):
+            assert constants.expected_simplex_count(j, k, n, 2.0, 7.0) == (
+                constants.simplex_constant(j, k, n) * 2.0 ** (k / n) * 7.0
+            ), j
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("rho", [1.0, 1e232])
+    def test_finite_threshold_past_the_ball_volume_underflow(self, k, rho):
+        # at n = 700, r0 = 3: rho nu_n r0^n is 7.9e-233 at rho = 1 and 0.79
+        # at rho = 1e232, though nu_700 and 3^700 are past the float range
+        n, r0 = 700, 3.0
+        x = math.exp(math.log(rho) + constants.log_ball_volume(n) + n * math.log(r0))
+        norm = rho ** (k / n) * 5.0
+        for t in constants.valid_interval_types(k):
+            got = constants.expected_interval_count(t, k, n, rho, 5.0, r0)
+            fraction = special.gammainc(t.m + 1.0 - k / n, x)
+            assert math.isfinite(got)
+            assert got == pytest.approx(
+                constants.interval_constant(t, k, n) * fraction * norm, rel=1e-12, abs=0
+            ), t
+        for j in range(k + 1):
+            got = constants.expected_simplex_count(j, k, n, rho, 5.0, r0)
+            mixed = sum(
+                special.gammainc(m + 1.0 - k / n, x) * constants._simplex_share(j, m, k, n)
+                for m in range(j, k + 1)
+            )
+            assert math.isfinite(got)
+            assert got == pytest.approx(mixed * norm, rel=1e-12, abs=0), j
+
     def test_unsupported_k(self):
         with pytest.raises(ValueError):
             constants.interval_constant((0, 0), 3, 5)

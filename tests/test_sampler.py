@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
 from anchormosaic import sampler
-from anchormosaic.constants import ball_volume
+from anchormosaic.constants import ball_volume, log_ball_volume
 from anchormosaic.sampler import SamplingConfig
 
 from oracles import regularized_lower_gamma
@@ -137,6 +138,18 @@ class TestChooseBuffer:
         b1 = sampler.choose_buffer(cfg1, 0.999)
         b2 = sampler.choose_buffer(cfg2, 0.999)
         assert b2 == pytest.approx(b1 * 2.0 ** (-1.0 / 3.0), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [435, 453, 700])
+    def test_default_buffer_past_the_ball_volume_underflow(self, n):
+        # x / (rho nu_n) overflows from n = 435 at rho = 1, and nu_n is 0 from
+        # n = 453: the quantile is then taken in logs, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = SamplingConfig(n=n, rho=1.0, window=((0.0, 10.0),))
+        x = special.gammaincinv(2.0 - 1.0 / n, sampler.DEFAULT_BUFFER_QUANTILE)
+        in_logs = math.exp((math.log(x) - log_ball_volume(n)) / n)
+        assert math.isfinite(cfg.buffer)
+        assert cfg.buffer == pytest.approx(in_logs, rel=1e-12, abs=0)
 
 
 class TestDefaultBuffer:
