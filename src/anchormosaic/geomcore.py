@@ -35,8 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, product
+from functools import cached_property, partial, reduce
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +62,8 @@ _CHAIN_FILTER = 2.0**-49
 _CHAIN_TINY = 2.0**-1073
 # vectorized passes of the 1-D chain before one sequential scan finishes it
 _CHAIN_PASSES = 16
+# a sum over the first axis, added term by term in index order
+_sum = partial(reduce, np.add)
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,7 @@ class Mosaic:
 
     ``intervals`` is built in one columnar pass; its sphere anchors are rows
     of one copy ``anchors[upper]``, so none shares memory with ``anchors``.
+    The decomposition works face-major, and the fields keep the layout above.
     The mosaic formats no document: ``experiments`` writes every report.
     """
 
@@ -224,7 +227,7 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     plain ``Qt`` drops.
 
     Raises DegeneracyError on duplicate projections (found by comparing
-    neighbours in lexicographic order), on three to k + 1 affinely
+    whole rows only among generators that tie in x), on three to k + 1 affinely
     dependent generators and on degenerate configurations Qhull refuses; ValueError
     on a non-finite projection or weight; MosaicError when a
     ridge (in ``faces[k-1]``) belongs to more than two cells. A face below
@@ -246,12 +249,13 @@ def _lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
         raise ValueError(
             f"faces are keyed as k = {k} digits in base N = {n_pts}, exact only while N^k < 2^63"
         )
-    # one key sorts faster alone; the order of equal keys does not matter,
-    # since they raise
-    order = np.argsort(y[:, 0]) if k == 1 else np.lexsort(y.T[::-1])
-    ordered = y[order]
-    if np.any((ordered[1:] == ordered[:-1]).all(axis=1)):
-        raise DegeneracyError("duplicate projected generators")
+    # duplicates tie in x, so rows are compared whole only in runs of equal x
+    order = np.argsort(y[:, 0])
+    tie = np.flatnonzero(np.diff(y[:, 0].take(order)) == 0.0)
+    if tie.size:
+        tied = y.take(order[np.union1d(tie, tie + 1)], axis=0)
+        if len(np.unique(tied, axis=0)) < len(tied):
+            raise DegeneracyError("duplicate projected generators")
 
     if n_pts <= k + 1:
         # two distinct generators are never affinely dependent, however close
@@ -274,28 +278,39 @@ def _lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
         cells = np.asarray(hull.simplices[hull.equations[:, k] < 0.0], dtype=int)
         if cells.shape[0] == 0:
             raise DegeneracyError("no downward-facing hull facets")
-    cells = np.sort(cells, axis=1)
+    # face-major: row c of cols is corner c of every cell; a bubble sort of the
+    # rows sorts the cells
+    cols = cells.T.copy()
+    for stop in range(len(cols) - 1, 0, -1):
+        for c in range(stop):
+            cols[c : c + 2] = np.minimum(cols[c], cols[c + 1]), np.maximum(cols[c], cols[c + 1])
 
     faces = []
     for m in range(k):
-        corners = np.array(list(combinations(range(cells.shape[1]), m + 1)), dtype=int)
-        digits = n_pts ** np.arange(m, -1, -1)
-        keys = np.sort(cells[:, corners.reshape(-1, m + 1)] @ digits, axis=None)
+        keys = [_key([cols[c] for c in s], n_pts) for s in combinations(range(len(cols)), m + 1)]
+        keys = np.sort(np.concatenate(keys or [np.empty(0, dtype=int)]))
         if m == k - 1 and np.any(keys[2:] == keys[:-2]):
             raise MosaicError("a ridge belongs to more than two facets")
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        faces.append(keys[:, None] // digits % n_pts)
-    top = cells if cells.shape[1] == k + 1 else np.empty((0, k + 1), dtype=int)
+        # the distinct keys, read back as their digits
+        keys = np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
+        faces.append(np.column_stack(np.unravel_index(keys, (n_pts,) * (m + 1))))
+    top = cols if len(cols) == k + 1 else np.empty((k + 1, 0), dtype=int)
     # a cell's first k indices are one of its ridges, and no ridge is in
     # three cells: sorted by that key, only neighbour pairs can tie, and
     # swapping a pair whose last indices descend gives lexicographic order
-    ridge = top[:, :k] @ n_pts ** np.arange(k - 1, -1, -1)
+    ridge = _key(top[:k], n_pts)
     order = np.argsort(ridge)
-    ridge, last = ridge[order], top[order, k]
+    ridge, last = ridge.take(order), top[k].take(order)
     swap = np.flatnonzero((ridge[1:] == ridge[:-1]) & (last[1:] < last[:-1]))
     order[swap], order[swap + 1] = order[swap + 1], order[swap]
-    faces.append(top[order])
+    faces.append(top.take(order, axis=1).T.copy())
     return faces
+
+
+def _key(corners: Sequence[np.ndarray], n_pts: int) -> np.ndarray:
+    """Base-N keys of faces given by m + 1 index rows ``corners`` of length
+    F, corner 0 the most significant digit: exact while N^(m+1) <= 2^63."""
+    return reduce(lambda key, row: key * n_pts + row, corners[1:], corners[0].astype(np.int64))
 
 
 def _lower_chain(x: np.ndarray, w: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -372,58 +387,59 @@ def _exact_below_chord(xa, xb, xc, wa, wb, wc) -> bool:
     return (xb - xa) * (xc - xb) * (xc - xa) + (xc - xa) * wb - (xb - xa) * wc - (xc - xb) * wa > 0
 
 
-def _corner_system(y: np.ndarray, w: np.ndarray, simplices: np.ndarray):
-    """Equal-power equations ``e_c . u = b_c``, c = 1..m, of (F, m+1)
-    ``simplices`` for a point's offset u from corner 0: ``e_c = y_c - y_0``
-    (F, m, k) and ``b_c = (|e_c|^2 - (w_c - w_0)) / 2`` (F, m)."""
-    e = y[simplices[:, 1:]] - y[simplices[:, :1]]
-    dw = w[simplices[:, 1:]] - w[simplices[:, :1]]
-    return e, 0.5 * (np.einsum("fck,fck->fc", e, e) - dw)
+def _corner_system(yt: np.ndarray, w: np.ndarray, corners: np.ndarray):
+    """Equal-power equations ``e_c . u = b_c``, c = 1..m, for the offset u of
+    a point from corner 0, face-major: row c of ``corners`` (m+1, F) is corner
+    c of each simplex, ``yt`` (k, N) holds the coordinates as rows, ``e[i, c-1]
+    = y_ci - y_0i`` (k, m, F) and ``b_c = (|e_c|^2 - (w_c - w_0)) / 2`` (m, F),
+    with |e_c|^2 summed over i in index order."""
+    ys, ws = yt.take(corners, axis=1), w.take(corners)
+    e = ys[:, 1:] - ys[:, :1]
+    return e, 0.5 * (_sum(e * e) - (ws[1:] - ws[:1]))
 
 
 def _equal_power(e: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offset ``u`` (F, k) in the span of the rows of ``e`` (F, m, k) with
-    ``e u = b`` (F, m), and its coefficients ``lam`` (F, m) on those rows:
-    ``e^T = Q R`` by classical Gram-Schmidt, each row projected out twice
-    (Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005), so the error
-    follows cond(e), not its square; then ``R^T z = b``, ``R lam = z`` and
-    ``u = Q z``. At m = 1, ``u = b / e`` and ``lam = u / e`` to the bit; at
-    m = 0, u = 0. A non-finite u or lam (dependent rows, overflow) raises
-    DegeneracyError."""
-    f, m, k = e.shape
-    q, r = np.empty((f, m, k)), np.zeros((f, m, m))
+    """Offset ``u`` (k, F) in the span of the vectors ``e_c`` of ``e`` (k, m, F)
+    with ``e_c . u = b_c`` (``b`` (m, F)), and its coefficients ``lam`` (m, F)
+    on those vectors: ``e^T = Q R`` by classical Gram-Schmidt, each vector
+    projected out twice (Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005),
+    so the error follows cond(e), not its square; then ``R^T z = b``, ``R lam =
+    z`` and ``u = Q z``, every sum over k or m in index order. At m = 1, ``u =
+    b / e`` and ``lam = u / e`` to the bit. A non-finite u or lam (dependent
+    vectors, overflow) raises DegeneracyError."""
+    k, m, f = e.shape
+    q, r = np.empty((m, k, f)), np.zeros((m, m, f))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in range(m):
             v = e[:, j]
-            # twice is enough; row 0 has nothing to be projected out of
+            # twice is enough; vector 0 has nothing to be projected out of
             for _ in range(2 if j else 0):
-                c = np.einsum("fik,fk->fi", q[:, :j], v)
-                v = v - np.einsum("fik,fi->fk", q[:, :j], c)
-                r[:, :j, j] += c
-            r[:, j, j] = np.sqrt(np.einsum("fk,fk->f", v, v))
-            q[:, j] = v / r[:, j, j, None]
+                c = _sum(q[:j].swapaxes(0, 1) * v[:, None])
+                v = v - _sum(q[:j] * c[:, None])
+                r[:j, j] += c
+            r[j, j] = np.sqrt(_sum(v * v))
+            q[j] = v / r[j, j]
         z = b.copy()
         for j in range(m):
-            z[:, j] /= r[:, j, j]
-            z[:, j + 1 :] -= r[:, j, j + 1 :] * z[:, j, None]
+            z[j] /= r[j, j]
+            z[j + 1 :] -= r[j, j + 1 :] * z[j]
         lam = z.copy()
         for j in range(m - 1, -1, -1):
-            lam[:, j] /= r[:, j, j]
-            lam[:, :j] -= r[:, :j, j] * lam[:, j, None]
-        u = np.einsum("fik,fi->fk", q, z)
+            lam[j] /= r[j, j]
+            lam[:j] -= r[:j, j] * lam[j]
+        u = _sum(q * z[:, None])
     if not (np.isfinite(u).all() and np.isfinite(lam).all()):
         raise DegeneracyError("a simplex's equal-power system has no finite solution")
     return u, lam
 
 
-def _find(keys: np.ndarray, order: np.ndarray, rows: np.ndarray, n_pts: int) -> np.ndarray:
-    """Positions of the sorted index ``rows`` (R, m+1) among faces with base-N
-    ``keys`` that ``order`` sorts; a row that is not a face raises MosaicError."""
-    wanted = rows @ n_pts ** np.arange(rows.shape[1] - 1, -1, -1)
-    found = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)]
-    if np.any(keys[found] != wanted):
+def _find(keys: np.ndarray, order: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Positions of the faces keyed ``wanted`` among faces with sorted base-N
+    ``keys``, put in that order by ``order``; a key no face has raises MosaicError."""
+    found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    if np.any(keys.take(found) != wanted):
         raise MosaicError("a claimed face is not in the mosaic")
-    return found
+    return order.take(found)
 
 
 def radius_and_intervals(
@@ -464,69 +480,77 @@ def radius_and_intervals(
     return _radius_and_intervals(y, w, faces)
 
 
+# a product that overflows is inf, quietly: the certificates decide
+@np.errstate(over="ignore", invalid="ignore")
 def _radius_and_intervals(y: np.ndarray, w: np.ndarray, faces: Sequence[np.ndarray]) -> Mosaic:
     n_pts, k = y.shape
     sizes = [len(face) for face in faces]
     first = np.cumsum([0, *sizes])
     count = int(first[-1])
-    vertices = faces[0][:, 0]
+    # face-major: yt[i] is coordinate i of every generator, cols[m][c] corner c
+    yt, cols = y.T.copy(), [face.T.copy() for face in faces]
+    vertices = cols[0][0]
     # the vertices' largest span on an axis, and 1 if that is less or there are none
-    ys = y[vertices]
-    span = np.max(ys, axis=0, initial=-np.inf) - np.min(ys, axis=0, initial=np.inf)
+    ys = yt.take(vertices, axis=1)
+    span = np.max(ys, axis=1, initial=-np.inf) - np.min(ys, axis=1, initial=np.inf)
     scale = float(np.max(span, initial=1.0))
     upper = np.full(count, -1)
     anchors, powers = np.empty((count, k)), np.empty(count)
     claims = [np.empty(0, dtype=int)]
-    keys = [face @ n_pts ** np.arange(face.shape[1] - 1, -1, -1) for face in faces[:k]]
+    keys = [_key(col, n_pts) for col in cols[:k]]
     orders = [np.argsort(key, kind="stable") for key in keys]
+    keys = [key.take(order) for key, order in zip(keys, orders)]
 
     for m in range(k, 0, -1):
         rows = first[m] + np.flatnonzero(upper[first[m] : first[m + 1]] < 0)
         upper[rows] = rows
-        simplices = faces[m][rows - first[m]]
-        e, b = _corner_system(y, w, simplices)
+        corners = cols[m].take(rows - first[m], axis=1)
+        e, b = _corner_system(yt, w, corners)
         offset, lam = _equal_power(e, b)
-        origin = y[simplices[:, 0]]
+        origin = yt.take(corners[0], axis=1)
         anchor = origin + offset
         u = anchor - origin
-        power = np.einsum("fk,fk->f", u, u) - w[simplices[:, 0]]
+        power = _sum(u * u) - w.take(corners[0])
         # corner c's power minus corner 0's is 2 (e_c . u - b_c)
-        mismatch = 2.0 * np.abs(np.einsum("fck,fk->fc", e, u) - b)
-        if np.any(mismatch > 1e-6 * np.maximum(np.abs(power), 1e-12 * scale * scale)[:, None]):
+        mismatch = 2.0 * np.abs(_sum(e * u[:, None]) - b)
+        if np.any(mismatch > 1e-6 * np.maximum(np.abs(power), 1e-12 * scale * scale)):
             raise MosaicError("an anchor fails the equal-power certificate")
-        anchors[rows], powers[rows] = anchor, power
+        for i in range(k):
+            anchors[:, i][rows] = anchor[i]
+        powers[rows] = power
 
-        bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
+        bary = np.vstack([1.0 - _sum(lam), lam])
         if np.any(bary == 0.0):
             raise DegeneracyError("an anchor lies on a facet hyperplane of its simplex")
-        negative = bary < 0.0
-        for drop in map(np.array, product([False, True], repeat=m + 1)):
-            level = m - int(drop.sum())
-            if not 0 <= level < m:
-                continue
-            hit = np.flatnonzero(negative[:, drop].all(axis=1))
-            found = _find(keys[level], orders[level], simplices[hit][:, ~drop], n_pts)
-            claimed = first[level] + found
-            upper[claimed] = rows[hit]
+        neg = bary < 0.0
+        # a simplex claims the face of its corners ``keep`` if the others are negative
+        for level in range(m):
+            wanted, claimers = [], []
+            for keep in combinations(range(m + 1), level + 1):
+                hit = np.flatnonzero(neg[[c not in keep for c in range(m + 1)]].all(axis=0))
+                wanted.append(_key([corners[c].take(hit) for c in keep], n_pts))
+                claimers.append(rows.take(hit))
+            claimed = first[level] + _find(keys[level], orders[level], np.concatenate(wanted))
+            upper[claimed] = np.concatenate(claimers)
             claims.append(claimed)
     # a vertex is its own anchor: the m = 0 rule with an empty corner system
     rows = np.flatnonzero(upper[: first[1]] < 0)
     upper[rows] = rows
-    anchors[rows], powers[rows] = y[vertices[rows]] + 0.0, 0.0 - w[vertices[rows]]
+    generators = vertices.take(rows)
+    anchors[rows], powers[rows] = y.take(generators, axis=0) + 0.0, 0.0 - w.take(generators)
 
     if np.any(np.bincount(np.concatenate(claims), minlength=count) > 1):
         raise MosaicError("a simplex is claimed by two upper bounds")
-    i, j = faces[1][:, 0], faces[1][:, 1]
-    d = y[j] - y[i]
-    d2, dw = np.einsum("ij,ij->i", d, d), w[i] - w[j]
+    i, j = cols[1]
+    d2, dw = _sum((yt.take(j, axis=1) - yt.take(i, axis=1)) ** 2), w.take(i) - w.take(j)
     outside = np.zeros(n_pts, dtype=bool)
     outside[np.concatenate([i[dw <= -d2], j[dw >= d2]])] = True
     if np.any(outside[vertices] != (upper[: first[1]] != np.arange(first[1]))):
         raise MosaicError("vertex claims disagree with the vertices outside their cells")
 
     if k == 1:
-        _order_edge_powers(y[:, 0], w, faces, upper, powers)
-    anchors, powers = anchors[upper], powers[upper]
+        _order_edge_powers(yt[0], w, faces, upper, powers)
+    anchors, powers = anchors.take(upper, axis=0), powers.take(upper)
     # a power is |u|^2 - w at a corner or -w at a vertex: never negative in
     # floating point when every weight is at most 0, as a slice's -|tail|^2 is
     if np.min(powers, initial=0.0) < 0.0:

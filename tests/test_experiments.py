@@ -281,6 +281,40 @@ class TestOneCensusPath:
         assert all(f.startswith("replicate 2, r0=") for f in failures)
         assert "r0=inf: dimension 0 has" in "".join(failures)
 
+    @pytest.mark.parametrize("cfg", [cfg_1d(seed=3), cfg_2d(seed=3)], ids=["1d", "2d"])
+    def test_binned_pass_fails_as_the_per_threshold_loop(self, cfg):
+        # one in-window top simplex of radius at most 1/4 of the largest
+        # interval radius moves to 3/4 of it: the counts at the two lower
+        # thresholds lose it, and the failures and their order are those of
+        # a loop that counts each threshold on its own
+        records = [experiments.run_replicate(cfg, rep) for rep in range(3)]
+        rec = records[1]
+        rmax = max(float(np.max(r.interval_radii)) for r in records)
+        top = rec.simplex_in_window & (rec.simplex_dims == cfg.k)
+        radii = rec.simplex_radii.copy()
+        radii[np.flatnonzero(top & (radii <= rmax / 4))[0]] = 0.75 * rmax
+        records[1] = dataclasses.replace(rec, simplex_radii=radii)
+        report = experiments.ExperimentReport(
+            cfg=cfg, r0=math.inf, interval_rates=[], simplex_rates=[], records=records
+        )
+
+        thresholds = (0.25 * rmax, 0.5 * rmax, rmax, math.inf)
+        loop = []
+        for rec in records:
+            for r0 in thresholds:
+                iv, sx = rec.interval_counts(r0), rec.simplex_counts(r0)
+                for j in range(cfg.k + 1):
+                    predicted = sum(
+                        math.comb(m - ell, m - j) * n for (ell, m), n in iv.items() if m >= j
+                    )
+                    if sx.get(j, 0) != predicted:
+                        loop.append(
+                            f"replicate {rec.replicate}, r0={r0}: dimension {j} has "
+                            f"{sx.get(j, 0)} simplices but intervals predict {predicted}"
+                        )
+        assert len(loop) == 2
+        assert experiments.reconcile_simplex_counts(report).failures == loop
+
 
 class TestKSGammaTest:
     def test_calibration_on_synthetic_radii(self):

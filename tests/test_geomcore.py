@@ -390,6 +390,54 @@ class TestLowerHull:
         with pytest.raises(DegeneracyError):
             geomcore.lower_hull(y, np.zeros(50))
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_generators_tied_in_x_are_accepted(self, k):
+        # a grid ties every x with other rows that differ in a later coordinate
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * k, indexing="ij"), axis=-1).reshape(-1, k)
+        y = grid + np.random.default_rng(k).uniform(0, 1e-3, grid.shape) * (np.arange(k) > 0)
+        assert len(np.unique(y[:, 0])) == 4
+        faces = geomcore.lower_hull(y, np.zeros(len(y)))
+        assert faces[0][:, 0].tolist() == list(range(len(y)))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_duplicate_among_three_tied_generators(self, k):
+        # rows 0 and 2 are the duplicate, and row 1 ties them in x
+        y = np.array([[1.0, 0.0, 0.0], [1.0, 5.0, 2.0], [1.0, 0.0, 0.0], [3.0, 1.0, 4.0]])[:, :k]
+        with pytest.raises(DegeneracyError, match="duplicate projected generators"):
+            geomcore.lower_hull(y, np.zeros(len(y)))
+
+
+class TestIndexOrderSums:
+    """The decomposition adds every sum over coordinates in index order. On
+    the vector (1, 1.288, 0.965), whose squares a, b, c give (a + b) + c !=
+    (a + c) + b in floating point, the results are those of (a + b) + c."""
+
+    V = np.array([1.0, 1.288, 0.965])
+    IN_ORDER = (1.0 + 1.288 * 1.288) + 0.965 * 0.965
+    OTHER = (1.0 + 0.965 * 0.965) + 1.288 * 1.288
+
+    def test_the_orders_round_apart(self):
+        assert self.IN_ORDER != self.OTHER
+
+    def test_corner_system(self):
+        # generator 1 at V, generator 0 at the origin, equal weights
+        yt = np.column_stack([np.zeros(3), self.V])
+        e, b = geomcore._corner_system(yt, np.zeros(2), np.array([[0], [1]]))
+        assert e[:, 0, 0].tolist() == self.V.tolist()
+        assert b[0, 0] == 0.5 * self.IN_ORDER != 0.5 * self.OTHER
+
+    def test_equal_power(self):
+        # one vector: u = (V / |V|) (2 / |V|) and lam = (2 / |V|) / |V|
+        u, lam = geomcore._equal_power(self.V.reshape(3, 1, 1), np.array([[2.0]]))
+
+        def solve(norm2):
+            r = np.sqrt(norm2)
+            return (self.V / r) * (2.0 / r), 2.0 / r / r
+
+        assert u[:, 0].tolist() == solve(self.IN_ORDER)[0].tolist()
+        assert u[:, 0].tolist() != solve(self.OTHER)[0].tolist()
+        assert lam[0, 0] == solve(self.IN_ORDER)[1]
+
 
 @st.composite
 def line_clouds(draw):

@@ -1,8 +1,13 @@
 """The interval decomposition of three-dimensional weighted Delaunay mosaics."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 
+from anchormosaic import experiments
 from anchormosaic.constants import IntervalType
+from anchormosaic.sampler import SamplingConfig
 
 from oracles import build, interval_violations, oracle_disagreements, random_cloud
 
@@ -36,3 +41,16 @@ def test_types_and_spheres_match_the_oracles():
     for count in (12, 40, 90, 200, 400):
         cloud, _ = cube_cloud(rng, count)
         assert oracle_disagreements(build(cloud, 3), cloud) == []
+
+
+def test_census_record_bits_pinned():
+    # every column of replicate 0 of the (4,3) census at seed 5 on a 6^3
+    # window, hashed as the CI's one-CPU and all-CPU runs hash the records;
+    # the decomposition adds each sum over coordinates or corners in index
+    # order, and these bits pin that order
+    cfg = SamplingConfig(n=4, rho=1.0, window=((0.0, 6.0),) * 3, seed=5)
+    record = experiments._replicate_record(cfg, 0)
+    columns = (np.asarray(getattr(record, f.name)).tobytes() for f in dataclasses.fields(record))
+    assert hashlib.sha256(b"".join(columns)).hexdigest() == (
+        "3d878b7d07ac47053fce1a97a670a7bbf6f24f77af874628032a36d46294c195"
+    )
