@@ -22,7 +22,7 @@ import sys
 from typing import TextIO
 
 from . import constants, experiments, sampler
-from .errors import ConvergenceError, DegeneracyError, IterationLimitError, MosaicError
+from .errors import IterationLimitError, MosaicError
 from .experiments import SCHEMA_VERSION
 
 __all__ = ["main"]
@@ -234,8 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegeneracyError, ConvergenceError, IterationLimitError, MosaicError,
-            ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, IterationLimitError, MosaicError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1000,37 +1000,28 @@ class ReconcileResult:
 
 
 def reconcile_simplex_counts(report: ExperimentReport) -> ReconcileResult:
-    """Exact per-replicate audit: for every j and every radius threshold, the
-    number of j-simplices equals sum over types of binom(m - ell, m - j) times
-    the interval count. The thresholds are 1/4, 1/2 and 1 times the largest
-    interval radius (1 when there is none) and infinity. A failure message
-    pinpoints the replicate. Each record is binned once, by type and by the
-    first threshold at or above the radius, and summed over the thresholds."""
+    """Exact per-replicate audit of the census: at each threshold r0, for every j,
+    simplex_counts(r0)[j] = sum of binom(m - ell, m - j) interval_counts(r0)[ell, m].
+    The thresholds are 1/4, 1/2 and 1 times the largest interval radius (1 when
+    there is none) and infinity. A failure message pinpoints the replicate."""
     rmax = max(
         (float(np.max(r.interval_radii)) for r in report.records if len(r.interval_radii)),
         default=1.0,
     )
     thresholds = (0.25 * rmax, 0.5 * rmax, rmax, math.inf)
-    k, t, bounds = report.cfg.k, len(thresholds), np.array(thresholds)
-    # binom(m - ell, m - j) for the type (ell, m), coded ell (k + 1) + m; 0 unless ell <= j <= m
-    types = [(ell, m) for ell in range(k + 1) for m in range(k + 1)]
-    binom = np.array(
-        [[math.comb(b - a, b - j) if a <= j <= b else 0 for a, b in types] for j in range(k + 1)]
-    )
-
-    def counts(codes, radii, kept, size):
-        # bin t of a code holds its rows past every threshold
-        bins = codes[kept] * (t + 1) + np.searchsorted(bounds, radii[kept])
-        return np.bincount(bins, minlength=size * (t + 1)).reshape(size, -1)[:, :t].cumsum(axis=1)
-
     failures = []
     for rec in report.records:
-        codes = rec.interval_types[:, 0] * (k + 1) + rec.interval_types[:, 1]
-        predicted = binom @ counts(codes, rec.interval_radii, rec.interval_in_window, len(types))
-        got = counts(rec.simplex_dims, rec.simplex_radii, rec.simplex_in_window, k + 1)
-        for i, j in zip(*np.nonzero(got.T != predicted.T)):
-            failures.append(
-                f"replicate {rec.replicate}, r0={thresholds[i]}: dimension {j} has "
-                f"{got[j, i]} simplices but intervals predict {predicted[j, i]}"
-            )
+        for r0 in thresholds:
+            intervals, simplices = rec.interval_counts(r0), rec.simplex_counts(r0)
+            for j in range(report.cfg.k + 1):
+                got = simplices.get(j, 0)
+                predicted = sum(
+                    math.comb(m - ell, m - j) * count
+                    for (ell, m), count in intervals.items() if m >= j
+                )
+                if got != predicted:
+                    failures.append(
+                        f"replicate {rec.replicate}, r0={r0}: dimension {j} has "
+                        f"{got} simplices but intervals predict {predicted}"
+                    )
     return ReconcileResult(failures=failures)

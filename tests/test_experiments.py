@@ -281,6 +281,27 @@ class TestOneCensusPath:
         assert all(f.startswith("replicate 2, r0=") for f in failures)
         assert "r0=inf: dimension 0 has" in "".join(failures)
 
+    def test_audit_reads_the_census_counts(self, monkeypatch):
+        # the audit certifies the counts the rates are built from: a census
+        # that loses one vertex of replicate 1 fails there, and only there
+        cfg = cfg_1d(seed=8)
+        records = [experiments.run_replicate(cfg, rep) for rep in range(2)]
+        report = experiments.ExperimentReport(
+            cfg=cfg, r0=math.inf, interval_rates=[], simplex_rates=[], records=records
+        )
+        census = experiments.ReplicateRecord.interval_counts
+
+        def one_vertex_short(self, r0=math.inf):
+            counts = census(self, r0)
+            if self.replicate == 1:
+                counts[(0, 0)] = counts.get((0, 0), 0) - 1
+            return counts
+
+        monkeypatch.setattr(experiments.ReplicateRecord, "interval_counts", one_vertex_short)
+        failures = experiments.reconcile_simplex_counts(report).failures
+        assert failures
+        assert all(f.startswith("replicate 1, r0=") for f in failures)
+
     @pytest.mark.parametrize("cfg", [cfg_1d(seed=3), cfg_2d(seed=3)], ids=["1d", "2d"])
     def test_binned_pass_fails_as_the_per_threshold_loop(self, cfg):
         # one in-window top simplex of radius at most 1/4 of the largest
