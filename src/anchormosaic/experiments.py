@@ -28,7 +28,7 @@ from scipy import integrate, special, stats
 
 from . import constants, sampler
 from .errors import InsufficientSampleError
-from .geomcore import _lower_hull, _radius_and_intervals, _slice_cloud
+from .geomcore import _lower_hull, _radius_and_intervals, _slice_cloud, _sum
 from .geomcore import slice_cloud  # noqa: F401  (perfbench/selftest.py looks it up here)
 
 __all__ = [
@@ -477,8 +477,8 @@ def _place_vmf(
     around the row's unit center c with kappa ``_KAPPA_LADDER[comp]``;
     kappa = 0 is uniform. Each d gives the cosine cos_t from c and terms
     (a_i, t_i) with unit tangents t_i at c, and every draw is placed in one
-    step, a column at a time, as cos_t c + sum_i a_i t_i, summed left to
-    right."""
+    step, a column at a time, as cos_t c + sum_i a_i t_i, summed in index
+    order."""
     c0, c1 = centers[:, 0], centers[:, 1]
     if centers.shape[1] == 2:
         # the angle from c, in the one tangent (-c_1, c_0)
@@ -502,15 +502,14 @@ def _place_vmf(
         c2 = centers[:, 2]
         first = np.abs(c0) < 0.9
         t1 = (np.where(first, 0.0, -c2), np.where(first, c2, 0.0), np.where(first, -c1, c0))
-        norm = np.sqrt(t1[0] * t1[0] + t1[1] * t1[1] + t1[2] * t1[2])
+        norm = np.sqrt(_sum(v * v for v in t1))
         t1 = tuple(v / norm for v in t1)
         t2 = (c1 * t1[2] - c2 * t1[1], c2 * t1[0] - c0 * t1[2], c0 * t1[1] - c1 * t1[0])
         terms = [(sin_t * np.cos(phi), t1), (sin_t * np.sin(phi), t2)]
+    terms = [(cos_t, centers.T), *terms]
     draws = np.empty(centers.shape)
     for j in range(centers.shape[1]):
-        draws[:, j] = cos_t * centers[:, j]
-        for a, t in terms:
-            draws[:, j] += a * t[j]
+        draws[:, j] = _sum(a * t[j] for a, t in terms)
     return draws
 
 
@@ -590,11 +589,7 @@ def _sphere_rows(
     centers = raw[rows]
     count, d = centers.shape
     u = np.empty((count, len(points) + 1, d))
-    # |raw_i|^2 from d products summed left to right, an order the bit pins hold
-    norm_sq = centers[:, 0] * centers[:, 0]
-    for j in range(1, d):
-        norm_sq += centers[:, j] * centers[:, j]
-    u[:, 0] = centers / np.sqrt(norm_sq)[:, None]
+    u[:, 0] = centers / np.sqrt(_sum(centers.T * centers.T))[:, None]
     log_q = np.full(count, -math.log(sigma_d))
     for i, (comp, *variates) in enumerate(points, start=1):
         draw = _place_vmf(u[:, 0], comp[rows], tuple(v[rows] for v in variates))
@@ -634,15 +629,13 @@ def _centroid_spread(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = 0, delta is 1 exactly.
     """
     m = u.shape[1] - 1
-    # summed in point order, an order the bit pins hold
-    s = u[:, 0, :m].copy()
-    for i in range(1, m + 1):
-        s += u[:, i, :m]
-    delta = (m + 1) - np.einsum("cj,cj->c", s, s) / (m + 1)
+    s = _sum(u[:, :, :m].swapaxes(0, 1))
+    # |s|^2 is an empty sum at m = 0
+    delta = (m + 1) - (_sum(s.T * s.T) if m else np.zeros(len(u))) / (m + 1)
     low = np.flatnonzero(delta < (m + 1) * (3 * m + 17) * math.sqrt(np.finfo(float).eps / 2))
     dev = u[low]
     dev[:, :, :m] -= s[low, None, :] / (m + 1)
-    delta[low] = np.einsum("cij,cij->c", dev, dev)
+    delta[low] = _sum(_sum((dev * dev).T))
     return s, delta
 
 
@@ -706,7 +699,7 @@ def _row_weights(
         x[:, :, :k] += y[:, None, :]
         fx = _bump_f(x)
         log_w = log_w - (a_r + k / 2.0) * math.log(lam) + lam * delta * g
-        log_w = log_w + 0.5 * np.einsum("cj,cj->c", z, z)
+        log_w = log_w + 0.5 * _sum(z.T * z.T)
         return np.where(fx > 0, fx * np.exp(log_w), 0.0)
 
 
@@ -975,7 +968,8 @@ def verify_beta_projection_law(
     rng = np.random.Generator(np.random.Philox(key=seed))
     x = rng.standard_normal((samples, n))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    r2 = np.einsum("ij,ij->i", x[:, :k], x[:, :k])
+    head = x[:, :k].T
+    r2 = _sum(head * head)
 
     return BetaLawCheck(
         n=n,

@@ -62,7 +62,10 @@ _CHAIN_FILTER = 2.0**-49
 _CHAIN_TINY = 2.0**-1073
 # vectorized passes of the 1-D chain before one sequential scan finishes it
 _CHAIN_PASSES = 16
-# a sum over the first axis, added term by term in index order
+# a sum over the first axis, added term by term in index order: the package's
+# one way to add a short sum. Three einsums still set their own order, since
+# index order moves a bp pin: experiments._sphere_rows' cosine at d = 3,
+# _bump_f at n >= 3 and _moments' M2 (ROADMAP direction 12).
 _sum = partial(reduce, np.add)
 
 
@@ -174,8 +177,8 @@ def _slice_cloud(cloud: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
     if not 1 <= k <= cloud.shape[1]:
         raise ValueError(f"need 1 <= k <= {cloud.shape[1]}, got k={k}")
-    tails = cloud[:, k:]
-    return cloud[:, :k].copy(), -np.einsum("ij,ij->i", tails, tails)
+    tails = cloud[:, k:].T
+    return cloud[:, :k].copy(), -_sum(tails * tails, np.zeros(len(cloud)))
 
 
 def sphere_is_empty(
@@ -199,7 +202,7 @@ def sphere_is_empty(
     diff = cloud.T.copy()
     diff[: sphere.anchor.size] -= sphere.anchor[:, None]
     np.multiply(diff, diff, out=diff)
-    d2 = np.add.reduce(diff, axis=0)
+    d2 = _sum(diff)
     d2[np.asarray(list(exclude), dtype=int)] = np.inf
     threshold = (sphere.radius * (1.0 - _EMPTY_REL_TOL)) ** 2
     return bool(d2.min(initial=np.inf) >= threshold)
@@ -270,9 +273,7 @@ def _lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
         cells = np.column_stack([chain[:-1], chain[1:]])
     else:
         try:
-            hull = ConvexHull(
-                np.column_stack([y, np.einsum("ij,ij->i", y, y) - w]), qhull_options="Qt Qbb"
-            )
+            hull = ConvexHull(np.column_stack([y, _sum(y.T * y.T) - w]), qhull_options="Qt Qbb")
         except QhullError as exc:
             raise DegeneracyError(f"degenerate lifted configuration: {exc}") from exc
         cells = np.asarray(hull.simplices[hull.equations[:, k] < 0.0], dtype=int)

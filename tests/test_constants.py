@@ -370,3 +370,23 @@ class TestAsymptoticLimits:
 
     def test_table_value_at_20(self):
         assert constants.interval_constant((0, 0), 1, 20) == pytest.approx(1.47, abs=0.005)
+
+    @pytest.mark.parametrize(
+        "constant, limit",
+        [
+            (lambda n: constants.critical_vertex_constant(1, n), math.exp(0.5)),
+            (lambda n: constants.critical_vertex_constant(2, n), math.e),
+            (lambda n: constants.critical_vertex_constant(3, n), math.exp(1.5)),
+            (lambda n: constants.critical_edge_constant(2, n), math.e * (1.0 + math.pi / 2.0)),
+            (lambda n: constants.interval_constant((2, 2), 2, n), math.e * math.pi / 2.0),
+            (lambda n: constants.interval_constant((0, 1), 2, n), math.e * (math.pi / 2.0 - 1.0)),
+        ],
+        ids=["C00-k1", "C00-k2", "C00-k3", "C11-k2", "C22-k2", "C01-k2"],
+    )
+    def test_closed_forms_reach_their_large_n_limits(self, constant, limit):
+        # C[0,0; k,n] -> e^(k/2), and at k = 2 C[1,1] -> e (1 + pi/2),
+        # C[2,2] -> e pi/2 and C[0,1] -> e (pi/2 - 1); the relative gap
+        # falls about 8x per decade of n
+        gap = {n: abs(constant(n) / limit - 1.0) for n in (10**4, 10**5, 10**6)}
+        assert gap[10**6] < 5e-5
+        assert gap[10**5] <= gap[10**4] / 5.0

@@ -303,11 +303,11 @@ class TestOneCensusPath:
         assert all(f.startswith("replicate 1, r0=") for f in failures)
 
     @pytest.mark.parametrize("cfg", [cfg_1d(seed=3), cfg_2d(seed=3)], ids=["1d", "2d"])
-    def test_binned_pass_fails_as_the_per_threshold_loop(self, cfg):
+    def test_moved_simplex_fails_as_an_independent_count(self, cfg):
         # one in-window top simplex of radius at most 1/4 of the largest
         # interval radius moves to 3/4 of it: the counts at the two lower
-        # thresholds lose it, and the failures and their order are those of
-        # a loop that counts each threshold on its own
+        # thresholds lose it, and the audit's failures, in order, are those
+        # of an independent loop over records, thresholds and dimensions
         records = [experiments.run_replicate(cfg, rep) for rep in range(3)]
         rec = records[1]
         rmax = max(float(np.max(r.interval_radii)) for r in records)

@@ -61,6 +61,13 @@ class TestProjection:
         _, w = geomcore.slice_cloud(np.array([[1.0, 2.0, 0.0]]), 2)
         assert w[0] == 0.0
 
+    def test_no_tail_coordinates(self):
+        # k = n: the slice is the whole space, and every weight is 0
+        y, w = geomcore.slice_cloud(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)
+        assert y.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert w.shape == (2,)
+        assert (w == 0.0).all()
+
     def test_two_tail_coordinates(self):
         y, w = geomcore.slice_cloud(np.array([[1.0, 2.0, 2.0]]), 1)
         assert y[0] == pytest.approx([1.0])
@@ -408,9 +415,10 @@ class TestLowerHull:
 
 
 class TestIndexOrderSums:
-    """The decomposition adds every sum over coordinates in index order. On
-    the vector (1, 1.288, 0.965), whose squares a, b, c give (a + b) + c !=
-    (a + c) + b in floating point, the results are those of (a + b) + c."""
+    """The decomposition and the slice add every sum over coordinates in
+    index order. On the vector (1, 1.288, 0.965), whose squares a, b, c give
+    (a + b) + c != (a + c) + b in floating point, the results are those of
+    (a + b) + c."""
 
     V = np.array([1.0, 1.288, 0.965])
     IN_ORDER = (1.0 + 1.288 * 1.288) + 0.965 * 0.965
@@ -437,6 +445,11 @@ class TestIndexOrderSums:
         assert u[:, 0].tolist() == solve(self.IN_ORDER)[0].tolist()
         assert u[:, 0].tolist() != solve(self.OTHER)[0].tolist()
         assert lam[0, 0] == solve(self.IN_ORDER)[1]
+
+    def test_slice_cloud(self):
+        # a point (0, V) sliced at k = 1: the tail is V, the weight -|V|^2
+        _, w = geomcore.slice_cloud(np.concatenate([[0.0], self.V])[None, :], 1)
+        assert w[0] == -self.IN_ORDER != -self.OTHER
 
 
 @st.composite
