@@ -363,7 +363,7 @@ def _ks_uniform_pvalue(u: np.ndarray) -> float:
 
 def _bump_f(x: np.ndarray) -> np.ndarray:
     # compactly supported product bump: prod_i max(0, 1 - |x_i|^2)^2
-    g = np.maximum(0.0, 1.0 - np.einsum("cij,cij->ci", x, x))
+    g = np.maximum(0.0, 1.0 - _sum(np.moveaxis(x * x, 2, 0)))
     return np.prod(g * g, axis=1)
 
 
@@ -424,16 +424,15 @@ def _moments(w: np.ndarray) -> _Record:
     sets to 0 in place and counts; two-pass moments, no sum of squares, so
     no cancellation.
 
-    M2 is an einsum, which never calls BLAS: a threaded BLAS dot splits the
-    sum by thread count, and its idle threads spin on the bp pool's cores.
-    The bits depend neither on the number of workers nor on the number of
-    BLAS threads.
+    M2 is an ``np.add.reduce``, the pairwise sum ``np.mean`` uses, not a dot:
+    a threaded BLAS dot would split the sum by thread count. The bits depend
+    neither on the number of workers nor on the number of BLAS threads.
     """
     nonfinite = ~np.isfinite(w)
     w[nonfinite] = 0.0
     mean = float(np.mean(w))
     dev = w - mean
-    m2 = float(np.einsum("i,i->", dev, dev))
+    m2 = float(np.add.reduce(np.square(dev, out=dev)))
     return w.size, mean, m2, int(np.count_nonzero(nonfinite)), float(np.max(w))
 
 
@@ -594,7 +593,7 @@ def _sphere_rows(
     for i, (comp, *variates) in enumerate(points, start=1):
         draw = _place_vmf(u[:, 0], comp[rows], tuple(v[rows] for v in variates))
         u[:, i] = draw
-        log_q += _log_mixture_density(np.einsum("cj,cj->c", draw, u[:, 0]), d, sigma_d)
+        log_q += _log_mixture_density(_sum(draw.T * u[:, 0].T), d, sigma_d)
     return u, log_q
 
 

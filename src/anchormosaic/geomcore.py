@@ -62,10 +62,8 @@ _CHAIN_FILTER = 2.0**-49
 _CHAIN_TINY = 2.0**-1073
 # vectorized passes of the 1-D chain before one sequential scan finishes it
 _CHAIN_PASSES = 16
-# a sum over the first axis, added term by term in index order: the package's
-# one way to add a short sum. Three einsums still set their own order, since
-# index order moves a bp pin: experiments._sphere_rows' cosine at d = 3,
-# _bump_f at n >= 3 and _moments' M2 (ROADMAP direction 12).
+# the package's one rule for a short sum: over the first axis, term by term
+# in index order (the only long sums, a bp chunk's mean and M2, are pairwise)
 _sum = partial(reduce, np.add)
 
 

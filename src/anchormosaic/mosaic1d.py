@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomcore import Mosaic, lower_hull, radius_and_intervals
+from .geomcore import Mosaic, _sum, lower_hull, radius_and_intervals
 
 __all__ = ["Mosaic1D", "rotate_to_halfplane", "build_1d", "radius_and_intervals_1d"]
 
@@ -39,7 +39,7 @@ def rotate_to_halfplane(x: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(arr)
     if pts.shape[1] < 2:
         raise ValueError("need ambient dimension >= 2")
-    out = np.column_stack([pts[:, 0], np.sqrt(np.einsum("ij,ij->i", pts[:, 1:], pts[:, 1:]))])
+    out = np.column_stack([pts[:, 0], np.sqrt(_sum(np.square(pts[:, 1:].T)))])
     return out[0] if single else out
 
 

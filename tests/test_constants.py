@@ -380,13 +380,25 @@ class TestAsymptoticLimits:
             (lambda n: constants.critical_edge_constant(2, n), math.e * (1.0 + math.pi / 2.0)),
             (lambda n: constants.interval_constant((2, 2), 2, n), math.e * math.pi / 2.0),
             (lambda n: constants.interval_constant((0, 1), 2, n), math.e * (math.pi / 2.0 - 1.0)),
+            (lambda n: constants.top_simplex_constant(1, n), math.sqrt(2.0 * math.e)),
+            (lambda n: constants.top_simplex_constant(2, n), 2.0 * math.pi * math.e / math.sqrt(3.0)),
+            (lambda n: constants.top_simplex_constant(3, n), 4.0 * math.pi * math.exp(1.5)),
+            (lambda n: constants.interval_constant((0, 2), 2, n),
+             math.pi * math.e * (1.0 / math.sqrt(3.0) - 0.5)),
+            (lambda n: constants.interval_constant((1, 2), 2, n), math.pi * math.e / math.sqrt(3.0)),
         ],
-        ids=["C00-k1", "C00-k2", "C00-k3", "C11-k2", "C22-k2", "C01-k2"],
+        ids=["C00-k1", "C00-k2", "C00-k3", "C11-k2", "C22-k2", "C01-k2",
+             "D1-k1", "D2-k2", "D3-k3", "C02-k2", "C12-k2"],
     )
     def test_closed_forms_reach_their_large_n_limits(self, constant, limit):
         # C[0,0; k,n] -> e^(k/2), and at k = 2 C[1,1] -> e (1 + pi/2),
-        # C[2,2] -> e pi/2 and C[0,1] -> e (pi/2 - 1); the relative gap
-        # falls about 8x per decade of n
+        # C[2,2] -> e pi/2 and C[0,1] -> e (pi/2 - 1). D_k -> 2^k
+        # pi^((k-1)/2) Gamma((k+1)/2) e^(k/2) / sqrt(k+1): in its log form
+        # sigma_{n+1} / sigma_{n-k+1} cancels the last lgamma and Stirling
+        # takes the n-dependent rest to log(k+1)/2 - log 2 + k/2. At k = 2
+        # the planar relations then give C[0,2] -> pi e (1/sqrt 3 - 1/2) and
+        # C[1,2] -> pi e / sqrt 3. The relative gap falls about 8x per decade
+        # of n
         gap = {n: abs(constant(n) / limit - 1.0) for n in (10**4, 10**5, 10**6)}
         assert gap[10**6] < 5e-5
         assert gap[10**5] <= gap[10**4] / 5.0

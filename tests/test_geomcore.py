@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 from scipy.spatial import ConvexHull, Delaunay
 
-from anchormosaic import experiments, geomcore, sampler
+from anchormosaic import experiments, geomcore, mosaic1d, sampler
 from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError, MosaicError
 from anchormosaic.geomcore import AnchoredSphere
@@ -415,10 +415,10 @@ class TestLowerHull:
 
 
 class TestIndexOrderSums:
-    """The decomposition and the slice add every sum over coordinates in
-    index order. On the vector (1, 1.288, 0.965), whose squares a, b, c give
-    (a + b) + c != (a + c) + b in floating point, the results are those of
-    (a + b) + c."""
+    """The decomposition, the slice, the half-plane rotation and the bump add
+    every sum over coordinates in index order. On the vector (1, 1.288,
+    0.965), whose squares a, b, c give (a + b) + c != (a + c) + b in floating
+    point, the results are those of (a + b) + c."""
 
     V = np.array([1.0, 1.288, 0.965])
     IN_ORDER = (1.0 + 1.288 * 1.288) + 0.965 * 0.965
@@ -450,6 +450,18 @@ class TestIndexOrderSums:
         # a point (0, V) sliced at k = 1: the tail is V, the weight -|V|^2
         _, w = geomcore.slice_cloud(np.concatenate([[0.0], self.V])[None, :], 1)
         assert w[0] == -self.IN_ORDER != -self.OTHER
+
+    def test_rotate_to_halfplane(self):
+        # the point (0, V): its distance to the first axis is |V|
+        out = mosaic1d.rotate_to_halfplane(np.concatenate([[0.0], self.V]))
+        assert out[1] == math.sqrt(self.IN_ORDER) != math.sqrt(self.OTHER)
+
+    def test_bump_f(self):
+        # one row of one point x = V / 2, whose squares a, b, c give
+        # (1 - ((a + b) + c))^2, not (1 - ((a + c) + b))^2
+        a, b, c = (0.5 * self.V) ** 2
+        got = experiments._bump_f((0.5 * self.V).reshape(1, 1, 3))
+        assert got[0] == (1.0 - ((a + b) + c)) ** 2 != (1.0 - ((a + c) + b)) ** 2
 
 
 @st.composite

@@ -89,29 +89,19 @@ def test_only_the_benchmark_builds_mosaics_through_the_adapters():
     assert not hasattr(importlib.import_module("anchormosaic.geomcore"), "dual_vertices")
 
 
-# the einsums whose order still sets pinned bits: each adds three or more
-# terms in an order that index order would move (ROADMAP direction 12)
-EINSUM_CALLERS = {"_bump_f", "_moments", "_sphere_rows"}
-
-
 def test_short_sums_add_in_index_order():
-    # every other short sum goes through geomcore._sum; the benchmark's
-    # adapters are left as they are
+    # every short sum goes through geomcore._sum, so no package module calls
+    # einsum, whose kernel picks its own order
     package = Path(__file__).resolve().parents[1] / "src" / "anchormosaic"
-    callers = []
-    for path in sorted(package.glob("*.py")):
-        if path.stem in ADAPTERS:
-            continue
-        # each call is named after its top-level definition
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            callers += [
-                getattr(top, "name", "<module>")
-                for node in ast.walk(top)
-                if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "einsum"
-            ]
-    assert sorted(callers) == sorted(EINSUM_CALLERS)
+    callers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "einsum"
+    ]
+    assert callers == []
 
 
 @functools.cache
