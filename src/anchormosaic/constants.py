@@ -27,8 +27,9 @@ ambient dimensions past n = 453, where nu_n underflows, stay finite.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 from scipy import special
@@ -55,6 +56,12 @@ __all__ = [
     "asymptotic_limits_1d",
     "AsymptoticLimits1D",
 ]
+
+# the package's one rule for a short sum, of Python floats (from an int 0, as
+# builtin sum added before Python 3.12) or of arrays over their first axis:
+# index order, (a + b) + c. The only long sums, a bp chunk's mean and M2 and
+# the census's per-type replicate mean and SD, are numpy's pairwise add.reduce
+_sum = partial(reduce, operator.add)
 
 
 @dataclass(frozen=True, order=True)
@@ -187,7 +194,7 @@ def critical_edge_constant(k: int, n: int) -> float:
         for i in range(k + 1)
     ]
     peak = max(log_terms)
-    log_sum = peak + math.log(sum(math.exp(t - peak) for t in log_terms))
+    log_sum = peak + math.log(_sum((math.exp(t - peak) for t in log_terms), 0))
     log_c = (
         2.0 * log_sphere_surface(n - k + 1)
         + log_sphere_surface(k)
@@ -292,16 +299,14 @@ def interval_constant(t: IntervalType | tuple[int, int], k: int, n: int) -> floa
 
 def _simplex_share(j: int, m: int, k: int, n: int) -> float:
     """sum_{ell=0..j} binom(m-ell, m-j) C[ell,m;k,n], the m-th term of D_j[k,n]."""
-    return sum(
-        math.comb(m - ell, m - j) * interval_constant(IntervalType(ell, m), k, n)
-        for ell in range(j + 1)
-    )
+    terms = (math.comb(m - ell, m - j) * interval_constant((ell, m), k, n) for ell in range(j + 1))
+    return _sum(terms, 0)
 
 
 def simplex_constant(j: int, k: int, n: int) -> float:
     """Constant D_j[k,n] = sum_{m=j..k} sum_{ell=0..j} binom(m-ell, m-j) C[ell,m;k,n]."""
     _check_simplex_dims(j, k, n)
-    return sum(_simplex_share(j, m, k, n) for m in range(j, k + 1))
+    return _sum((_simplex_share(j, m, k, n) for m in range(j, k + 1)), 0)
 
 
 def _gamma_fraction(shape: float, n: int, rho: float, r0: float) -> float:
@@ -347,11 +352,11 @@ def expected_simplex_count(
     _check_simplex_dims(j, k, n)
     if not area > 0:
         raise ValueError(f"area must be positive, got {area}")
-    total = sum(
+    terms = (
         _gamma_fraction(m + 1.0 - k / n, n, rho, r0) * _simplex_share(j, m, k, n)
         for m in range(j, k + 1)
     )
-    return total * rho ** (k / n) * area
+    return _sum(terms, 0) * rho ** (k / n) * area
 
 
 @dataclass(frozen=True)

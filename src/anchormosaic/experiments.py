@@ -28,7 +28,8 @@ from scipy import integrate, special, stats
 
 from . import constants, sampler
 from .errors import InsufficientSampleError
-from .geomcore import _lower_hull, _radius_and_intervals, _slice_cloud, _sum
+from .constants import _sum
+from .geomcore import _lower_hull, _radius_and_intervals, _slice_cloud
 from .geomcore import slice_cloud  # noqa: F401  (perfbench/selftest.py looks it up here)
 
 __all__ = [
@@ -629,8 +630,7 @@ def _centroid_spread(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = u.shape[1] - 1
     s = _sum(u[:, :, :m].swapaxes(0, 1))
-    # |s|^2 is an empty sum at m = 0
-    delta = (m + 1) - (_sum(s.T * s.T) if m else np.zeros(len(u))) / (m + 1)
+    delta = (m + 1) - _sum(s.T * s.T, np.zeros(len(u))) / (m + 1)
     low = np.flatnonzero(delta < (m + 1) * (3 * m + 17) * math.sqrt(np.finfo(float).eps / 2))
     dev = u[low]
     dev[:, :, :m] -= s[low, None, :] / (m + 1)
@@ -906,7 +906,7 @@ def verify_gamma_lemma(draws: int = 100, seed: int = 0) -> GammaLemmaCheck:
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _chunk_stream(seed, 0)
     worst = 0.0
     for _ in range(draws):
         n = int(rng.integers(2, 9))
@@ -919,10 +919,9 @@ def verify_gamma_lemma(draws: int = 100, seed: int = 0) -> GammaLemmaCheck:
         c = rho * constants.ball_volume(n)
         r0 = (float(rng.uniform(0.05, 3.0 * (t.m + 1.0 - k / n) + 1.0)) / c) ** (1.0 / n)
         share = [_radius_share(m + 1.0 - k / n, n, c, r0) for m in range(k + 1)]
-        simplex = sum(
-            math.comb(m - ell, m - j) * constants.interval_constant((ell, m), k, n) * share[m]
-            for m in range(j, k + 1) for ell in range(j + 1)
-        )
+        terms = (math.comb(m - ell, m - j) * constants.interval_constant((ell, m), k, n) * share[m]
+                 for m in range(j, k + 1) for ell in range(j + 1))
+        simplex = _sum(terms, 0)
         for expected, direct in [
             (constants.expected_interval_count(t, k, n, rho, area, r0),
              constants.interval_constant(t, k, n) * share[t.m]),
@@ -964,9 +963,8 @@ def verify_beta_projection_law(
         )
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    x = rng.standard_normal((samples, n))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x = _chunk_stream(seed, 0).standard_normal((samples, n))
+    x /= np.sqrt(_sum(x.T * x.T))[:, None]
     head = x[:, :k].T
     r2 = _sum(head * head)
 
@@ -1008,10 +1006,9 @@ def reconcile_simplex_counts(report: ExperimentReport) -> ReconcileResult:
             intervals, simplices = rec.interval_counts(r0), rec.simplex_counts(r0)
             for j in range(report.cfg.k + 1):
                 got = simplices.get(j, 0)
-                predicted = sum(
-                    math.comb(m - ell, m - j) * count
-                    for (ell, m), count in intervals.items() if m >= j
-                )
+                terms = (math.comb(m - ell, m - j) * count
+                         for (ell, m), count in intervals.items() if m >= j)
+                predicted = _sum(terms, 0)
                 if got != predicted:
                     failures.append(
                         f"replicate {rec.replicate}, r0={r0}: dimension {j} has "

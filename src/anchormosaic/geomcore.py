@@ -35,14 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .constants import IntervalType
+from .constants import IntervalType, _sum
 from .errors import DegeneracyError, MosaicError
 
 __all__ = [
@@ -62,9 +62,6 @@ _CHAIN_FILTER = 2.0**-49
 _CHAIN_TINY = 2.0**-1073
 # vectorized passes of the 1-D chain before one sequential scan finishes it
 _CHAIN_PASSES = 16
-# the package's one rule for a short sum: over the first axis, term by term
-# in index order (the only long sums, a bp chunk's mean and M2, are pairwise)
-_sum = partial(reduce, np.add)
 
 
 @dataclass(frozen=True)

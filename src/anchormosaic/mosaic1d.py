@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomcore import Mosaic, _sum, lower_hull, radius_and_intervals
+from .constants import _sum
+from .geomcore import Mosaic, lower_hull, radius_and_intervals
 
 __all__ = ["Mosaic1D", "rotate_to_halfplane", "build_1d", "radius_and_intervals_1d"]
 

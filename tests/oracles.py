@@ -309,6 +309,41 @@ def oracle_disagreements(mosaic: Mosaic, cloud: np.ndarray) -> list[str]:
     return found
 
 
+def compensated_sum(iterable, start=0):
+    """Python 3.12's builtin ``sum``, on any interpreter.
+
+    Ints add exactly while the total is an int. Once it is a float, 0 + x0
+    for a first float x0, each further float adds by Neumaier's compensated
+    loop (*ZAMM* 54, 1974), an int adds plainly, and the compensation joins
+    the total at the end if it is non-zero and finite. Any other item, a
+    numpy scalar among them, ends the loop, and the rest add with ``+``.
+    """
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for x in items:
+            total = total + x
+            if type(total) is not int:
+                break
+    if type(total) is float:
+        c = 0.0
+        for x in items:
+            if type(x) is int:
+                total += float(x)
+                continue
+            if type(x) is not float:
+                total = (total + c if c and math.isfinite(c) else total) + x
+                break
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            return total + c if c and math.isfinite(c) else total
+    for x in items:
+        total = total + x
+    return total
+
+
 # Scalar incomplete Gamma and Beta functions (series and Lentz continued
 # fractions), the per-element references for the vectorised scipy.special calls.
 

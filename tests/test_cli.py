@@ -219,7 +219,10 @@ class TestVerifyDocument:
 class TestDocumentBytes:
     # sha256 of stdout for the standard documents; a change that moves any
     # byte of them moves the pin. --r0 documents are left out: their
-    # predicted column carries the last bits of scipy's gammainc.
+    # predicted column carries the last bits of scipy's gammainc. The
+    # simulate pins carry the last bits of scipy's gammaincinv all the same:
+    # their default buffer (sampler.choose_buffer) is printed as
+    # config.buffer and sets the box that every point is drawn uniformly in.
     DIGESTS = {
         ("simulate --n 2 --k 1 --window 1000 --reps 20 --seed 2025", "json"):
             "2f2a6ad54717858e63f7be1cc94e4eb0ddf03108aa8d1c6c090160af686fc8ff",

@@ -1,12 +1,14 @@
 """Tests for the closed-form constants and expectation formulas."""
 
+import builtins
 import math
 
 import pytest
 from scipy import integrate, special
 
-from anchormosaic import constants
+from anchormosaic import constants, experiments
 from anchormosaic.constants import IntervalType
+from oracles import compensated_sum
 
 # published 2-decimal reference tables for the constants
 TABLE_1D = {
@@ -190,6 +192,23 @@ class TestTable2D:
         triangles = c[(0, 2)] + c[(1, 2)] + c[(2, 2)]
         vertices = c[(0, 0)] + c[(0, 1)] + c[(0, 2)]
         assert triangles == pytest.approx(2.0 * vertices, rel=1e-10)
+
+    def test_pair_constant_is_the_upper_total_less_the_critical_edges(self):
+        # summed over ell, the sphere integral's weight det[1, u'_i]^2 has a
+        # Cauchy-Binet mean, so C[0,1] + C[1,1] = T1 = grass(1,2) sigma_(n-1)^2
+        # Gamma(2 - 2/n) / (n (n-1) nu_n^(2-2/n)): the 3F2 route checked
+        # without a 3F2
+        for n in range(3, 101):
+            log_t1 = (
+                math.log(constants.grassmannian_volume(1, 2))
+                + 2.0 * constants.log_sphere_surface(n - 1)
+                + math.lgamma(2.0 - 2.0 / n)
+                - math.log(n)
+                - math.log(n - 1.0)
+                - (2.0 - 2.0 / n) * constants.log_ball_volume(n)
+            )
+            c01 = math.exp(log_t1) - constants.critical_edge_constant(2, n)
+            assert c01 == pytest.approx(constants.interval_constant((0, 1), 2, n), rel=1e-12), n
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_top_simplex_two_routes(self, n):
@@ -386,9 +405,12 @@ class TestAsymptoticLimits:
             (lambda n: constants.interval_constant((0, 2), 2, n),
              math.pi * math.e * (1.0 / math.sqrt(3.0) - 0.5)),
             (lambda n: constants.interval_constant((1, 2), 2, n), math.pi * math.e / math.sqrt(3.0)),
+            (lambda n: constants.critical_edge_constant(3, n), 5.0 * math.exp(1.5)),
+            (lambda n: constants.interval_constant((0, 1), 2, n) + constants.critical_edge_constant(2, n),
+             math.pi * math.e),
         ],
         ids=["C00-k1", "C00-k2", "C00-k3", "C11-k2", "C22-k2", "C01-k2",
-             "D1-k1", "D2-k2", "D3-k3", "C02-k2", "C12-k2"],
+             "D1-k1", "D2-k2", "D3-k3", "C02-k2", "C12-k2", "C11-k3", "T1-k2"],
     )
     def test_closed_forms_reach_their_large_n_limits(self, constant, limit):
         # C[0,0; k,n] -> e^(k/2), and at k = 2 C[1,1] -> e (1 + pi/2),
@@ -397,8 +419,41 @@ class TestAsymptoticLimits:
         # sigma_{n+1} / sigma_{n-k+1} cancels the last lgamma and Stirling
         # takes the n-dependent rest to log(k+1)/2 - log 2 + k/2. At k = 2
         # the planar relations then give C[0,2] -> pi e (1/sqrt 3 - 1/2) and
-        # C[1,2] -> pi e / sqrt 3. The relative gap falls about 8x per decade
-        # of n
+        # C[1,2] -> pi e / sqrt 3. At k = 3, C[1,1] -> 5 e^(3/2), and the
+        # upper total C[0,1] + C[1,1] at k = 2 tends to pi e. The relative gap
+        # falls about 8x per decade of n
         gap = {n: abs(constant(n) / limit - 1.0) for n in (10**4, 10**5, 10**6)}
         assert gap[10**6] < 5e-5
         assert gap[10**5] <= gap[10**4] / 5.0
+
+
+def _clear_constant_caches():
+    for value in vars(constants).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def _summed_values() -> list[str]:
+    # every value of a sum over types or dimensions at k <= 2, n < 400
+    values = []
+    for k in (1, 2):
+        for n in range(k + 1, 400):
+            values += [constants.interval_constant(t, k, n) for t in constants.valid_interval_types(k)]
+            values += [constants.simplex_constant(j, k, n) for j in range(k + 1)]
+            values += [constants.critical_edge_constant(k, n)]
+            values += [constants.expected_simplex_count(j, k, n, 1.0, 1.0, 1.3) for j in range(k + 1)]
+    values += [experiments.verify_gamma_lemma().max_rel_error]
+    return [float(v).hex() for v in values]
+
+
+def test_no_value_reads_the_builtin_sum(monkeypatch):
+    # Python 3.12 made the builtin sum compensated; while the package called
+    # it, 67 of these values took other last bits there than on 3.10 and 3.11
+    _clear_constant_caches()
+    plain = _summed_values()
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    _clear_constant_caches()
+    try:
+        assert _summed_values() == plain
+    finally:
+        _clear_constant_caches()

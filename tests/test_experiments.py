@@ -1314,17 +1314,25 @@ class TestBetaLaw:
         assert check.passed
 
     def test_matches_per_sample_reference(self):
-        n, k, samples, seed = 5, 2, 3_000, 4
-        check = experiments.verify_beta_projection_law(n, k, samples=samples, seed=seed)
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        x = rng.standard_normal((samples, n))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        r2 = np.einsum("ij,ij->i", x[:, :k], x[:, :k])
-        for a, b, p in [(k / 2.0, (n - k) / 2.0, check.p_half_dims),
-                        (k / n, (n - k) / n, check.p_fraction_dims)]:
-            norm = beta_fn(a, b)
-            u = np.array([beta_inc(t, a, b) / norm for t in r2])
-            assert p == pytest.approx(stats.kstest(u, "uniform").pvalue, rel=1e-9)
+        # every sum of squares adds its columns in index order; from 8 columns
+        # on, as at (10, 5), np.linalg.norm's reduction does not
+        samples, seed = 3_000, 4
+        for n, k in [(5, 2), (10, 5)]:
+            check = experiments.verify_beta_projection_law(n, k, samples=samples, seed=seed)
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            x = rng.standard_normal((samples, n))
+            norm2 = x[:, 0] * x[:, 0]
+            for i in range(1, n):
+                norm2 = norm2 + x[:, i] * x[:, i]
+            x /= np.sqrt(norm2)[:, None]
+            r2 = x[:, 0] * x[:, 0]
+            for i in range(1, k):
+                r2 = r2 + x[:, i] * x[:, i]
+            for a, b, p in [(k / 2.0, (n - k) / 2.0, check.p_half_dims),
+                            (k / n, (n - k) / n, check.p_fraction_dims)]:
+                norm = beta_fn(a, b)
+                u = np.array([beta_inc(t, a, b) / norm for t in r2])
+                assert p == pytest.approx(stats.kstest(u, "uniform").pvalue, rel=1e-9)
 
     def test_other_dimensions(self):
         check = experiments.verify_beta_projection_law(5, 1, samples=20_000, seed=1)
