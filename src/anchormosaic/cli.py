@@ -23,7 +23,6 @@ from typing import TextIO
 
 from . import constants, experiments, sampler
 from .errors import IterationLimitError, MosaicError
-from .experiments import SCHEMA_VERSION
 
 __all__ = ["main"]
 
@@ -143,41 +142,33 @@ def _open_out(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
 
 def _cmd_constants(args: argparse.Namespace) -> tuple[str, int]:
     types = constants.valid_interval_types(args.k)
+    # a simplex row has ell = m = j; expected is empty without --r0
+    keys = [("interval", t.ell, t.m, f"C[{t.ell},{t.m}]", f"E[c({t.ell},{t.m})](r0)") for t in types]
+    keys += [("simplex", j, j, f"D[{j}]", f"E[d({j})](r0)") for j in range(args.k + 1)]
     table: dict[str, dict[str, float]] = {}
     rows: list[tuple] = []
     for n in args.n:
         # the constants first: they refuse an n with none before n divides
-        entry = {f"C[{t.ell},{t.m}]": constants.interval_constant(t, args.k, n) for t in types}
-        for j in range(args.k + 1):
-            entry[f"D[{j}]"] = constants.simplex_constant(j, args.k, n)
+        values = [constants.interval_constant(t, args.k, n) for t in types]
+        values += [constants.simplex_constant(j, args.k, n) for j in range(args.k + 1)]
+        entry = {name: value for (*_, name, _), value in zip(keys, values)}
         if args.r0 is not None:
-            norm = args.rho ** (args.k / n)  # expectations per unit rho^(k/n) |R|
-            for t in types:
-                entry[f"E[c({t.ell},{t.m})](r0)"] = (
-                    constants.expected_interval_count(t, args.k, n, args.rho, 1.0, args.r0) / norm
-                )
-            for j in range(args.k + 1):
-                entry[f"E[d({j})](r0)"] = (
-                    constants.expected_simplex_count(j, args.k, n, args.rho, 1.0, args.r0) / norm
-                )
+            # expectations per unit rho^(k/n) |R|
+            rates = constants.expected_rates(args.k, n, args.rho, 1.0, args.r0)
+            entry.update((name, rate) for (*_, name), rate in zip(keys, rates))
         table[str(n)] = entry
-        # a simplex row has ell = m = j; expected is empty without --r0
-        keys = [("interval", t.ell, t.m, f"C[{t.ell},{t.m}]", f"E[c({t.ell},{t.m})](r0)") for t in types]
-        keys += [("simplex", j, j, f"D[{j}]", f"E[d({j})](r0)") for j in range(args.k + 1)]
         rows += [
             (kind, ell, m, n, entry[value], entry.get(expected, ""))
             for kind, ell, m, value, expected in keys
         ]
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "constants",
         "k": args.k,
         "rho": args.rho,
         "r0": None if args.r0 == math.inf else args.r0,
         "table": table,
     }
     csv = experiments.csv_text("type,ell,m,n,constant,expected", rows)
-    return (experiments.json_text(payload) if args.format == "json" else csv), EXIT_OK
+    return (experiments.json_text("constants", payload) if args.format == "json" else csv), EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
@@ -214,11 +205,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         check = experiments.verify_beta_projection_law(
             args.n, args.k, seed=args.seed, **_given(samples=args.samples)
         )
-    payload = {
-        "schema_version": SCHEMA_VERSION, "kind": f"verify-{args.kind}", "passed": check.passed,
-    }
-    payload.update(dataclasses.asdict(check))
-    return experiments.json_text(payload), EXIT_OK if check.passed else EXIT_STATISTICAL
+    payload = {"passed": check.passed, **dataclasses.asdict(check)}
+    return (
+        experiments.json_text(f"verify-{args.kind}", payload),
+        EXIT_OK if check.passed else EXIT_STATISTICAL,
+    )
 
 
 _COMMANDS = {"constants": _cmd_constants, "simulate": _cmd_simulate, "verify": _cmd_verify}

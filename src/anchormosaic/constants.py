@@ -18,7 +18,9 @@ expectations, ``expected_interval_count(t, k, n, rho, area, r0)`` and
 ``expected_simplex_count(j, k, n, rho, area, r0)``, take the rest of the
 formula as plain arguments: the density ``rho`` (finite and above 0), the
 region's k-volume ``area`` (above 0) and the radius threshold ``r0`` (at
-least 0, infinite by default).
+least 0, infinite by default). ``expected_rates(k, n, rho, area, r0)`` is
+the package's one prediction: every expectation of a k-mosaic per unit
+rho^(k/n) area, as the census and the ``constants`` table report it.
 
 All evaluation is done in log-Gamma space, rho nu_n r0^n included, so that
 ambient dimensions past n = 453, where nu_n underflows, stay finite.
@@ -52,6 +54,7 @@ __all__ = [
     "simplex_constant",
     "expected_interval_count",
     "expected_simplex_count",
+    "expected_rates",
     "valid_interval_types",
     "asymptotic_limits_1d",
     "AsymptoticLimits1D",
@@ -334,13 +337,9 @@ def expected_interval_count(
         t = IntervalType(*t)
     if not area > 0:
         raise ValueError(f"area must be positive, got {area}")
-    shape = t.m + 1.0 - k / n
-    return (
-        interval_constant(t, k, n)
-        * _gamma_fraction(shape, n, rho, r0)
-        * rho ** (k / n)
-        * area
-    )
+    # the constant first: it refuses an n with none before n divides
+    constant = interval_constant(t, k, n)
+    return constant * _gamma_fraction(t.m + 1.0 - k / n, n, rho, r0) * rho ** (k / n) * area
 
 
 def expected_simplex_count(
@@ -357,6 +356,16 @@ def expected_simplex_count(
         for m in range(j, k + 1)
     )
     return _sum(terms, 0) * rho ** (k / n) * area
+
+
+def expected_rates(k: int, n: int, rho: float, area: float, r0: float) -> list[float]:
+    """Expected counts of radius at most ``r0`` per unit rho^(k/n) ``area``: one
+    per type in ``valid_interval_types(k)`` order, then one per simplex
+    dimension j = 0..k."""
+    counts = [expected_interval_count(t, k, n, rho, area, r0) for t in valid_interval_types(k)]
+    counts += [expected_simplex_count(j, k, n, rho, area, r0) for j in range(k + 1)]
+    norm = rho ** (k / n) * area  # after the counts, which refuse an n <= k
+    return [count / norm for count in counts]
 
 
 @dataclass(frozen=True)

@@ -203,31 +203,24 @@ def estimate_interval_rates(
             stacklevel=2,
         )
     area = cfg.window_volume
-    norm = cfg.rho ** (cfg.k / cfg.n) * area
     # the predictions first, so that dimensions with no constants fail
     # before any replicate is sampled
+    predicted = constants.expected_rates(cfg.k, cfg.n, cfg.rho, area, threshold)
+    norm = cfg.rho ** (cfg.k / cfg.n) * area
     types = constants.valid_interval_types(cfg.k)
-    interval_predicted = [
-        constants.expected_interval_count(t, cfg.k, cfg.n, cfg.rho, area, threshold) / norm
-        for t in types
-    ]
-    simplex_predicted = [
-        constants.expected_simplex_count(j, cfg.k, cfg.n, cfg.rho, area, threshold) / norm
-        for j in range(cfg.k + 1)
-    ]
 
     start = time.perf_counter()
     records = _census_records(cfg, replicates)
     interval_counts = [rec.interval_counts(threshold) for rec in records]
     simplex_counts = [rec.simplex_counts(threshold) for rec in records]
     interval_rates = []
-    for t, predicted in zip(types, interval_predicted):
+    for t, expected in zip(types, predicted):
         counts = np.array([c.get((t.ell, t.m), 0) for c in interval_counts], dtype=float)
-        interval_rates.append(_rate_estimate(t.ell, t.m, counts, norm, predicted))
+        interval_rates.append(_rate_estimate(t.ell, t.m, counts, norm, expected))
     simplex_rates = []
-    for j, predicted in enumerate(simplex_predicted):
+    for j, expected in enumerate(predicted[len(types):]):
         counts = np.array([c.get(j, 0) for c in simplex_counts], dtype=float)
-        simplex_rates.append(_rate_estimate(j, j, counts, norm, predicted))
+        simplex_rates.append(_rate_estimate(j, j, counts, norm, expected))
 
     radii_by_type: dict[tuple[int, int], np.ndarray] = {}
     if collect_radii:
@@ -253,10 +246,13 @@ CSV_HEADER = "type,ell,m,count,rate,se,predicted,z"
 SCHEMA_VERSION = 1
 
 
-def json_text(payload: dict) -> str:
-    """A JSON document with sorted keys and two-space indent, newline-terminated;
-    a NaN or infinite value raises ``ValueError``, since JSON has none."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def json_text(kind: str, payload: dict) -> str:
+    """A JSON document of ``kind``: the envelope, ``schema_version`` and
+    ``kind``, and the fields of ``payload``, with sorted keys and two-space
+    indent, newline-terminated; a NaN or infinite value raises ``ValueError``,
+    since JSON has none."""
+    document = {**payload, "schema_version": SCHEMA_VERSION, "kind": kind}
+    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def report_to_json(report: ExperimentReport) -> str:
@@ -268,8 +264,6 @@ def report_to_json(report: ExperimentReport) -> str:
 
     cfg = report.cfg
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "simulate",
         "config": {
             "n": cfg.n,
             "k": cfg.k,
@@ -283,7 +277,7 @@ def report_to_json(report: ExperimentReport) -> str:
         "intervals": [row(r) for r in report.interval_rates],
         "simplices": [row(r) for r in report.simplex_rates],
     }
-    return json_text(payload)
+    return json_text("simulate", payload)
 
 
 def csv_text(header: str, rows: Sequence[Sequence]) -> str:

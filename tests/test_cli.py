@@ -67,6 +67,20 @@ class TestConstantsCommand:
             entry[keys[0]], entry[keys[1]] = float(constant), float(expected)
         assert from_csv == table
 
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2)])
+    def test_expected_column_is_the_census_prediction(self, capsys, n, k):
+        # one prediction path: at a unit window the census predicts, bit for
+        # bit, the table's expectation column
+        dims = ("--n", str(n), "--k", str(k), "--r0", "0.5")
+        _, text, _ = run(capsys, "constants", *dims)
+        table = json.loads(text)["table"][str(n)]
+        _, text, _ = run(capsys, "simulate", *dims, "--window", "1", "--reps", "1")
+        report = json.loads(text)
+        predicted = {f"E[c({r['ell']},{r['m']})](r0)": r["predicted"] for r in report["intervals"]}
+        predicted |= {f"E[d({r['m']})](r0)": r["predicted"] for r in report["simplices"]}
+        expected = {key: value.hex() for key, value in table.items() if key.startswith("E[")}
+        assert {key: value.hex() for key, value in predicted.items()} == expected
+
 
 class TestSimulateCommand:
     def test_runs_and_reports(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the closed-form constants and expectation formulas."""
 
 import builtins
+import functools
 import math
 
 import pytest
@@ -369,6 +370,100 @@ class TestExpectedCounts:
             constants.interval_constant((0, 0), 2, 2)
 
 
+def _log_grain_moment(q: int, p: int) -> float:
+    # log beta_p, beta_p = (q/2) B(q/2, p/2 + 1) = E[(s/r)^p] for a grain of
+    # radius s = sqrt(r^2 - h^2) cut from a radius-r ball whose centre lies
+    # at a uniform height h of the q = n - k slice-normal dimensions
+    return (
+        math.log(q / 2.0) + math.lgamma(q / 2.0) + math.lgamma(p / 2.0 + 1.0)
+        - math.lgamma((q + p) / 2.0 + 1.0)
+    )
+
+
+def _euler_coefficients(k: int, n: int) -> dict[int, tuple[float, float]]:
+    """(sign, log |b_j|) of the sliced Boolean model's Euler density
+    rho^(k/n) e^(-x) sum_j b_j x^(j - k/n), x = rho nu_n r^n, for j = 1..k."""
+    log_nu_n = constants.log_ball_volume(n)
+    log_b1 = constants.log_ball_volume(n - k) - (1.0 - k / n) * log_nu_n
+    beta = functools.partial(_log_grain_moment, n - k)
+    b = {1: (1.0, log_b1)}
+    if k == 2:
+        b[2] = (-1.0, math.log(math.pi) + 2.0 * beta(1) + 2.0 * log_b1 - 2.0 / n * log_nu_n)
+    elif k == 3:
+        b[2] = (-1.0, math.log(4.0 * math.pi) + beta(1) + beta(2) + 2.0 * log_b1 - 3.0 / n * log_nu_n)
+        b[3] = (1.0, 4.0 * math.log(math.pi) - math.log(6.0) + 3.0 * beta(2) + 3.0 * log_b1
+                - 6.0 / n * log_nu_n)
+    return b
+
+
+def _critical_constants(k: int, n: int) -> list[float]:
+    """C[m,m; k,n] = (-1)^m (Gamma(m+2-k/n) b_(m+1) - Gamma(m+1-k/n) b_m) for
+    m = 0..k, with b_0 = b_(k+1) = 0: the critical simplices are the Euler
+    density's x-derivative, matched power by power."""
+    b = _euler_coefficients(k, n)
+
+    def term(j: int, shape: float) -> float:  # Gamma(shape) b_j
+        sign, log_b = b.get(j, (0.0, 0.0))
+        return sign * math.exp(math.lgamma(shape) + log_b)
+
+    return [(-1) ** m * (term(m + 1, m + 2 - k / n) - term(m, m + 1 - k / n)) for m in range(k + 1)]
+
+
+def _upper_total(k: int, n: int) -> float:
+    """T_(k-1) = sum_ell C[ell, k-1; k,n] = grass(k-1, k) sigma_(n-1)^k
+    Gamma(k - k/n) / (n (n-1)^(k-1) nu_n^(k-k/n)), the Cauchy-Binet mean of
+    the sphere integral's weight det[1, u'_i]^2."""
+    log_t = (
+        math.log(constants.grassmannian_volume(k - 1, k))
+        + k * constants.log_sphere_surface(n - 1)
+        + math.lgamma(k - k / n)
+        - math.log(n)
+        - (k - 1) * math.log(n - 1.0)
+        - (k - k / n) * constants.log_ball_volume(n)
+    )
+    return math.exp(log_t)
+
+
+# C[2,2] and C[3,3] at k = 3, n = 4..9, from the sliced Boolean model
+CRITICAL_3D = {
+    4: (6.757112, 2.702845),
+    5: (8.504594, 3.484044),
+    6: (10.059238, 4.180462),
+    7: (11.432079, 4.796599),
+    8: (12.645092, 5.341821),
+    9: (13.720892, 5.825935),
+}
+
+
+class TestSlicedBooleanModel:
+    # the sublevel set of the radius function is homotopic to the k-plane
+    # slice of a union of balls, an isotropic Boolean model in R^k, whose
+    # Euler density gives every critical constant C[m,m]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_critical_constants_are_the_closed_forms(self, k):
+        for n in range(k + 1, 13):
+            for m, got in enumerate(_critical_constants(k, n)):
+                assert got == pytest.approx(constants.interval_constant((m, m), k, n), rel=1e-12), n
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_k3_vertices_and_edges_are_the_any_k_forms(self, n):
+        c = _critical_constants(3, n)
+        assert c[0] == pytest.approx(constants.critical_vertex_constant(3, n), rel=1e-12)
+        assert c[1] == pytest.approx(constants.critical_edge_constant(3, n), rel=1e-12)
+        assert abs(c[0] - c[1] + c[2] - c[3]) <= 1e-12 * c[1]
+
+    def test_k3_table(self):
+        for n, (c22, c33) in CRITICAL_3D.items():
+            c = _critical_constants(3, n)
+            assert (round(c[2], 6), round(c[3], 6)) == (c22, c33), n
+
+    def test_k3_upper_total_fixes_the_upper_pairs(self):
+        # C[0,2] + C[1,2] at (4,3), the rest of the upper total: 10.8113797 -
+        # 6.7571123, which the 6-decimal values round to 4.054268
+        assert round(_upper_total(3, 4) - _critical_constants(3, 4)[2], 7) == 4.0542674
+
+
 class TestAsymptoticLimits:
     def test_limit_values(self):
         lim = constants.asymptotic_limits_1d()
@@ -422,6 +517,24 @@ class TestAsymptoticLimits:
         # C[1,2] -> pi e / sqrt 3. At k = 3, C[1,1] -> 5 e^(3/2), and the
         # upper total C[0,1] + C[1,1] at k = 2 tends to pi e. The relative gap
         # falls about 8x per decade of n
+        gap = {n: abs(constant(n) / limit - 1.0) for n in (10**4, 10**5, 10**6)}
+        assert gap[10**6] < 5e-5
+        assert gap[10**5] <= gap[10**4] / 5.0
+
+    @pytest.mark.parametrize(
+        "constant, limit",
+        [
+            (lambda n: _critical_constants(3, n)[2], math.exp(1.5) * (4.0 + math.pi)),
+            (lambda n: _critical_constants(3, n)[3], math.exp(1.5) * math.pi),
+            (lambda n: _upper_total(3, n), 4.0 * math.pi * math.exp(1.5)),
+        ],
+        ids=["C22-k3", "C33-k3", "T2-k3"],
+    )
+    def test_k3_limits_from_the_sliced_boolean_model(self, constant, limit):
+        # b_2 -> -2 e^(3/2) and b_3 -> (pi/6) e^(3/2) give C[2,2] -> e^(3/2)
+        # (4 + pi) and C[3,3] -> e^(3/2) pi; the upper total tends to
+        # (sigma_3 / 2) 2! e^(3/2) = 4 pi e^(3/2). All in logs, since nu_n
+        # underflows past n = 453
         gap = {n: abs(constant(n) / limit - 1.0) for n in (10**4, 10**5, 10**6)}
         assert gap[10**6] < 5e-5
         assert gap[10**5] <= gap[10**4] / 5.0

@@ -207,7 +207,7 @@ class TestEstimateRates:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_json_text_refuses_non_finite_values(self, value):
         with pytest.raises(ValueError):
-            experiments.json_text({"x": value})
+            experiments.json_text("test", {"x": value})
 
     def test_1d_critical_counts_balance(self):
         # critical vertices and edges alternate, so window counts differ by O(1)

@@ -105,6 +105,34 @@ def test_short_sums_add_in_index_order():
     assert callers == []
 
 
+def _referrers(names: set[str]) -> set[tuple[str, str]]:
+    """(module, top-level name) of every package definition that names, calls
+    or imports one of ``names``; ``<module>`` for module-level statements."""
+    package = Path(__file__).resolve().parents[1] / "src" / "anchormosaic"
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                named = (
+                    {node.id} if isinstance(node, ast.Name)
+                    else {node.attr} if isinstance(node, ast.Attribute)
+                    else {alias.name for alias in node.names} if isinstance(node, ast.ImportFrom)
+                    else set()
+                )
+                if named & names:
+                    found.add((path.stem, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_one_home_for_predictions_and_the_document_envelope():
+    # every prediction comes from constants.expected_rates, bar the Gamma
+    # lemma's check of the expectations themselves, and json_text writes
+    # every document's schema_version and kind
+    counts = _referrers({"expected_interval_count", "expected_simplex_count"})
+    assert {ref for ref in counts if ref[0] != "constants"} == {("experiments", "verify_gamma_lemma")}
+    assert {module for module, _ in _referrers({"SCHEMA_VERSION"})} == {"experiments"}
+
+
 @functools.cache
 def _caller_lines() -> tuple[str, ...]:
     # the code that may call a layer: the package (its re-exports aside), the
@@ -155,6 +183,8 @@ def _cfg(**changes) -> sampler.SamplingConfig:
          "radius threshold must be non-negative"),
         (lambda: constants.expected_interval_count((0, 0), 1, 2, 1.0, 0.0), "area must be positive"),
         (lambda: constants.expected_simplex_count(0, 1, 2, 1.0, 0.0), "area must be positive"),
+        (lambda: constants.expected_rates(2, 2, 1.0, 1.0, 0.5), "ambient dimension must exceed k"),
+        (lambda: constants.expected_rates(1, 0, 1.0, 1.0, 0.5), "ambient dimension must exceed k"),
         (lambda: experiments.estimate_interval_rates(_cfg(), 0), "need at least one replicate"),
         (lambda: experiments.ks_gamma_test(np.ones(100), 0.0, 1.0, 2),
          "shape parameter must be positive and finite"),
