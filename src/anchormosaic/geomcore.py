@@ -468,7 +468,8 @@ def radius_and_intervals(
     claimed exactly when an incident edge puts its projection outside its
     power cell; no squared radius is negative. At k = 1 an edge power that
     rounding puts below an endpoint's is recomputed exactly
-    (:func:`_order_edge_powers`). Interval i is the one whose upper bound is
+    (:func:`_order_edge_powers`), and one still below then raises
+    MosaicError. Interval i is the one whose upper bound is
     the i-th upper-bound row. No generators, with the empty faces
     :func:`lower_hull` gives them, give a ``Mosaic`` with no rows and no
     intervals.
@@ -584,7 +585,9 @@ def _order_edge_powers(
     another interval has the larger float power, both intervals' powers are
     recomputed in rational arithmetic and rounded once; rounding is
     monotone, so it keeps their exact order. This repeats until no pair is
-    out of order or every such pair is already exact.
+    out of order. A pair still out of order once both powers are exact has
+    exact powers in the wrong order, a wrong decomposition, and raises
+    MosaicError.
     """
     first = len(faces[0])
     row = np.empty(len(x), dtype=int)
@@ -606,5 +609,5 @@ def _order_edge_powers(
                 u = ((xj - xi) ** 2 - (wj - wi)) / (2 * (xj - xi))
                 powers[r] = float(u * u - wi)
         if exact[todo].all():
-            return
+            raise MosaicError("exact powers put an edge below an endpoint")
         exact[todo] = True

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo experiments and identity checks."""
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
@@ -143,6 +144,18 @@ class TestEstimateRates:
         record = experiments.run_replicate(cfg, 0)
         assert record.interval_counts() == intervals
         assert record.simplex_counts() == simplices
+
+    def test_census_record_bits_pinned(self):
+        # every column of replicate 0 of the (4,3) census at seed 5 on a 6^3
+        # window, hashed as the CI's one-CPU and all-CPU runs hash the records;
+        # the decomposition adds each sum over coordinates or corners in index
+        # order, and these bits pin that order
+        cfg = SamplingConfig(n=4, rho=1.0, window=((0.0, 6.0),) * 3, seed=5)
+        record = experiments._replicate_record(cfg, 0)
+        columns = (np.asarray(getattr(record, f.name)).tobytes() for f in dataclasses.fields(record))
+        assert hashlib.sha256(b"".join(columns)).hexdigest() == (
+            "3d878b7d07ac47053fce1a97a670a7bbf6f24f77af874628032a36d46294c195"
+        )
 
     @pytest.mark.parametrize("r0", ["smallest", "median", "inf"])
     def test_counts_match_counter_over_rows(self, r0):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 from scipy.spatial import ConvexHull, Delaunay
 
-from anchormosaic import experiments, geomcore, mosaic1d, sampler
+from anchormosaic import experiments, geomcore, sampler
 from anchormosaic.constants import IntervalType
 from anchormosaic.errors import DegeneracyError, MosaicError
 from anchormosaic.geomcore import AnchoredSphere
@@ -415,10 +415,10 @@ class TestLowerHull:
 
 
 class TestIndexOrderSums:
-    """The decomposition, the slice, the half-plane rotation and the bump add
-    every sum over coordinates in index order. On the vector (1, 1.288,
-    0.965), whose squares a, b, c give (a + b) + c != (a + c) + b in floating
-    point, the results are those of (a + b) + c."""
+    """The decomposition, the slice and the bump add every sum over
+    coordinates in index order. On the vector (1, 1.288, 0.965), whose
+    squares a, b, c give (a + b) + c != (a + c) + b in floating point, the
+    results are those of (a + b) + c."""
 
     V = np.array([1.0, 1.288, 0.965])
     IN_ORDER = (1.0 + 1.288 * 1.288) + 0.965 * 0.965
@@ -450,11 +450,6 @@ class TestIndexOrderSums:
         # a point (0, V) sliced at k = 1: the tail is V, the weight -|V|^2
         _, w = geomcore.slice_cloud(np.concatenate([[0.0], self.V])[None, :], 1)
         assert w[0] == -self.IN_ORDER != -self.OTHER
-
-    def test_rotate_to_halfplane(self):
-        # the point (0, V): its distance to the first axis is |V|
-        out = mosaic1d.rotate_to_halfplane(np.concatenate([[0.0], self.V]))
-        assert out[1] == math.sqrt(self.IN_ORDER) != math.sqrt(self.OTHER)
 
     def test_bump_f(self):
         # one row of one point x = V / 2, whose squares a, b, c give
@@ -788,6 +783,14 @@ class TestCertificates:
         monkeypatch.setattr(geomcore, "_equal_power", skewed)
         with pytest.raises(MosaicError, match="equal-power certificate"):
             geomcore.radius_and_intervals(*self._planar())
+
+    def test_exact_powers_out_of_order(self):
+        # no input is known to give it, so the k = 1 ordering step is called
+        # directly: vertex 0's power 1 stays above its edge's exact 1/4
+        faces = [np.array([[0], [1]]), np.array([[0, 1]])]
+        x, w, upper = np.array([0.0, 1.0]), np.zeros(2), np.array([0, 1, 2])
+        with pytest.raises(MosaicError, match="exact powers put an edge below an endpoint"):
+            geomcore._order_edge_powers(x, w, faces, upper, np.array([1.0, 0.0, 0.25]))
 
     def test_flat_lift(self):
         y = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])

@@ -71,14 +71,16 @@ def _imported_modules(path: Path) -> set[str]:
 
 
 def test_only_the_benchmark_builds_mosaics_through_the_adapters():
-    # the package and the demos build every mosaic with slice_cloud,
-    # lower_hull and radius_and_intervals; the per-k adapters stay only as a
-    # shim for the benchmark, and the package namespace offers neither them
-    # nor a second solve for the power diagram's vertices
+    # the package, the demos and the tests build every mosaic with
+    # slice_cloud, lower_hull and radius_and_intervals; the per-k adapters
+    # stay only as a shim for the benchmark, tested in test_adapters.py
+    # alone, and the package namespace offers neither them nor a second
+    # solve for the power diagram's vertices
     root = Path(__file__).resolve().parents[1]
     package = root / "src" / "anchormosaic"
     paths = [p for p in sorted(package.glob("*.py")) if p.stem not in ADAPTERS]
     paths += sorted((root / "demos").glob("*.py"))
+    paths += [p for p in sorted((root / "tests").glob("*.py")) if p.name != "test_adapters.py"]
     importers = [
         path.name
         for path in paths
@@ -87,6 +89,37 @@ def test_only_the_benchmark_builds_mosaics_through_the_adapters():
     assert importers == []
     assert set(anchormosaic.__all__).isdisjoint(ADAPTER_NAMES | {"dual_vertices"})
     assert not hasattr(importlib.import_module("anchormosaic.geomcore"), "dual_vertices")
+
+
+def _defines(body: list[ast.stmt], names: list[str]) -> bool:
+    """Whether ``names`` is a chain of defs or classes, each inside the one
+    before it, the first at the top of ``body``."""
+    return not names or any(
+        isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name == names[0]
+        and _defines(node.body, names[1:])
+        for node in body
+    )
+
+
+def test_cited_test_ids_exist():
+    # every tests/<file>.py[::Name[::Name]] that the README or CI cites names
+    # a file of tests/ and, at each level, a def or class at that nesting
+    root = Path(__file__).resolve().parents[1]
+    docs = ("README.md", ".github/workflows/tier1.yml")
+    text = "\n".join((root / doc).read_text(encoding="utf-8") for doc in docs)
+    cited = re.findall(r"\btests/(\w+\.py)((?:::\w+)*)", text)
+    assert cited
+    stale = [
+        f"tests/{name}{chain}"
+        for name, chain in cited
+        if not (root / "tests" / name).is_file()
+        or not _defines(
+            ast.parse((root / "tests" / name).read_text(encoding="utf-8")).body,
+            chain.split("::")[1:],
+        )
+    ]
+    assert stale == []
 
 
 def test_short_sums_add_in_index_order():
