@@ -465,14 +465,16 @@ def _draw_vmf(rng: np.random.Generator, comp: np.ndarray, d: int) -> tuple[np.nd
 
 
 def _place_vmf(
-    centers: np.ndarray, comp: np.ndarray, variates: tuple[np.ndarray, ...]
-) -> np.ndarray:
-    """The vMF draws of ``_draw_vmf``'s variates on S^(d-1): one per row,
-    around the row's unit center c with kappa ``_KAPPA_LADDER[comp]``;
-    kappa = 0 is uniform. Each d gives the cosine cos_t from c and terms
-    (a_i, t_i) with unit tangents t_i at c, and every draw is placed in one
-    step, a column at a time, as cos_t c + sum_i a_i t_i, summed in index
-    order."""
+    centers: np.ndarray, comp: np.ndarray, variates: tuple[np.ndarray, ...], out: np.ndarray
+) -> None:
+    """Write the vMF draws of ``_draw_vmf``'s variates on S^(d-1) into
+    ``out`` (rows, d): one per row, around the row's unit center c with
+    kappa ``_KAPPA_LADDER[comp]``; kappa = 0 is uniform. Each d gives the
+    cosine cos_t from c and terms (a_i, t_i) with unit tangents t_i at c,
+    and every draw is placed in one step, a column at a time, as
+    cos_t c + sum_i a_i t_i, summed in index order. Temporaries are released
+    after their last use, which keeps the row step's block peak
+    (``_BLOCK_ROWS``) low."""
     c0, c1 = centers[:, 0], centers[:, 1]
     if centers.shape[1] == 2:
         # the angle from c, in the one tangent (-c_1, c_0)
@@ -492,19 +494,24 @@ def _place_vmf(
                 2.0 * xi - 1.0,
             )
         cos_t = np.clip(cos_t, -1.0, 1.0)
+        del kappa
         sin_t = np.sqrt(1.0 - cos_t * cos_t)
         c2 = centers[:, 2]
         first = np.abs(c0) < 0.9
         t1 = (np.where(first, 0.0, -c2), np.where(first, c2, 0.0), np.where(first, -c1, c0))
         norm = np.sqrt(_sum(v * v for v in t1))
         t1 = tuple(v / norm for v in t1)
+        del first, norm
         t2 = (c1 * t1[2] - c2 * t1[1], c2 * t1[0] - c0 * t1[2], c0 * t1[1] - c1 * t1[0])
-        terms = [(sin_t * np.cos(phi), t1), (sin_t * np.sin(phi), t2)]
-    terms = [(cos_t, centers.T), *terms]
-    draws = np.empty(centers.shape)
+        a1, a2 = np.cos(phi), np.sin(phi)
+        a1 *= sin_t
+        a2 *= sin_t
+        del sin_t
+        terms = [(a1, t1), (a2, t2)]
     for j in range(centers.shape[1]):
-        draws[:, j] = _sum(a * t[j] for a, t in terms)
-    return draws
+        np.multiply(cos_t, centers[:, j], out=out[:, j])
+        for a, t in terms:
+            out[:, j] += a * t[j]
 
 
 def _log_vmf_norm(kappa: float, d: int) -> float:
@@ -586,9 +593,8 @@ def _sphere_rows(
     u[:, 0] = centers / np.sqrt(_sum(centers.T * centers.T))[:, None]
     log_q = np.full(count, -math.log(sigma_d))
     for i, (comp, *variates) in enumerate(points, start=1):
-        draw = _place_vmf(u[:, 0], comp[rows], tuple(v[rows] for v in variates))
-        u[:, i] = draw
-        log_q += _log_mixture_density(_sum(draw.T * u[:, 0].T), d, sigma_d)
+        _place_vmf(u[:, 0], comp[rows], tuple(v[rows] for v in variates), u[:, i])
+        log_q += _log_mixture_density(_sum(u[:, i].T * u[:, 0].T), d, sigma_d)
     return u, log_q
 
 
@@ -632,9 +638,11 @@ def _centroid_spread(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, delta
 
 
-# rows per block of a bp chunk's row step: a block's temporaries, up to
-# about 280 bytes a row, stay within a few MB
-_BLOCK_ROWS = 2**15
+# rows per block of a bp chunk's row step. A row's weight does not depend
+# on the other rows, so the block size changes no bit. A block's tracemalloc
+# peak is 161 bytes a row for the (3,2,2) Gaussian, 2.6 MB a block, and at
+# most 440 (7.2 MB), for the (3,3,3) bump
+_BLOCK_ROWS = 2**14
 
 
 def _row_weights(

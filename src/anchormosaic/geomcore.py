@@ -64,7 +64,7 @@ _CHAIN_TINY = 2.0**-1073
 _CHAIN_PASSES = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnchoredSphere:
     """Sphere in R^n whose center (the anchor) lies in the slice plane."""
 
@@ -72,7 +72,7 @@ class AnchoredSphere:
     radius: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Interval [lower, upper] of mosaic simplices sharing one anchored sphere.
 

@@ -585,7 +585,7 @@ class TestBPIdentity:
         assert check.right_ess >= 0.3 * check.samples
 
     def test_one_task_and_one_chunk_of_draws_per_worker(self, monkeypatch, pool_log):
-        # five chunks of 40_000 rows, each of two blocks, on three usable
+        # five chunks of 40_000 rows, each of three blocks, on three usable
         # CPUs: one pool of three workers, one task per chunk, and each
         # worker holds one chunk's draws at a time, so at most three chunks'
         # draws are alive at once
@@ -612,8 +612,8 @@ class TestBPIdentity:
         experiments.verify_bp_identity(2, 1, 1, samples=1_000, seed=6)
         assert pool_log.workers == [3, 1]
 
-    # chunks of 70_000 rows, not a multiple of the 32_768-row block, and
-    # three chunks of two blocks each
+    # chunks of 70_000 rows, not a multiple of the 16_384-row block, and
+    # three chunks of three blocks each
     @pytest.mark.parametrize(
         "kind,samples,chunk", [("gaussian", 150_000, 70_000), ("bump", 120_000, 40_000)]
     )
@@ -638,8 +638,8 @@ class TestBPIdentity:
 
     def test_chunk_error_reaches_caller(self, monkeypatch):
         # only the last chunk, of 500 rows, fails; the others complete. Then
-        # chunks of 40_000 rows, blocks of 32_768 and 7_232 rows, fail in
-        # their second block
+        # chunks of 40_000 rows, blocks of 16_384, 16_384 and 7_232 rows,
+        # fail in their last block
         volume = experiments._log_simplex_volume
 
         def failing(u):
@@ -841,8 +841,8 @@ class TestBPIdentity:
         assert 0.0 < check.right_max_share < 1.0
 
     def test_bits_pinned_with_a_block_boundary_at_the_chunk_end(self):
-        # chunks of 65_536 rows, two whole blocks each: a block boundary falls
-        # at the chunk's end
+        # chunks of 65_536 rows, a whole number of blocks each: a block
+        # boundary falls at the chunk's end
         check = experiments.verify_bp_identity(3, 2, 2, samples=131_072, chunk=65_536, seed=3)
         assert check.right.hex() == "0x1.58088873ccf3ep+7"
         assert tuple(v.hex() for v in check.right_ci) == (
@@ -851,8 +851,9 @@ class TestBPIdentity:
         assert check.right_ess.hex() == "0x1.cac15839aa67fp+11"
 
     def test_bump_places_u_once_per_block(self, monkeypatch):
-        # a 70_000-row chunk has blocks of 32_768, 32_768 and 4_464 rows; each
-        # block places u and takes its centroid spread once for both weights
+        # a 70_000-row chunk ends in a partial block; each block places u and
+        # takes its centroid spread once for both weights
+        blocks = math.ceil(70_000 / experiments._BLOCK_ROWS)
         calls = Counter()
 
         def spy(name):
@@ -868,7 +869,44 @@ class TestBPIdentity:
         spy("_centroid_spread")
         sigma, grass = constants.sphere_surface(2), constants.grassmannian_volume(1, 2)
         experiments._bp_chunk(0, 0, 70_000, 3, 2, 1, True, sigma, grass)
-        assert calls == {"_sphere_rows": 3, "_centroid_spread": 3}
+        assert calls == {"_sphere_rows": blocks, "_centroid_spread": blocks}
+
+    @pytest.mark.parametrize(
+        "n,k,m,kind", [(3, 2, 2, "gaussian"), (3, 2, 2, "bump"), (2, 1, 1, "gaussian")]
+    )
+    def test_bits_do_not_depend_on_the_block_size(self, monkeypatch, n, k, m, kind):
+        # blocks of 1_000 rows divide none of the chunks of 17_500, 17_500 and
+        # 3_500 rows, and every field matches the default blocks bit for bit
+        def run():
+            check = experiments.verify_bp_identity(
+                n, k, m, test_function=kind, samples=38_500, chunk=17_500, seed=3
+            )
+            return dataclasses.astuple(check)
+
+        default = run()
+        monkeypatch.setattr(experiments, "_BLOCK_ROWS", 1_000)
+        assert run() == default
+
+    # tracemalloc peak of one 2**14-row (3,2,2) Gaussian block of the row
+    # step, in bytes per row, where _place_vmf returned each draw for
+    # _sphere_rows to copy and held every temporary to its end
+    RETURNED_DRAW_BLOCK_BYTES_PER_ROW = 257
+
+    def test_row_step_working_set(self):
+        n, k, m, rows = 3, 2, 2, 2**14
+        d = m + n - k
+        raw, points = experiments._draw_sphere(experiments._chunk_stream(0, 0), rows, m, d)
+        args = (raw, points, slice(0, rows), n, k, constants.sphere_surface(d),
+                constants.grassmannian_volume(m, k), None)
+        experiments._row_weights(*args)
+        tracemalloc.start()
+        try:
+            experiments._row_weights(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # measured: 161 bytes a row
+        assert peak / rows <= 176 < self.RETURNED_DRAW_BLOCK_BYTES_PER_ROW
 
     # tracemalloc peak of one 200_000-row chunk, in bytes per row, of the
     # kernel that held each chunk's temporaries whole
@@ -1074,7 +1112,8 @@ class TestSampleVMF:
     def _draw(self, rng, centers):
         comp = np.repeat(np.arange(len(experiments._KAPPA_LADDER), dtype=np.uint8), self.PER_KAPPA)
         d = centers.shape[1]
-        draws = experiments._place_vmf(centers, comp, experiments._draw_vmf(rng, comp, d))
+        draws = np.empty(centers.shape)
+        experiments._place_vmf(centers, comp, experiments._draw_vmf(rng, comp, d), draws)
         np.testing.assert_allclose(np.linalg.norm(draws, axis=1), 1.0, rtol=1e-14)
         return draws.reshape(len(experiments._KAPPA_LADDER), self.PER_KAPPA, -1)
 

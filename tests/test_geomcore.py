@@ -1,8 +1,10 @@
 """Tests for the geometric kernel."""
 
+import copy
 import dataclasses
 import functools
 import math
+import pickle
 import types
 from fractions import Fraction
 
@@ -674,6 +676,24 @@ class TestMosaic:
         first.sphere.anchor[:] = 1e9
         assert np.array_equal(mosaic.anchors, anchors)
         assert np.array_equal(second.sphere.anchor, kept)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_interval_records_are_slotted_and_frozen(self, k):
+        # no instance dict per record; copies and pickles give equal records
+        iv = self._random_mosaic(k, 9).intervals[0]
+        assert not hasattr(iv, "__dict__") and not hasattr(iv.sphere, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            iv.upper = iv.lower
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            iv.sphere.radius = 0.0
+
+        def fields(rec):
+            sphere = rec.sphere
+            return rec.lower, rec.upper, rec.type, rec.members, sphere.radius, sphere.anchor.tolist()
+
+        for twin in (dataclasses.replace(iv), copy.deepcopy(iv), pickle.loads(pickle.dumps(iv))):
+            assert type(twin) is geomcore.Interval and type(twin.sphere) is AnchoredSphere
+            assert fields(twin) == fields(iv)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_edge_radius_is_a_view(self, k):
