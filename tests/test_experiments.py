@@ -1221,6 +1221,51 @@ class TestSphereMixture:
         se = np.std(inv_q) / math.sqrt(inv_q.size)
         assert abs(np.mean(inv_q) - constants.sphere_surface(d) ** (m + 1)) < 4.0 * se
 
+    def test_component_cdf_is_exact(self):
+        # the cumulative sums 1/2 + j/32 are exact binary fractions, so the
+        # inverse CDF floor(32 x) - 15 needs no search
+        assert np.array_equal(np.cumsum(experiments._MIX_PROBS), 0.5 + np.arange(17) / 32)
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    @pytest.mark.parametrize("size", [1, 7, 2**14 + 3, 200_000])
+    def test_components_are_choice_to_the_bit(self, seed, size):
+        # each sphere point's components are Generator.choice's from an
+        # identically keyed stream, and the variates after them, then the
+        # next normal, are drawn at the same stream positions
+        m, d = 2, 3
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        ref = np.random.Generator(np.random.Philox(key=seed))
+        raw, points = experiments._draw_sphere(rng, size, m, d)
+        assert _same_bits(raw, ref.standard_normal((size, d)))
+        for comp, xi, phi in points:
+            assert comp.dtype == np.uint8
+            choice = ref.choice(len(experiments._KAPPA_LADDER), size, p=experiments._MIX_PROBS)
+            assert np.array_equal(comp, choice)
+            assert _same_bits(xi, ref.random(size))
+            assert _same_bits(phi, ref.uniform(0.0, 2.0 * math.pi, size))
+        assert rng.standard_normal() == ref.standard_normal()
+
+
+class TestSphereLayout:
+    @pytest.mark.parametrize("n,k,m", [(2, 1, 1), (3, 2, 2), (2, 2, 2)])
+    def test_every_column_of_u_is_contiguous(self, n, k, m):
+        d = m + n - k
+        u, _ = _sphere_sample(np.random.Generator(np.random.Philox(key=14)), 1_000, m, d)
+        for i in range(m + 1):
+            for j in range(d):
+                assert u[:, i, j].flags.c_contiguous, (i, j)
+
+    @pytest.mark.parametrize("n,k,m", [(2, 1, 1), (3, 2, 2), (2, 2, 2)])
+    def test_layout_moves_no_bit(self, n, k, m):
+        # the row step's reads of u give the same bits on a row-major copy;
+        # (2,2,2) recomputes about a thousand of its rows without cancellation
+        d = m + n - k
+        u, _ = _sphere_sample(np.random.Generator(np.random.Philox(key=15)), 20_000, m, d)
+        rows = np.ascontiguousarray(u)
+        for got, ref in zip(experiments._centroid_spread(u), experiments._centroid_spread(rows)):
+            assert _same_bits(got, ref)
+        assert _same_bits(experiments._log_simplex_volume(u), experiments._log_simplex_volume(rows))
+
 
 def _spread_without_cancellation(u):
     # sum_i |u_i[m:]|^2 + sum_i |u_i[:m] - mean_i u_i[:m]|^2, in long double
