@@ -227,7 +227,7 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     Raises DegeneracyError on duplicate projections (found by comparing
     whole rows only among generators that tie in x), on three to k + 1 affinely
     dependent generators and on degenerate configurations Qhull refuses; ValueError
-    on a non-finite projection or weight; MosaicError when a
+    on k < 1 or a non-finite projection or weight; MosaicError when a
     ridge (in ``faces[k-1]``) belongs to more than two cells. A face below
     the top is keyed as its indices read as digits in base N, and a cell as
     its first k indices, a ridge, so every key is exact while N^k < 2^63; a
@@ -239,6 +239,8 @@ def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
 
 def _lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     n_pts, k = y.shape
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     if w.shape != (n_pts,):
         raise ValueError("weights must be a vector matching the projections")
     if not (np.isfinite(y).all() and np.isfinite(w).all()):
@@ -462,7 +464,8 @@ def radius_and_intervals(
     critical (0, 0) interval at its own projection, of power ``0 - w``. An
     exact zero coordinate raises DegeneracyError.
 
-    Certificates, each raising MosaicError: every anchor has equal power at
+    Certificates, each raising MosaicError: every corner of every face is a
+    vertex listed in ``faces[0]``; every anchor has equal power at
     its corners (``2 |e_c . u - b_c|`` within 1e-6 of the power); no simplex
     is claimed twice, or claimed but absent from ``faces``; a vertex is
     claimed exactly when an incident edge puts its projection outside its
@@ -487,6 +490,10 @@ def _radius_and_intervals(y: np.ndarray, w: np.ndarray, faces: Sequence[np.ndarr
     # face-major: yt[i] is coordinate i of every generator, cols[m][c] corner c
     yt, cols = y.T.copy(), [face.T.copy() for face in faces]
     vertices = cols[0][0]
+    listed = np.zeros(n_pts, dtype=bool)
+    listed[vertices] = True
+    if not all(listed[col].all() for col in cols[1:]):
+        raise MosaicError("a corner of a face is not a listed vertex")
     # the vertices' largest span on an axis, and 1 if that is less or there are none
     ys = yt.take(vertices, axis=1)
     span = np.max(ys, axis=1, initial=-np.inf) - np.min(ys, axis=1, initial=np.inf)

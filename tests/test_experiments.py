@@ -568,14 +568,6 @@ class TestBPIdentity:
         assert pooled == one_worker == merged(chunks)
         assert merged(chunks[::-1]) != pooled
 
-    def test_one_chunk_draws_the_keys_own_stream(self):
-        # chunk 0 draws from Philox(key=seed).jumped(0), the key's own stream,
-        # so a one-chunk run has the bits of the serial kernel
-        check = experiments.verify_bp_identity(
-            2, 1, 1, test_function="bump", samples=200_000, seed=0
-        )
-        assert check.right.hex() == "0x1.18a8a02da0a1bp+0"
-
     def test_bump_proposal_keeps_effective_samples(self):
         # r and y from the conditionals of exp(-(n + 6)/2 sum_i |x_i|^2): the
         # Gaussian's own conditionals kept 9% of the samples here
@@ -666,11 +658,6 @@ class TestBPIdentity:
         assert mean == pytest.approx(np.mean(x), rel=1e-15)
         assert m2 / count == pytest.approx(np.var(x, ddof=0), rel=1e-9)
 
-    def test_point_case_matches_sphere_measure(self):
-        # m = 0: the right side reduces to an exact one-point quadrature
-        check = experiments.verify_bp_identity(3, 1, 0, samples=50_000, seed=2)
-        assert check.right == pytest.approx(check.analytic, rel=1e-9)
-
     # (3,2,1): the bump's points x have zeros on the slice axes m..k-1
     @pytest.mark.parametrize("n,k,m", [(2, 1, 1), (3, 2, 1)])
     def test_bump_function_sides_agree(self, n, k, m):
@@ -693,129 +680,78 @@ class TestBPIdentity:
         assert type(got) is float
         assert got == pytest.approx(expected, rel=1e-12)
 
-    # float.hex of (left, right, right_ci) at samples=30_000, chunk=7_000,
-    # seed=3: five chunks, each from its own jumped stream, the last one of
-    # 2_000 rows
-    PINNED = {
-        (2, 1, 1, "gaussian"): (
-            "0x1.3bd3cc9be45dep+3",
-            "0x1.3b6ac73b33b96p+3", ("0x1.373691e203ca7p+3", "0x1.3f9efc9463a85p+3"),
-        ),
-        (3, 2, 2, "gaussian"): (
-            "0x1.594e658cd8e71p+7",
-            "0x1.61d0194345fa8p+7", ("0x1.4d90ec7114eedp+7", "0x1.760f461577063p+7"),
-        ),
-        (3, 2, 1, "gaussian"): (
-            "0x1.f019b59389d7bp+4",
-            "0x1.f03768095c44cp+4", ("0x1.e78a563f865a5p+4", "0x1.f8e479d3322f3p+4"),
-        ),
-        (2, 2, 2, "gaussian"): (
-            "0x1.f019b59389d7bp+4",
-            "0x1.eecca000ac0a2p+4", ("0x1.e53250cd3c5a3p+4", "0x1.f866ef341bba1p+4"),
-        ),
-        (2, 1, 1, "bump"): (
-            "0x1.18bc4418cafdfp+0",
-            "0x1.19b33f51bd49ep+0", ("0x1.15a9dee24fbe3p+0", "0x1.1dbc9fc12ad59p+0"),
-        ),
-        (3, 1, 0, "gaussian"): (
-            "0x1.645f7c63f2c6bp+2",
-            "0x1.645f7c63f2c6cp+2", ("0x1.645f7c63f2c6cp+2", "0x1.645f7c63f2c6cp+2"),
-        ),
+    # every output of verify_bp_identity, keyed by (n, k, m, test_function,
+    # samples, chunk, seed): float.hex of left, right, right_ci, right_ess and
+    # right_max_share, then right_nonfinite. The RNG streams and the
+    # arithmetic are fixed bit for bit, and the chunk merge keeps every
+    # chunk's count and largest weight
+    BP_PINS = {
+        # five chunks, each from its own jumped stream, the last one of 2_000 rows
+        (2, 1, 1, "gaussian", 30_000, 7_000, 3): (
+            "0x1.3bd3cc9be45dep+3", "0x1.3b6ac73b33b96p+3", "0x1.373691e203ca7p+3",
+            "0x1.3f9efc9463a85p+3", "0x1.88b6874a3a755p+13", "0x1.1da9533ca541bp-12", 0),
+        (3, 2, 2, "gaussian", 30_000, 7_000, 3): (
+            "0x1.594e658cd8e71p+7", "0x1.61d0194345fa8p+7", "0x1.4d90ec7114eedp+7",
+            "0x1.760f461577063p+7", "0x1.1a3f13bd3e0eap+10", "0x1.c12558b039aa5p-7", 0),
+        (3, 2, 1, "gaussian", 30_000, 7_000, 3): (
+            "0x1.f019b59389d7bp+4", "0x1.f03768095c44cp+4", "0x1.e78a563f865a5p+4",
+            "0x1.f8e479d3322f3p+4", "0x1.14c468dc04035p+13", "0x1.b71214f608643p-13", 0),
+        (2, 2, 2, "gaussian", 30_000, 7_000, 3): (
+            "0x1.f019b59389d7bp+4", "0x1.eecca000ac0a2p+4", "0x1.e53250cd3c5a3p+4",
+            "0x1.f866ef341bba1p+4", "0x1.dbba3ba534b10p+12", "0x1.0e273a98e86d0p-12", 0),
+        (2, 1, 1, "bump", 30_000, 7_000, 3): (
+            "0x1.18bc4418cafdfp+0", "0x1.19b33f51bd49ep+0", "0x1.15a9dee24fbe3p+0",
+            "0x1.1dbc9fc12ad59p+0", "0x1.68172b75aea07p+13", "0x1.b8708e2e92473p-12", 0),
+        (3, 1, 0, "gaussian", 30_000, 7_000, 3): (
+            "0x1.645f7c63f2c6bp+2", "0x1.645f7c63f2c6cp+2", "0x1.645f7c63f2c6cp+2",
+            "0x1.645f7c63f2c6cp+2", "0x1.d4c0000000000p+14", "0x1.179ec9cbd821cp-15", 0),
+        # chunks of 70_000, 70_000 and 10_000 rows, each ending in a partial block
+        (2, 1, 1, "gaussian", 150_000, 70_000, 3): (
+            "0x1.3bd3cc9be45dep+3", "0x1.3b60723b4e240p+3", "0x1.3980dea4a5319p+3",
+            "0x1.3d4005d1f7167p+3", "0x1.ecdc2e0a434fcp+15", "0x1.dc4531473325cp-15", 0),
+        (3, 2, 2, "gaussian", 150_000, 70_000, 3): (
+            "0x1.594e658cd8e71p+7", "0x1.5fc568bf1a6f6p+7", "0x1.5539002dc8301p+7",
+            "0x1.6a51d1506caebp+7", "0x1.039e8ed90116fp+12", "0x1.ee27eacbb26a9p-9", 0),
+        (3, 2, 1, "gaussian", 150_000, 70_000, 3): (
+            "0x1.f019b59389d7bp+4", "0x1.efc795f34e0d9p+4", "0x1.ebea97700c099p+4",
+            "0x1.f3a4947690119p+4", "0x1.5ba592057004fp+15", "0x1.5f909f42c9ea3p-15", 0),
+        (2, 2, 2, "gaussian", 150_000, 70_000, 3): (
+            "0x1.f019b59389d7bp+4", "0x1.efe88ef170b0bp+4", "0x1.eb9c4b22a209ap+4",
+            "0x1.f434d2c03f57cp+4", "0x1.29f872ee68d28p+15", "0x1.afb1dad4365b6p-15", 0),
+        (2, 1, 1, "bump", 150_000, 70_000, 3): (
+            "0x1.18bc4418cafdfp+0", "0x1.183b19b16c1a1p+0", "0x1.16706c36c0704p+0",
+            "0x1.1a05c72c17c3ep+0", "0x1.c3624ca7742f3p+15", "0x1.5dac4b894687ap-14", 0),
+        (3, 2, 1, "bump", 150_000, 70_000, 3): (
+            "0x1.d55801d570a11p-1", "0x1.d56eb1af3cba7p-1", "0x1.d147cde6faba7p-1",
+            "0x1.d99595777eba7p-1", "0x1.210938e066a5dp+15", "0x1.77eb1b532b62fp-14", 0),
+        (3, 2, 2, "bump", 150_000, 70_000, 3): (
+            "0x1.c15e11983c462p-1", "0x1.cba31e8d0af3dp-1", "0x1.bcd40245fefb5p-1",
+            "0x1.da723ad416ec5p-1", "0x1.c374918aa1888p+11", "0x1.444bc14a137c3p-8", 0),
+        (4, 3, 2, "bump", 150_000, 70_000, 3): (
+            "0x1.1cdb269329ffdp-1", "0x1.1eb69e3a7089ap-1", "0x1.19e0c4bde83f7p-1",
+            "0x1.238c77b6f8d3dp-1", "0x1.83384b1de1027p+13", "0x1.6e8774b5f1cc1p-10", 0),
+        # chunks of 65_536 rows, whole blocks: a block boundary at the chunk's end
+        (3, 2, 2, "gaussian", 131_072, 65_536, 3): (
+            "0x1.594e658cd8e71p+7", "0x1.58088873ccf3ep+7", "0x1.4d0f4242e2bf2p+7",
+            "0x1.6301cea4b728ap+7", "0x1.cac15839aa67fp+11", "0x1.643478a6decc1p-8", 0),
+        # chunks of 100_000 rows, above OpenBLAS's 10_000-element dot split
+        (3, 2, 1, "gaussian", 200_000, 100_000, 3): (
+            "0x1.f019b59389d7bp+4", "0x1.f0225d26f32acp+4", "0x1.ecc9616dd597ep+4",
+            "0x1.f37b58e010bdap+4", "0x1.cf9f7662beb2bp+15", "0x1.077d0f3159abap-15", 0),
+        # one chunk draws Philox(key=seed).jumped(0), the key's own stream
+        (2, 1, 1, "bump", 200_000, 200_000, 0): (
+            "0x1.18bc4418cafdfp+0", "0x1.18a8a02da0a1bp+0", "0x1.1718ccc29eab6p+0",
+            "0x1.1a387398a2980p+0", "0x1.2b136882f99aep+16", "0x1.2f11a66bd6234p-14", 0),
     }
 
-    @pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "{}-{}-{}-{}".format(*c))
+    @pytest.mark.parametrize("case", list(BP_PINS), ids=lambda c: "-".join(map(str, c)))
     def test_bp_bits_pinned(self, case):
-        # the sampler's RNG stream and its arithmetic are fixed bit for bit
-        n, k, m, kind = case
+        n, k, m, kind, samples, chunk, seed = case
         check = experiments.verify_bp_identity(
-            n, k, m, test_function=kind, samples=30_000, chunk=7_000, seed=3
+            n, k, m, test_function=kind, samples=samples, chunk=chunk, seed=seed
         )
-        got = (check.left.hex(), check.right.hex(), tuple(v.hex() for v in check.right_ci))
-        assert got == self.PINNED[case]
-
-    def test_bits_pinned_above_blas_threading(self):
-        # chunks of 100_000 rows, above the 10_000 elements at which OpenBLAS
-        # splits a dot over its threads; right_ess reads the merged M2
-        check = experiments.verify_bp_identity(3, 2, 1, samples=200_000, chunk=100_000, seed=3)
-        assert check.right.hex() == "0x1.f0225d26f32acp+4"
-        assert tuple(v.hex() for v in check.right_ci) == (
-            "0x1.ecc9616dd597ep+4", "0x1.f37b58e010bdap+4",
-        )
-        assert check.right_ess.hex() == "0x1.cf9f7662beb2bp+15"
-
-    # float.hex of (right, right_ci, right_ess) at samples=150_000,
-    # chunk=70_000, seed=3: chunks of 70_000, 70_000 and 10_000 rows, each
-    # ending in a partial block of the row step
-    MULTI_BLOCK_PINNED = {
-        (2, 1, 1, "gaussian"): (
-            "0x1.3b60723b4e240p+3", ("0x1.3980dea4a5319p+3", "0x1.3d4005d1f7167p+3"),
-            "0x1.ecdc2e0a434fcp+15",
-        ),
-        (3, 2, 2, "gaussian"): (
-            "0x1.5fc568bf1a6f6p+7", ("0x1.5539002dc8301p+7", "0x1.6a51d1506caebp+7"),
-            "0x1.039e8ed90116fp+12",
-        ),
-        (3, 2, 1, "gaussian"): (
-            "0x1.efc795f34e0d9p+4", ("0x1.ebea97700c099p+4", "0x1.f3a4947690119p+4"),
-            "0x1.5ba592057004fp+15",
-        ),
-        (2, 2, 2, "gaussian"): (
-            "0x1.efe88ef170b0bp+4", ("0x1.eb9c4b22a209ap+4", "0x1.f434d2c03f57cp+4"),
-            "0x1.29f872ee68d28p+15",
-        ),
-        (2, 1, 1, "bump"): (
-            "0x1.183b19b16c1a1p+0", ("0x1.16706c36c0704p+0", "0x1.1a05c72c17c3ep+0"),
-            "0x1.c3624ca7742f3p+15",
-        ),
-        (3, 2, 1, "bump"): (
-            "0x1.d56eb1af3cba7p-1", ("0x1.d147cde6faba7p-1", "0x1.d99595777eba7p-1"),
-            "0x1.210938e066a5dp+15",
-        ),
-        (3, 2, 2, "bump"): (
-            "0x1.cba31e8d0af3dp-1", ("0x1.bcd40245fefb5p-1", "0x1.da723ad416ec5p-1"),
-            "0x1.c374918aa1888p+11",
-        ),
-        (4, 3, 2, "bump"): (
-            "0x1.1eb69e3a7089ap-1", ("0x1.19e0c4bde83f7p-1", "0x1.238c77b6f8d3dp-1"),
-            "0x1.83384b1de1027p+13",
-        ),
-    }
-
-    @pytest.mark.parametrize(
-        "case", list(MULTI_BLOCK_PINNED), ids=lambda c: "{}-{}-{}-{}".format(*c)
-    )
-    def test_multi_block_bits_pinned(self, case):
-        # the bits of the kernel that drew and weighed each chunk whole
-        n, k, m, kind = case
-        check = experiments.verify_bp_identity(
-            n, k, m, test_function=kind, samples=150_000, chunk=70_000, seed=3
-        )
-        got = (check.right.hex(), tuple(v.hex() for v in check.right_ci), check.right_ess.hex())
-        assert got == self.MULTI_BLOCK_PINNED[case]
-
-    # (right_nonfinite, float.hex of right_max_share) of the MULTI_BLOCK_PINNED
-    # runs: the merge keeps every chunk's count and its largest weight
-    MULTI_BLOCK_HEALTH_PINNED = {
-        (2, 1, 1, "gaussian"): (0, "0x1.dc4531473325cp-15"),
-        (3, 2, 2, "gaussian"): (0, "0x1.ee27eacbb26a9p-9"),
-        (3, 2, 1, "gaussian"): (0, "0x1.5f909f42c9ea3p-15"),
-        (2, 2, 2, "gaussian"): (0, "0x1.afb1dad4365b6p-15"),
-        (2, 1, 1, "bump"): (0, "0x1.5dac4b894687ap-14"),
-        (3, 2, 1, "bump"): (0, "0x1.77eb1b532b62fp-14"),
-        (3, 2, 2, "bump"): (0, "0x1.444bc14a137c3p-8"),
-        (4, 3, 2, "bump"): (0, "0x1.6e8774b5f1cc1p-10"),
-    }
-
-    @pytest.mark.parametrize(
-        "case", list(MULTI_BLOCK_HEALTH_PINNED), ids=lambda c: "{}-{}-{}-{}".format(*c)
-    )
-    def test_multi_block_health_pinned(self, case):
-        n, k, m, kind = case
-        check = experiments.verify_bp_identity(
-            n, k, m, test_function=kind, samples=150_000, chunk=70_000, seed=3
-        )
-        got = (check.right_nonfinite, check.right_max_share.hex())
-        assert got == self.MULTI_BLOCK_HEALTH_PINNED[case]
+        floats = (check.left, check.right, *check.right_ci, check.right_ess, check.right_max_share)
+        assert (*(v.hex() for v in floats), check.right_nonfinite) == self.BP_PINS[case]
 
     def test_non_finite_weights_are_counted_across_chunks(self, monkeypatch):
         # chunks of 1_000, 1_000, 1_000 and 500 rows on two workers; the row
@@ -839,16 +775,6 @@ class TestBPIdentity:
         assert check.right_nonfinite == 3 * 2 + 5
         assert 0.0 < check.right < clean.right
         assert 0.0 < check.right_max_share < 1.0
-
-    def test_bits_pinned_with_a_block_boundary_at_the_chunk_end(self):
-        # chunks of 65_536 rows, a whole number of blocks each: a block
-        # boundary falls at the chunk's end
-        check = experiments.verify_bp_identity(3, 2, 2, samples=131_072, chunk=65_536, seed=3)
-        assert check.right.hex() == "0x1.58088873ccf3ep+7"
-        assert tuple(v.hex() for v in check.right_ci) == (
-            "0x1.4d0f4242e2bf2p+7", "0x1.6301cea4b728ap+7",
-        )
-        assert check.right_ess.hex() == "0x1.cac15839aa67fp+11"
 
     def test_bump_places_u_once_per_block(self, monkeypatch):
         # a 70_000-row chunk ends in a partial block; each block places u and
@@ -945,12 +871,6 @@ class TestBPIdentity:
             got.append(done.stdout.strip())
         assert got[0] == got[1]
 
-    def test_point_case_has_full_effective_sample_size(self):
-        # m = 0: every right-side weight is the same constant
-        check = experiments.verify_bp_identity(3, 1, 0, samples=20_000, seed=4, chunk=7_000)
-        assert check.right_ess == 20_000
-        assert check.right_nonfinite == 0
-
     @pytest.mark.parametrize("n,k,m", [(2, 1, 1), (3, 2, 2), (3, 2, 1), (2, 2, 2)])
     def test_weight_health_of_criterion_triples(self, n, k, m):
         check = experiments.verify_bp_identity(n, k, m, samples=20_000, seed=5)
@@ -962,10 +882,13 @@ class TestBPIdentity:
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (5, 3), (6, 2), (4, 2), (5, 1)])
     def test_point_case_verdict_allows_rounding(self, n, k):
-        # m = 0: the weights are one constant and the CI has no width; the
-        # mean lands a few ulps off the exact value, inside the allowance,
-        # and a right side 1e-9 off is still refused
+        # m = 0: the right side reduces to an exact one-point quadrature, its
+        # weights are one constant, every sample counts and the CI has no
+        # width; the mean lands a few ulps off the exact value, inside the
+        # allowance, and a right side 1e-9 off is still refused
         check = experiments.verify_bp_identity(n, k, 0)
+        assert check.right == pytest.approx(check.analytic, rel=1e-9)
+        assert check.right_ess == check.samples and check.right_nonfinite == 0
         assert check.right_ci[0] == check.right_ci[1]
         assert check.passed
         moved = dataclasses.replace(
@@ -1338,10 +1261,31 @@ class TestAngleIntegral:
         assert check.closed_form == pytest.approx(4.0 - math.pi, rel=1e-12)
         assert check.abs_error < 1e-10
 
-    @pytest.mark.parametrize("n", [3, 4, 7, 12])
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3, 4, 7, 12,
+            # dblquad's inner quad reports slow convergence near pi/2 here, and
+            # the quadrature still lands 3.2e-9 relative to the closed form
+            pytest.param(10**5, marks=pytest.mark.filterwarnings(
+                "ignore::scipy.integrate.IntegrationWarning"
+            )),
+        ],
+    )
     def test_quadrature_matches(self, n):
         check = experiments.verify_angle_integral(n)
         assert check.abs_error < 1e-8
+        assert check.passed
+
+    def test_verdict_is_relative_to_the_closed_form(self):
+        # the closed form falls like n^(-3/2), to 1.0e-9 at n = 10^6, where an
+        # absolute 1e-8 bound passed a quadrature of 0
+        n = 10**6
+        closed = math.sqrt(math.pi) / (n - 1.0) * constants.angle_bracket(n)
+        check = experiments.AngleIntegralCheck(
+            n=n, quadrature=0.0, closed_form=closed, abs_error=closed
+        )
+        assert not check.passed
 
     def test_symmetry_of_integrand(self):
         # swapping the two angles leaves the integral unchanged

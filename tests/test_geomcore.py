@@ -812,6 +812,23 @@ class TestCertificates:
         with pytest.raises(MosaicError, match="exact powers put an edge below an endpoint"):
             geomcore._order_edge_powers(x, w, faces, upper, np.array([1.0, 0.0, 0.25]))
 
+    @pytest.mark.parametrize(
+        "y,w,faces",
+        [
+            # the k = 1 ordering step read an unset row for vertex 3
+            (np.array([[0.0], [1.0], [2.0], [3.0]]), -np.ones(4), [[[0], [1]], [[0, 3]]]),
+            # a triangle decomposed without its corner 2
+            (
+                np.array([[0.0, 0.0], [1.0, 0.0], [0.4, 0.9]]), np.zeros(3),
+                [[[0], [1]], [[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]],
+            ),
+        ],
+        ids=["k1", "k2"],
+    )
+    def test_corner_not_a_listed_vertex(self, y, w, faces):
+        with pytest.raises(MosaicError, match="a corner of a face is not a listed vertex"):
+            geomcore.radius_and_intervals(y, w, [np.array(face) for face in faces])
+
     def test_flat_lift(self):
         y = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         with pytest.raises(DegeneracyError, match="degenerate lifted configuration") as raised:

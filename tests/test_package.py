@@ -226,6 +226,7 @@ def _cfg(**changes) -> sampler.SamplingConfig:
         (lambda: experiments.verify_angle_integral(1), "need n >= 2"),
         (lambda: experiments.verify_beta_projection_law(3, 3), "need 1 <= k < n"),
         (lambda: geomcore.slice_cloud(np.zeros((4, 3)), 0), "need 1 <= k <= 3"),
+        (lambda: geomcore.lower_hull(np.zeros((3, 0)), np.zeros(3)), "need k >= 1, got k=0"),
         (lambda: _cfg(n=0), "need n >= 1"),
         (lambda: _cfg(n=1, window=((0.0, 1.0), (0.0, 1.0))), "window defines k=2"),
         (lambda: sampler.choose_buffer(_cfg(), 1.0), "quantile must lie in (0, 1)"),
