@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo experiments and identity checks."""
 
 import dataclasses
+import functools
 import hashlib
 import importlib
 import json
@@ -522,6 +523,17 @@ class TestCensusPool:
         assert pool_log.workers == [2]
 
 
+@functools.cache
+def _bp_outputs(case):
+    # the BP_PINS fields of one configuration, run once per session
+    n, k, m, kind, samples, chunk, seed = case
+    check = experiments.verify_bp_identity(
+        n, k, m, test_function=kind, samples=samples, chunk=chunk, seed=seed
+    )
+    floats = (check.left, check.right, *check.right_ci, check.right_ess, check.right_max_share)
+    return (*(v.hex() for v in floats), check.right_nonfinite)
+
+
 class TestBPIdentity:
     # (4,3,2): an m-plane of dimension 2 below k
     @pytest.mark.parametrize("n,k,m", [(2, 1, 1), (3, 2, 1), (3, 2, 2), (2, 2, 2), (4, 3, 2)])
@@ -658,6 +670,17 @@ class TestBPIdentity:
         assert mean == pytest.approx(np.mean(x), rel=1e-15)
         assert m2 / count == pytest.approx(np.var(x, ddof=0), rel=1e-9)
 
+    def test_point_case_matches_sphere_measure(self):
+        # m = 0: the right side reduces to an exact one-point quadrature
+        check = experiments.verify_bp_identity(3, 1, 0, samples=50_000, seed=2)
+        assert check.right == pytest.approx(check.analytic, rel=1e-9)
+
+    def test_point_case_has_full_effective_sample_size(self):
+        # m = 0: every right-side weight is the same constant
+        check = experiments.verify_bp_identity(3, 1, 0, samples=20_000, seed=4, chunk=7_000)
+        assert check.right_ess == 20_000
+        assert check.right_nonfinite == 0
+
     # (3,2,1): the bump's points x have zeros on the slice axes m..k-1
     @pytest.mark.parametrize("n,k,m", [(2, 1, 1), (3, 2, 1)])
     def test_bump_function_sides_agree(self, n, k, m):
@@ -744,14 +767,23 @@ class TestBPIdentity:
             "0x1.1a387398a2980p+0", "0x1.2b136882f99aep+16", "0x1.2f11a66bd6234p-14", 0),
     }
 
-    @pytest.mark.parametrize("case", list(BP_PINS), ids=lambda c: "-".join(map(str, c)))
+    @pytest.mark.parametrize(
+        "case", [c for c in BP_PINS if c[4:] != (150_000, 70_000, 3)],
+        ids=lambda c: "-".join(map(str, c)),
+    )
     def test_bp_bits_pinned(self, case):
-        n, k, m, kind, samples, chunk, seed = case
-        check = experiments.verify_bp_identity(
-            n, k, m, test_function=kind, samples=samples, chunk=chunk, seed=seed
-        )
-        floats = (check.left, check.right, *check.right_ci, check.right_ess, check.right_max_share)
-        assert (*(v.hex() for v in floats), check.right_nonfinite) == self.BP_PINS[case]
+        assert _bp_outputs(case) == self.BP_PINS[case]
+
+    # the partial-block rows keep their two ids; both read one cached run
+    MULTI_BLOCK = [c for c in BP_PINS if c[4:] == (150_000, 70_000, 3)]
+
+    @pytest.mark.parametrize("case", MULTI_BLOCK, ids=lambda c: "{}-{}-{}-{}".format(*c))
+    def test_multi_block_bits_pinned(self, case):
+        assert _bp_outputs(case)[:5] == self.BP_PINS[case][:5]
+
+    @pytest.mark.parametrize("case", MULTI_BLOCK, ids=lambda c: "{}-{}-{}-{}".format(*c))
+    def test_multi_block_health_pinned(self, case):
+        assert _bp_outputs(case)[5:] == self.BP_PINS[case][5:]
 
     def test_non_finite_weights_are_counted_across_chunks(self, monkeypatch):
         # chunks of 1_000, 1_000, 1_000 and 500 rows on two workers; the row
