@@ -33,11 +33,12 @@ its own anchor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -105,8 +106,9 @@ class Mosaic:
     is i. ``simplices``, the rows as tuples, and ``intervals`` are built on
     first use, so a census that reads only the columns never builds them.
 
-    ``intervals`` is built in one columnar pass; its sphere anchors are rows
-    of one copy ``anchors[upper]``, so none shares memory with ``anchors``.
+    ``intervals`` is built in one columnar pass, its records field by field
+    through their slots (:func:`_records`); its sphere anchors are rows of
+    one copy ``anchors[upper]``, so none shares memory with ``anchors``.
     The decomposition works face-major, and the fields keep the layout above.
     The mosaic formats no document: ``experiments`` writes every report.
     """
@@ -139,7 +141,7 @@ class Mosaic:
     @cached_property
     def simplices(self) -> list[tuple[int, ...]]:
         """Sorted generator-index tuple of each row, built on first use."""
-        return [tuple(row) for face in self.faces for row in face.tolist()]
+        return [row for face in self.faces for row in map(tuple, face.tolist())]
 
     @cached_property
     def intervals(self) -> list[Interval]:
@@ -147,20 +149,40 @@ class Mosaic:
         simplices = self.simplices
         kinds = list(zip(self.dims[self.lower].tolist(), self.dims[self.upper].tolist()))
         types = {kind: IntervalType(*kind) for kind in set(kinds)}
+        count = len(self.lower)
         # members: the simplices grouped by interval id, row order within a group
-        ranked = [simplices[r] for r in np.argsort(self.interval_id, kind="stable").tolist()]
-        stops = np.cumsum(np.bincount(self.interval_id, minlength=len(self.lower))).tolist()
+        order = np.argsort(self.interval_id, kind="stable").tolist()
+        ranked = list(map(simplices.__getitem__, order))
+        stops = np.cumsum(np.bincount(self.interval_id, minlength=count)).tolist()
         members = [tuple(ranked[start:stop]) for start, stop in zip([0, *stops[:-1]], stops)]
-        return list(
-            map(
-                Interval,
-                map(simplices.__getitem__, self.lower.tolist()),
-                map(simplices.__getitem__, self.upper.tolist()),
-                map(types.__getitem__, kinds),
-                map(AnchoredSphere, self.anchors[self.upper], self.radii[self.upper].tolist()),
-                members,
-            )
+        spheres = _records(
+            AnchoredSphere, count, self.anchors[self.upper], self.radii[self.upper].tolist()
         )
+        return _records(
+            Interval,
+            count,
+            map(simplices.__getitem__, self.lower.tolist()),
+            map(simplices.__getitem__, self.upper.tolist()),
+            map(types.__getitem__, kinds),
+            spheres,
+            members,
+        )
+
+
+def _records(cls: type, count: int, *columns) -> list:
+    """``count`` records of the frozen slotted dataclass ``cls``, record i
+    from row i of ``columns``, one column per field in field order.
+
+    Each field is set through its slot descriptor, column by column, on
+    records made by ``object.__new__``: the frozen ``__init__`` sets every
+    field through ``object.__setattr__`` and costs about 2.5 times as
+    much. The records equal the constructor's while ``cls`` has no
+    ``__post_init__``, no field default and no field outside its slots.
+    """
+    records = list(map(object.__new__, repeat(cls, count)))
+    for field, column in zip(fields(cls), columns):
+        deque(map(cls.__dict__[field.name].__set__, records, column), maxlen=0)
+    return records
 
 
 def slice_cloud(cloud: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,28 +201,37 @@ def _slice_cloud(cloud: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def sphere_is_empty(
     sphere: AnchoredSphere,
     cloud: np.ndarray,
-    exclude: Sequence[int] = (),
+    exclude: Iterable[int] = (),
 ) -> bool:
     """True iff no non-excluded cloud point lies strictly inside the sphere.
 
     Points closer to the embedded anchor than radius * (1 - 1e-9) count as
     inside; the tolerance band absorbs floating-point noise for the defining
     points, which sit exactly on the sphere. A NaN coordinate of a point not
-    excluded makes the sphere not empty.
+    excluded makes the sphere not empty. ``exclude`` holds row numbers; a
+    boolean ``exclude`` raises ValueError rather than being read as rows 0
+    and 1.
 
     The squared distances are a column sum: the coordinates are copied as
     one (n, N) array, the anchor is taken off its first k rows, and the
     squared rows are added; excluded points get distance infinity, and the
     nearest point is compared with the threshold.
     """
-    cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
+    cloud = np.asarray(cloud, dtype=float)
+    if cloud.ndim != 2:
+        cloud = np.atleast_2d(cloud)
     diff = cloud.T.copy()
     diff[: sphere.anchor.size] -= sphere.anchor[:, None]
     np.multiply(diff, diff, out=diff)
     d2 = _sum(diff)
-    d2[np.asarray(list(exclude), dtype=int)] = np.inf
+    rows = exclude if isinstance(exclude, np.ndarray) else list(exclude)
+    if len(rows):
+        rows = np.asarray(rows)
+        if rows.dtype == bool:
+            raise ValueError("exclude lists row numbers, not a boolean mask")
+        d2[rows.astype(int, copy=False)] = np.inf
     threshold = (sphere.radius * (1.0 - _EMPTY_REL_TOL)) ** 2
-    return bool(d2.min(initial=np.inf) >= threshold)
+    return bool(np.minimum.reduce(d2, initial=np.inf) >= threshold)
 
 
 def lower_hull(y: np.ndarray, w: np.ndarray) -> list[np.ndarray]:

@@ -211,6 +211,38 @@ class TestSphereIsEmpty:
                 np.all(np.linalg.norm(cloud - center, axis=1) >= radius * (1 - 1e-9))
             )
             assert geomcore.sphere_is_empty(s, cloud) == brute
+        # every slice dimension k in R^n, n = k + 1 and k + 2, with exclusion
+        # sets of each kind; two points sit at radius * (1 -+ 2e-9), and trial
+        # % 4 excludes nothing, three random rows, the cloud rows inside, or
+        # those and the point just inside
+        kinds = [tuple, list, lambda rows: np.array(rows, dtype=int)]
+        for k in (1, 2, 3):
+            for n in (k + 1, k + 2):
+                cloud = rng.uniform(-2, 2, size=(40, n))
+                for trial in range(12):
+                    anchor = rng.uniform(-2, 2, size=k)
+                    radius = float(rng.uniform(0.1, 2.0))
+                    center = np.concatenate([anchor, np.zeros(n - k)])
+                    direction = rng.normal(size=n)
+                    direction /= np.linalg.norm(direction)
+                    band = center + radius * np.array([[1 - 2e-9], [1 + 2e-9]]) * direction
+                    points = np.vstack([cloud, band])
+                    dist = np.linalg.norm(points - center, axis=1)
+                    inside = np.flatnonzero(dist[:40] < radius).tolist()
+                    exclude = [
+                        [],
+                        rng.choice(len(points), size=3, replace=False).tolist(),
+                        inside,
+                        [*inside, 40],
+                    ][trial % 4]
+                    keep = np.ones(len(points), dtype=bool)
+                    keep[exclude] = False
+                    brute = bool(np.all(dist[keep] >= radius * (1 - 1e-9)))
+                    if trial % 4 >= 2:
+                        assert brute == (trial % 4 == 3)
+                    s = AnchoredSphere(anchor=anchor, radius=radius)
+                    got = geomcore.sphere_is_empty(s, points, exclude=kinds[trial % 3](exclude))
+                    assert got == brute, (k, n, trial)
 
     def test_tolerance_band_boundary(self):
         # points within a relative 1e-9 of the radius count as on the sphere
@@ -227,7 +259,18 @@ class TestSphereIsEmpty:
         assert not geomcore.sphere_is_empty(s, cloud, exclude=[0, 1])
         assert geomcore.sphere_is_empty(s, cloud, exclude=[0, 1, 2])
 
-    @pytest.mark.parametrize("kind", [list, tuple, lambda rows: np.array(rows, dtype=int)])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            list,
+            tuple,
+            lambda rows: np.array(rows, dtype=int),
+            pytest.param(lambda rows: (r for r in rows), id="generator"),
+            set,
+            pytest.param(lambda rows: np.array(rows, dtype=np.uint8), id="uint8"),
+            pytest.param(lambda rows: [np.int64(r) for r in rows], id="numpy-ints"),
+        ],
+    )
     def test_exclude_kinds(self, kind):
         # the points at rows 1 and 3 lie inside; excluding both empties the sphere
         s = AnchoredSphere(anchor=np.array([0.0, 0.0]), radius=1.0)
@@ -236,6 +279,22 @@ class TestSphereIsEmpty:
         assert not geomcore.sphere_is_empty(s, cloud, exclude=kind([1]))
         assert not geomcore.sphere_is_empty(s, cloud, exclude=kind([3]))
         assert not geomcore.sphere_is_empty(s, cloud, exclude=kind([]))
+
+    @pytest.mark.parametrize(
+        "mask",
+        [np.array([True, False, True]), [True, False, True], [np.True_, np.False_, np.True_]],
+        ids=["ndarray", "list", "numpy-bools"],
+    )
+    def test_boolean_exclude_is_refused(self, mask):
+        # rows 0 and 2 lie inside; read as row numbers 1 and 0, the mask
+        # would test the wrong points
+        s = AnchoredSphere(anchor=np.array([0.0]), radius=1.0)
+        cloud = np.array([[0.0, 0.5], [5.0, 0.0], [0.0, 0.2]])
+        with pytest.raises(ValueError, match="boolean"):
+            geomcore.sphere_is_empty(s, cloud, exclude=mask)
+        assert geomcore.sphere_is_empty(s, cloud, exclude=np.flatnonzero(mask))
+        # an empty exclusion excludes nothing, whatever its dtype
+        assert not geomcore.sphere_is_empty(s, cloud, exclude=np.zeros(0, dtype=bool))
 
     def test_nan_coordinate_is_not_empty(self):
         s = AnchoredSphere(anchor=np.array([0.0]), radius=1.0)
@@ -694,6 +753,42 @@ class TestMosaic:
         for twin in (dataclasses.replace(iv), copy.deepcopy(iv), pickle.loads(pickle.dumps(iv))):
             assert type(twin) is geomcore.Interval and type(twin.sphere) is AnchoredSphere
             assert fields(twin) == fields(iv)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_interval_records_match_their_constructor(self, k):
+        # Mosaic.intervals sets each field through its slot descriptor and
+        # never calls __init__, which is the same only while __init__ just
+        # stores its arguments: no __post_init__, no default, slots only
+        for cls in (geomcore.Interval, AnchoredSphere):
+            names = tuple(f.name for f in dataclasses.fields(cls))
+            assert tuple(cls.__dataclass_fields__) == names
+            assert cls.__slots__ == names and "__dict__" not in dir(cls)
+            assert not hasattr(cls, "__post_init__")
+            for f in dataclasses.fields(cls):
+                assert f.init and f.default is dataclasses.MISSING
+                assert f.default_factory is dataclasses.MISSING
+                assert isinstance(cls.__dict__[f.name], types.MemberDescriptorType)
+
+        def same(got, ref):
+            assert type(got) is type(ref)
+            if isinstance(ref, np.ndarray):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tolist() == ref.tolist()
+            elif dataclasses.is_dataclass(ref):
+                for f in dataclasses.fields(ref):
+                    same(getattr(got, f.name), getattr(ref, f.name))
+            else:
+                assert got == ref
+
+        def rebuilt(rec):
+            values = [getattr(rec, f.name) for f in dataclasses.fields(rec)]
+            values = [rebuilt(v) if dataclasses.is_dataclass(v) else v for v in values]
+            return type(rec)(*values)
+
+        intervals = self._random_mosaic(k, 100 * k + 11).intervals
+        assert intervals
+        for iv in intervals:
+            same(iv, rebuilt(iv))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_edge_radius_is_a_view(self, k):
