@@ -180,7 +180,7 @@ def _records(cls: type, count: int, *columns) -> list:
     ``__post_init__``, no field default and no field outside its slots.
     """
     records = list(map(object.__new__, repeat(cls, count)))
-    for field, column in zip(fields(cls), columns):
+    for field, column in zip(fields(cls), columns, strict=True):
         deque(map(cls.__dict__[field.name].__set__, records, column), maxlen=0)
     return records
 
@@ -224,8 +224,8 @@ def sphere_is_empty(
     diff[: sphere.anchor.size] -= sphere.anchor[:, None]
     np.multiply(diff, diff, out=diff)
     d2 = _sum(diff)
-    rows = exclude if isinstance(exclude, np.ndarray) else list(exclude)
-    if len(rows):
+    rows = list(exclude)
+    if rows:
         rows = np.asarray(rows)
         if rows.dtype == bool:
             raise ValueError("exclude lists row numbers, not a boolean mask")

@@ -789,6 +789,9 @@ class TestMosaic:
         assert intervals
         for iv in intervals:
             same(iv, rebuilt(iv))
+        # a column too few would leave a field unset; it is refused at once
+        with pytest.raises(ValueError):
+            geomcore._records(AnchoredSphere, 1, [np.zeros(k)])
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_edge_radius_is_a_view(self, k):
