@@ -62,8 +62,9 @@ __all__ = [
 
 # the package's one rule for a short sum, of Python floats (from an int 0, as
 # builtin sum added before Python 3.12) or of arrays over their first axis:
-# index order, (a + b) + c. The only long sums, a bp chunk's mean and M2 and
-# the census's per-type replicate mean and SD, are numpy's pairwise add.reduce
+# index order, (a + b) + c. The only long sums are numpy's pairwise add.reduce
+# (a bp chunk's mean and M2, the census's per-type replicate mean and SD) and
+# the one exactly rounded math.fsum over the terms of specfun.hyp3f2
 _sum = partial(reduce, operator.add)
 
 
@@ -219,25 +220,6 @@ def angle_bracket(n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _pair_constant_1d(n: int) -> float:
-    # C[0,1; 1,n] via the one-dimensional angle-integral closed form
-    _check_dims(1, n)
-    bracket = angle_bracket(n)
-    if bracket <= 0.0:
-        raise ArithmeticError(f"angle-integral bracket must be positive, got {bracket}")
-    log_c = (
-        2.0 * log_sphere_surface(n - 1)
-        + 0.5 * math.log(math.pi)
-        + math.lgamma(2.0 - 1.0 / n)
-        - math.log(n)
-        - math.log(n - 1.0)
-        - (2.0 - 1.0 / n) * log_ball_volume(n)
-        + math.log(bracket)
-    )
-    return math.exp(log_c)
-
-
-@lru_cache(maxsize=None)
 def top_simplex_constant(k: int, n: int) -> float:
     """Constant D_k[k,n]: expected top-dimensional simplices per unit rho^(k/n) volume.
 
@@ -266,9 +248,10 @@ def top_simplex_constant(k: int, n: int) -> float:
 def interval_constant(t: IntervalType | tuple[int, int], k: int, n: int) -> float:
     """Constant C[ell, m; k, n] for k in {1, 2}.
 
-    k = 1 uses the elementary one-dimensional closed forms; k = 2 combines the
-    hypergeometric and Beta-sum forms with the Euler relation, the planar
-    triangles = 2 * vertices relation, and the top-simplex constant.
+    Type (0, 1) is the hypergeometric form at both k. The rest of k = 1 is the
+    critical-vertex constant; k = 2 adds the Beta-sum form, the Euler
+    relation, the planar triangles = 2 * vertices relation, and the
+    top-simplex constant.
     """
     if not isinstance(t, IntervalType):
         t = IntervalType(*t)
@@ -277,15 +260,13 @@ def interval_constant(t: IntervalType | tuple[int, int], k: int, n: int) -> floa
         raise ValueError(f"closed-form interval constants exist only for k in {{1, 2}}, got k={k}")
     if t.m > k:
         raise ValueError(f"type {t} cannot occur in a {k}-dimensional mosaic")
+    if t == IntervalType(0, 1):
+        return vertex_edge_pair_constant(k, n)
     if k == 1:
-        if t == IntervalType(0, 0) or t == IntervalType(1, 1):
-            return critical_vertex_constant(1, n)
-        return _pair_constant_1d(n)  # type (0, 1)
+        return critical_vertex_constant(1, n)  # types (0, 0) and (1, 1)
     c00 = critical_vertex_constant(2, n)
     if t == IntervalType(0, 0):
         return c00
-    if t == IntervalType(0, 1):
-        return vertex_edge_pair_constant(2, n)
     if t == IntervalType(1, 1):
         return critical_edge_constant(2, n)
     c11 = critical_edge_constant(2, n)
@@ -384,7 +365,7 @@ def asymptotic_limits_1d() -> AsymptoticLimits1D:
     values = {}
     for n in (100, 1000, 10000):
         c00 = critical_vertex_constant(1, n)
-        c01 = _pair_constant_1d(n)
+        c01 = vertex_edge_pair_constant(1, n)
         values[n] = (c00, c01, c00 + c01)
     sqrt_e = math.sqrt(math.e)
     return AsymptoticLimits1D(

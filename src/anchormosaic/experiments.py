@@ -866,17 +866,22 @@ class AngleIntegralCheck:
 def verify_angle_integral(n: int) -> AngleIntegralCheck:
     """Adaptive quadrature of the two-angle integral against its closed form.
 
-    The integral of (sin a sin b)^(n-2) |cos b - cos a| over [0, pi/2)^2; the
-    absolute value is removed by splitting along the diagonal.
+    The integral of (sin a sin b)^(n-2) |cos b - cos a| over [0, pi/2)^2 is
+    twice its half b > a, whose integral over b is, with t = cos a and
+    s = (n-1)/2, t B(1/2, s) I_(t^2)(1/2, s) / 2 + ((1 - t^2)^s - 1) / (2 s).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    s = (n - 1.0) / 2.0
+    half_beta = 0.5 * special.beta(0.5, s)
 
-    def integrand(b: float, a: float) -> float:
-        return (math.sin(a) * math.sin(b)) ** (n - 2) * (math.cos(b) - math.cos(a))
+    def integrand(a: float) -> float:
+        t = math.cos(a)
+        inner = t * half_beta * special.betainc(0.5, s, t * t)
+        inner += math.expm1(s * math.log1p(-t * t)) / (2.0 * s)
+        return math.sin(a) ** (n - 2) * inner
 
-    half, _ = integrate.dblquad(integrand, 0.0, math.pi / 2.0, 0.0, lambda a: a,
-                                epsabs=1e-12, epsrel=1e-12)
+    half, _ = integrate.quad(integrand, 0.0, math.pi / 2.0, epsabs=0.0, epsrel=1e-12)
     quadrature = 2.0 * half
     closed = math.sqrt(math.pi) / (n - 1.0) * constants.angle_bracket(n)
     return AngleIntegralCheck(

@@ -16,7 +16,7 @@ from anchormosaic import constants, experiments, sampler
 from anchormosaic.sampler import SamplingConfig
 
 from oracles import build, interval_violations, random_cloud
-from test_constants import MISPRINTED_2D, TABLE_1D, TABLE_2D, TYPES_2D
+from test_constants import MISPRINTED_2D, TABLE_1D, TABLE_2D, TYPES_2D, angle_form_pair_constant
 
 
 def _clear_constant_caches():
@@ -24,7 +24,6 @@ def _clear_constant_caches():
     constants.vertex_edge_pair_constant.cache_clear()
     constants.critical_edge_constant.cache_clear()
     constants.top_simplex_constant.cache_clear()
-    constants._pair_constant_1d.cache_clear()
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -111,7 +110,7 @@ def test_criterion_04_exact_identities():
         worst_planar = max(worst_planar, abs(triangles - 2 * vertices) / triangles)
     worst_1d = 0.0
     for n in range(2, 21):
-        pair_1d = constants.interval_constant((0, 1), 1, n)
+        pair_1d = angle_form_pair_constant(n)
         crit_1d = constants.interval_constant((0, 0), 1, n)
         worst_1d = max(
             worst_1d,

@@ -239,21 +239,21 @@ class TestDocumentBytes:
     # config.buffer and sets the box that every point is drawn uniformly in.
     DIGESTS = {
         ("simulate --n 2 --k 1 --window 1000 --reps 20 --seed 2025", "json"):
-            "2f2a6ad54717858e63f7be1cc94e4eb0ddf03108aa8d1c6c090160af686fc8ff",
+            "143443e9bded5a0b0e3a61fdc783a3a3e983959bb8e66c3cca520ce2bd40b42a",
         ("simulate --n 2 --k 1 --window 1000 --reps 20 --seed 2025", "csv"):
-            "e85b0da2ba3a9133f2bf0bebb8bd1d8972eea02cc1c805cab3a43974bad0b135",
+            "c724c84133fb67a518b0c0f4c1f3321fe9cd30681abae46b7dcd7213fcac80dc",
         ("simulate --n 3 --k 2 --window 400 --reps 20 --seed 2025", "json"):
-            "7487b20fee03d3ce1a5cb72d39c87001bd1bfdb1dc1916feb557be6d4c57cffa",
+            "1a34a0557a21784c409e498943872d1e75fc476665c8e19d5e4bc1bbd17e9068",
         ("simulate --n 3 --k 2 --window 400 --reps 20 --seed 2025", "csv"):
-            "31651351107d3ce80b215785d052b90c3d2e6aa8b334c1d884627036132daa20",
+            "564e78b2be152472dabb35c737630a58039478c560b65d8ec666a7e771c292fc",
         ("constants --k 1 --n 2..12", "json"):
-            "89b13753df339c51e48ffa5c6c44aa373a25fe6fd59d82c0e0a283cd2e8e213d",
+            "6b10abd6fba01a9ed29b578af3de1c45424ab529aa124ca6c47faa2ba05806dd",
         ("constants --k 1 --n 2..12", "csv"):
-            "b0e75f7944ed4d1b9338e23f9ea66592921dbb758f5288eed4beba0b10393a82",
+            "9f6b443374c7e76a62d99668eece112ad1b13bb541bb68f79b57129dd107f371",
         ("constants --k 2 --n 3..12", "json"):
-            "7706a0c87258d357bc0b7e839d8f2b7308e6ba50aded297f391c6c450ee53fbd",
+            "ce4736e183b7398f3fca7f2d5d0aaa9fe2d5a3824795f9dc86de677d692e7d1d",
         ("constants --k 2 --n 3..12", "csv"):
-            "a3ab4e5c4019346ad254f2f13dafe8e7e6f6d55eebc3aa5e150b833480d3538e",
+            "44da3428882e40cccbc0e3dc967fd2ad840caf971296175f0dedcdf9de6b5820",
     }
 
     @pytest.mark.parametrize("command,fmt", list(DIGESTS))
@@ -396,21 +396,19 @@ class TestErrorPaths:
         [
             ("_HYP3F2_MAX_TERMS", 3, "3F2 series hit the 3-term cap"),
             ("hyp3f2", lambda *args: 0.0, "3F2 sum must be positive, got 0.0"),
-            ("angle_bracket", lambda n: 0.0, "angle-integral bracket must be positive, got 0.0"),
         ],
     )
     def test_refused_constant_is_numerical_error(self, capsys, monkeypatch, target, value, message):
-        # the typed refusals of the constants layer, each forced at n = 5
-        module = constants if target == "angle_bracket" else specfun
-        monkeypatch.setattr(module, target, value)
-        # a refusal is never cached, so only the values cached before need to go
-        constants.vertex_edge_pair_constant.cache_clear()
-        constants._pair_constant_1d.cache_clear()
-        k = "1" if target == "angle_bracket" else "2"
-        code, out, err = run(capsys, "constants", "--k", k, "--n", "5")
-        assert code == cli.EXIT_NUMERICAL
-        assert out == ""
-        assert err.startswith("numerical error: " + message)
+        # the typed refusals of the 3F2 behind C[0,1], forced at each k where
+        # its series does not terminate
+        monkeypatch.setattr(specfun, target, value)
+        for k, n in (("1", "4"), ("2", "5")):
+            # a refusal is never cached, so only the values cached before need to go
+            constants.vertex_edge_pair_constant.cache_clear()
+            code, out, err = run(capsys, "constants", "--k", k, "--n", n)
+            assert code == cli.EXIT_NUMERICAL
+            assert out == ""
+            assert err.startswith("numerical error: " + message)
 
     def test_zero_buffer_with_n_above_k_is_numerical_error(self, capsys):
         # a valid buffer on its own; SamplingConfig needs a positive one when n > k

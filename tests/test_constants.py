@@ -3,12 +3,14 @@
 import builtins
 import functools
 import math
+from decimal import Decimal
 
 import pytest
 from scipy import integrate, special
 
 from anchormosaic import constants, experiments
 from anchormosaic.constants import IntervalType
+from c01_reference import C01_REFERENCE
 from oracles import compensated_sum
 
 # published 2-decimal reference tables for the constants
@@ -46,6 +48,27 @@ TYPES_2D = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 # C02 = D0 - C00 - C01 = 1.83 - 1.25 - 0.42 = 0.16, yet 0.15 is printed);
 # the exact values land within one unit of the last printed digit instead.
 MISPRINTED_2D = {(0, 2, 4), (0, 1, 10), (0, 1, 20)}
+
+
+def angle_form_pair_constant(n):
+    """C[0,1; 1,n] through the two-angle integral's closed form
+    sqrt(pi) / (n-1) * angle_bracket(n): a one-dimensional route with no 3F2."""
+    log_c = (
+        2.0 * constants.log_sphere_surface(n - 1)
+        + 0.5 * math.log(math.pi)
+        + math.lgamma(2.0 - 1.0 / n)
+        - math.log(n)
+        - math.log(n - 1.0)
+        - (2.0 - 1.0 / n) * constants.log_ball_volume(n)
+        + math.log(constants.angle_bracket(n))
+    )
+    return math.exp(log_c)
+
+
+def reference_error(value, k, n):
+    """Relative error of ``value`` against the 30-digit C[0,1; k,n]."""
+    want = Decimal(C01_REFERENCE[k, n])
+    return float((Decimal(value) - want) / want)
 
 
 class TestGeometryConstants:
@@ -94,9 +117,8 @@ class TestTable1D:
 
     def test_frozen_exact_values(self):
         assert constants.interval_constant((0, 0), 1, 2) == pytest.approx(1.0, rel=1e-12)
-        assert constants.interval_constant((0, 1), 1, 2) == pytest.approx(
-            (4 - math.pi) / math.pi, rel=1e-12
-        )
+        # (4 - pi) / pi, read from the 30-digit reference
+        assert abs(reference_error(constants.interval_constant((0, 1), 1, 2), 1, 2)) <= 5e-16
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 20])
     def test_critical_edges_match_critical_vertices(self, n):
@@ -232,7 +254,7 @@ class TestOneDimSpecialization:
         # the general-k pair and critical-edge forms at k = 1 against the
         # elementary one-dimensional closed forms
         assert constants.vertex_edge_pair_constant(1, n) == pytest.approx(
-            constants.interval_constant((0, 1), 1, n), rel=1e-10
+            angle_form_pair_constant(n), rel=1e-10
         )
         assert constants.critical_edge_constant(1, n) == pytest.approx(
             constants.interval_constant((0, 0), 1, n), rel=1e-10
@@ -240,6 +262,16 @@ class TestOneDimSpecialization:
         assert constants.critical_vertex_constant(1, n) == pytest.approx(
             constants.interval_constant((0, 0), 1, n), rel=1e-10
         )
+
+
+class TestPairConstantReference:
+    # the 30-digit values that tests/make_c01_reference.py writes with mpmath;
+    # the bound grows with n, where the log-Gamma terms of the prefactor
+    # cancel to a sum far smaller than each of them
+    @pytest.mark.parametrize("k,n", list(C01_REFERENCE))
+    def test_pair_constant_matches_reference(self, k, n):
+        bound = 1e-14 if n <= 13 else 1e-13 if n <= 100 else 1e-12
+        assert abs(reference_error(constants.interval_constant((0, 1), k, n), k, n)) <= bound
 
 
 class TestExpectedCounts:
