@@ -331,9 +331,12 @@ def ks_gamma_test(radii: np.ndarray, shape: float, rate_scale: float, n: int) ->
         raise InsufficientSampleError(f"need at least 100 radii, got {radii.size}")
     if not (math.isfinite(shape) and shape > 0.0):
         raise ValueError(f"shape parameter must be positive and finite, got {shape}")
+    if not (math.isfinite(rate_scale) and rate_scale > 0.0):
+        raise ValueError(f"rate scale must be positive and finite, got {rate_scale}")
+    # the radii themselves, since an even n would square a negative one away
     scaled = rate_scale * radii**n
-    if not np.all(np.isfinite(scaled) & (scaled >= 0.0)):
-        raise ValueError("rate_scale * r^n must be finite and non-negative for every radius")
+    if not np.all(np.isfinite(scaled) & (radii >= 0.0)):
+        raise ValueError("every radius must be non-negative, and rate_scale * r^n finite")
     return _ks_uniform_pvalue(special.gammainc(shape, scaled))
 
 

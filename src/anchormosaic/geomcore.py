@@ -210,7 +210,7 @@ def sphere_is_empty(
     points, which sit exactly on the sphere. A NaN coordinate of a point not
     excluded makes the sphere not empty. ``exclude`` holds row numbers; a
     boolean ``exclude`` raises ValueError rather than being read as rows 0
-    and 1.
+    and 1, and so does a negative row rather than count from the end.
 
     The squared distances are a column sum: the coordinates are copied as
     one (n, N) array, the anchor is taken off its first k rows, and the
@@ -226,6 +226,9 @@ def sphere_is_empty(
     d2 = _sum(diff)
     rows = list(exclude)
     if rows:
+        lowest = min(rows)
+        if lowest < 0:
+            raise ValueError(f"exclude lists row numbers from 0, got {lowest}")
         rows = np.asarray(rows)
         if rows.dtype == bool:
             raise ValueError("exclude lists row numbers, not a boolean mask")

@@ -239,21 +239,21 @@ class TestDocumentBytes:
     # config.buffer and sets the box that every point is drawn uniformly in.
     DIGESTS = {
         ("simulate --n 2 --k 1 --window 1000 --reps 20 --seed 2025", "json"):
-            "143443e9bded5a0b0e3a61fdc783a3a3e983959bb8e66c3cca520ce2bd40b42a",
+            "16420132bf2a78cc3d0fc1b262572737b9db5234f07b693c4606b2e00a08ab56",
         ("simulate --n 2 --k 1 --window 1000 --reps 20 --seed 2025", "csv"):
-            "c724c84133fb67a518b0c0f4c1f3321fe9cd30681abae46b7dcd7213fcac80dc",
+            "ef38a252343cf681c2d38371b168db85e15a49999d044db6ee3a0ab52cb3a7bc",
         ("simulate --n 3 --k 2 --window 400 --reps 20 --seed 2025", "json"):
-            "1a34a0557a21784c409e498943872d1e75fc476665c8e19d5e4bc1bbd17e9068",
+            "fc9b4bbdf469a06dde3c9f66aae70fde27d8480b62a740de84c23e73dd5b60d9",
         ("simulate --n 3 --k 2 --window 400 --reps 20 --seed 2025", "csv"):
-            "564e78b2be152472dabb35c737630a58039478c560b65d8ec666a7e771c292fc",
+            "2f810aef4a0da811f44ab57634b52bb7def22990e053a5999075e0dbbf3cd3c3",
         ("constants --k 1 --n 2..12", "json"):
-            "6b10abd6fba01a9ed29b578af3de1c45424ab529aa124ca6c47faa2ba05806dd",
+            "731690914981ce0cddc36ca382a868cc27da1b17d1528b2157154e3016157948",
         ("constants --k 1 --n 2..12", "csv"):
-            "9f6b443374c7e76a62d99668eece112ad1b13bb541bb68f79b57129dd107f371",
+            "d7e9f2ff1eefeff248370464fcc02d1e638853f9579079bd20e92f1804f0b6c7",
         ("constants --k 2 --n 3..12", "json"):
-            "ce4736e183b7398f3fca7f2d5d0aaa9fe2d5a3824795f9dc86de677d692e7d1d",
+            "5d0db80a8cbb587fb5307bd0b30a46a970cdf8954d1a787cd821a7681e7820e0",
         ("constants --k 2 --n 3..12", "csv"):
-            "44da3428882e40cccbc0e3dc967fd2ad840caf971296175f0dedcdf9de6b5820",
+            "2597918d1b09764a9b72419318c59c06cbc8225e25ab231499f8333ae32b48ed",
     }
 
     @pytest.mark.parametrize("command,fmt", list(DIGESTS))

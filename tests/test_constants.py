@@ -10,7 +10,7 @@ from scipy import integrate, special
 
 from anchormosaic import constants, experiments
 from anchormosaic.constants import IntervalType
-from c01_reference import C01_REFERENCE
+from constants_reference import REFERENCE
 from oracles import compensated_sum
 
 # published 2-decimal reference tables for the constants
@@ -65,10 +65,14 @@ def angle_form_pair_constant(n):
     return math.exp(log_c)
 
 
-def reference_error(value, k, n):
-    """Relative error of ``value`` against the 30-digit C[0,1; k,n]."""
-    want = Decimal(C01_REFERENCE[k, n])
+def reference_error(value, want):
+    """Relative error of ``value`` against a 30-digit Decimal ``want``."""
     return float((Decimal(value) - want) / want)
+
+
+def reference_row(k, n):
+    """C[0,0], C[0,1], C[1,1] and D_k at (k, n) from the 30-digit table."""
+    return [Decimal(value) for value in REFERENCE[k, n]]
 
 
 class TestGeometryConstants:
@@ -116,9 +120,10 @@ class TestTable1D:
         assert constants.simplex_constant(0, 1, n) == pytest.approx(d0, abs=0.005)
 
     def test_frozen_exact_values(self):
-        assert constants.interval_constant((0, 0), 1, 2) == pytest.approx(1.0, rel=1e-12)
+        assert constants.interval_constant((0, 0), 1, 2) == 1.0
         # (4 - pi) / pi, read from the 30-digit reference
-        assert abs(reference_error(constants.interval_constant((0, 1), 1, 2), 1, 2)) <= 5e-16
+        c01 = reference_row(1, 2)[1]
+        assert abs(reference_error(constants.interval_constant((0, 1), 1, 2), c01)) <= 5e-16
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 20])
     def test_critical_edges_match_critical_vertices(self, n):
@@ -265,13 +270,41 @@ class TestOneDimSpecialization:
 
 
 class TestPairConstantReference:
-    # the 30-digit values that tests/make_c01_reference.py writes with mpmath;
-    # the bound grows with n, where the log-Gamma terms of the prefactor
-    # cancel to a sum far smaller than each of them
-    @pytest.mark.parametrize("k,n", list(C01_REFERENCE))
+    # the 30-digit values that tests/make_constants_reference.py writes with
+    # mpmath from the paper's sphere-and-ball forms; each row holds C[0,1]
+    # and the other three closed forms, C[0,0], C[1,1] and D_k, at one bound
+    # from n = 2 to n = 10^6
+    @pytest.mark.parametrize("k,n", list(REFERENCE))
     def test_pair_constant_matches_reference(self, k, n):
-        bound = 1e-14 if n <= 13 else 1e-13 if n <= 100 else 1e-12
-        assert abs(reference_error(constants.interval_constant((0, 1), k, n), k, n)) <= bound
+        forms = (
+            constants.critical_vertex_constant,
+            constants.vertex_edge_pair_constant,
+            constants.critical_edge_constant,
+            constants.top_simplex_constant,
+        )
+        for form, want in zip(forms, reference_row(k, n)):
+            assert abs(reference_error(form(k, n), want)) <= 1e-14, form.__name__
+
+    @pytest.mark.parametrize("k,n", [key for key in REFERENCE if key[0] <= 2])
+    def test_derived_constants_match_the_relations_of_the_reference(self, k, n):
+        # the k = 2 relations, applied to the 30-digit values: C22 = C11 - C00
+        # (Euler), C02 = D2/2 - C00 - C01 (D0 = D2/2) and C12 the rest of
+        # D2 = C02 + C12 + C22; then every D_j by its binomial sum
+        c00, c01, c11, top = reference_row(k, n)
+        want = {(0, 0): c00, (0, 1): c01, (1, 1): c11}
+        if k == 2:
+            want[2, 2] = c11 - c00
+            want[0, 2] = top / 2 - c00 - c01
+            want[1, 2] = top / 2 + c00 + c01 - want[2, 2]
+        for t, value in want.items():
+            assert abs(reference_error(constants.interval_constant(t, k, n), value)) <= 1e-13, t
+        for j in range(k + 1):
+            d_j = sum(
+                math.comb(t[1] - t[0], t[1] - j) * value
+                for t, value in want.items()
+                if t[0] <= j <= t[1]
+            )
+            assert abs(reference_error(constants.simplex_constant(j, k, n), d_j)) <= 1e-13, j
 
 
 class TestExpectedCounts:

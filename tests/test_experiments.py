@@ -400,10 +400,12 @@ class TestKSGammaTest:
 
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     def test_invalid_radius_rejected(self, bad):
+        # at even n a negative radius would pass as its square
         radii = np.linspace(0.1, 2.0, 200)
         radii[17] = bad
-        with pytest.raises(ValueError):
-            experiments.ks_gamma_test(radii, 0.5, math.pi, 3)
+        for n in (2, 3):
+            with pytest.raises(ValueError, match="every radius must be non-negative"):
+                experiments.ks_gamma_test(radii, 0.5, math.pi, n)
 
     def test_mosaic_radii_follow_gamma_law(self):
         report = experiments.estimate_interval_rates(

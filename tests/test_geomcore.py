@@ -296,6 +296,17 @@ class TestSphereIsEmpty:
         # an empty exclusion excludes nothing, whatever its dtype
         assert not geomcore.sphere_is_empty(s, cloud, exclude=np.zeros(0, dtype=bool))
 
+    @pytest.mark.parametrize(
+        "exclude", [[-1], (0, -1), np.array([-1])], ids=["list", "tuple", "ndarray"]
+    )
+    def test_negative_exclude_is_refused(self, exclude):
+        # row -1 is the point inside; read from the end, it would be excluded
+        s = AnchoredSphere(anchor=np.array([0.0, 0.0]), radius=1.0)
+        cloud = np.array([[5.0, 0.0, 0.0], [0.0, 0.1, 0.0]])
+        with pytest.raises(ValueError, match="row numbers from 0, got -1"):
+            geomcore.sphere_is_empty(s, cloud, exclude=exclude)
+        assert geomcore.sphere_is_empty(s, cloud, exclude=[1])
+
     def test_nan_coordinate_is_not_empty(self):
         s = AnchoredSphere(anchor=np.array([0.0]), radius=1.0)
         cloud = np.array([[5.0, 0.0], [np.nan, 0.0], [-5.0, 0.0]])

@@ -223,6 +223,8 @@ def _cfg(**changes) -> sampler.SamplingConfig:
          "shape parameter must be positive and finite"),
         (lambda: experiments.ks_gamma_test(np.ones(100), math.nan, 1.0, 2),
          "shape parameter must be positive and finite"),
+        (lambda: experiments.ks_gamma_test(np.ones(100), 0.5, 0.0, 2),
+         "rate scale must be positive and finite"),
         (lambda: experiments.verify_angle_integral(1), "need n >= 2"),
         (lambda: experiments.verify_beta_projection_law(3, 3), "need 1 <= k < n"),
         (lambda: geomcore.slice_cloud(np.zeros((4, 3)), 0), "need 1 <= k <= 3"),
